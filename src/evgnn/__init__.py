@@ -3,7 +3,7 @@
 Subpackages:
     event_io      -- stream parsing, generation, serialization
     graph_builder -- per-pixel event queues and neighbor search
-    engine        -- integer GNN forward (per-event and batch kernels)
+    engine        -- integer GNN forward (per-event oracle and batch executor)
     quant         -- batchnorm folding and FP -> INT8 quantization
     static_oracle -- reference forward over fully materialized graphs
     perf_model    -- cycle-accurate latency/energy model

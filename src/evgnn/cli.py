@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import engine, event_io, perf_model, quant, static_oracle
-from .graph_builder import SearchParams
+from .graph_builder import (QUEUE_BACKED_SHAPES, InvalidSearchParams,
+                            SearchParams)
 from .model import ModelConfigError, load_model, save_model
 
 log = logging.getLogger("evgnn")
@@ -74,7 +75,14 @@ def _apply_overrides(model, args):
               "queue_depth": (args.queue_depth
                               if args.queue_depth is not None
                               else sp.queue_depth)}
-    model.search = SearchParams(r=sp.r, beta=sp.beta, **fields)
+    try:
+        model.search = SearchParams(r=sp.r, beta=sp.beta, **fields)
+    except InvalidSearchParams as exc:
+        raise CliError(f"bad search parameters: {exc}") from exc
+    if model.search.shape not in QUEUE_BACKED_SHAPES:
+        raise CliError(f"search shape {model.search.shape!r} cannot run "
+                       f"here: the graph build needs one of "
+                       f"{', '.join(QUEUE_BACKED_SHAPES)}")
     return model
 
 
@@ -227,7 +235,7 @@ def cmd_quantize(args) -> int:
     calib = _load_stream(args.calib, fp.width, fp.height, args.format)
     try:
         qm, rep = quant.quantize_model(folded, calib)
-    except quant.EmptyCalibration as exc:
+    except (quant.EmptyCalibration, ModelConfigError) as exc:
         raise CliError(str(exc)) from exc
     save_model(qm, args.out)
     log.info("activation scales: %s", rep.activation_scales)

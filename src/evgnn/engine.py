@@ -5,26 +5,33 @@ Two granularities are provided:
     - process_event / process_event_layer_sequential: one event at a time
       against explicit EngineState, built from the per-op primitives below
       (message_matvec, aggregate_max, baq, readout_update, fc_forward).
-    - run_stream: whole-stream execution through the compiled kernels,
-      bit-identical to the per-event path.
+      This scalar path is the independent oracle of the batch path.
+    - run_stream: whole-stream execution through one vectorized layer
+      function, eq7_layer. The layer-parallel and layer-sequential
+      schedules here and the static oracle (static_oracle.forward_eq7_int8)
+      are three batchings of it, run by run_layers, and share one
+      incremental readout / FC, readout_trace.
 
-All arithmetic is integer-only; requantization rounds to nearest even.
+All INT8 arithmetic is exact. The batch path multiplies in float64, which
+holds every partial sum exactly because the model loader proves that each
+stays below 2**31; requantization rounds to nearest even.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .event_io import Event, EventStream
 from .graph_builder import (Adjacency, EventQueueGrid, Neighbor,
-                            new_queue_grid, search_neighbors)
-from .model import QuantizedModel
+                            new_queue_grid, replay_build, search_neighbors)
+from .model import ACC_LIMIT, QuantizedModel
 
-ACC_LIMIT = 2**31  # accumulators must stay in 32-bit signed range
+NEG_IDENTITY = np.int64(-(2**62))  # "-inf" empty-aggregation identity
+BATCH_ROWS = 4096  # events per batch step; bounds the [B, D, C_in+2] gather
 
 
 class AccOverflow(ArithmeticError):
@@ -43,17 +50,19 @@ class StoreError(RuntimeError):
     """Write-once violation or read of an unwritten feature slot."""
 
 
-def rne_mulshift(v: int, mult: int, shift: int) -> int:
-    """Round-to-nearest-even of (v * mult) / 2**shift for v >= 0."""
-    prod = int(v) * int(mult)
+def rne_mulshift(v, mult: int, shift: int):
+    """Round-to-nearest-even of (v * mult) / 2**shift for v >= 0.
+
+    v is an int (exact at any size) or an int64 array, where v * mult must
+    fit in int64; the model loader's range proof keeps v and mult < 2**31.
+    """
+    prod = v * int(mult)
     if shift == 0:
         return prod
     q = prod >> shift
     rem = prod & ((1 << shift) - 1)
     half = 1 << (shift - 1)
-    if rem > half or (rem == half and q & 1):
-        q += 1
-    return q
+    return q + ((rem > half) | ((rem == half) & (q & 1 == 1)))
 
 
 def encode_input(p: int, encoding: dict[int, int] | None = None) -> int:
@@ -89,7 +98,7 @@ def aggregate_max(messages, width: int,
     if not messages:
         if empty_aggregation == "zero":
             return np.zeros(width, dtype=np.int64)
-        return np.full(width, kernels.NEG_IDENTITY, dtype=np.int64)
+        return np.full(width, NEG_IDENTITY, dtype=np.int64)
     out = np.asarray(messages[0], dtype=np.int64).copy()
     for m in messages[1:]:
         m = np.asarray(m, dtype=np.int64)
@@ -283,7 +292,7 @@ def process_event_layer_sequential(state: EngineState, model: QuantizedModel,
 
 @dataclass
 class RunResult:
-    """Whole-stream outputs from the batch kernels."""
+    """Whole-stream outputs from the batch executor."""
 
     adjacency: Adjacency
     feats: np.ndarray    # int64[N, L, max_cout]; valid channels per layer
@@ -300,12 +309,12 @@ class RunResult:
 
 def build_adjacency(stream: EventStream,
                     model_or_params) -> Adjacency:
-    """Replay the queue grid over a stream with the compiled kernel."""
+    """Replay the queue grid over a whole stream (prism / cylinder)."""
     params = getattr(model_or_params, "search", model_or_params)
     if params.shape not in ("prism", "cylinder"):
-        raise ValueError("kernel replay supports prism/cylinder only")
+        raise ValueError("queue replay supports prism/cylinder only")
     xs, ys, ts, _ = stream.to_arrays()
-    deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned = kernels.replay_build(
+    deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned = replay_build(
         xs, ys, ts, stream.width, stream.height, params.queue_depth,
         params.r_s, params.r_t, params.d_max, params.shape == "cylinder")
     return Adjacency(deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned,
@@ -320,22 +329,156 @@ def encoded_inputs(stream: EventStream, model: QuantizedModel) -> np.ndarray:
     return feats0
 
 
+@dataclass
+class BatchLayer:
+    """One conv layer as eq7_layer runs it.
+
+    position maps |dx|, |dy| to the two positional input columns; activate
+    maps the biased aggregate to the layer output.
+    """
+
+    weights: np.ndarray  # float64[C_out, C_in + 2]
+    bias: np.ndarray     # float64[C_out]
+    position: Callable[[np.ndarray], np.ndarray]
+    activate: Callable[[np.ndarray], np.ndarray]
+
+
+def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
+    """BAQ of biased aggregates: ReLU, requantize (RNE), clamp to [0, 127]."""
+    return np.minimum(rne_mulshift(np.maximum(v, 0).astype(np.int64),
+                                   *requant), 127)
+
+
+def int8_layers(model: QuantizedModel) -> list[BatchLayer]:
+    """The model's layers with INT8 position requant and BAQ."""
+    return [BatchLayer(
+        lp.weights.astype(np.float64), lp.bias.astype(np.float64),
+        position=lambda off, r=lp.pos_requant: np.minimum(
+            rne_mulshift(off, *r), 32767),
+        activate=lambda v, r=lp.requant: baq_batch(v, r))
+        for lp in model.layers]
+
+
+def eq7_layer(layer: BatchLayer, x: np.ndarray, nbr: np.ndarray,
+              valid: np.ndarray, offsets: np.ndarray,
+              empty_aggregation: str) -> np.ndarray:
+    """Eq-7 conv of one layer for a batch of B events.
+
+    out_b = activate(max over valid j of W . (x[nbr_bj], position(|d_bj|))
+    + bias). x is the layer input of every event, [N, C_in] float64;
+    nbr and valid are [B, D] neighbor rows and the real-slot mask; offsets
+    is [B, D, 2] (|dx|, |dy|). A row with no valid slot aggregates to the
+    empty identity: 0 ("zero") or -inf ("neg_inf"). Integer inputs are
+    exact while every partial sum stays below 2**53.
+    """
+    b, d = nbr.shape
+    inp = np.concatenate([x[nbr], layer.position(offsets)], axis=2)
+    c_out = layer.weights.shape[0]
+    msgs = (inp.reshape(b * d, inp.shape[2]) @ layer.weights.T
+            ).reshape(b, d, c_out)
+    msgs[~valid] = -np.inf
+    agg = msgs.max(axis=1, initial=-np.inf)
+    if empty_aggregation == "zero":
+        agg[~valid.any(axis=1)] = 0.0
+    return layer.activate(agg + layer.bias)
+
+
+def dependency_levels(adj: Adjacency) -> list[np.ndarray]:
+    """Event rows grouped by level(i) = 1 + max level(neighbors of i).
+
+    Every neighbor of an event sits in a lower level, so the events of one
+    level read only stored features and run as one batch.
+    """
+    level = [0] * len(adj.deg)
+    for i, (d, row) in enumerate(zip(adj.deg.tolist(), adj.nbr_n.tolist())):
+        level[i] = 1 + max((level[j] for j in row[:d]), default=-1)
+    if not level:
+        return []
+    level = np.asarray(level, dtype=np.int64)
+    order = np.argsort(level, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(level))[:-1])
+
+
+def run_layers(layers: list[BatchLayer], x0: np.ndarray, adj: Adjacency,
+               empty_aggregation: str, groups: list[np.ndarray],
+               layer_outer: bool) -> tuple[list[np.ndarray], np.ndarray]:
+    """Run every layer over every group of event rows, in schedule order.
+
+    A group's events must depend only on earlier groups. layer_outer runs
+    layer by layer over all groups; otherwise group by group over all
+    layers. Returns the per-layer outputs (float64[N, C_out]) and the conv
+    MACs executed per event, counted from the valid-slot mask.
+    """
+    n = len(adj.deg)
+    valid = np.arange(adj.nbr_n.shape[1]) < adj.deg[:, None]
+    offsets = np.abs(np.stack([adj.nbr_dx, adj.nbr_dy], axis=2))
+    feats = [np.asarray(x0, dtype=np.float64).reshape(n, -1)]
+    feats += [np.zeros((n, ly.weights.shape[0])) for ly in layers]
+    macs = np.zeros(n, dtype=np.int64)
+    batches = [g[s:s + BATCH_ROWS] for g in groups
+               for s in range(0, len(g), BATCH_ROWS)]
+    steps = ([(l, b) for l in range(len(layers)) for b in batches]
+             if layer_outer else
+             [(l, b) for b in batches for l in range(len(layers))])
+    for l, rows in steps:
+        d = int(adj.deg[rows].max())
+        ok = valid[rows, :d]
+        feats[l + 1][rows] = eq7_layer(layers[l], feats[l],
+                                       adj.nbr_n[rows, :d], ok,
+                                       offsets[rows, :d], empty_aggregation)
+        macs[rows] += ok.sum(axis=1) * layers[l].weights.size
+    return feats[1:], macs
+
+
+def readout_trace(model, stream: EventStream, last: np.ndarray,
+                  fc_w: np.ndarray, fc_b: np.ndarray):
+    """Per-event logits of the cumulative per-cell max readout.
+
+    model supplies the readout grid (patch, n_cells_x, n_cells_y); last is
+    the final-layer output of every event, [N, C_last]. Each event raises its cell's running max by delta >= 0, so
+    logits_i = fc_b + sum_{k<=i} W_fc[:, cell_k] . delta_k, which equals
+    fc_b + W_fc . readout_i exactly in integers. Returns (logits[N,
+    classes], cls[N] with ties to the lowest class, flattened readout).
+    """
+    xs, ys, _, _ = stream.to_arrays()
+    n_cells = model.n_cells_x * model.n_cells_y
+    cell = (ys // model.patch) * model.n_cells_x + xs // model.patch
+    cells = np.zeros((n_cells, last.shape[1]), dtype=last.dtype)
+    delta = np.zeros_like(last)
+    order = np.argsort(cell, kind="stable")
+    bounds = np.cumsum(np.bincount(cell, minlength=n_cells))[:-1]
+    for k, rows in enumerate(np.split(order, bounds)):
+        if len(rows):
+            run = np.maximum.accumulate(np.vstack([cells[k], last[rows]]))
+            delta[rows] = np.diff(run, axis=0)
+            cells[k] = run[-1]
+    w = fc_w.reshape(len(fc_b), n_cells, last.shape[1])
+    logits = fc_b + np.cumsum(np.einsum("kic,ic->ik", w[:, cell], delta),
+                              axis=0)
+    return logits, np.argmax(logits, axis=1), cells.reshape(-1)
+
+
 def run_stream(model: QuantizedModel, stream: EventStream,
                sequential: bool = False,
                adjacency: Adjacency | None = None) -> RunResult:
-    """Process a whole stream through the batch kernels."""
+    """Process a whole stream through the batch executor.
+
+    Layer-parallel (default): each dependency level runs every layer.
+    Layer-sequential: each layer runs every dependency level in turn.
+    """
     if stream.width != model.width or stream.height != model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = adjacency if adjacency is not None else build_adjacency(stream, model)
-    xs, ys, _, _ = stream.to_arrays()
-    packed = model.packed()
-    feats, logits, cls, readout, macs = kernels.forward_stream(
-        adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy,
-        *packed,
-        encoded_inputs(stream, model), xs, ys,
-        model.patch, model.n_cells_x, model.n_cells_y,
-        model.fc.weights, model.fc.bias,
-        model.empty_aggregation == "neg_inf", sequential)
+    outs, macs = run_layers(int8_layers(model), encoded_inputs(stream, model),
+                            adj, model.empty_aggregation,
+                            dependency_levels(adj), layer_outer=sequential)
+    feats = np.zeros((len(adj.deg), len(outs),
+                      max(l.c_out for l in model.layers)), dtype=np.int64)
+    for l, out in enumerate(outs):
+        feats[:, l, :out.shape[1]] = out
+    logits, cls, readout = readout_trace(model, stream,
+                                         feats[:, -1, :model.c_last],
+                                         model.fc.weights, model.fc.bias)
     return RunResult(adj, feats, logits, cls, readout, macs)
 
 

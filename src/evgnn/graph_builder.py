@@ -17,7 +17,8 @@ equal timestamps are valid neighbors when their stream index is smaller.
 `brute_force_neighbors` is an independent reference over the full stream
 prefix (plain dict-of-lists retention replay, no ring buffers) and also
 covers the hemisphere / semi-octahedron search shapes that the queue-backed
-engine does not accelerate.
+engine does not accelerate. `replay_build` replays search-then-push over a
+whole stream into flat [N, d_max] neighbor arrays (prism / cylinder).
 """
 
 from __future__ import annotations
@@ -276,6 +277,80 @@ def naive_neighbors(history: list[Event], ev: Event,
             if len(out) == params.d_max:
                 break
     return out
+
+
+def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
+    """Replay search-then-push over a whole stream (prism or cylinder).
+
+    Returns (deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, entries_scanned), where the
+    nbr_* arrays are [N, d_max] in canonical scan order and entries_scanned
+    counts queue entries inspected up to the d_max early stop.
+    """
+    n_ev = xs.shape[0]
+    nq = width * height
+    q_t = np.zeros((nq, depth), dtype=np.int64)
+    q_n = np.zeros((nq, depth), dtype=np.int64)
+    q_cnt = np.zeros(nq, dtype=np.int64)
+    q_head = np.full(nq, depth - 1, dtype=np.int64)
+
+    deg = np.zeros(n_ev, dtype=np.int64)
+    scanned = np.zeros(n_ev, dtype=np.int64)
+    nbr_n = np.zeros((n_ev, d_max), dtype=np.int64)
+    nbr_dx = np.zeros((n_ev, d_max), dtype=np.int64)
+    nbr_dy = np.zeros((n_ev, d_max), dtype=np.int64)
+    nbr_dt = np.zeros((n_ev, d_max), dtype=np.int64)
+
+    for i in range(n_ev):
+        x = xs[i]
+        y = ys[i]
+        t = ts[i]
+        cnt = 0
+        sc = 0
+        full = False
+        for dy in range(-r_s, r_s + 1):
+            if full:
+                break
+            yj = y - dy
+            if yj < 0 or yj >= height:
+                continue
+            for dx in range(-r_s, r_s + 1):
+                if full:
+                    break
+                if use_l2:
+                    if dx * dx + dy * dy > r_s * r_s:
+                        continue
+                else:
+                    if abs(dx) + abs(dy) > r_s:
+                        continue
+                xj = x - dx
+                if xj < 0 or xj >= width:
+                    continue
+                qi = yj * width + xj
+                head = q_head[qi]
+                for k in range(q_cnt[qi]):
+                    slot = (head - k) % depth
+                    sc += 1
+                    dt = t - q_t[qi, slot]
+                    if dt >= 0 and dt <= r_t:
+                        nbr_n[i, cnt] = q_n[qi, slot]
+                        nbr_dx[i, cnt] = dx
+                        nbr_dy[i, cnt] = dy
+                        nbr_dt[i, cnt] = dt
+                        cnt += 1
+                        if cnt == d_max:
+                            full = True
+                            break
+        deg[i] = cnt
+        scanned[i] = sc
+        # search-then-push: the new event enters its queue only now
+        qi = y * width + x
+        slot = (q_head[qi] + 1) % depth
+        q_t[qi, slot] = t
+        q_n[qi, slot] = i
+        q_head[qi] = slot
+        if q_cnt[qi] < depth:
+            q_cnt[qi] += 1
+    return deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned
 
 
 @dataclass

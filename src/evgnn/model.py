@@ -28,6 +28,7 @@ import numpy as np
 from .graph_builder import SearchParams
 
 IDENTITY_REQUANT = (1 << 30, 30)  # exact multiply-shift identity
+ACC_LIMIT = 2**31  # accumulators and logits stay in 32-bit signed range
 
 
 class ModelConfigError(ValueError):
@@ -64,9 +65,11 @@ class LayerParams:
             raise ModelConfigError("bias length mismatch")
         if np.abs(self.weights).max(initial=0) > 127:
             raise ModelConfigError("weight magnitude > 127")
-        m, s = self.requant
-        if not (0 <= m < 2**31) or s < 0:
-            raise ModelConfigError("requant M must be a 31-bit positive int")
+        for name, (m, s) in (("requant", self.requant),
+                             ("pos_requant", self.pos_requant)):
+            if not (0 <= m < 2**31 and 0 <= s <= 62):
+                raise ModelConfigError(
+                    f"{name} needs M in [0, 2**31) and shift in [0, 62]")
 
 
 @dataclass
@@ -87,6 +90,8 @@ class DenseParams:
                 f"({self.out_dim},{self.in_dim})")
         if self.bias.shape != (self.out_dim,):
             raise ModelConfigError("fc bias length mismatch")
+        if np.abs(self.weights).max(initial=0) > 127:
+            raise ModelConfigError("fc weight magnitude > 127")
 
 
 @dataclass
@@ -119,6 +124,25 @@ class QuantizedModel:
             raise ModelConfigError("fc out_dim != number of classes")
         if self.empty_aggregation not in ("zero", "neg_inf"):
             raise ModelConfigError("empty_aggregation: zero or neg_inf")
+        # Prove every accumulator and logit stays inside 32-bit range: the
+        # batch engine relies on it, since float64 partial sums are exact
+        # only below 2**53 and requant products v * M must stay below 2**63.
+        if any(abs(v) > 127 for v in self.input_encoding.values()):
+            raise ModelConfigError("input encoding magnitude > 127")
+        for i, lp in enumerate(self.layers):
+            # |features| <= 127 and q_pos <= 32767 bound every input column
+            col = np.full(lp.c_in + 2, 127.0)
+            col[-2:] = 32767.0
+            bound = (np.abs(lp.weights) @ col
+                     + np.abs(lp.bias.astype(np.float64))).max()
+            if bound >= ACC_LIMIT:
+                raise ModelConfigError(
+                    f"layer {i}: |acc + bias| may reach {bound:.0f} >= 2**31")
+        fc_bound = (np.abs(self.fc.weights).sum(axis=1) * 127.0
+                    + np.abs(self.fc.bias.astype(np.float64))).max()
+        if fc_bound >= ACC_LIMIT:
+            raise ModelConfigError(
+                f"fc: |logit| may reach {fc_bound:.0f} >= 2**31")
 
     @property
     def n_cells_x(self) -> int:
@@ -134,31 +158,6 @@ class QuantizedModel:
 
     def encode_input(self, p: int) -> int:
         return self.input_encoding[p]
-
-    def packed(self):
-        """Pad per-layer params into the rectangular arrays kernels take."""
-        n_layers = len(self.layers)
-        max_ci = max(l.c_in for l in self.layers)
-        max_co = max(l.c_out for l in self.layers)
-        weights = np.zeros((n_layers, max_co, max_ci + 2), dtype=np.int64)
-        bias = np.zeros((n_layers, max_co), dtype=np.int64)
-        c_in = np.zeros(n_layers, dtype=np.int64)
-        c_out = np.zeros(n_layers, dtype=np.int64)
-        mult = np.zeros(n_layers, dtype=np.int64)
-        shift = np.zeros(n_layers, dtype=np.int64)
-        pos_mult = np.zeros(n_layers, dtype=np.int64)
-        pos_shift = np.zeros(n_layers, dtype=np.int64)
-        for l, lp in enumerate(self.layers):
-            c_in[l] = lp.c_in
-            c_out[l] = lp.c_out
-            weights[l, :lp.c_out, :lp.c_in] = lp.weights[:, :lp.c_in]
-            # positional columns go right after this layer's real inputs
-            weights[l, :lp.c_out, lp.c_in] = lp.weights[:, lp.c_in]
-            weights[l, :lp.c_out, lp.c_in + 1] = lp.weights[:, lp.c_in + 1]
-            bias[l, :lp.c_out] = lp.bias
-            mult[l], shift[l] = lp.requant
-            pos_mult[l], pos_shift[l] = lp.pos_requant
-        return (weights, c_in, c_out, bias, mult, shift, pos_mult, pos_shift)
 
 
 def _params_to_json(sp: SearchParams) -> dict:
@@ -237,7 +236,7 @@ def model_from_json(doc: dict) -> QuantizedModel:
                                 {"0": -127, "1": 127}).items()},
             empty_aggregation=doc.get("empty_aggregation", "zero"),
             hw=doc.get("hw"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelConfigError):
             raise
         raise ModelConfigError(f"bad model config: {exc}") from None

@@ -4,13 +4,12 @@ The static graph inherits the dynamic builder's semantics exactly
 (retention, canonical scan order, d_max truncation), so comparisons against
 the event-driven engine isolate the execution schedule, not the topology.
 
-Supported forward paths:
-    eq7_int8        -- integer simplified conv, bit-exact vs the engine
-    eq7_fp          -- the same conv in float (relu(max_j W (x_j,|dx|,|dy|) + b))
-    gcn_eq5_fp      -- degree-normalized sum conv, self-inclusive
-    pointnet_eq6_fp -- MLP message/update conv with relative positions
-plus a generic message-passing framework with pluggable phi / aggregator /
-gamma that reproduces the dedicated layers when specialized.
+Supported forward paths, both the static schedule (each layer over the
+whole graph, then the next) of the engine's one layer function:
+    eq7_int8 -- integer simplified conv, bit-exact vs the engine
+    eq7_fp   -- the same conv in float (relu(max_j W (x_j,|dx|,|dy|) + b))
+plus a scalar generic message-passing framework with pluggable phi /
+aggregator / gamma that reproduces eq7_fp when specialized.
 """
 
 from __future__ import annotations
@@ -20,15 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
-from .engine import build_adjacency, encoded_inputs
+from .engine import (BatchLayer, build_adjacency, encoded_inputs,
+                     int8_layers, readout_trace, run_layers)
 from .event_io import EventStream
 from .graph_builder import (Adjacency, SearchParams, brute_force_neighbors)
 from .model import QuantizedModel
-
-
-class IncompatibleModel(TypeError):
-    pass
 
 
 @dataclass
@@ -48,7 +43,7 @@ def build_static_graph(stream: EventStream, params: SearchParams,
                        queue_depth: int | None = None) -> StaticGraph:
     """Materialize adjacency[i] == brute_force_neighbors(prefix(i), ev_i).
 
-    Queue-backed shapes reuse the compiled dynamic replay (proven equal to
+    Queue-backed shapes reuse the dynamic queue replay (proven equal to
     the brute-force reference by the oracle-equivalence suite); the other
     shapes run the brute-force reference directly.
     """
@@ -143,160 +138,28 @@ def _fp_inputs(stream: EventStream) -> np.ndarray:
 
 
 def forward_eq7_fp(graph: StaticGraph, model: FPModel) -> StaticForwardResult:
-    n = len(graph)
-    adj = graph.adjacency
-    x0 = _fp_inputs(graph.stream)
-    prev = x0.reshape(n, 1)
-    feats: list[np.ndarray] = []
-    neg_inf = model.empty_aggregation == "neg_inf"
-    for layer in model.layers:
-        cur = np.zeros((n, layer.c_out))
-        for i in range(n):
-            d = int(adj.deg[i])
-            if d == 0:
-                agg = (np.full(layer.c_out, -np.inf) if neg_inf
-                       else np.zeros(layer.c_out))
-            else:
-                idx = adj.nbr_n[i, :d]
-                inp = np.empty((d, layer.c_in + 2))
-                inp[:, :layer.c_in] = prev[idx]
-                inp[:, layer.c_in] = np.abs(adj.nbr_dx[i, :d])
-                inp[:, layer.c_in + 1] = np.abs(adj.nbr_dy[i, :d])
-                agg = (inp @ layer.weights.T).max(axis=0)
-            cur[i] = np.maximum(agg + layer.bias, 0.0)
-        feats.append(cur)
-        prev = cur
-    # cumulative readout / FC prediction trace
-    cells = np.zeros((model.n_cells_y, model.n_cells_x,
-                      model.layers[-1].c_out))
-    logits = np.zeros((n, len(model.fc_bias)))
-    cls = np.zeros(n, dtype=np.int64)
-    for i, ev in enumerate(graph.stream.events):
-        cell = cells[ev.y // model.patch, ev.x // model.patch]
-        np.maximum(cell, feats[-1][i], out=cell)
-        logits[i] = model.fc_weights @ cells.reshape(-1) + model.fc_bias
-        cls[i] = int(np.argmax(logits[i]))
-    return StaticForwardResult(feats, logits, cls, cells.reshape(-1))
+    layers = [BatchLayer(layer.weights, layer.bias,
+                         position=lambda off: off,
+                         activate=lambda v: np.maximum(v, 0.0))
+              for layer in model.layers]
+    feats, _ = run_layers(layers, _fp_inputs(graph.stream), graph.adjacency,
+                          model.empty_aggregation, [np.arange(len(graph))],
+                          layer_outer=True)
+    logits, cls, readout = readout_trace(model, graph.stream, feats[-1],
+                                         model.fc_weights, model.fc_bias)
+    return StaticForwardResult(feats, logits, cls, readout)
 
 
 def forward_eq7_int8(graph: StaticGraph,
                      model: QuantizedModel) -> StaticForwardResult:
-    xs, ys, _, _ = graph.stream.to_arrays()
-    adj = graph.adjacency
-    packed = model.packed()
-    feats, logits, cls, readout = kernels.forward_static_int8(
-        adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy,
-        *packed,
-        encoded_inputs(graph.stream, model), xs, ys,
-        model.patch, model.n_cells_x, model.n_cells_y,
-        model.fc.weights, model.fc.bias,
-        model.empty_aggregation == "neg_inf")
-    per_layer = [feats[:, l, :lp.c_out]
-                 for l, lp in enumerate(model.layers)]
-    return StaticForwardResult(per_layer, logits, cls, readout)
-
-
-def forward_gcn_eq5_fp(graph: StaticGraph,
-                       weight_mats: list[np.ndarray],
-                       x0: np.ndarray | None = None) -> StaticForwardResult:
-    """Degree-normalized sum conv: x'_i = W^T sum_{j in N(i) u {i}}
-    x_j / sqrt((d_j+1)(d_i+1)), with degree = in-neighbor count."""
-    n = len(graph)
-    adj = graph.adjacency
-    deg = adj.deg.astype(np.float64)
-    if x0 is None:
-        x0 = _fp_inputs(graph.stream).reshape(n, 1)
-    prev = np.asarray(x0, dtype=np.float64)
-    feats = []
-    for w in weight_mats:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape[1] != prev.shape[1]:
-            raise IncompatibleModel(
-                f"gcn weights expect C_in {w.shape[1]}, got {prev.shape[1]}")
-        cur = np.zeros((n, w.shape[0]))
-        for i in range(n):
-            s = prev[i] / (deg[i] + 1.0)  # self term, d_i == d_j
-            for k in range(int(adj.deg[i])):
-                j = int(adj.nbr_n[i, k])
-                s = s + prev[j] / np.sqrt((deg[j] + 1.0) * (deg[i] + 1.0))
-            cur[i] = w @ s
-        feats.append(cur)
-        prev = cur
-    return StaticForwardResult(feats, None, None, None)
-
-
-def _mlp(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    return w2 @ np.maximum(w1 @ x + b1, 0.0) + b2
-
-
-@dataclass
-class PointNetLayer:
-    """phi and gamma MLPs, each one hidden layer of width C_out with ReLU."""
-
-    phi_w1: np.ndarray
-    phi_b1: np.ndarray
-    phi_w2: np.ndarray
-    phi_b2: np.ndarray
-    gamma_w1: np.ndarray
-    gamma_b1: np.ndarray
-    gamma_w2: np.ndarray
-    gamma_b2: np.ndarray
-
-    @property
-    def c_out(self) -> int:
-        return self.phi_w2.shape[0]
-
-
-def forward_pointnet_eq6_fp(graph: StaticGraph,
-                            layers: list[PointNetLayer],
-                            x0: np.ndarray | None = None
-                            ) -> StaticForwardResult:
-    """x'_i = gamma(max_{j in N(i) u {i}} phi(x_j, pos_j - pos_i))."""
-    n = len(graph)
-    adj = graph.adjacency
-    if x0 is None:
-        x0 = _fp_inputs(graph.stream).reshape(n, 1)
-    prev = np.asarray(x0, dtype=np.float64)
-    feats = []
-    for layer in layers:
-        if layer.phi_w1.shape[1] != prev.shape[1] + 2:
-            raise IncompatibleModel("pointnet phi expects C_in + 2 inputs")
-        cur = np.zeros((n, layer.c_out))
-        for i in range(n):
-            # self message with zero relative position
-            best = _mlp(np.concatenate([prev[i], [0.0, 0.0]]),
-                        layer.phi_w1, layer.phi_b1,
-                        layer.phi_w2, layer.phi_b2)
-            for k in range(int(adj.deg[i])):
-                j = int(adj.nbr_n[i, k])
-                rel = np.array([-adj.nbr_dx[i, k], -adj.nbr_dy[i, k]],
-                               dtype=np.float64)  # pos_j - pos_i
-                m = _mlp(np.concatenate([prev[j], rel]),
-                         layer.phi_w1, layer.phi_b1,
-                         layer.phi_w2, layer.phi_b2)
-                best = np.maximum(best, m)
-            cur[i] = _mlp(best, layer.gamma_w1, layer.gamma_b1,
-                          layer.gamma_w2, layer.gamma_b2)
-        feats.append(cur)
-        prev = cur
-    return StaticForwardResult(feats, None, None, None)
-
-
-def forward_static(graph: StaticGraph, model, conv_type: str
-                   ) -> StaticForwardResult:
-    if conv_type == "eq7_int8":
-        if not isinstance(model, QuantizedModel):
-            raise IncompatibleModel("eq7_int8 needs a QuantizedModel")
-        return forward_eq7_int8(graph, model)
-    if conv_type == "eq7_fp":
-        if not isinstance(model, FPModel):
-            raise IncompatibleModel("eq7_fp needs an FPModel")
-        return forward_eq7_fp(graph, model)
-    if conv_type == "gcn_eq5_fp":
-        return forward_gcn_eq5_fp(graph, model)
-    if conv_type == "pointnet_eq6_fp":
-        return forward_pointnet_eq6_fp(graph, model)
-    raise IncompatibleModel(f"unknown conv_type {conv_type!r}")
+    feats, _ = run_layers(int8_layers(model),
+                          encoded_inputs(graph.stream, model),
+                          graph.adjacency, model.empty_aggregation,
+                          [np.arange(len(graph))], layer_outer=True)
+    feats = [f.astype(np.int64) for f in feats]
+    logits, cls, readout = readout_trace(model, graph.stream, feats[-1],
+                                         model.fc.weights, model.fc.bias)
+    return StaticForwardResult(feats, logits, cls, readout)
 
 
 # ----------------------------------------------- generic message passing

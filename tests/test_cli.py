@@ -15,6 +15,16 @@ def model_path(small_model, tmp_path):
     return str(path)
 
 
+@pytest.fixture(params=["hemisphere", "semi_octahedron"])
+def brute_force_shape_model(request, small_model, tmp_path):
+    """A model whose search shape has no queue-backed graph build."""
+    doc = model_to_json(small_model)
+    doc["search"] = {"shape": request.param, "r": 3.0, "beta": 0.01}
+    path = tmp_path / "shape_model.json"
+    path.write_text(json.dumps(doc))
+    return str(path), request.param
+
+
 @pytest.fixture()
 def stream_path(small_stream, tmp_path):
     path = tmp_path / "stream.txt"
@@ -75,6 +85,17 @@ class TestInfer:
         assert main(["infer", model_path,
                      str(tmp_path / "nope.txt")]) == EXIT_IO
 
+    def test_unsupported_shape_is_config_error(self, brute_force_shape_model,
+                                               stream_path, capsys):
+        path, shape = brute_force_shape_model
+        assert main(["infer", path, stream_path]) == EXIT_IO
+        assert shape in capsys.readouterr().err
+
+    def test_bad_search_override_is_config_error(self, model_path,
+                                                 stream_path):
+        assert main(["infer", model_path, stream_path,
+                     "--d-max", "0"]) == EXIT_IO
+
     def test_jobs_parallel_streams(self, model_path, small_stream, tmp_path):
         paths = []
         for i in range(3):
@@ -119,6 +140,12 @@ class TestVerify:
         assert main(["verify", str(mp), str(sp)]) == EXIT_DIVERGENCE
         out = capsys.readouterr().out
         assert "DIVERGENCE" in out and "n=3" in out
+
+    def test_unsupported_shape_is_config_error(self, brute_force_shape_model,
+                                               stream_path, capsys):
+        path, shape = brute_force_shape_model
+        assert main(["verify", path, stream_path]) == EXIT_IO
+        assert shape in capsys.readouterr().err
 
     def test_missing_model_exit_two(self, stream_path, tmp_path):
         assert main(["verify", str(tmp_path / "no.json"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evgnn import engine, event_io
+from evgnn import engine, event_io, static_oracle
 from evgnn.engine import (DimMismatch, EngineState, FeatureStore,
                           LengthMismatch, Prediction, ReadoutState,
                           StoreError, aggregate_max, baq, count_ops,
@@ -13,7 +13,7 @@ from evgnn.engine import (DimMismatch, EngineState, FeatureStore,
                           rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, DenseParams, LayerParams,
-                         QuantizedModel, random_model)
+                         QuantizedModel, calibration_model, random_model)
 
 
 def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
@@ -116,6 +116,17 @@ class TestRequant:
     def test_half_rounds_to_even(self):
         assert rne_mulshift(1, 1, 1) == 0   # 0.5 -> 0
         assert rne_mulshift(3, 1, 1) == 2   # 1.5 -> 2
+        assert rne_mulshift(np.array([1, 3, 5]), 1, 1).tolist() == [0, 2, 2]
+
+    def test_array_matches_scalar(self, rng):
+        top = 2**31 - 1
+        for shift in range(63):
+            for mult in (1, top, int(rng.integers(1, 2**31))):
+                v = np.r_[0, 1, top, rng.integers(0, 2**31, size=200)]
+                got = rne_mulshift(v, mult, shift)
+                assert got.dtype == np.int64
+                assert got.tolist() == [rne_mulshift(int(x), mult, shift)
+                                        for x in v]
 
 
 class TestFeatureStore:
@@ -227,15 +238,41 @@ class TestProcessEvent:
         for a, b in zip(pa, pb):
             assert np.array_equal(a.logits, b.logits) and a.cls == b.cls
 
-    def test_per_event_equals_kernels(self, small_model, small_stream):
-        state, preds = _per_event_run(small_model, small_stream)
-        res = engine.run_stream(small_model, small_stream)
-        for i, pred in enumerate(preds):
-            assert np.array_equal(pred.logits, res.logits[i])
-            for l, lp in enumerate(small_model.layers):
-                assert np.array_equal(state.store.read(i, l + 1),
-                                      res.feats[i, l, :lp.c_out])
-        assert np.array_equal(state.readout.flatten(), res.readout)
+    @pytest.mark.parametrize("schedule", ["parallel", "sequential", "static"])
+    @pytest.mark.parametrize("case", ["zero", "neg_inf", "dmax_saturated"])
+    def test_per_event_equals_batch(self, small_stream, case, schedule):
+        if case == "dmax_saturated":
+            model = calibration_model()
+            stream = event_io.gen_synthetic(
+                "moving_dot", {"width": 120, "height": 100, "count": 250,
+                               "duration_us": 1_250, "velocity": (1.0, 0.0),
+                               "dot_radius": 1.5}, seed=1)
+        else:
+            model = random_model(9, empty_aggregation=case)
+            stream = small_stream
+        state, preds = _per_event_run(model, stream)
+        adj = engine.build_adjacency(stream, model)
+        if case == "dmax_saturated":
+            assert np.mean(adj.deg == model.search.d_max) >= 0.9
+        else:
+            assert np.any(adj.deg == 0)  # the empty identity is exercised
+        if schedule == "static":
+            graph = static_oracle.StaticGraph(stream, adj, model.search)
+            res = static_oracle.forward_eq7_int8(graph, model)
+            feats = res.feats
+        else:
+            res = engine.run_stream(model, stream, adjacency=adj,
+                                    sequential=schedule == "sequential")
+            feats = [res.feats[:, l, :lp.c_out]
+                     for l, lp in enumerate(model.layers)]
+            per_nbr = sum((lp.c_in + 2) * lp.c_out for lp in model.layers)
+            assert np.array_equal(res.macs, adj.deg * per_nbr)
+        for l in range(len(model.layers)):
+            assert np.array_equal(feats[l], np.stack(
+                [state.store.read(i, l + 1) for i in range(len(stream))]))
+        assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
+        assert res.cls.tolist() == [p.cls for p in preds]
+        assert np.array_equal(res.readout, state.readout.flatten())
 
     def test_single_layer_model(self, small_stream):
         model = random_model(3, layer_dims=(6,))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evgnn import engine, event_io
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (DenseParams, LayerParams, ModelConfigError,
                          QuantizedModel, calibration_model, load_model,
@@ -44,6 +45,61 @@ class TestValidation:
         with pytest.raises(ModelConfigError):
             QuantizedModel(width=m.width, height=m.height, layers=m.layers,
                            fc=bad_fc, search=m.search)
+
+
+def _max_bias(doc: dict, layer: int) -> int:
+    """Largest channel-0 bias keeping |acc + bias| < 2**31 in that layer."""
+    ld = doc["layers"][layer]
+    row = np.abs(np.asarray(ld["weights"]).reshape(ld["C_out"], -1)[0])
+    worst = int(row[:-2].sum()) * 127 + int(row[-2:].sum()) * 32767
+    return 2**31 - 1 - worst
+
+
+class TestRangeProof:
+    def test_huge_bias_rejected(self):
+        # the batch engine's int64 requant product v * M would wrap
+        doc = model_to_json(random_model(2, width=48, height=32))
+        doc["layers"][1]["bias"][0] = 2**40
+        with pytest.raises(ModelConfigError):
+            model_from_json(doc)
+
+    def test_just_under_limit_runs_exactly(self):
+        doc = model_to_json(random_model(2, width=48, height=32))
+        doc["layers"][1]["bias"][0] = _max_bias(doc, 1)
+        model = model_from_json(doc)
+        stream = event_io.gen_synthetic(
+            "uniform_random",
+            {"width": 48, "height": 32, "count": 300, "duration_us": 3_000},
+            seed=4)
+        state = engine.EngineState.new(model, len(stream))
+        preds = [engine.process_event(state, model, ev)
+                 for ev in stream.events]
+        res = engine.run_stream(model, stream)
+        assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
+        assert np.array_equal(res.feats[:, 1, :model.layers[1].c_out],
+                              np.stack([state.store.read(i, 2)
+                                        for i in range(len(stream))]))
+
+    def test_just_over_limit_rejected(self):
+        doc = model_to_json(random_model(2, width=48, height=32))
+        doc["layers"][1]["bias"][0] = _max_bias(doc, 1) + 1
+        with pytest.raises(ModelConfigError):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["input_encoding"].update({"1": 128}),
+        lambda d: d["layers"][0]["pos_requant"].update({"M": 2**31}),
+        lambda d: d["layers"][0]["requant"].update({"shift": 63}),
+        lambda d: d["layers"][0]["pos_requant"].update({"shift": -1}),
+        lambda d: d["fc"]["weights"].__setitem__(0, 128),
+        lambda d: d["fc"]["bias"].__setitem__(0, 2**31),
+    ], ids=["input_encoding", "pos_M", "shift", "pos_shift", "fc_weight",
+            "fc_bias"])
+    def test_out_of_range_rejected(self, edit):
+        doc = model_to_json(random_model(2, width=48, height=32))
+        edit(doc)
+        with pytest.raises(ModelConfigError):
+            model_from_json(doc)
 
 
 class TestSerialization:

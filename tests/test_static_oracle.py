@@ -6,11 +6,8 @@ from evgnn.event_io import Event, EventStream
 from evgnn.graph_builder import SearchParams
 from evgnn.model import random_model
 from evgnn.static_oracle import (FPLayer, FPModel, GenericConvSpec,
-                                 IncompatibleModel, PointNetLayer,
                                  build_static_graph, forward_eq7_fp,
-                                 forward_eq7_int8, forward_gcn_eq5_fp,
-                                 forward_pointnet_eq6_fp, forward_static,
-                                 message_passing_generic)
+                                 forward_eq7_int8, message_passing_generic)
 
 PARAMS = SearchParams(r_s=3, r_t=500, d_max=8, queue_depth=6)
 
@@ -83,76 +80,6 @@ class TestEq7Int8:
         assert int(n) == 7
         assert int(cls) == int(res.cls[7])
         assert [int(v) for v in logits] == res.logits[7].tolist()
-
-
-class TestGcnEq5:
-    def test_isolated_node_self_term(self):
-        s = EventStream(8, 8, [Event(3, 3, 10, 1, 0)])
-        g = build_static_graph(s, PARAMS)
-        w = np.array([[2.0], [3.0]])
-        out = forward_gcn_eq5_fp(g, [w])
-        # d = 0: update is W @ x_i with normalization 1/1
-        assert np.allclose(out.feats[0][0], [2.0, 3.0])
-
-    def test_hand_computed_pair(self):
-        s = EventStream(8, 8, [Event(3, 3, 10, 1, 0), Event(3, 3, 20, 1, 1)])
-        g = build_static_graph(s, PARAMS)
-        w = np.array([[1.0]])
-        out = forward_gcn_eq5_fp(g, [w])
-        # node 0: d=0, self only -> 1.0
-        # node 1: d=1, self 1/(1+1) + neighbor 1/sqrt(1*2)
-        assert np.isclose(out.feats[0][0, 0], 1.0)
-        assert np.isclose(out.feats[0][1, 0], 0.5 + 1.0 / np.sqrt(2.0))
-
-    def test_dim_check(self):
-        g = build_static_graph(_stream(count=10), PARAMS)
-        with pytest.raises(IncompatibleModel):
-            forward_gcn_eq5_fp(g, [np.zeros((2, 3))])
-
-
-class TestPointNetEq6:
-    def _layer(self, rng, c_in, c_out):
-        return PointNetLayer(
-            phi_w1=rng.normal(size=(c_out, c_in + 2)),
-            phi_b1=rng.normal(size=c_out),
-            phi_w2=rng.normal(size=(c_out, c_out)),
-            phi_b2=rng.normal(size=c_out),
-            gamma_w1=rng.normal(size=(c_out, c_out)),
-            gamma_b1=rng.normal(size=c_out),
-            gamma_w2=rng.normal(size=(c_out, c_out)),
-            gamma_b2=rng.normal(size=c_out))
-
-    def test_isolated_node_self_message(self, rng):
-        s = EventStream(8, 8, [Event(3, 3, 10, 1, 0)])
-        g = build_static_graph(s, PARAMS)
-        layer = self._layer(rng, 1, 3)
-        out = forward_pointnet_eq6_fp(g, [layer])
-        x = np.array([1.0, 0.0, 0.0])  # self feature with zero rel pos
-        h = np.maximum(layer.phi_w1 @ x + layer.phi_b1, 0.0)
-        msg = layer.phi_w2 @ h + layer.phi_b2
-        h2 = np.maximum(layer.gamma_w1 @ msg + layer.gamma_b1, 0.0)
-        expect = layer.gamma_w2 @ h2 + layer.gamma_b2
-        assert np.allclose(out.feats[0][0], expect)
-
-    def test_dim_check(self, rng):
-        g = build_static_graph(_stream(count=10), PARAMS)
-        layer = self._layer(rng, 3, 2)  # expects C_in = 3, stream gives 1
-        with pytest.raises(IncompatibleModel):
-            forward_pointnet_eq6_fp(g, [layer])
-
-
-class TestDispatcher:
-    def test_unknown_type(self, small_model):
-        g = build_static_graph(_stream(count=5), PARAMS)
-        with pytest.raises(IncompatibleModel):
-            forward_static(g, small_model, "eq9_fp")
-
-    def test_type_checks(self, small_model):
-        g = build_static_graph(_stream(count=5), PARAMS)
-        with pytest.raises(IncompatibleModel):
-            forward_static(g, small_model, "eq7_fp")
-        with pytest.raises(IncompatibleModel):
-            forward_static(g, _fp_model(), "eq7_int8")
 
 
 class TestGenericMessagePassing:
