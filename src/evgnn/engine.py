@@ -350,11 +350,16 @@ def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
 
 
 def int8_layers(model: QuantizedModel) -> list[BatchLayer]:
-    """The model's layers with INT8 position requant and BAQ."""
+    """The model's layers with INT8 position requant and BAQ.
+
+    Offsets never exceed the search window's half-width, so each layer's
+    position requant is a lookup table over 0..spatial_extent.
+    """
+    offs = np.arange(model.search.spatial_extent + 1, dtype=np.int64)
     return [BatchLayer(
         lp.weights.astype(np.float64), lp.bias.astype(np.float64),
-        position=lambda off, r=lp.pos_requant: np.minimum(
-            rne_mulshift(off, *r), 32767),
+        position=lambda off, tab=np.minimum(
+            rne_mulshift(offs, *lp.pos_requant), 32767): tab[off],
         activate=lambda v, r=lp.requant: baq_batch(v, r))
         for lp in model.layers]
 

@@ -17,8 +17,18 @@ equal timestamps are valid neighbors when their stream index is smaller.
 `brute_force_neighbors` is an independent reference over the full stream
 prefix (plain dict-of-lists retention replay, no ring buffers) and also
 covers the hemisphere / semi-octahedron search shapes that the queue-backed
-engine does not accelerate. `replay_build` replays search-then-push over a
-whole stream into flat [N, d_max] neighbor arrays (prism / cylinder).
+engine does not accelerate.
+
+`replay_build` replays search-then-push over a whole stream into flat
+[N, d_max] neighbor arrays (prism / cylinder) without a per-event loop.
+Events are stable-sorted by pixel, so each pixel's arrivals form one run
+in stream order. For event i and each window offset, a binary search
+counts the arrivals at the neighbour pixel before i; its queue at that
+moment is the last min(depth, count) of them, newest first. The
+candidates of a chunk of events form a [rows, offsets * depth] block in
+canonical scan order; a cumulative sum over the hits keeps the first
+d_max and marks the early stop. A chunk holds at most REPLAY_CELLS
+entries (or one event's window), which bounds the build's working memory.
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ from .event_io import Event
 
 SHAPES = ("hemisphere", "semi_octahedron", "cylinder", "prism")
 QUEUE_BACKED_SHAPES = ("cylinder", "prism")
+# Queue entries per replay_build chunk; bounds the build's working memory.
+REPLAY_CELLS = 1 << 16
 
 
 class InvalidDims(ValueError):
@@ -279,77 +291,83 @@ def naive_neighbors(history: list[Event], ev: Event,
     return out
 
 
+def _window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(dx, dy) of the prism / cylinder window in canonical scan order."""
+    span = np.arange(-r_s, r_s + 1)
+    dy, dx = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
+    if use_l2:
+        ok = dx * dx + dy * dy <= r_s * r_s
+    else:
+        ok = np.abs(dx) + np.abs(dy) <= r_s
+    return dx[ok], dy[ok]
+
+
 def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     """Replay search-then-push over a whole stream (prism or cylinder).
 
     Returns (deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, entries_scanned), where the
-    nbr_* arrays are [N, d_max] in canonical scan order and entries_scanned
-    counts queue entries inspected up to the d_max early stop.
+    nbr_* arrays are [N, d_max] in canonical scan order (zero past deg) and
+    entries_scanned counts queue entries inspected up to the d_max early
+    stop.
     """
+    xs, ys, ts = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ts))
     n_ev = xs.shape[0]
-    nq = width * height
-    q_t = np.zeros((nq, depth), dtype=np.int64)
-    q_n = np.zeros((nq, depth), dtype=np.int64)
-    q_cnt = np.zeros(nq, dtype=np.int64)
-    q_head = np.full(nq, depth - 1, dtype=np.int64)
-
     deg = np.zeros(n_ev, dtype=np.int64)
     scanned = np.zeros(n_ev, dtype=np.int64)
-    nbr_n = np.zeros((n_ev, d_max), dtype=np.int64)
-    nbr_dx = np.zeros((n_ev, d_max), dtype=np.int64)
-    nbr_dy = np.zeros((n_ev, d_max), dtype=np.int64)
-    nbr_dt = np.zeros((n_ev, d_max), dtype=np.int64)
+    nbr_n, nbr_dx, nbr_dy, nbr_dt = (np.zeros((n_ev, d_max), dtype=np.int64)
+                                     for _ in range(4))
+    if n_ev == 0:
+        return deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned
 
-    for i in range(n_ev):
-        x = xs[i]
-        y = ys[i]
-        t = ts[i]
-        cnt = 0
-        sc = 0
-        full = False
-        for dy in range(-r_s, r_s + 1):
-            if full:
-                break
-            yj = y - dy
-            if yj < 0 or yj >= height:
-                continue
-            for dx in range(-r_s, r_s + 1):
-                if full:
-                    break
-                if use_l2:
-                    if dx * dx + dy * dy > r_s * r_s:
-                        continue
-                else:
-                    if abs(dx) + abs(dy) > r_s:
-                        continue
-                xj = x - dx
-                if xj < 0 or xj >= width:
-                    continue
-                qi = yj * width + xj
-                head = q_head[qi]
-                for k in range(q_cnt[qi]):
-                    slot = (head - k) % depth
-                    sc += 1
-                    dt = t - q_t[qi, slot]
-                    if dt >= 0 and dt <= r_t:
-                        nbr_n[i, cnt] = q_n[qi, slot]
-                        nbr_dx[i, cnt] = dx
-                        nbr_dy[i, cnt] = dy
-                        nbr_dt[i, cnt] = dt
-                        cnt += 1
-                        if cnt == d_max:
-                            full = True
-                            break
-        deg[i] = cnt
-        scanned[i] = sc
-        # search-then-push: the new event enters its queue only now
-        qi = y * width + x
-        slot = (q_head[qi] + 1) % depth
-        q_t[qi, slot] = t
-        q_n[qi, slot] = i
-        q_head[qi] = slot
-        if q_cnt[qi] < depth:
-            q_cnt[qi] += 1
+    # Each occupied pixel's arrivals form one run of `order`, in stream
+    # order. key = run number * n_ev + stream index ascends along `order`;
+    # runs are numbered densely, so key < n_ev**2 whatever W * H is.
+    pix = ys * width + xs
+    order = np.argsort(pix, kind="stable")
+    spix = pix[order]
+    new_run = np.r_[True, spix[1:] != spix[:-1]]
+    run_start = np.flatnonzero(new_run)
+    run_pix = spix[run_start]
+    key = (np.cumsum(new_run) - 1) * n_ev + order
+    sorted_ts = ts[order]
+
+    odx, ody = _window_offsets(r_s, use_l2)
+    per_row = len(odx) * depth
+    rows = max(1, REPLAY_CELLS // per_row)
+    k = np.arange(depth)
+    for s in range(0, n_ev, rows):
+        i = np.arange(s, min(s + rows, n_ev))
+        b = len(i)
+        qx = xs[i, None] - odx
+        qy = ys[i, None] - ody
+        q = qy * width + qx
+        run = np.minimum(np.searchsorted(run_pix, q), len(run_pix) - 1)
+        there = ((qx >= 0) & (qx < width) & (qy >= 0) & (qy < height)
+                 & (run_pix[run] == q))
+        # arrivals at the neighbour pixel before event i: its queue holds
+        # the last min(depth, count) of them, newest first
+        end = np.searchsorted(key, run * n_ev + i[:, None])
+        qlen = np.where(there, np.minimum(end - run_start[run], depth), 0)
+        live = (k < qlen[..., None]).reshape(b, per_row)
+        pos = np.maximum(end[..., None] - 1 - k, 0).reshape(b, per_row)
+        dt = ts[i, None] - sorted_ts[pos]
+        hit = live & (dt >= 0) & (dt <= r_t)
+        n_hit = np.cumsum(hit, axis=1)
+        deg[i] = np.minimum(n_hit[:, -1], d_max)
+        # scanned: every entry of the queues before the d_max-th hit's
+        # queue, then that queue's entries up to the hit; else all of them
+        before = np.cumsum(qlen, axis=1) - qlen
+        stop = np.argmax(n_hit >= d_max, axis=1)
+        scanned[i] = np.where(
+            n_hit[:, -1] >= d_max,
+            before[np.arange(b), stop // depth] + stop % depth + 1,
+            qlen.sum(axis=1))
+        r, c = np.nonzero(hit & (n_hit <= d_max))
+        slot = n_hit[r, c] - 1
+        nbr_n[s + r, slot] = order[pos[r, c]]
+        nbr_dx[s + r, slot] = odx[c // depth]
+        nbr_dy[s + r, slot] = ody[c // depth]
+        nbr_dt[s + r, slot] = dt[r, c]
     return deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned
 
 

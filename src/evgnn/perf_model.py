@@ -1,8 +1,10 @@
 """Cycle-accurate latency and energy model of the accelerator datapath.
 
 Two evaluations of the same pipeline are provided and must agree exactly:
-a closed-form per-event composition (estimate_event_latency) and a
-discrete-event simulation over explicit stage resources (simulate_cycles).
+a closed form evaluated over a whole trace's int64 arrays at once
+(estimate_stream_latency; estimate_event_latency is the same formula on one
+event) and a discrete-event simulation that walks each event through
+explicit stage resources (simulate_cycles).
 
 Stage composition per event (cycles):
     graph_build  = queue entries scanned * cycles_per_queue_entry_scan
@@ -161,30 +163,47 @@ def _ceil_div_bits(nbytes: int, cfg: HwConfig) -> int:
     return math.ceil(nbytes * 8 / cfg.bits_per_cycle)
 
 
+def _stage_cycles(model: QuantizedModel, deg, entries_scanned,
+                  bytes_fetched, bytes_written, cfg: HwConfig,
+                  mode: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Closed-form stage cycles and total cycles of every event.
+
+    The inputs are int64 arrays of one shape; so are the outputs. The
+    per-stage figures are the un-overlapped costs; with overlap on in
+    parallel mode the total counts the fetch/conv pair as
+    deg * max(fetch_per_nbr, compute_per_nbr) + baq instead.
+    """
+    def ceil_bits(nbytes):
+        return np.ceil(nbytes * 8 / cfg.bits_per_cycle).astype(np.int64)
+
+    stages = {
+        "graph_build": entries_scanned * cfg.cycles_per_queue_entry_scan,
+        "feature_fetch": ceil_bits(bytes_fetched),
+        "conv": conv_latency(model, deg, mode, cfg),
+        "writeback": ceil_bits(bytes_written),
+        "readout_fc": np.full_like(deg, model.n_cells_x * model.n_cells_y
+                                   * model.c_last + model.c_last),
+    }
+    if cfg.overlap_fetch_compute and mode == "parallel":
+        per_nbr = max(_ceil_div_bits(fetch_bytes_per_neighbor(model), cfg),
+                      max(l.c_in + 2 for l in model.layers))
+        total = (stages["graph_build"] + deg * per_nbr + cfg.baq_cycles
+                 + stages["writeback"] + stages["readout_fc"])
+    else:
+        total = sum(stages.values())
+    return stages, total
+
+
 def estimate_event_latency(model: QuantizedModel, deg: int,
                            entries_scanned: int, bytes_fetched: int,
                            bytes_written: int, cfg: HwConfig,
                            mode: str = "parallel") -> LatencyBreakdown:
     """Closed-form stage cycles for one event."""
-    graph_build = entries_scanned * cfg.cycles_per_queue_entry_scan
-    fetch = _ceil_div_bits(bytes_fetched, cfg)
-    conv = conv_latency(model, deg, mode, cfg)
-    writeback = _ceil_div_bits(bytes_written, cfg)
-    readout_fc = (model.n_cells_x * model.n_cells_y * model.c_last
-                  + model.c_last)
-    if cfg.overlap_fetch_compute and mode == "parallel":
-        per_nbr_fetch = _ceil_div_bits(
-            fetch_bytes_per_neighbor(model), cfg)
-        per_nbr_comp = max(l.c_in + 2 for l in model.layers)
-        combined = deg * max(per_nbr_fetch, per_nbr_comp) + cfg.baq_cycles
-        total = graph_build + combined + writeback + readout_fc
-        # attribute the overlapped span to fetch/conv proportionally-free:
-        # report the un-overlapped per-stage costs, total reflects overlap
-        return LatencyBreakdown(graph_build, fetch, conv, writeback,
-                                readout_fc, total)
-    total = graph_build + fetch + conv + writeback + readout_fc
-    return LatencyBreakdown(graph_build, fetch, conv, writeback,
-                            readout_fc, total)
+    stages, total = _stage_cycles(
+        model, *(np.int64(v) for v in (deg, entries_scanned, bytes_fetched,
+                                       bytes_written)), cfg, mode)
+    return LatencyBreakdown(**{s: int(stages[s]) for s in STAGES},
+                            total=int(total))
 
 
 @dataclass
@@ -242,28 +261,17 @@ class PerfReport:
         return doc
 
 
-def _analytic_report(model: QuantizedModel, trace: EventTrace,
-                     cfg: HwConfig, mode: str) -> PerfReport:
-    n = len(trace)
-    per_event = np.zeros(n, dtype=np.int64)
-    stage_totals = {s: 0 for s in STAGES}
-    for i in range(n):
-        bd = estimate_event_latency(
-            model, int(trace.deg[i]), int(trace.entries_scanned[i]),
-            int(trace.bytes_fetched[i]), int(trace.bytes_written[i]),
-            cfg, mode)
-        per_event[i] = bd.total
-        for s, c in bd.stage_cycles().items():
-            stage_totals[s] += c
-    return PerfReport(per_event, stage_totals, int(per_event.sum()),
-                      cfg.clock_hz,
-                      weight_load_cycles=weight_load_cycles(model, cfg))
-
-
 def estimate_stream_latency(model: QuantizedModel, trace: EventTrace,
                             cfg: HwConfig, mode: str = "parallel"
                             ) -> PerfReport:
-    return _analytic_report(model, trace, cfg, mode)
+    """Closed-form cycles of every event of a trace, with stage totals."""
+    stages, per_event = _stage_cycles(
+        model, trace.deg, trace.entries_scanned, trace.bytes_fetched,
+        trace.bytes_written, cfg, mode)
+    return PerfReport(per_event.astype(np.int64),
+                      {s: int(c.sum()) for s, c in stages.items()},
+                      int(per_event.sum()), cfg.clock_hz,
+                      weight_load_cycles=weight_load_cycles(model, cfg))
 
 
 # ---------------------------------------------------------------- DES
@@ -321,6 +329,8 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
 def simulate_cycles(trace: EventTrace, model: QuantizedModel, cfg: HwConfig,
                     mode: str = "parallel") -> PerfReport:
     """Discrete-event re-derivation of the analytic model."""
+    if mode not in ("parallel", "sequential"):
+        raise ValueError(f"unknown mode {mode!r}")
     n = len(trace)
     per_event = np.zeros(n, dtype=np.int64)
     for i in range(n):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evgnn import event_io
 from evgnn.engine import build_adjacency
-from evgnn.event_io import Event
+from evgnn.event_io import Event, EventStream
 from evgnn.graph_builder import (EventQueueGrid, InvalidDims,
                                  InvalidSearchParams, OutOfBoundsEvent,
                                  SearchParams, brute_force_neighbors,
@@ -185,6 +185,80 @@ def test_kernel_replay_equals_brute_force():
         expect = [(nb.n, nb.dx, nb.dy, nb.dt) for nb in
                   brute_force_neighbors(stream.events[:i], ev, params)]
         assert adj.neighbors(i) == expect, f"event {i}"
+
+
+def _incremental_reference(stream, params):
+    """Search-then-push over per-pixel arrival lists, counting the queue
+    entries each search inspects.
+
+    Returns build_adjacency's six arrays and the number of searches whose
+    d_max-th hit left entries of its queue unscanned.
+    """
+    n, d, r = len(stream), params.d_max, params.r_s
+    deg, scanned = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    nbr = np.zeros((4, n, d), np.int64)  # n, dx, dy, dt
+    arrivals: dict[tuple[int, int], list[Event]] = {}
+    mid_queue_stops = 0
+    for i, ev in enumerate(stream.events):
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                if params.shape == "prism":
+                    inside = abs(dx) + abs(dy) <= r
+                else:
+                    inside = dx * dx + dy * dy <= r * r
+                queue = arrivals.get((ev.x - dx, ev.y - dy), [])
+                retained = (queue[-params.queue_depth:][::-1]
+                            if inside else [])
+                for k, old in enumerate(retained):
+                    if deg[i] == d:
+                        break
+                    scanned[i] += 1
+                    if 0 <= ev.t - old.t <= params.r_t:
+                        nbr[:, i, deg[i]] = (old.n, dx, dy, ev.t - old.t)
+                        deg[i] += 1
+                        if deg[i] == d and k < len(retained) - 1:
+                            mid_queue_stops += 1
+        arrivals.setdefault((ev.x, ev.y), []).append(ev)
+    return (deg, *nbr, scanned), mid_queue_stops
+
+
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_equals_incremental_reference(shape):
+    """All six replay outputs, entries_scanned included, on 1x1 to 12x12
+    sensors with shallow queues, timestamp ties and early stops mid-queue."""
+    rng = np.random.default_rng(17)
+    mid_queue_stops = ties = 0
+    for _ in range(150):
+        w, h = (int(v) for v in rng.integers(1, 13, size=2))
+        count = int(rng.integers(1, 60))
+        ts = np.sort(rng.integers(0, count, size=count))
+        stream = EventStream(w, h, [
+            Event(int(rng.integers(0, w)), int(rng.integers(0, h)),
+                  int(t), int(rng.integers(0, 2)), n)
+            for n, t in enumerate(ts)])
+        params = SearchParams(shape=shape, r_s=int(rng.integers(0, 4)),
+                              r_t=int(rng.integers(0, count)),
+                              d_max=int(rng.integers(1, 10)),
+                              queue_depth=int(rng.integers(1, 6)))
+        adj = build_adjacency(stream, params)
+        got = (adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt,
+               adj.entries_scanned)
+        want, stops = _incremental_reference(stream, params)
+        for name, a, b in zip(("deg", "n", "dx", "dy", "dt", "scanned"),
+                              got, want):
+            assert np.array_equal(a, b), (name, w, h, params)
+        mid_queue_stops += stops
+        ties += int(np.sum((adj.nbr_dt == 0)
+                           & (np.arange(params.d_max) < adj.deg[:, None])))
+    assert mid_queue_stops > 0 and ties > 0
+
+
+def test_build_adjacency_empty_stream():
+    params = SearchParams(d_max=5)
+    adj = build_adjacency(EventStream(8, 6, []), params)
+    assert adj.deg.shape == adj.entries_scanned.shape == (0,)
+    for a in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt):
+        assert a.shape == (0, 5)
 
 
 class TestProperties:

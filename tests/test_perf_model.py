@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,60 @@ class TestAnalyticVsSimulation:
         des = simulate_cycles(trace, model, cfg)
         assert np.array_equal(analytic.per_event_cycles,
                               des.per_event_cycles)
+
+
+class TestStreamForm:
+    def test_empty_trace(self, small_model):
+        trace = trace_from_run(small_model, [], [])
+        for report in (estimate_stream_latency(small_model, trace, HwConfig()),
+                       simulate_cycles(trace, small_model, HwConfig())):
+            assert report.per_event_cycles.shape == (0,)
+            assert report.total_cycles == 0
+            assert report.stage_cycles == {s: 0 for s in pm.STAGES}
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_unknown_mode(self, small_model, rng, n):
+        trace = _rand_trace(rng, small_model, n=n)
+        with pytest.raises(ValueError):
+            estimate_stream_latency(small_model, trace, HwConfig(), "pipelined")
+        with pytest.raises(ValueError):
+            simulate_cycles(trace, small_model, HwConfig(), "pipelined")
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_stage_totals_are_event_sums(self, seed):
+        """The DES reports no stage totals, so they are checked here."""
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(2, 24, size=4))
+        model = random_model(seed, layer_dims=dims)
+        n = 40
+        trace = EventTrace(deg=rng.integers(0, 17, size=n),
+                           entries_scanned=rng.integers(0, 300, size=n),
+                           bytes_fetched=rng.integers(0, 2000, size=n),
+                           bytes_written=rng.integers(0, 200, size=n))
+        columns = list(zip(trace.deg.tolist(), trace.entries_scanned.tolist(),
+                           trace.bytes_fetched.tolist(),
+                           trace.bytes_written.tolist()))
+        for mode in ("parallel", "sequential"):
+            for overlap in (True, False):
+                cfg = HwConfig(
+                    clock_hz=float(rng.uniform(5e7, 5e8)),
+                    dram_bw_bits_per_s=float(rng.uniform(5e8, 8e9)),
+                    cycles_per_queue_entry_scan=int(rng.integers(1, 4)),
+                    baq_cycles=int(rng.integers(1, 4)),
+                    overlap_fetch_compute=overlap)
+                report = estimate_stream_latency(model, trace, cfg, mode)
+                events = [estimate_event_latency(model, *c, cfg, mode)
+                          for c in columns]
+                assert report.stage_cycles == {
+                    s: sum(getattr(bd, s) for bd in events)
+                    for s in pm.STAGES}
+                assert report.per_event_cycles.tolist() == \
+                    [bd.total for bd in events]
+                assert report.stage_cycles["feature_fetch"] == sum(
+                    math.ceil(c[2] * 8 / cfg.bits_per_cycle) for c in columns)
+                assert report.stage_cycles["writeback"] == sum(
+                    math.ceil(c[3] * 8 / cfg.bits_per_cycle) for c in columns)
 
 
 class TestEnergy:
