@@ -137,6 +137,9 @@ def _infer_worker(packed):
 def cmd_verify(args) -> int:
     model = _apply_overrides(_load_model(args.model), args)
     stream = _load_stream(args.stream, model.width, model.height, args.format)
+    if len(stream) == 0:
+        print(f"{args.stream}: no events")
+        return EXIT_OK
     par = engine.run_stream(model, stream, sequential=False)
     seq = engine.run_stream(model, stream, sequential=True,
                             adjacency=par.adjacency)
@@ -168,6 +171,9 @@ def cmd_bench(args) -> int:
     stream = _load_stream(args.stream, model.width, model.height, args.format)
     cfg = (perf_model.load_hw_config(args.hw) if args.hw
            else perf_model.HwConfig())
+    if len(stream) == 0:
+        print(f"{args.stream}: no events")
+        return EXIT_OK
     t0 = time.perf_counter()
     result = engine.run_stream(model, stream, sequential=args.sequential)
     wall = time.perf_counter() - t0
@@ -176,9 +182,12 @@ def cmd_bench(args) -> int:
     mode = "sequential" if args.sequential else "parallel"
     report = perf_model.estimate_stream_latency(model, trace, cfg, mode)
     des = perf_model.simulate_cycles(trace, model, cfg, mode)
-    if report.total_cycles != des.total_cycles:
-        raise CliError("analytic and discrete-event totals disagree",
-                       EXIT_DIVERGENCE)
+    if not np.array_equal(report.per_event_cycles, des.per_event_cycles):
+        n = int(np.flatnonzero(report.per_event_cycles
+                               != des.per_event_cycles)[0])
+        raise CliError(f"analytic and discrete-event cycles disagree at "
+                       f"event n={n}: {report.per_event_cycles[n]} != "
+                       f"{des.per_event_cycles[n]}", EXIT_DIVERGENCE)
     ops = engine.count_ops(model, trace.deg)
     report.extra["mflops_per_event"] = ops.mflops_per_event
     report.extra["mean_degree"] = float(trace.deg.mean())

@@ -18,6 +18,8 @@ T_MAX = 2**32 - 1  # timestamps are 32-bit microseconds
 
 _RECORD = struct.Struct("<HHIB")
 RECORD_SIZE = _RECORD.size  # 9 bytes
+_RECORD_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u4"),
+                          ("p", "u1")])
 
 
 class StreamError(ValueError):
@@ -95,11 +97,10 @@ class EventStream:
 
 
 def stream_from_arrays(xs, ys, ts, ps, width: int, height: int) -> EventStream:
-    events = [
-        Event(int(x), int(y), int(t), int(p), i)
-        for i, (x, y, t, p) in enumerate(zip(xs, ys, ts, ps))
-    ]
-    return EventStream(width, height, events)
+    """Events from four columns; non-integer values are truncated as int()."""
+    cols = [np.asarray(c).astype(np.int64).tolist() for c in (xs, ys, ts, ps)]
+    return EventStream(width, height,
+                       list(map(Event, *cols, range(len(cols[0])))))
 
 
 def _validate(x: int, y: int, t: int, p: int, last_t: int, width: int, height: int,
@@ -137,18 +138,23 @@ def parse_text_stream(source: bytes | str, width: int, height: int) -> EventStre
 
 
 def parse_binary_stream(source: bytes, width: int, height: int) -> EventStream:
-    """Parse the 9-byte little-endian record format."""
+    """Parse the 9-byte little-endian record format.
+
+    The checks run on whole columns; the first failing record is then
+    passed to _validate, so errors match the text parser's.
+    """
     if len(source) % RECORD_SIZE != 0:
         raise TruncatedRecord(
             f"{len(source)} bytes is not a multiple of {RECORD_SIZE}")
-    events: list[Event] = []
-    last_t = 0
-    for rec_no in range(len(source) // RECORD_SIZE):
-        x, y, t, p = _RECORD.unpack_from(source, rec_no * RECORD_SIZE)
-        _validate(x, y, t, p, last_t, width, height, rec_no + 1)
-        events.append(Event(x, y, t, p, len(events)))
-        last_t = t
-    return EventStream(width, height, events)
+    rec = np.frombuffer(source, dtype=_RECORD_DTYPE)
+    xs, ys, ts, ps = (rec[k].astype(np.int64) for k in ("x", "y", "t", "p"))
+    bad = (xs >= width) | (ys >= height) | (ps > 1)
+    bad[1:] |= np.diff(ts) < 0
+    if bad.any():
+        k = int(np.argmax(bad))
+        _validate(int(xs[k]), int(ys[k]), int(ts[k]), int(ps[k]),
+                  int(ts[k - 1]) if k else 0, width, height, k + 1)
+    return stream_from_arrays(xs, ys, ts, ps, width, height)
 
 
 def write_binary_stream(stream: EventStream) -> bytes:

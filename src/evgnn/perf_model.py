@@ -3,8 +3,9 @@
 Two evaluations of the same pipeline are provided and must agree exactly:
 a closed form evaluated over a whole trace's int64 arrays at once
 (estimate_stream_latency; estimate_event_latency is the same formula on one
-event) and a discrete-event simulation that walks each event through
-explicit stage resources (simulate_cycles).
+event) and a discrete-event simulation that walks an event through
+explicit stage resources (simulate_cycles). The walk runs once per distinct
+row of the trace's four columns, since its result depends on nothing else.
 
 Stage composition per event (cycles):
     graph_build  = queue entries scanned * cycles_per_queue_entry_scan
@@ -328,16 +329,26 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
 
 def simulate_cycles(trace: EventTrace, model: QuantizedModel, cfg: HwConfig,
                     mode: str = "parallel") -> PerfReport:
-    """Discrete-event re-derivation of the analytic model."""
+    """Discrete-event re-derivation of the analytic model.
+
+    An event's walk depends only on its four trace columns, and these
+    repeat (deg <= d_max, fetch bytes are deg times a constant), so the
+    walk runs once per distinct (deg, entries_scanned, bytes_fetched,
+    bytes_written) row of this trace and its result goes to every event
+    with that row. Nothing is kept between calls.
+    """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = len(trace)
-    per_event = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        per_event[i] = _simulate_one_event(
-            model, int(trace.deg[i]), int(trace.entries_scanned[i]),
-            int(trace.bytes_fetched[i]), int(trace.bytes_written[i]),
-            cfg, mode)
+    rows = np.stack([trace.deg, trace.entries_scanned, trace.bytes_fetched,
+                     trace.bytes_written])
+    order = np.lexsort(rows)
+    rows = rows[:, order]
+    first = np.ones(len(trace), dtype=bool)
+    first[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
+    walked = np.array([_simulate_one_event(model, *row, cfg, mode)
+                       for row in rows[:, first].T.tolist()], dtype=np.int64)
+    per_event = np.empty(len(trace), dtype=np.int64)
+    per_event[order] = walked[np.cumsum(first) - 1]
     # stage totals are an analytic notion; the DES only produces totals
     stage_totals = {s: 0 for s in STAGES}
     return PerfReport(per_event, stage_totals, int(per_event.sum()),

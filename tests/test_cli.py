@@ -156,6 +156,12 @@ class TestVerify:
         bad.write_text("1 2 3\n")
         assert main(["verify", model_path, str(bad)]) == EXIT_IO
 
+    def test_empty_stream_ok(self, model_path, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert main(["verify", model_path, str(empty)]) == EXIT_OK
+        assert "no events" in capsys.readouterr().out
+
 
 class TestBench:
     def test_report_written(self, model_path, stream_path, tmp_path):
@@ -180,6 +186,29 @@ class TestBench:
     def test_search_overrides(self, model_path, stream_path):
         assert main(["bench", model_path, stream_path, "--r-s", "1",
                      "--d-max", "4"]) == EXIT_OK
+
+    def test_empty_stream_ok(self, model_path, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main(["bench", model_path, str(empty)]) == EXIT_OK
+        assert "no events" in capsys.readouterr().out
+
+    def test_per_event_des_divergence(self, model_path, stream_path,
+                                      monkeypatch, capsys):
+        # errors of +1 and -1 cancel in the total; the check must see them
+        from evgnn import cli, perf_model
+
+        real = perf_model.simulate_cycles
+
+        def shifted(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.per_event_cycles[5] += 1
+            report.per_event_cycles[9] -= 1
+            return report
+
+        monkeypatch.setattr(cli.perf_model, "simulate_cycles", shifted)
+        assert main(["bench", model_path, stream_path]) == EXIT_DIVERGENCE
+        assert "n=5" in capsys.readouterr().err
 
 
 class TestQuantizePipeline:

@@ -95,6 +95,27 @@ class TestBinaryFormat:
         assert event_io.parse_binary_stream(
             event_io.write_binary_stream(s), W, H) == s
 
+    @pytest.mark.parametrize("k", [1, 7, 19, 28])
+    @pytest.mark.parametrize("fault", ["x", "y", "polarity", "time"])
+    def test_first_bad_record_matches_text(self, fault, k):
+        rows = [[i % W, i % H, 100 + 10 * i, i % 2] for i in range(40)]
+        if fault == "time":
+            rows[k][2] = rows[k - 1][2] - 1
+        else:
+            col, value = {"x": (0, W), "y": (1, H + 3),
+                          "polarity": (3, 2)}[fault]
+            rows[k][col] = value
+        rows[35] = [W + 5, 0, 500, 3]  # a later fault must not be reported
+        stream = _stream([tuple(r) for r in rows])
+        with pytest.raises(event_io.StreamError) as text_exc:
+            event_io.parse_text_stream(event_io.write_text_stream(stream),
+                                       W, H)
+        with pytest.raises(type(text_exc.value)) as exc:
+            event_io.parse_binary_stream(
+                event_io.write_binary_stream(stream), W, H)
+        assert exc.value.line_no == k + 1
+        assert str(exc.value) == str(text_exc.value)
+
     def test_binary_layout_x0102(self):
         # x = 0x0102 needs W > 0x0102; use a wider sensor
         data = event_io.write_binary_stream(

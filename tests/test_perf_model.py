@@ -118,17 +118,37 @@ class TestEventLatency:
             assert a <= b
 
 
+def _repeated_rows_trace(rng, n=300):
+    """Eight distinct rows, each repeated, in shuffled order.
+
+    They form one pair per column whose rows differ in that column only.
+    The pairs lie far apart in every column, so each pair sits side by
+    side whichever column a sort puts first.
+    """
+    spread = np.array([4, 100, 500, 100])
+    base = np.array([1, 10, 100, 10]) + np.arange(4)[:, None] * spread
+    rows = np.concatenate([base, base + np.diag([1, 1, 64, 64])])
+    return EventTrace(*rows[rng.permutation(np.arange(n) % len(rows))].T)
+
+
 class TestAnalyticVsSimulation:
     @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("mode", ["parallel", "sequential"])
     def test_totals_match(self, small_model, rng, overlap, mode):
         cfg = HwConfig(overlap_fetch_compute=overlap)
-        trace = _rand_trace(rng, small_model, n=200)
-        analytic = estimate_stream_latency(small_model, trace, cfg, mode)
-        des = simulate_cycles(trace, small_model, cfg, mode)
-        assert np.array_equal(analytic.per_event_cycles,
-                              des.per_event_cycles)
-        assert analytic.total_cycles == des.total_cycles
+        for trace in (_rand_trace(rng, small_model, n=200),
+                      _repeated_rows_trace(rng)):
+            analytic = estimate_stream_latency(small_model, trace, cfg, mode)
+            des = simulate_cycles(trace, small_model, cfg, mode)
+            walked = [pm._simulate_one_event(small_model, *row, cfg, mode)
+                      for row in zip(trace.deg.tolist(),
+                                     trace.entries_scanned.tolist(),
+                                     trace.bytes_fetched.tolist(),
+                                     trace.bytes_written.tolist())]
+            assert des.per_event_cycles.tolist() == walked
+            assert np.array_equal(analytic.per_event_cycles,
+                                  des.per_event_cycles)
+            assert analytic.total_cycles == des.total_cycles
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
