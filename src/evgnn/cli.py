@@ -215,10 +215,10 @@ def cmd_gen(args) -> int:
         params["dot_radius"] = args.dot_radius
     try:
         stream = event_io.gen_synthetic(args.kind, params, args.seed)
-    except event_io.InvalidParams as exc:
+        data = (event_io.write_binary_stream(stream) if args.format == "bin"
+                else event_io.write_text_stream(stream).encode())
+    except (event_io.InvalidParams, event_io.StreamError) as exc:
         raise CliError(str(exc)) from exc
-    data = (event_io.write_binary_stream(stream) if args.format == "bin"
-            else event_io.write_text_stream(stream).encode())
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(f"wrote {len(stream)} events to {args.out}")

@@ -2,15 +2,16 @@
 
 Two granularities are provided:
 
-    - process_event / process_event_layer_sequential: one event at a time
-      against explicit EngineState, built from the per-op primitives below
-      (message_matvec, aggregate_max, baq, readout_update, fc_forward).
-      This scalar path is the independent oracle of the batch path.
+    - process_event: one Event at a time against explicit EngineState,
+      built from the per-op primitives below (message_matvec,
+      aggregate_max, baq, ReadoutState.update, fc_forward). This scalar
+      path is the independent oracle of the batch path.
     - run_stream: whole-stream execution through one vectorized layer
-      function, eq7_layer. The layer-parallel and layer-sequential
-      schedules here and the static oracle (static_oracle.forward_eq7_int8)
-      are three batchings of it, run by run_layers, and share one
-      incremental readout / FC, readout_trace.
+      function, eq7_layer, reading the stream's x, y, t, p columns. The
+      layer-parallel and layer-sequential schedules here and the static
+      oracle (static_oracle.forward_eq7_int8) are three batchings of it,
+      run by run_layers, and share one incremental readout / FC,
+      readout_trace.
 
 All INT8 arithmetic is exact. The batch path multiplies in float64, which
 holds every partial sum exactly because the model loader proves that each
@@ -26,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .event_io import Event, EventStream
-from .graph_builder import (Adjacency, EventQueueGrid, Neighbor,
-                            new_queue_grid, replay_build, search_neighbors)
+from .graph_builder import (Adjacency, EventQueueGrid, new_queue_grid,
+                            replay_build, search_neighbors)
 from .model import ACC_LIMIT, QuantizedModel
 
 NEG_IDENTITY = np.int64(-(2**62))  # "-inf" empty-aggregation identity
@@ -204,11 +205,6 @@ class ReadoutState:
         return self.cells.reshape(-1)
 
 
-def readout_update(readout: ReadoutState, x: int, y: int,
-                   feat: np.ndarray) -> None:
-    readout.update(x, y, feat)
-
-
 def fc_forward(readout: ReadoutState, fc) -> Prediction:
     flat = readout.flatten()
     if flat.shape != (fc.in_dim,):
@@ -231,8 +227,23 @@ class EngineState:
         return EngineState(grid, store, ReadoutState(model))
 
 
-def _finish_event(state: EngineState, model: QuantizedModel, ev: Event,
-                  outs: list[np.ndarray]) -> Prediction:
+def process_event(state: EngineState, model: QuantizedModel,
+                  ev: Event) -> Prediction:
+    """The scalar per-event oracle: one neighbor list feeds every layer.
+
+    All layers read only stored (past) features, so the per-layer outputs
+    are computed independently from the same neighbor list, and the order
+    in which the layers run cannot change them.
+    """
+    if ev.n != state.next_n:
+        raise StoreError(f"events must arrive in stream order (got {ev.n})")
+    neighbors = search_neighbors(state.grid, ev, model.search)
+    outs = []
+    for level, layer in enumerate(model.layers):
+        msgs = [message_matvec(layer, state.store.read(nb.n, level),
+                               nb.dx, nb.dy) for nb in neighbors]
+        agg = aggregate_max(msgs, layer.c_out, model.empty_aggregation)
+        outs.append(baq(agg, layer))
     state.store.write(ev.n, 0,
                       np.array([model.encode_input(ev.p)], dtype=np.int64))
     for l, out in enumerate(outs, start=1):
@@ -242,52 +253,6 @@ def _finish_event(state: EngineState, model: QuantizedModel, ev: Event,
     state.grid.push_event(ev)
     state.next_n = ev.n + 1
     return pred
-
-
-def _layer_output(model: QuantizedModel, layer, level: int,
-                  neighbors: list[Neighbor],
-                  store: FeatureStore) -> np.ndarray:
-    msgs = [message_matvec(layer, store.read(nb.n, level), nb.dx, nb.dy)
-            for nb in neighbors]
-    agg = aggregate_max(msgs, layer.c_out, model.empty_aggregation)
-    return baq(agg, layer)
-
-
-def process_event(state: EngineState, model: QuantizedModel,
-                  ev: Event) -> Prediction:
-    """Layer-parallel schedule: one NeighborSet feeds every layer.
-
-    All layers read only stored (past) features, so the per-layer outputs
-    are computed independently from the same neighbor list.
-    """
-    if ev.n != state.next_n:
-        raise StoreError(f"events must arrive in stream order (got {ev.n})")
-    neighbors = search_neighbors(state.grid, ev, model.search)
-    # gather every layer's neighbor inputs first, then compute all layers
-    gathered = [
-        [(state.store.read(nb.n, level), nb.dx, nb.dy) for nb in neighbors]
-        for level in range(len(model.layers))
-    ]
-    outs = []
-    for level, layer in enumerate(model.layers):
-        msgs = [message_matvec(layer, x_j, dx, dy)
-                for x_j, dx, dy in gathered[level]]
-        agg = aggregate_max(msgs, layer.c_out, model.empty_aggregation)
-        outs.append(baq(agg, layer))
-    return _finish_event(state, model, ev, outs)
-
-
-def process_event_layer_sequential(state: EngineState, model: QuantizedModel,
-                                   ev: Event) -> Prediction:
-    """Reference schedule: layers executed one after another."""
-    if ev.n != state.next_n:
-        raise StoreError(f"events must arrive in stream order (got {ev.n})")
-    neighbors = search_neighbors(state.grid, ev, model.search)
-    outs = []
-    for level, layer in enumerate(model.layers):
-        outs.append(_layer_output(model, layer, level, neighbors,
-                                  state.store))
-    return _finish_event(state, model, ev, outs)
 
 
 @dataclass
@@ -301,11 +266,6 @@ class RunResult:
     readout: np.ndarray  # flattened final readout state
     macs: np.ndarray     # conv MACs actually executed per event
 
-    def feature(self, feats_layer_dims: list[int], n: int,
-                l: int) -> np.ndarray:
-        """Valid channels of the layer-l (1-based) feature of event n."""
-        return self.feats[n, l - 1, :feats_layer_dims[l - 1]]
-
 
 def build_adjacency(stream: EventStream,
                     model_or_params) -> Adjacency:
@@ -313,19 +273,18 @@ def build_adjacency(stream: EventStream,
     params = getattr(model_or_params, "search", model_or_params)
     if params.shape not in ("prism", "cylinder"):
         raise ValueError("queue replay supports prism/cylinder only")
-    xs, ys, ts, _ = stream.to_arrays()
     deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned = replay_build(
-        xs, ys, ts, stream.width, stream.height, params.queue_depth,
-        params.r_s, params.r_t, params.d_max, params.shape == "cylinder")
+        stream.x, stream.y, stream.t, stream.width, stream.height,
+        params.queue_depth, params.r_s, params.r_t, params.d_max,
+        params.shape == "cylinder")
     return Adjacency(deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned,
                      d_max=params.d_max)
 
 
 def encoded_inputs(stream: EventStream, model: QuantizedModel) -> np.ndarray:
-    ps = np.array([ev.p for ev in stream.events], dtype=np.int64)
-    feats0 = np.empty(len(ps), dtype=np.int64)
+    feats0 = np.empty(len(stream), dtype=np.int64)
     for p, v in model.input_encoding.items():
-        feats0[ps == p] = v
+        feats0[stream.p == p] = v
     return feats0
 
 
@@ -445,9 +404,9 @@ def readout_trace(model, stream: EventStream, last: np.ndarray,
     fc_b + W_fc . readout_i exactly in integers. Returns (logits[N,
     classes], cls[N] with ties to the lowest class, flattened readout).
     """
-    xs, ys, _, _ = stream.to_arrays()
     n_cells = model.n_cells_x * model.n_cells_y
-    cell = (ys // model.patch) * model.n_cells_x + xs // model.patch
+    cell = ((stream.y // model.patch) * model.n_cells_x
+            + stream.x // model.patch)
     cells = np.zeros((n_cells, last.shape[1]), dtype=last.dtype)
     delta = np.zeros_like(last)
     order = np.argsort(cell, kind="stable")

@@ -4,22 +4,27 @@ Text format: UTF-8, one "x y t p" line per event, LF endings, no header.
 Binary format: little-endian 9-byte records (x:u16, y:u16, t:u32 us, p:u8),
 no header; sensor geometry is supplied out-of-band.
 
+An EventStream is columnar: four read-only int64 columns x, y, t, p, where
+row n is the event with stream index n. Parsers, generators and writers
+work on the columns. Event objects exist only for the scalar per-event API
+(the per-event engine and the brute-force neighbor references), which
+reads them from the stream's cached `events` list.
+
 All functions are pure over immutable inputs.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 T_MAX = 2**32 - 1  # timestamps are 32-bit microseconds
 
-_RECORD = struct.Struct("<HHIB")
-RECORD_SIZE = _RECORD.size  # 9 bytes
 _RECORD_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u4"),
                           ("p", "u1")])
+RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes
 
 
 class StreamError(ValueError):
@@ -63,44 +68,45 @@ class Event:
     n: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EventStream:
+    """Sensor geometry plus four int64 columns; row n is event n.
+
+    The constructor casts each column with astype(int64), so non-integer
+    values truncate as int(), and makes it read-only: together with the
+    frozen attributes, the cached `events` can never go stale.
+    """
+
     width: int
     height: int
-    events: list[Event] = field(default_factory=list)
+    x: np.ndarray = ()
+    y: np.ndarray = ()
+    t: np.ndarray = ()
+    p: np.ndarray = ()
+
+    def __post_init__(self):
+        cols = [np.asarray(c).astype(np.int64)
+                for c in (self.x, self.y, self.t, self.p)]
+        if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+            raise ValueError("x, y, t, p must be 1-D columns of one length")
+        for name, col in zip("xytp", cols):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __reduce__(self):
+        # copies and unpickled streams go through the constructor, so they
+        # come back read-only and without a cached `events`
+        return EventStream, (self.width, self.height,
+                             self.x, self.y, self.t, self.p)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.x)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventStream):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.events == other.events
-        )
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Columns (x, y, t, p) as int64 arrays, in stream order."""
-        n = len(self.events)
-        xs = np.empty(n, dtype=np.int64)
-        ys = np.empty(n, dtype=np.int64)
-        ts = np.empty(n, dtype=np.int64)
-        ps = np.empty(n, dtype=np.int64)
-        for i, ev in enumerate(self.events):
-            xs[i] = ev.x
-            ys[i] = ev.y
-            ts[i] = ev.t
-            ps[i] = ev.p
-        return xs, ys, ts, ps
-
-
-def stream_from_arrays(xs, ys, ts, ps, width: int, height: int) -> EventStream:
-    """Events from four columns; non-integer values are truncated as int()."""
-    cols = [np.asarray(c).astype(np.int64).tolist() for c in (xs, ys, ts, ps)]
-    return EventStream(width, height,
-                       list(map(Event, *cols, range(len(cols[0])))))
+    @cached_property
+    def events(self) -> list[Event]:
+        """The rows as Event objects, for the scalar per-event API."""
+        return list(map(Event, self.x.tolist(), self.y.tolist(),
+                        self.t.tolist(), self.p.tolist(), range(len(self))))
 
 
 def _validate(x: int, y: int, t: int, p: int, last_t: int, width: int, height: int,
@@ -119,7 +125,7 @@ def parse_text_stream(source: bytes | str, width: int, height: int) -> EventStre
     """Parse the "x y t p" line format; n assigned 0..len-1 in file order."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    events: list[Event] = []
+    rows: list[tuple[int, int, int, int]] = []
     last_t = 0
     for line_no, line in enumerate(source.splitlines(), start=1):
         if not line.strip():
@@ -132,9 +138,10 @@ def parse_text_stream(source: bytes | str, width: int, height: int) -> EventStre
         except ValueError:
             raise MalformedLine(f"non-integer field in {line!r}", line_no) from None
         _validate(x, y, t, p, last_t, width, height, line_no)
-        events.append(Event(x, y, t, p, len(events)))
+        rows.append((x, y, t, p))
         last_t = t
-    return EventStream(width, height, events)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return EventStream(width, height, *cols)
 
 
 def parse_binary_stream(source: bytes, width: int, height: int) -> EventStream:
@@ -147,23 +154,35 @@ def parse_binary_stream(source: bytes, width: int, height: int) -> EventStream:
         raise TruncatedRecord(
             f"{len(source)} bytes is not a multiple of {RECORD_SIZE}")
     rec = np.frombuffer(source, dtype=_RECORD_DTYPE)
-    xs, ys, ts, ps = (rec[k].astype(np.int64) for k in ("x", "y", "t", "p"))
+    stream = EventStream(width, height, *(rec[k] for k in "xytp"))
+    xs, ys, ts, ps = stream.x, stream.y, stream.t, stream.p
     bad = (xs >= width) | (ys >= height) | (ps > 1)
     bad[1:] |= np.diff(ts) < 0
     if bad.any():
         k = int(np.argmax(bad))
         _validate(int(xs[k]), int(ys[k]), int(ts[k]), int(ps[k]),
                   int(ts[k - 1]) if k else 0, width, height, k + 1)
-    return stream_from_arrays(xs, ys, ts, ps, width, height)
+    return stream
 
 
 def write_binary_stream(stream: EventStream) -> bytes:
-    return b"".join(
-        _RECORD.pack(ev.x, ev.y, ev.t, ev.p) for ev in stream.events)
+    """Pack the 9-byte records; a value its field cannot hold raises."""
+    rec = np.empty(len(stream), dtype=_RECORD_DTYPE)
+    for name in _RECORD_DTYPE.names:
+        col = getattr(stream, name)
+        lim = np.iinfo(_RECORD_DTYPE[name])
+        bad = np.flatnonzero((col < lim.min) | (col > lim.max))
+        if len(bad):
+            k = int(bad[0])
+            raise OutOfBounds(f"{name} = {col[k]} does not fit the record's "
+                              f"{lim.dtype} field", k + 1)
+        rec[name] = col
+    return rec.tobytes()
 
 
 def write_text_stream(stream: EventStream) -> str:
-    return "".join(f"{ev.x} {ev.y} {ev.t} {ev.p}\n" for ev in stream.events)
+    cols = (c.tolist() for c in (stream.x, stream.y, stream.t, stream.p))
+    return "".join(f"{x} {y} {t} {p}\n" for x, y, t, p in zip(*cols))
 
 
 def gen_synthetic(kind: str, params: dict, seed: int) -> EventStream:
@@ -201,7 +220,7 @@ def _gen_uniform(params: dict, seed: int) -> EventStream:
     xs = rng.integers(0, width, size=count)
     ys = rng.integers(0, height, size=count)
     ps = rng.integers(0, 2, size=count)
-    return stream_from_arrays(xs, ys, ts, ps, width, height)
+    return EventStream(width, height, xs, ys, ts, ps)
 
 
 def _gen_moving_dot(params: dict, seed: int) -> EventStream:
@@ -219,10 +238,10 @@ def _gen_moving_dot(params: dict, seed: int) -> EventStream:
     cy = _fold(cy, height)
     ang = rng.uniform(0.0, 2 * np.pi, size=count)
     rad = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
-    xs = np.clip(np.round(cx + rad * np.cos(ang)), 0, width - 1).astype(np.int64)
-    ys = np.clip(np.round(cy + rad * np.sin(ang)), 0, height - 1).astype(np.int64)
+    xs = np.clip(np.round(cx + rad * np.cos(ang)), 0, width - 1)
+    ys = np.clip(np.round(cy + rad * np.sin(ang)), 0, height - 1)
     ps = rng.integers(0, 2, size=count)
-    return stream_from_arrays(xs, ys, ts, ps, width, height)
+    return EventStream(width, height, xs, ys, ts, ps)
 
 
 def _fold(v: np.ndarray, size: int) -> np.ndarray:

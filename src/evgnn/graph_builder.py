@@ -34,7 +34,7 @@ entries (or one event's window), which bounds the build's working memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -382,7 +382,6 @@ class Adjacency:
     nbr_dt: np.ndarray
     entries_scanned: np.ndarray  # queue entries inspected per event
     d_max: int = 16
-    extra: dict = field(default_factory=dict)
 
     def neighbors(self, i: int) -> list[tuple[int, int, int, int]]:
         """(n, dx, dy, dt) tuples for event i, in scan order."""

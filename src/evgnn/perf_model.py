@@ -130,8 +130,9 @@ def conv_weight_bytes(model: QuantizedModel) -> int:
     return sum((l.c_in + 2) * l.c_out for l in model.layers)
 
 
-def conv_macs(model: QuantizedModel, deg: int) -> int:
-    return deg * sum((l.c_in + 2) * l.c_out for l in model.layers)
+def conv_macs(model: QuantizedModel, deg: int | np.ndarray
+              ) -> int | np.ndarray:
+    return deg * conv_weight_bytes(model)
 
 
 def fc_macs(model: QuantizedModel) -> int:
@@ -372,8 +373,8 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
         raise MissingConstants("e_mac / e_sram_byte / e_dram_byte required")
     per_nbr_w = conv_weight_bytes(model)
     n = len(trace)
-    macs = trace.deg * sum((l.c_in + 2) * l.c_out for l in model.layers) \
-        + fc_macs(model)
+    conv = conv_macs(model, trace.deg)
+    macs = conv + fc_macs(model)
     dram = trace.bytes_fetched + trace.bytes_written
     sram = (trace.entries_scanned * cfg.queue_entry_bytes
             + trace.deg * per_nbr_w + fc_macs(model))
@@ -386,8 +387,7 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
                               * cfg.queue_entry_bytes).sum()
                              * cfg.e_sram_byte),
         "feature_fetch": float(trace.bytes_fetched.sum() * cfg.e_dram_byte),
-        "conv": float(((trace.deg * sum((l.c_in + 2) * l.c_out
-                                        for l in model.layers)) * cfg.e_mac
+        "conv": float((conv * cfg.e_mac
                        + trace.deg * per_nbr_w * cfg.e_sram_byte).sum()),
         "writeback": float(trace.bytes_written.sum() * cfg.e_dram_byte),
         "readout_fc": float(n * fc_macs(model)

@@ -39,18 +39,14 @@ class StaticGraph:
         return self.adjacency.neighbors(i)
 
 
-def build_static_graph(stream: EventStream, params: SearchParams,
-                       queue_depth: int | None = None) -> StaticGraph:
+def build_static_graph(stream: EventStream,
+                       params: SearchParams) -> StaticGraph:
     """Materialize adjacency[i] == brute_force_neighbors(prefix(i), ev_i).
 
     Queue-backed shapes reuse the dynamic queue replay (proven equal to
     the brute-force reference by the oracle-equivalence suite); the other
     shapes run the brute-force reference directly.
     """
-    if queue_depth is not None and queue_depth != params.queue_depth:
-        params = SearchParams(shape=params.shape, r_s=params.r_s,
-                              r_t=params.r_t, r=params.r, beta=params.beta,
-                              d_max=params.d_max, queue_depth=queue_depth)
     if params.shape in ("prism", "cylinder"):
         adj = build_adjacency(stream, params)
         return StaticGraph(stream, adj, params)
@@ -134,7 +130,7 @@ class FPModel:
 
 def _fp_inputs(stream: EventStream) -> np.ndarray:
     """Polarity to float feature: 0 -> -1.0, 1 -> +1.0."""
-    return np.array([1.0 if ev.p else -1.0 for ev in stream.events])
+    return np.where(stream.p != 0, 1.0, -1.0)
 
 
 def forward_eq7_fp(graph: StaticGraph, model: FPModel) -> StaticForwardResult:
@@ -209,11 +205,3 @@ def message_passing_generic(graph: StaticGraph, spec: GenericConvSpec,
             agg = np.max(msgs, axis=0)
         out.append(np.asarray(spec.gamma(features[i], agg), dtype=np.float64))
     return np.stack(out)
-
-
-def trace_lines(result: StaticForwardResult) -> list[str]:
-    lines = []
-    for i in range(len(result.cls)):
-        vals = " ".join(str(v) for v in np.asarray(result.logits[i]).tolist())
-        lines.append(f"{i} {int(result.cls[i])} {vals}")
-    return lines

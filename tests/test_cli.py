@@ -49,6 +49,13 @@ class TestGen:
         s = event_io.parse_binary_stream(out.read_bytes(), 32, 24)
         assert len(s) == 100
 
+    def test_binary_field_overflow_is_config_error(self, tmp_path, capsys):
+        # x up to 69999 does not fit the record's u16 field
+        assert main(["gen", "--kind", "uniform_random", "--width", "70000",
+                     "--height", "4", "--count", "200", "--format", "bin",
+                     "-o", str(tmp_path / "s.bin")]) == EXIT_IO
+        assert "does not fit" in capsys.readouterr().err
+
 
 class TestInfer:
     def test_trace_deterministic(self, model_path, stream_path, tmp_path):
@@ -245,3 +252,27 @@ class TestQuantizePipeline:
         bad.write_text("{not json")
         assert main(["quantize", str(bad), "--calib", stream_path,
                      "-o", str(tmp_path / "q.json")]) == EXIT_IO
+
+
+def test_commands_build_no_event_objects(model_path, tmp_path, monkeypatch):
+    """Every command runs on the stream's columns alone."""
+    def no_events(*_args):
+        raise AssertionError("an Event object was built")
+
+    monkeypatch.setattr(event_io, "Event", no_events)
+    sensor = ["--width", "64", "--height", "48", "--count", "300"]
+    bin_path, text_path = tmp_path / "s.bin", tmp_path / "s.txt"
+    assert main(["gen", *sensor, "--format", "bin",
+                 "-o", str(bin_path)]) == EXIT_OK
+    assert main(["gen", *sensor, "-o", str(text_path)]) == EXIT_OK
+    stream = str(bin_path)
+    assert main(["infer", model_path, stream,
+                 "--trace-out", str(tmp_path / "t.txt")]) == EXIT_OK
+    assert main(["verify", model_path, stream]) == EXIT_OK
+    assert main(["bench", model_path, stream,
+                 "--report-out", str(tmp_path / "r.json")]) == EXIT_OK
+    fp_path = tmp_path / "fp.json"
+    assert main(["gen-model", "--width", "64", "--height", "48",
+                 "-o", str(fp_path)]) == EXIT_OK
+    assert main(["quantize", str(fp_path), "--calib", stream,
+                 "-o", str(tmp_path / "q.json")]) == EXIT_OK

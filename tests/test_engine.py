@@ -206,18 +206,15 @@ class TestReadout:
             assert int(pred.logits[c]) == expect
 
 
-def _per_event_run(model, stream, sequential=False):
+def _per_event_run(model, stream):
     state = EngineState.new(model, len(stream))
-    step = (engine.process_event_layer_sequential if sequential
-            else engine.process_event)
-    preds = [step(state, model, ev) for ev in stream.events]
+    preds = [engine.process_event(state, model, ev) for ev in stream.events]
     return state, preds
 
 
 class TestProcessEvent:
-    def test_first_event_defined(self, small_model):
-        stream = event_io.EventStream(64, 48,
-                                      [event_io.Event(3, 3, 10, 1, 0)])
+    def test_first_event_defined(self, small_model, make_stream):
+        stream = make_stream(64, 48, [(3, 3, 10, 1)])
         state, preds = _per_event_run(small_model, stream)
         assert preds[0].cls in (0, 1)
         assert state.store.read(0, 0).tolist() == [127]
@@ -227,16 +224,6 @@ class TestProcessEvent:
         with pytest.raises(StoreError):
             engine.process_event(state, small_model,
                                  small_stream.events[1])
-
-    @pytest.mark.parametrize("empty_agg", ["zero", "neg_inf"])
-    def test_parallel_equals_sequential(self, small_stream, empty_agg):
-        model = random_model(7, empty_aggregation=empty_agg)
-        sa, pa = _per_event_run(model, small_stream)
-        sb, pb = _per_event_run(model, small_stream, sequential=True)
-        assert sa.store.dump() == sb.store.dump()
-        assert np.array_equal(sa.readout.cells, sb.readout.cells)
-        for a, b in zip(pa, pb):
-            assert np.array_equal(a.logits, b.logits) and a.cls == b.cls
 
     @pytest.mark.parametrize("schedule", ["parallel", "sequential", "static"])
     @pytest.mark.parametrize("case", ["zero", "neg_inf", "dmax_saturated"])
@@ -276,10 +263,11 @@ class TestProcessEvent:
 
     def test_single_layer_model(self, small_stream):
         model = random_model(3, layer_dims=(6,))
-        sa, pa = _per_event_run(model, small_stream)
-        sb, pb = _per_event_run(model, small_stream, sequential=True)
-        for a, b in zip(pa, pb):
-            assert np.array_equal(a.logits, b.logits)
+        _, preds = _per_event_run(model, small_stream)
+        logits = np.stack([p.logits for p in preds])
+        for sequential in (False, True):
+            res = engine.run_stream(model, small_stream, sequential=sequential)
+            assert np.array_equal(res.logits, logits)
 
 
 class TestInvariantsOnStream:

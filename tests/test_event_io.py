@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +14,10 @@ from evgnn.event_io import (Event, EventStream, InvalidParams, MalformedLine,
 W, H = 32, 24
 
 
-def _stream(rows):
-    events = [Event(x, y, t, p, i) for i, (x, y, t, p) in enumerate(rows)]
-    return EventStream(W, H, events)
+def _same(a, b) -> bool:
+    return ((a.width, a.height) == (b.width, b.height)
+            and all(np.array_equal(getattr(a, c), getattr(b, c))
+                    for c in "xytp"))
 
 
 # random but valid (x, y, t, p) rows with sorted timestamps
@@ -60,44 +65,45 @@ class TestTextFormat:
 
     @given(valid_rows)
     @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, rows):
-        s = _stream(rows)
-        assert event_io.parse_text_stream(
-            event_io.write_text_stream(s), W, H) == s
+    def test_round_trip(self, make_stream, rows):
+        s = make_stream(W, H, rows)
+        assert _same(event_io.parse_text_stream(
+            event_io.write_text_stream(s), W, H), s)
 
 
 class TestBinaryFormat:
-    def test_empty_stream_is_zero_bytes(self):
-        assert event_io.write_binary_stream(_stream([])) == b""
+    def test_empty_stream_is_zero_bytes(self, make_stream):
+        assert event_io.write_binary_stream(make_stream(W, H)) == b""
 
-    def test_one_event_is_nine_bytes(self):
-        data = event_io.write_binary_stream(_stream([(1, 2, 10, 0)]))
+    def test_one_event_is_nine_bytes(self, make_stream):
+        data = event_io.write_binary_stream(make_stream(W, H, [(1, 2, 10, 0)]))
         assert len(data) == event_io.RECORD_SIZE == 9
 
-    def test_little_endian_layout(self):
-        data = event_io.write_binary_stream(_stream([(0x0102, 0, 0x01020304, 1)]))
+    def test_little_endian_layout(self, make_stream):
+        data = event_io.write_binary_stream(
+            make_stream(W, H, [(0x0102, 0, 0x01020304, 1)]))
         assert data == bytes([0x02, 0x01, 0, 0, 0x04, 0x03, 0x02, 0x01, 1])
 
     def test_truncated_record(self):
         with pytest.raises(TruncatedRecord):
             event_io.parse_binary_stream(b"\x00" * 10, W, H)
 
-    def test_validation_applies(self):
+    def test_validation_applies(self, make_stream):
         data = event_io.write_binary_stream(
-            EventStream(W, H, [Event(W + 1, 0, 1, 0, 0)]))
+            make_stream(W, H, [(W + 1, 0, 1, 0)]))
         with pytest.raises(OutOfBounds):
             event_io.parse_binary_stream(data, W, H)
 
     @given(valid_rows)
     @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, rows):
-        s = _stream(rows)
-        assert event_io.parse_binary_stream(
-            event_io.write_binary_stream(s), W, H) == s
+    def test_round_trip(self, make_stream, rows):
+        s = make_stream(W, H, rows)
+        assert _same(event_io.parse_binary_stream(
+            event_io.write_binary_stream(s), W, H), s)
 
     @pytest.mark.parametrize("k", [1, 7, 19, 28])
     @pytest.mark.parametrize("fault", ["x", "y", "polarity", "time"])
-    def test_first_bad_record_matches_text(self, fault, k):
+    def test_first_bad_record_matches_text(self, make_stream, fault, k):
         rows = [[i % W, i % H, 100 + 10 * i, i % 2] for i in range(40)]
         if fault == "time":
             rows[k][2] = rows[k - 1][2] - 1
@@ -106,7 +112,7 @@ class TestBinaryFormat:
                           "polarity": (3, 2)}[fault]
             rows[k][col] = value
         rows[35] = [W + 5, 0, 500, 3]  # a later fault must not be reported
-        stream = _stream([tuple(r) for r in rows])
+        stream = make_stream(W, H, rows)
         with pytest.raises(event_io.StreamError) as text_exc:
             event_io.parse_text_stream(event_io.write_text_stream(stream),
                                        W, H)
@@ -116,12 +122,56 @@ class TestBinaryFormat:
         assert exc.value.line_no == k + 1
         assert str(exc.value) == str(text_exc.value)
 
-    def test_binary_layout_x0102(self):
+    def test_binary_layout_x0102(self, make_stream):
         # x = 0x0102 needs W > 0x0102; use a wider sensor
         data = event_io.write_binary_stream(
-            EventStream(300, 4, [Event(258, 0, 1, 1, 0)]))
+            make_stream(300, 4, [(258, 0, 1, 1)]))
         s = event_io.parse_binary_stream(data, 300, 4)
         assert s.events[0].x == 258
+
+    @pytest.mark.parametrize("row", [(65536, 0, 0, 0), (0, -1, 0, 0),
+                                     (0, 0, 2**32, 0), (0, 0, 0, 256)],
+                             ids=["x", "y", "t", "p"])
+    def test_unrepresentable_value_raises(self, make_stream, row):
+        # a numpy cast into the record would wrap these silently
+        s = make_stream(70_000, 10, [(1, 1, 0, 0), row])
+        with pytest.raises(OutOfBounds) as exc:
+            event_io.write_binary_stream(s)
+        assert exc.value.line_no == 2
+
+
+class TestColumnarStream:
+    def test_columns_are_read_only(self, small_stream):
+        with pytest.raises(ValueError):
+            small_stream.x[0] = 1
+        with pytest.raises(ValueError):
+            small_stream.p[:] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_stream.t = np.zeros(len(small_stream), dtype=np.int64)
+        assert small_stream.events  # fill the cache before copying
+        for c in (copy.deepcopy(small_stream),
+                  pickle.loads(pickle.dumps(small_stream))):
+            assert not c.x.flags.writeable and "events" not in vars(c)
+            assert _same(c, small_stream)
+
+    def test_events_mirror_columns(self, small_stream):
+        events = small_stream.events
+        assert events is small_stream.events  # built once
+        assert [(ev.x, ev.y, ev.t, ev.p, ev.n) for ev in events] == list(
+            zip(small_stream.x.tolist(), small_stream.y.tolist(),
+                small_stream.t.tolist(), small_stream.p.tolist(),
+                range(len(small_stream))))
+
+    def test_constructor_copies_and_casts(self):
+        xs = np.array([1.9, 2.0, 3.5])
+        s = EventStream(8, 8, xs, [0, 1, 2], [0, 0, 1], [1, 0, 1])
+        assert s.x.dtype == np.int64 and s.x.tolist() == [1, 2, 3]
+        xs[0] = 7.0
+        assert s.x[0] == 1
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError):
+            EventStream(8, 8, [1, 2], [1], [0, 0], [0, 1])
 
 
 class TestSynthetic:
@@ -135,7 +185,7 @@ class TestSynthetic:
                   "duration_us": 10_000}
         a = event_io.gen_synthetic("uniform_random", params, 1)
         b = event_io.gen_synthetic("uniform_random", params, 1)
-        assert a == b
+        assert _same(a, b)
 
     @pytest.mark.parametrize("kind", ["uniform_random", "moving_dot"])
     def test_output_valid(self, kind):
@@ -143,8 +193,8 @@ class TestSynthetic:
             kind, {"width": W, "height": H, "count": 800,
                    "duration_us": 50_000}, 3)
         # re-parsing applies every stream invariant
-        assert event_io.parse_text_stream(
-            event_io.write_text_stream(s), W, H) == s
+        assert _same(event_io.parse_text_stream(
+            event_io.write_text_stream(s), W, H), s)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
@@ -163,7 +213,7 @@ class TestSynthetic:
             {"width": 200, "height": 40, "count": 4000,
              "duration_us": 30_000, "velocity": (1.0, 0.0),
              "dot_radius": 2.0}, 7)
-        xs, _, ts, _ = s.to_arrays()
+        xs, ts = s.x, s.t
         early = xs[ts < 5_000].mean()
         late = xs[(ts >= 25_000)].mean()
         drift_px_per_ms = (late - early) / 25.0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evgnn import event_io
 from evgnn.engine import build_adjacency
-from evgnn.event_io import Event, EventStream
+from evgnn.event_io import Event
 from evgnn.graph_builder import (EventQueueGrid, InvalidDims,
                                  InvalidSearchParams, OutOfBoundsEvent,
                                  SearchParams, brute_force_neighbors,
@@ -223,7 +223,7 @@ def _incremental_reference(stream, params):
 
 
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
-def test_build_adjacency_equals_incremental_reference(shape):
+def test_build_adjacency_equals_incremental_reference(shape, make_stream):
     """All six replay outputs, entries_scanned included, on 1x1 to 12x12
     sensors with shallow queues, timestamp ties and early stops mid-queue."""
     rng = np.random.default_rng(17)
@@ -232,10 +232,10 @@ def test_build_adjacency_equals_incremental_reference(shape):
         w, h = (int(v) for v in rng.integers(1, 13, size=2))
         count = int(rng.integers(1, 60))
         ts = np.sort(rng.integers(0, count, size=count))
-        stream = EventStream(w, h, [
-            Event(int(rng.integers(0, w)), int(rng.integers(0, h)),
-                  int(t), int(rng.integers(0, 2)), n)
-            for n, t in enumerate(ts)])
+        stream = make_stream(w, h, [
+            (int(rng.integers(0, w)), int(rng.integers(0, h)),
+             int(t), int(rng.integers(0, 2)))
+            for t in ts])
         params = SearchParams(shape=shape, r_s=int(rng.integers(0, 4)),
                               r_t=int(rng.integers(0, count)),
                               d_max=int(rng.integers(1, 10)),
@@ -253,9 +253,9 @@ def test_build_adjacency_equals_incremental_reference(shape):
     assert mid_queue_stops > 0 and ties > 0
 
 
-def test_build_adjacency_empty_stream():
+def test_build_adjacency_empty_stream(make_stream):
     params = SearchParams(d_max=5)
-    adj = build_adjacency(EventStream(8, 6, []), params)
+    adj = build_adjacency(make_stream(8, 6), params)
     assert adj.deg.shape == adj.entries_scanned.shape == (0,)
     for a in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt):
         assert a.shape == (0, 5)

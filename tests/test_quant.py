@@ -95,10 +95,9 @@ class TestChooseRequant:
 
 
 class TestQuantizeModel:
-    def test_empty_calibration(self):
+    def test_empty_calibration(self, make_stream):
         with pytest.raises(EmptyCalibration):
-            quantize_model(random_fp_model(0),
-                           event_io.EventStream(64, 48, []))
+            quantize_model(random_fp_model(0), make_stream(64, 48))
 
     def test_weight_scale_rule(self):
         fp = random_fp_model(2)

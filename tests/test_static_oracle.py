@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from evgnn import engine, event_io, static_oracle
-from evgnn.event_io import Event, EventStream
 from evgnn.graph_builder import SearchParams
 from evgnn.model import random_model
 from evgnn.static_oracle import (FPLayer, FPModel, GenericConvSpec,
@@ -32,12 +31,12 @@ def _fp_model(seed=0, width=32, height=24):
 
 
 class TestBuildStaticGraph:
-    def test_empty_stream(self):
-        g = build_static_graph(EventStream(8, 8, []), PARAMS)
+    def test_empty_stream(self, make_stream):
+        g = build_static_graph(make_stream(8, 8), PARAMS)
         assert len(g) == 0
 
-    def test_two_events_one_directed_edge(self):
-        s = EventStream(8, 8, [Event(3, 3, 10, 0, 0), Event(4, 3, 20, 1, 1)])
+    def test_two_events_one_directed_edge(self, make_stream):
+        s = make_stream(8, 8, [(3, 3, 10, 0), (4, 3, 20, 1)])
         g = build_static_graph(s, PARAMS)
         assert g.neighbors(0) == []
         assert g.neighbors(1) == [(0, 1, 0, 10)]
@@ -74,7 +73,8 @@ class TestEq7Int8:
         s = _stream(3, count=20, width=64, height=48)
         res = engine.run_stream(small_model, s)
         g = static_oracle.StaticGraph(s, res.adjacency, small_model.search)
-        lines = static_oracle.trace_lines(forward_eq7_int8(g, small_model))
+        lines = engine.prediction_trace_lines(
+            small_model, forward_eq7_int8(g, small_model))
         assert len(lines) == 20
         n, cls, *logits = lines[7].split()
         assert int(n) == 7
@@ -83,11 +83,10 @@ class TestEq7Int8:
 
 
 class TestGenericMessagePassing:
-    def test_directed_chain_topology(self):
+    def test_directed_chain_topology(self, make_stream):
         # chain A -> B -> C -> D in time at one pixel with a short queue:
         # with max/replicate/identity, a node only sees in-neighbors
-        s = EventStream(4, 4, [Event(1, 1, t, 1, i)
-                               for i, t in enumerate([0, 10, 20, 30])])
+        s = make_stream(4, 4, [(1, 1, t, 1) for t in [0, 10, 20, 30]])
         params = SearchParams(r_s=1, r_t=11, d_max=4, queue_depth=4)
         g = build_static_graph(s, params)
         feats = np.array([[4.0], [3.0], [2.0], [1.0]])
@@ -100,8 +99,8 @@ class TestGenericMessagePassing:
         assert out[3, 0] == 2.0
         assert out[0, 0] == 0.0  # no in-neighbors, zero identity
 
-    def test_empty_sum_identity(self):
-        s = EventStream(4, 4, [Event(1, 1, 0, 1, 0)])
+    def test_empty_sum_identity(self, make_stream):
+        s = make_stream(4, 4, [(1, 1, 0, 1)])
         g = build_static_graph(s, PARAMS)
         spec = GenericConvSpec(
             phi=lambda xi, xj, rel: xj, aggregator="sum",
