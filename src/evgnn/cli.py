@@ -79,11 +79,15 @@ def _apply_overrides(model, args):
         model.search = SearchParams(r=sp.r, beta=sp.beta, **fields)
     except InvalidSearchParams as exc:
         raise CliError(f"bad search parameters: {exc}") from exc
-    if model.search.shape not in QUEUE_BACKED_SHAPES:
-        raise CliError(f"search shape {model.search.shape!r} cannot run "
+    _require_queue_shape(model.search)
+    return model
+
+
+def _require_queue_shape(params: SearchParams) -> None:
+    if params.shape not in QUEUE_BACKED_SHAPES:
+        raise CliError(f"search shape {params.shape!r} cannot run "
                        f"here: the graph build needs one of "
                        f"{', '.join(QUEUE_BACKED_SHAPES)}")
-    return model
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -140,7 +144,7 @@ def cmd_verify(args) -> int:
     if len(stream) == 0:
         print(f"{args.stream}: no events")
         return EXIT_OK
-    par = engine.run_stream(model, stream, sequential=False)
+    par = engine.run_stream(model, stream, levels=True)
     seq = engine.run_stream(model, stream, sequential=True,
                             adjacency=par.adjacency)
     graph = static_oracle.StaticGraph(stream, par.adjacency, model.search)
@@ -240,6 +244,7 @@ def cmd_quantize(args) -> int:
         raise CliError(f"cannot read {args.fp_model}: {exc}") from exc
     except (ModelConfigError, json.JSONDecodeError) as exc:
         raise CliError(f"bad FP model: {exc}") from exc
+    _require_queue_shape(fp.search)
     folded = quant.fold_model(fp)
     calib = _load_stream(args.calib, fp.width, fp.height, args.format)
     try:

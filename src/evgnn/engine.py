@@ -6,15 +6,18 @@ Two granularities are provided:
       built from the per-op primitives below (message_matvec,
       aggregate_max, baq, ReadoutState.update, fc_forward). This scalar
       path is the independent oracle of the batch path.
-    - run_stream: whole-stream execution through one vectorized layer
-      function, eq7_layer, reading the stream's x, y, t, p columns. The
-      layer-parallel and layer-sequential schedules here and the static
-      oracle (static_oracle.forward_eq7_int8) are three batchings of it,
-      run by run_layers, and share one incremental readout / FC,
-      readout_trace.
+    - run_stream: whole-stream execution through one factored INT8 layer
+      function, eq7_layer, reading the stream's x, y, t, p columns. It
+      splits each message W . (x_j, q|dx|, q|dy|) into a per-node term
+      W_x . x_j and a per-layer table over the window offsets, so an edge
+      costs one C_out add and a max. run_layers batches it three ways: the
+      whole graph, layer by layer (the default and the static oracle,
+      static_oracle.forward_eq7_int8), and the layer-sequential and
+      layer-parallel dependency-level schedules, kept to verify it. All
+      share one incremental readout / FC, readout_trace.
 
-All INT8 arithmetic is exact. The batch path multiplies in float64, which
-holds every partial sum exactly because the model loader proves that each
+All INT8 arithmetic is exact. The node terms are float64 products, which
+hold every partial sum exactly because the model loader proves that each
 stays below 2**31; requantization rounds to nearest even.
 """
 
@@ -22,17 +25,20 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from . import perf_model
 from .event_io import Event, EventStream
 from .graph_builder import (Adjacency, EventQueueGrid, new_queue_grid,
                             replay_build, search_neighbors)
-from .model import ACC_LIMIT, QuantizedModel
+from .model import ACC_LIMIT, LayerParams, QuantizedModel
 
 NEG_IDENTITY = np.int64(-(2**62))  # "-inf" empty-aggregation identity
-BATCH_ROWS = 4096  # events per batch step; bounds the [B, D, C_in+2] gather
+MSG_FLOOR = np.int32(-(2**31))  # batch path's "-inf": below every message
+# Message cells (rows * D * C_out) per eq7_layer call; bounds the batch
+# path's working memory.
+CHUNK_CELLS = 1 << 16
 
 
 class AccOverflow(ArithmeticError):
@@ -264,7 +270,9 @@ class RunResult:
     logits: np.ndarray   # int64[N, classes]
     cls: np.ndarray      # int64[N]
     readout: np.ndarray  # flattened final readout state
-    macs: np.ndarray     # conv MACs actually executed per event
+    # conv MACs per event of the modelled hardware, deg * sum (C_in+2)*C_out;
+    # the factored batch path executes fewer
+    macs: np.ndarray
 
 
 def build_adjacency(stream: EventStream,
@@ -288,63 +296,57 @@ def encoded_inputs(stream: EventStream, model: QuantizedModel) -> np.ndarray:
     return feats0
 
 
-@dataclass
-class BatchLayer:
-    """One conv layer as eq7_layer runs it.
-
-    position maps |dx|, |dy| to the two positional input columns; activate
-    maps the biased aggregate to the layer output.
-    """
-
-    weights: np.ndarray  # float64[C_out, C_in + 2]
-    bias: np.ndarray     # float64[C_out]
-    position: Callable[[np.ndarray], np.ndarray]
-    activate: Callable[[np.ndarray], np.ndarray]
-
-
 def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
     """BAQ of biased aggregates: ReLU, requantize (RNE), clamp to [0, 127]."""
     return np.minimum(rne_mulshift(np.maximum(v, 0).astype(np.int64),
                                    *requant), 127)
 
 
-def int8_layers(model: QuantizedModel) -> list[BatchLayer]:
-    """The model's layers with INT8 position requant and BAQ.
+def position_terms(layer: LayerParams, extent: int) -> np.ndarray:
+    """int32[(extent+1)**2, C_out]: row a*(extent+1)+b is W_pos . (q(a), q(b)).
 
-    Offsets never exceed the search window's half-width, so each layer's
-    position requant is a lookup table over 0..spatial_extent.
+    q is the layer's position requant of an absolute pixel offset. Offsets
+    never exceed the search window's half-width, extent, so the table
+    covers every (|dx|, |dy|) an edge can carry.
     """
-    offs = np.arange(model.search.spatial_extent + 1, dtype=np.int64)
-    return [BatchLayer(
-        lp.weights.astype(np.float64), lp.bias.astype(np.float64),
-        position=lambda off, tab=np.minimum(
-            rne_mulshift(offs, *lp.pos_requant), 32767): tab[off],
-        activate=lambda v, r=lp.requant: baq_batch(v, r))
-        for lp in model.layers]
+    offs = np.arange(extent + 1, dtype=np.int64)
+    q = np.minimum(rne_mulshift(offs, *layer.pos_requant), 32767)
+    w_dx, w_dy = layer.weights[:, -2], layer.weights[:, -1]
+    return (q[:, None, None] * w_dx + q[None, :, None] * w_dy
+            ).reshape(-1, layer.c_out).astype(np.int32)
 
 
-def eq7_layer(layer: BatchLayer, x: np.ndarray, nbr: np.ndarray,
-              valid: np.ndarray, offsets: np.ndarray,
+def node_terms(x: np.ndarray, w_x: np.ndarray) -> np.ndarray:
+    """int32[B, C_out] W_x . x_j of every row of x (float64[B, C_in]).
+
+    w_x is float64[C_in, C_out]. The product is exact and fits int32
+    because the model loader proves every partial sum stays below 2**31.
+    """
+    return (x @ w_x).astype(np.int32)
+
+
+def eq7_layer(layer: LayerParams, terms: np.ndarray, table: np.ndarray,
+              nbr: np.ndarray, pos: np.ndarray, valid: np.ndarray,
               empty_aggregation: str) -> np.ndarray:
-    """Eq-7 conv of one layer for a batch of B events.
+    """Eq-7 INT8 conv of one layer for a batch of B events, factored.
 
-    out_b = activate(max over valid j of W . (x[nbr_bj], position(|d_bj|))
-    + bias). x is the layer input of every event, [N, C_in] float64;
-    nbr and valid are [B, D] neighbor rows and the real-slot mask; offsets
-    is [B, D, 2] (|dx|, |dy|). A row with no valid slot aggregates to the
-    empty identity: 0 ("zero") or -inf ("neg_inf"). Integer inputs are
-    exact while every partial sum stays below 2**53.
+    out_b = BAQ(max over valid j of (terms[nbr_bj] + table[pos_bj]) + bias),
+    which equals BAQ(max_j W . (x_j, q|dx_bj|, q|dy_bj|) + bias) exactly.
+    terms holds W_x . x_j of every event, int32[N, C_out]; table is the
+    layer's position_terms. nbr, pos (the table row of |dx|, |dy|) and
+    valid (the real-slot mask) are [B, D]. A row with no valid slot
+    aggregates to the empty identity: 0 ("zero") or -inf ("neg_inf").
+    The loader's range proof puts every message, bias and their sum
+    strictly inside int32, so MSG_FLOOR lies below every message and
+    MSG_FLOOR + bias < 0 maps to 0 exactly as -inf does.
     """
-    b, d = nbr.shape
-    inp = np.concatenate([x[nbr], layer.position(offsets)], axis=2)
-    c_out = layer.weights.shape[0]
-    msgs = (inp.reshape(b * d, inp.shape[2]) @ layer.weights.T
-            ).reshape(b, d, c_out)
-    msgs[~valid] = -np.inf
-    agg = msgs.max(axis=1, initial=-np.inf)
+    msgs = terms[nbr]
+    msgs += table[pos]
+    msgs[~valid] = MSG_FLOOR
+    agg = msgs.max(axis=1, initial=MSG_FLOOR).astype(np.int64)
     if empty_aggregation == "zero":
-        agg[~valid.any(axis=1)] = 0.0
-    return layer.activate(agg + layer.bias)
+        agg[~valid.any(axis=1)] = 0
+    return baq_batch(agg + layer.bias, layer.requant)
 
 
 def dependency_levels(adj: Adjacency) -> list[np.ndarray]:
@@ -363,35 +365,45 @@ def dependency_levels(adj: Adjacency) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(level))[:-1])
 
 
-def run_layers(layers: list[BatchLayer], x0: np.ndarray, adj: Adjacency,
-               empty_aggregation: str, groups: list[np.ndarray],
-               layer_outer: bool) -> tuple[list[np.ndarray], np.ndarray]:
-    """Run every layer over every group of event rows, in schedule order.
+def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
+               groups: list[np.ndarray],
+               layer_outer: bool) -> list[np.ndarray]:
+    """Run every INT8 layer over every group of event rows, in schedule order.
 
     A group's events must depend only on earlier groups. layer_outer runs
     layer by layer over all groups; otherwise group by group over all
-    layers. Returns the per-layer outputs (float64[N, C_out]) and the conv
-    MACs executed per event, counted from the valid-slot mask.
+    layers. Each eq7_layer call holds at most CHUNK_CELLS message cells.
+    x0 is the encoded input of every event; a layer's node terms are
+    computed as its input rows are written. Returns the per-layer outputs
+    (int64[N, C_out]).
     """
-    n = len(adj.deg)
-    valid = np.arange(adj.nbr_n.shape[1]) < adj.deg[:, None]
-    offsets = np.abs(np.stack([adj.nbr_dx, adj.nbr_dy], axis=2))
-    feats = [np.asarray(x0, dtype=np.float64).reshape(n, -1)]
-    feats += [np.zeros((n, ly.weights.shape[0])) for ly in layers]
-    macs = np.zeros(n, dtype=np.int64)
-    batches = [g[s:s + BATCH_ROWS] for g in groups
-               for s in range(0, len(g), BATCH_ROWS)]
-    steps = ([(l, b) for l in range(len(layers)) for b in batches]
+    layers = model.layers
+    n, d_max = adj.nbr_n.shape
+    extent = model.search.spatial_extent
+    valid = np.arange(d_max) < adj.deg[:, None]
+    pos = np.abs(adj.nbr_dx) * (extent + 1) + np.abs(adj.nbr_dy)
+    tables = [position_terms(lp, extent) for lp in layers]
+    w_x = [lp.weights[:, :-2].T.astype(np.float64) for lp in layers]
+    terms = [node_terms(np.asarray(x0, dtype=np.float64)[:, None], w_x[0])]
+    terms += [np.zeros((n, lp.c_out), dtype=np.int32) for lp in layers[1:]]
+    outs = [np.zeros((n, lp.c_out), dtype=np.int64) for lp in layers]
+    chunk = [max(1, CHUNK_CELLS // (max(d_max, 1) * lp.c_out))
+             for lp in layers]
+    steps = ([(l, g) for l in range(len(layers)) for g in groups]
              if layer_outer else
-             [(l, b) for b in batches for l in range(len(layers))])
-    for l, rows in steps:
-        d = int(adj.deg[rows].max())
-        ok = valid[rows, :d]
-        feats[l + 1][rows] = eq7_layer(layers[l], feats[l],
-                                       adj.nbr_n[rows, :d], ok,
-                                       offsets[rows, :d], empty_aggregation)
-        macs[rows] += ok.sum(axis=1) * layers[l].weights.size
-    return feats[1:], macs
+             [(l, g) for g in groups for l in range(len(layers))])
+    for l, group in steps:
+        for s in range(0, len(group), chunk[l]):
+            rows = group[s:s + chunk[l]]
+            d = int(adj.deg[rows].max())
+            out = eq7_layer(layers[l], terms[l], tables[l],
+                            adj.nbr_n[rows, :d], pos[rows, :d],
+                            valid[rows, :d], model.empty_aggregation)
+            outs[l][rows] = out
+            if l + 1 < len(layers):
+                terms[l + 1][rows] = node_terms(out.astype(np.float64),
+                                                w_x[l + 1])
+    return outs
 
 
 def readout_trace(model, stream: EventStream, last: np.ndarray,
@@ -424,18 +436,24 @@ def readout_trace(model, stream: EventStream, last: np.ndarray,
 
 def run_stream(model: QuantizedModel, stream: EventStream,
                sequential: bool = False,
-               adjacency: Adjacency | None = None) -> RunResult:
+               adjacency: Adjacency | None = None, *,
+               levels: bool = False) -> RunResult:
     """Process a whole stream through the batch executor.
 
-    Layer-parallel (default): each dependency level runs every layer.
-    Layer-sequential: each layer runs every dependency level in turn.
+    Default: each layer runs over the whole graph before the next; layer l
+    of an event reads only layer l-1 outputs of earlier events, so this
+    computes what the event-driven schedules compute. The dependency-level
+    schedules are kept to verify it. sequential: each layer runs every
+    dependency level in turn (layer-sequential). levels: each dependency
+    level runs every layer (the layer-parallel wavefront).
     """
     if stream.width != model.width or stream.height != model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = adjacency if adjacency is not None else build_adjacency(stream, model)
-    outs, macs = run_layers(int8_layers(model), encoded_inputs(stream, model),
-                            adj, model.empty_aggregation,
-                            dependency_levels(adj), layer_outer=sequential)
+    groups = (dependency_levels(adj) if sequential or levels
+              else [np.arange(len(adj.deg))])
+    outs = run_layers(model, encoded_inputs(stream, model), adj, groups,
+                      layer_outer=sequential or not levels)
     feats = np.zeros((len(adj.deg), len(outs),
                       max(l.c_out for l in model.layers)), dtype=np.int64)
     for l, out in enumerate(outs):
@@ -443,16 +461,16 @@ def run_stream(model: QuantizedModel, stream: EventStream,
     logits, cls, readout = readout_trace(model, stream,
                                          feats[:, -1, :model.c_last],
                                          model.fc.weights, model.fc.bias)
-    return RunResult(adj, feats, logits, cls, readout, macs)
+    return RunResult(adj, feats, logits, cls, readout,
+                     perf_model.conv_macs(model, adj.deg))
 
 
 def prediction_trace_lines(model: QuantizedModel, result: RunResult) -> list[str]:
     """UTF-8 trace: one "n class logit0 logit1 ..." line per event."""
-    lines = []
-    for i in range(len(result.cls)):
-        vals = " ".join(str(int(v)) for v in result.logits[i])
-        lines.append(f"{i} {int(result.cls[i])} {vals}")
-    return lines
+    n, classes = result.logits.shape
+    cols = np.column_stack([np.arange(n), result.cls, result.logits])
+    fmt = " ".join(["%d"] * (classes + 2)) + "\n"
+    return ((fmt * n) % tuple(cols.ravel().tolist())).splitlines()
 
 
 @dataclass
@@ -471,7 +489,7 @@ def count_ops(model: QuantizedModel, neighbor_counts: np.ndarray) -> OpCount:
     readout: C_last max-compares; FC: 2*(Gx*Gy*C_last)*num_classes.
     """
     deg = np.asarray(neighbor_counts, dtype=np.int64)
-    per_nbr = sum(2 * (l.c_in + 2) * l.c_out for l in model.layers)
+    per_nbr = 2 * perf_model.conv_weight_bytes(model)
     baq_ops = sum(2 * l.c_out for l in model.layers)
     fixed = baq_ops + model.c_last + 2 * model.fc.in_dim * model.fc.out_dim
     per_event = per_nbr * deg + fixed

@@ -17,7 +17,8 @@ import numpy as np
 
 from .event_io import EventStream
 from .graph_builder import SearchParams
-from .model import DenseParams, LayerParams, ModelConfigError, QuantizedModel
+from .model import (DenseParams, LayerParams, ModelConfigError,
+                    QuantizedModel, _params_from_json, _params_to_json)
 from .static_oracle import (FPLayer, FPModel, build_static_graph,
                             forward_eq7_fp)
 
@@ -171,9 +172,7 @@ def fp_model_to_json(model: FPModel) -> dict:
         "version": 1,
         "precision": "fp32",
         "sensor": {"W": model.width, "H": model.height},
-        "search": {"shape": model.search.shape, "r_s": model.search.r_s,
-                   "r_t": model.search.r_t, "D_max": model.search.d_max,
-                   "queue_depth": model.search.queue_depth},
+        "search": _params_to_json(model.search),
         "empty_aggregation": model.empty_aggregation,
         "layers": [layer_doc(l) for l in model.layers],
         "fc": {"in_dim": model.fc_weights.shape[1],
@@ -199,18 +198,13 @@ def fp_model_from_json(doc: dict) -> FPModel:
                            dtype=np.float64).reshape(co, ci + 2),
                 np.asarray(ld["bias"], dtype=np.float64), bn))
         fd = doc["fc"]
-        sd = doc.get("search", {})
         return FPModel(
             width=int(doc["sensor"]["W"]), height=int(doc["sensor"]["H"]),
             layers=layers,
             fc_weights=np.asarray(fd["weights"], dtype=np.float64).reshape(
                 int(fd["out_dim"]), int(fd["in_dim"])),
             fc_bias=np.asarray(fd["bias"], dtype=np.float64),
-            search=SearchParams(shape=sd.get("shape", "prism"),
-                                r_s=int(sd.get("r_s", 3)),
-                                r_t=int(sd.get("r_t", 50_000)),
-                                d_max=int(sd.get("D_max", 16)),
-                                queue_depth=int(sd.get("queue_depth", 16))),
+            search=_params_from_json(doc.get("search", {})),
             patch=int(doc.get("grid", {}).get("patch", 16)),
             classes=[str(c) for c in doc.get("classes", ["0", "1"])],
             empty_aggregation=doc.get("empty_aggregation", "zero"))

@@ -5,9 +5,12 @@ The static graph inherits the dynamic builder's semantics exactly
 the event-driven engine isolate the execution schedule, not the topology.
 
 Supported forward paths, both the static schedule (each layer over the
-whole graph, then the next) of the engine's one layer function:
-    eq7_int8 -- integer simplified conv, bit-exact vs the engine
-    eq7_fp   -- the same conv in float (relu(max_j W (x_j,|dx|,|dy|) + b))
+whole graph, then the next):
+    eq7_int8 -- integer simplified conv through the engine's factored
+                layer function, bit-exact vs the engine
+    eq7_fp   -- the same conv in float (relu(max_j W (x_j,|dx|,|dy|) + b)),
+                kept on the unfactored gather form: factoring moves float
+                rounding, and with it the quantizer's activation scales
 plus a scalar generic message-passing framework with pluggable phi /
 aggregator / gamma that reproduces eq7_fp when specialized.
 """
@@ -19,11 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import (BatchLayer, build_adjacency, encoded_inputs,
-                     int8_layers, readout_trace, run_layers)
+from .engine import (build_adjacency, encoded_inputs, readout_trace,
+                     run_layers)
 from .event_io import EventStream
 from .graph_builder import (Adjacency, SearchParams, brute_force_neighbors)
 from .model import QuantizedModel
+
+FP_BATCH_ROWS = 4096  # events per FP step; bounds the [B, D, C_in+2] gather
 
 
 @dataclass
@@ -134,13 +139,30 @@ def _fp_inputs(stream: EventStream) -> np.ndarray:
 
 
 def forward_eq7_fp(graph: StaticGraph, model: FPModel) -> StaticForwardResult:
-    layers = [BatchLayer(layer.weights, layer.bias,
-                         position=lambda off: off,
-                         activate=lambda v: np.maximum(v, 0.0))
-              for layer in model.layers]
-    feats, _ = run_layers(layers, _fp_inputs(graph.stream), graph.adjacency,
-                          model.empty_aggregation, [np.arange(len(graph))],
-                          layer_outer=True)
+    adj = graph.adjacency
+    n = len(graph)
+    valid = np.arange(adj.nbr_n.shape[1]) < adj.deg[:, None]
+    offsets = np.abs(np.stack([adj.nbr_dx, adj.nbr_dy], axis=2))
+    x = _fp_inputs(graph.stream)[:, None]
+    feats = []
+    for layer in model.layers:
+        out = np.zeros((n, layer.c_out))
+        for s in range(0, n, FP_BATCH_ROWS):
+            rows = slice(s, s + FP_BATCH_ROWS)
+            d = int(adj.deg[rows].max())
+            ok = valid[rows, :d]
+            inp = np.concatenate([x[adj.nbr_n[rows, :d]], offsets[rows, :d]],
+                                 axis=2)
+            b = len(inp)
+            msgs = (inp.reshape(b * d, inp.shape[2]) @ layer.weights.T
+                    ).reshape(b, d, layer.c_out)
+            msgs[~ok] = -np.inf
+            agg = msgs.max(axis=1, initial=-np.inf)
+            if model.empty_aggregation == "zero":
+                agg[~ok.any(axis=1)] = 0.0
+            out[rows] = np.maximum(agg + layer.bias, 0.0)
+        feats.append(out)
+        x = out
     logits, cls, readout = readout_trace(model, graph.stream, feats[-1],
                                          model.fc_weights, model.fc_bias)
     return StaticForwardResult(feats, logits, cls, readout)
@@ -148,11 +170,9 @@ def forward_eq7_fp(graph: StaticGraph, model: FPModel) -> StaticForwardResult:
 
 def forward_eq7_int8(graph: StaticGraph,
                      model: QuantizedModel) -> StaticForwardResult:
-    feats, _ = run_layers(int8_layers(model),
-                          encoded_inputs(graph.stream, model),
-                          graph.adjacency, model.empty_aggregation,
-                          [np.arange(len(graph))], layer_outer=True)
-    feats = [f.astype(np.int64) for f in feats]
+    feats = run_layers(model, encoded_inputs(graph.stream, model),
+                       graph.adjacency, [np.arange(len(graph))],
+                       layer_outer=True)
     logits, cls, readout = readout_trace(model, graph.stream, feats[-1],
                                          model.fc.weights, model.fc.bias)
     return StaticForwardResult(feats, logits, cls, readout)

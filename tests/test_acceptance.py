@@ -79,7 +79,7 @@ def test_criterion_1_equivalence_triad(corpus):
     t0 = time.perf_counter()
     checked = 0
     for stream, params, model in corpus:
-        par = run_stream(model, stream)
+        par = run_stream(model, stream, levels=True)
         seq = run_stream(model, stream, sequential=True,
                          adjacency=par.adjacency)
         graph = static_oracle.StaticGraph(stream, par.adjacency, params)

@@ -5,6 +5,7 @@ import pytest
 
 from evgnn import event_io, quant
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
+from evgnn.graph_builder import SearchParams
 from evgnn.model import load_model, model_to_json, save_model
 
 
@@ -252,6 +253,19 @@ class TestQuantizePipeline:
         bad.write_text("{not json")
         assert main(["quantize", str(bad), "--calib", stream_path,
                      "-o", str(tmp_path / "q.json")]) == EXIT_IO
+
+    @pytest.mark.parametrize("shape", ["hemisphere", "semi_octahedron"])
+    def test_unsupported_shape_is_config_error(self, shape, tmp_path,
+                                               stream_path, capsys):
+        fp = quant.random_fp_model(
+            5, search=SearchParams(shape=shape, r=3.0, beta=0.01))
+        fp_path = tmp_path / "fp.json"
+        quant.save_fp_model(fp, str(fp_path))
+        out = tmp_path / "q.json"
+        assert main(["quantize", str(fp_path), "--calib", stream_path,
+                     "-o", str(out)]) == EXIT_IO
+        assert shape in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_commands_build_no_event_objects(model_path, tmp_path, monkeypatch):

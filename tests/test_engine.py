@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -225,7 +226,8 @@ class TestProcessEvent:
             engine.process_event(state, small_model,
                                  small_stream.events[1])
 
-    @pytest.mark.parametrize("schedule", ["parallel", "sequential", "static"])
+    @pytest.mark.parametrize("schedule",
+                             ["parallel", "sequential", "graph", "static"])
     @pytest.mark.parametrize("case", ["zero", "neg_inf", "dmax_saturated"])
     def test_per_event_equals_batch(self, small_stream, case, schedule):
         if case == "dmax_saturated":
@@ -249,7 +251,8 @@ class TestProcessEvent:
             feats = res.feats
         else:
             res = engine.run_stream(model, stream, adjacency=adj,
-                                    sequential=schedule == "sequential")
+                                    sequential=schedule == "sequential",
+                                    levels=schedule == "parallel")
             feats = [res.feats[:, l, :lp.c_out]
                      for l, lp in enumerate(model.layers)]
             per_nbr = sum((lp.c_in + 2) * lp.c_out for lp in model.layers)
@@ -260,6 +263,53 @@ class TestProcessEvent:
         assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
         assert res.cls.tolist() == [p.cls for p in preds]
         assert np.array_equal(res.readout, state.readout.flatten())
+
+    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    def test_per_event_equals_chunked_graph(self, empty):
+        """Whole-graph chunks vs the scalar oracle: isolated events on a
+        chunk boundary, and a layer at the loader's 32-bit range limit."""
+        rng = np.random.default_rng(4)
+        model = random_model(4, layer_dims=(32, 32, 32),
+                             empty_aggregation=empty)
+        weights = rng.choice([-127, 127], size=(32, 34))
+        col = np.r_[np.full(32, 127), 32767, 32767]
+        big = 2**31 - 1 - int((np.abs(weights) @ col).max())
+        bias = np.r_[np.full(10, big), np.full(10, -big),
+                     rng.integers(-2000, 2001, size=12)]
+        # every nonzero offset requantizes to the 32767 clamp
+        wide = LayerParams(c_in=32, c_out=32, weights=weights, bias=bias,
+                           requant=(2**30, 46), pos_requant=(2**30, 15))
+        model = dataclasses.replace(
+            model, layers=[model.layers[0], wide, model.layers[2]])
+        assert int((np.abs(wide.weights) @ col + np.abs(wide.bias)).max()
+                   ) == 2**31 - 1
+
+        rows = engine.CHUNK_CELLS // (model.search.d_max * 32)
+        base = event_io.gen_synthetic(
+            "uniform_random", {"width": 64, "height": 48,
+                               "count": 2 * rows + 40, "duration_us": 2_000},
+            seed=6)
+        x, y, t = base.x.copy(), base.y.copy(), base.t.copy()
+        t[rows - 1:] += 2 * model.search.r_t  # nothing before is in reach
+        x[rows - 1], y[rows - 1] = 0, 0
+        x[rows], y[rows] = 63, 47
+        stream = event_io.EventStream(64, 48, x, y, t, base.p)
+
+        state, preds = _per_event_run(model, stream)
+        adj = engine.build_adjacency(stream, model)
+        assert adj.deg[rows - 1] == adj.deg[rows] == 0
+        assert adj.deg[rows + 1:].max() > 0
+        for kw in ({}, {"levels": True}, {"sequential": True}):
+            res = engine.run_stream(model, stream, adjacency=adj, **kw)
+            for l, lp in enumerate(model.layers):
+                assert np.array_equal(res.feats[:, l, :lp.c_out], np.stack(
+                    [state.store.read(i, l + 1) for i in range(len(stream))]))
+            assert np.array_equal(res.logits,
+                                  np.stack([p.logits for p in preds]))
+            assert np.array_equal(res.readout, state.readout.flatten())
+        wide_out = res.feats[adj.deg > 0, 1, :20]  # bias at +-(limit - acc)
+        assert np.all(wide_out[:, :10] == 127)
+        assert np.all(wide_out[:, 10:] == 0)
 
     def test_single_layer_model(self, small_stream):
         model = random_model(3, layer_dims=(6,))

@@ -145,6 +145,13 @@ class TestFpModelSerialization:
         assert np.allclose(fp.fc_weights, back.fc_weights)
         assert back.search == fp.search
 
+    @pytest.mark.parametrize("shape", ["hemisphere", "semi_octahedron"])
+    def test_round_trip_keeps_cone_params(self, shape):
+        search = SearchParams(shape=shape, r=2.5, beta=0.02, d_max=8)
+        fp = random_fp_model(6, search=search)
+        back = fp_model_from_json(fp_model_to_json(fp))
+        assert back.search == search
+
     def test_quantize_after_round_trip_identical(self):
         fp = random_fp_model(7)
         calib = _calib_stream(count=400)
