@@ -144,10 +144,13 @@ def cmd_verify(args) -> int:
     if len(stream) == 0:
         print(f"{args.stream}: no events")
         return EXIT_OK
-    par = engine.run_stream(model, stream, levels=True)
-    seq = engine.run_stream(model, stream, sequential=True,
-                            adjacency=par.adjacency)
-    graph = static_oracle.StaticGraph(stream, par.adjacency, model.search)
+    adj = engine.build_adjacency(stream, model)
+    groups = engine.dependency_levels(adj)
+    par = engine.run_stream(model, stream, adjacency=adj, levels=True,
+                            dep_levels=groups)
+    seq = engine.run_stream(model, stream, sequential=True, adjacency=adj,
+                            dep_levels=groups)
+    graph = static_oracle.StaticGraph(stream, adj, model.search)
     sta = static_oracle.forward_eq7_int8(graph, model)
 
     sta_feats = np.zeros_like(par.feats)

@@ -437,7 +437,8 @@ def readout_trace(model, stream: EventStream, last: np.ndarray,
 def run_stream(model: QuantizedModel, stream: EventStream,
                sequential: bool = False,
                adjacency: Adjacency | None = None, *,
-               levels: bool = False) -> RunResult:
+               levels: bool = False,
+               dep_levels: list[np.ndarray] | None = None) -> RunResult:
     """Process a whole stream through the batch executor.
 
     Default: each layer runs over the whole graph before the next; layer l
@@ -445,13 +446,18 @@ def run_stream(model: QuantizedModel, stream: EventStream,
     computes what the event-driven schedules compute. The dependency-level
     schedules are kept to verify it. sequential: each layer runs every
     dependency level in turn (layer-sequential). levels: each dependency
-    level runs every layer (the layer-parallel wavefront).
+    level runs every layer (the layer-parallel wavefront). dep_levels:
+    dependency_levels(adjacency), if the caller has them already.
     """
     if stream.width != model.width or stream.height != model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = adjacency if adjacency is not None else build_adjacency(stream, model)
-    groups = (dependency_levels(adj) if sequential or levels
-              else [np.arange(len(adj.deg))])
+    if not (sequential or levels):
+        groups = [np.arange(len(adj.deg))]
+    elif dep_levels is None:
+        groups = dependency_levels(adj)
+    else:
+        groups = dep_levels
     outs = run_layers(model, encoded_inputs(stream, model), adj, groups,
                       layer_outer=sequential or not levels)
     feats = np.zeros((len(adj.deg), len(outs),

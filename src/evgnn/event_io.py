@@ -121,8 +121,51 @@ def _validate(x: int, y: int, t: int, p: int, last_t: int, width: int, height: i
         raise NonMonotoneTime(f"timestamp {t} < previous {last_t}", line_no)
 
 
+def _bad_rows(xs, ys, ts, ps, width: int, height: int) -> np.ndarray:
+    """Rows that _validate rejects, checked on whole columns."""
+    bad = ((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height)
+           | ((ps != 0) & (ps != 1)) | (ts < 0) | (ts > T_MAX))
+    bad[1:] |= ts[1:] < ts[:-1]
+    return bad
+
+
 def parse_text_stream(source: bytes | str, width: int, height: int) -> EventStream:
-    """Parse the "x y t p" line format; n assigned 0..len-1 in file order."""
+    """Parse the "x y t p" line format; n assigned 0..len-1 in file order.
+
+    The whole buffer is decoded into columns and checked at once; only
+    input that fails there goes through the per-line parse, which raises
+    the first error with its line number.
+    """
+    data = (source.encode("utf-8", "replace") if isinstance(source, str)
+            else source)
+    rows = _decode_text(data)
+    if rows is None or _bad_rows(*rows.T, width, height).any():
+        rows = _parse_text_lines(source, width, height)
+    return EventStream(width, height, *rows.T)
+
+
+def _decode_text(data: bytes) -> np.ndarray | None:
+    """The rows as int64 [N, 4] if every line is blank or four integers in
+    ASCII digits, signs, spaces and tabs; None otherwise."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    sep = (b == ord(" ")) | (b == ord("\t")) | (b == ord("\n"))
+    if not (sep | ((b >= ord("0")) & (b <= ord("9")))
+            | (b == ord("+")) | (b == ord("-"))).all():
+        return None
+    start = ~sep
+    start[1:] &= sep[:-1]  # first byte of each field
+    fields_per_line = np.bincount(np.cumsum(b == ord("\n"))[start])
+    if ((fields_per_line != 0) & (fields_per_line != 4)).any():
+        return None
+    try:
+        return np.array(data.split(), dtype=np.int64).reshape(-1, 4)
+    except (ValueError, OverflowError):  # "1-2", a lone sign, > int64
+        return None
+
+
+def _parse_text_lines(source: bytes | str, width: int,
+                      height: int) -> np.ndarray:
+    """Per-line parse and _validate: raises the first error in the text."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     rows: list[tuple[int, int, int, int]] = []
@@ -140,8 +183,7 @@ def parse_text_stream(source: bytes | str, width: int, height: int) -> EventStre
         _validate(x, y, t, p, last_t, width, height, line_no)
         rows.append((x, y, t, p))
         last_t = t
-    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return EventStream(width, height, *cols)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def parse_binary_stream(source: bytes, width: int, height: int) -> EventStream:
@@ -156,8 +198,7 @@ def parse_binary_stream(source: bytes, width: int, height: int) -> EventStream:
     rec = np.frombuffer(source, dtype=_RECORD_DTYPE)
     stream = EventStream(width, height, *(rec[k] for k in "xytp"))
     xs, ys, ts, ps = stream.x, stream.y, stream.t, stream.p
-    bad = (xs >= width) | (ys >= height) | (ps > 1)
-    bad[1:] |= np.diff(ts) < 0
+    bad = _bad_rows(xs, ys, ts, ps, width, height)
     if bad.any():
         k = int(np.argmax(bad))
         _validate(int(xs[k]), int(ys[k]), int(ts[k]), int(ps[k]),

@@ -20,15 +20,21 @@ covers the hemisphere / semi-octahedron search shapes that the queue-backed
 engine does not accelerate.
 
 `replay_build` replays search-then-push over a whole stream into flat
-[N, d_max] neighbor arrays (prism / cylinder) without a per-event loop.
-Events are stable-sorted by pixel, so each pixel's arrivals form one run
-in stream order. For event i and each window offset, a binary search
-counts the arrivals at the neighbour pixel before i; its queue at that
-moment is the last min(depth, count) of them, newest first. The
-candidates of a chunk of events form a [rows, offsets * depth] block in
-canonical scan order; a cumulative sum over the hits keeps the first
-d_max and marks the early stop. A chunk holds at most REPLAY_CELLS
-entries (or one event's window), which bounds the build's working memory.
+[N, d_max] neighbor arrays (prism / cylinder) without a per-event loop,
+and its work per event is one pair of counts per window offset plus the
+neighbours it keeps, whatever the queue depth. Events are stable-sorted by
+pixel, so each pixel's arrivals form one run in stream order. For event i
+and a window offset, a binary search counts the arrivals at the neighbour
+pixel before i; its queue at that moment is the last min(depth, count) of
+them, newest first. Timestamps must never decrease (replay_build raises
+NonMonotoneTime otherwise): then the queue entries within r_t of i are its
+newest ones, a prefix of the scan, and a second binary search counts them.
+A cumulative sum of these hit counts over the offsets, in canonical order,
+gives the degree, the d_max early stop and the entries scanned, and only
+the kept neighbours are built. The offsets are walked in tranches of 2, 4,
+8, ...; an event leaves the walk once it holds d_max neighbours. A chunk
+holds at most REPLAY_CELLS (event, offset) cells, which bounds the build's
+working memory.
 """
 
 from __future__ import annotations
@@ -38,11 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .event_io import Event
+from .event_io import Event, NonMonotoneTime
 
 SHAPES = ("hemisphere", "semi_octahedron", "cylinder", "prism")
 QUEUE_BACKED_SHAPES = ("cylinder", "prism")
-# Queue entries per replay_build chunk; bounds the build's working memory.
+# (event, window offset) cells per replay_build chunk; bounds its memory.
 REPLAY_CELLS = 1 << 16
 
 
@@ -308,66 +314,114 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     Returns (deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, entries_scanned), where the
     nbr_* arrays are [N, d_max] in canonical scan order (zero past deg) and
     entries_scanned counts queue entries inspected up to the d_max early
-    stop.
+    stop. Timestamps must never decrease (raises NonMonotoneTime at the
+    first that does) and every event must lie on the sensor (raises
+    OutOfBoundsEvent).
+
+    The work per event is O(window offsets) + O(kept neighbours), whatever
+    the queue depth: each (event, offset) cell is reduced to two counts,
+    its queue length and its hits, only kept neighbours are built, and the
+    offsets after an event's d_max-th hit are not visited.
     """
     xs, ys, ts = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ts))
     n_ev = xs.shape[0]
     deg = np.zeros(n_ev, dtype=np.int64)
     scanned = np.zeros(n_ev, dtype=np.int64)
-    nbr_n, nbr_dx, nbr_dy, nbr_dt = (np.zeros((n_ev, d_max), dtype=np.int64)
-                                     for _ in range(4))
+    nbr_n = np.zeros((n_ev, d_max), dtype=np.int64)
     if n_ev == 0:
-        return deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned
+        return deg, nbr_n, nbr_n.copy(), nbr_n.copy(), nbr_n.copy(), scanned
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if len(back):
+        k = int(back[0]) + 1
+        raise NonMonotoneTime(
+            f"event n={k}: timestamp {ts[k]} < previous {ts[k - 1]}")
+    off = np.flatnonzero((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height))
+    if len(off):
+        k = int(off[0])
+        raise OutOfBoundsEvent(f"event n={k}: ({xs[k]},{ys[k]}) outside "
+                               f"{width}x{height}")
 
     # Each occupied pixel's arrivals form one run of `order`, in stream
     # order. key = run number * n_ev + stream index ascends along `order`;
     # runs are numbered densely, so key < n_ev**2 whatever W * H is.
-    pix = ys * width + xs
+    # Pixels are numbered on the sensor padded by r_s on every side, so
+    # that every window offset of every event lands in the run_of table.
+    wide = width + 2 * r_s
+    pix = (ys + r_s) * wide + xs + r_s
     order = np.argsort(pix, kind="stable")
     spix = pix[order]
     new_run = np.r_[True, spix[1:] != spix[:-1]]
     run_start = np.flatnonzero(new_run)
-    run_pix = spix[run_start]
+    n_runs = len(run_start)
     key = (np.cumsum(new_run) - 1) * n_ev + order
     sorted_ts = ts[order]
+    # Empty and padding pixels map to run n_runs, whose queries find
+    # end = lo = run_start[n_runs] = n_ev: an empty queue.
+    run_of = np.full(wide * (height + 2 * r_s), n_runs, dtype=np.int64)
+    run_of[spix[run_start]] = np.arange(n_runs)
+    run_start = np.r_[run_start, n_ev]
+    # Timestamps never decrease, so the arrivals within r_t of event i are
+    # the stream indices first[i]..i-1, and the queue entries that pass
+    # the temporal test are its newest ones: a prefix of the scan.
+    first = np.searchsorted(ts, ts - r_t)
 
     odx, ody = _window_offsets(r_s, use_l2)
-    per_row = len(odx) * depth
-    rows = max(1, REPLAY_CELLS // per_row)
-    k = np.arange(depth)
-    for s in range(0, n_ev, rows):
-        i = np.arange(s, min(s + rows, n_ev))
-        b = len(i)
-        qx = xs[i, None] - odx
-        qy = ys[i, None] - ody
-        q = qy * width + qx
-        run = np.minimum(np.searchsorted(run_pix, q), len(run_pix) - 1)
-        there = ((qx >= 0) & (qx < width) & (qy >= 0) & (qy < height)
-                 & (run_pix[run] == q))
-        # arrivals at the neighbour pixel before event i: its queue holds
-        # the last min(depth, count) of them, newest first
-        end = np.searchsorted(key, run * n_ev + i[:, None])
-        qlen = np.where(there, np.minimum(end - run_start[run], depth), 0)
-        live = (k < qlen[..., None]).reshape(b, per_row)
-        pos = np.maximum(end[..., None] - 1 - k, 0).reshape(b, per_row)
-        dt = ts[i, None] - sorted_ts[pos]
-        hit = live & (dt >= 0) & (dt <= r_t)
-        n_hit = np.cumsum(hit, axis=1)
-        deg[i] = np.minimum(n_hit[:, -1], d_max)
-        # scanned: every entry of the queues before the d_max-th hit's
-        # queue, then that queue's entries up to the hit; else all of them
-        before = np.cumsum(qlen, axis=1) - qlen
-        stop = np.argmax(n_hit >= d_max, axis=1)
-        scanned[i] = np.where(
-            n_hit[:, -1] >= d_max,
-            before[np.arange(b), stop // depth] + stop % depth + 1,
-            qlen.sum(axis=1))
-        r, c = np.nonzero(hit & (n_hit <= d_max))
-        slot = n_hit[r, c] - 1
-        nbr_n[s + r, slot] = order[pos[r, c]]
-        nbr_dx[s + r, slot] = odx[c // depth]
-        nbr_dy[s + r, slot] = ody[c // depth]
-        nbr_dt[s + r, slot] = dt[r, c]
+    shift = ody * wide + odx
+    # the window offset of each kept neighbour; len(odx) marks empty slots
+    nbr_o = np.full((n_ev, d_max), len(odx),
+                    dtype=np.min_scalar_type(len(odx)))
+    # The window is walked in tranches of 2, 4, 8, ... offsets. deg and
+    # scanned carry each event's running hit and queue-entry counts; an
+    # event that holds d_max neighbours leaves the walk with both final.
+    live = order
+    a = 0
+    while a < len(odx) and len(live):
+        b = min(2 * a + 2, len(odx))
+        rows = max(1, REPLAY_CELLS // (b - a))
+        for s in range(0, len(live), rows):
+            # Rows in pixel order make each offset's key queries ascend.
+            i = live[s:s + rows]
+            run = run_of[pix[i] - shift[a:b, None]]   # [offsets, rows]
+            base = run * n_ev
+            # arrivals at the neighbour pixel before event i; its queue
+            # holds the last min(depth, count) of them, newest first
+            end = np.searchsorted(key, base + i)
+            qlen = np.minimum(end - run_start[run], depth)
+            hits = np.minimum(end - np.searchsorted(key, base + first[i]),
+                              qlen)
+            # counts within the tranche; event i needs d_max - deg[i] more
+            need = d_max - deg[i]
+            n_hit = np.cumsum(hits, axis=0)
+            hits_before = n_hit - hits
+            q_before = np.cumsum(qlen, axis=0) - qlen
+            # scanned: every entry of the queues before the d_max-th hit's
+            # queue, then that queue's entries up to the hit
+            stop = np.minimum((n_hit < need).sum(axis=0), b - a - 1)
+            col = np.arange(len(i))
+            scanned[i] += np.where(
+                n_hit[-1] >= need,
+                q_before[stop, col] + need - hits_before[stop, col],
+                q_before[-1] + qlen[-1])
+            # Kept neighbour k of a cell is its queue's k-th newest entry:
+            # sorted position end - 1 - k, slot deg[i] + hits_before + k.
+            # A cell's kept entries are consecutive in `ramp` from first_k
+            # on, so k = ramp - first_k.
+            take = np.clip(need - hits_before, 0, hits).ravel()
+            first_k = np.cumsum(take) - take
+            ramp = np.arange(first_k[-1] + take[-1])
+            at = np.repeat((i * d_max + deg[i] + hits_before).ravel()
+                           - first_k, take) + ramp       # flat (row, slot)
+            pos = np.repeat((end - 1).ravel() + first_k, take) - ramp
+            np.put(nbr_n, at, order[pos])
+            np.put(nbr_o, at, np.repeat(np.arange(a, b).repeat(len(i)), take))
+            deg[i] += np.minimum(n_hit[-1], need)
+        live = live[deg[live] < d_max]
+        a = b
+    # dx, dy and dt follow from the neighbour and its offset; 0 when empty
+    nbr_dx, nbr_dy = np.r_[odx, 0][nbr_o], np.r_[ody, 0][nbr_o]
+    nbr_dt = ts[nbr_n]
+    np.subtract(ts[:, None], nbr_dt, out=nbr_dt)
+    nbr_dt[nbr_o == len(odx)] = 0
     return deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from evgnn import event_io, quant
+from evgnn import engine, event_io, quant
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from evgnn.graph_builder import SearchParams
 from evgnn.model import load_model, model_to_json, save_model
@@ -114,9 +114,16 @@ class TestInfer:
 
 
 class TestVerify:
-    def test_clean_model_exit_zero(self, model_path, stream_path, capsys):
+    def test_clean_model_exit_zero(self, model_path, stream_path, capsys,
+                                   monkeypatch):
+        # both level schedules run on one build of the dependency levels
+        builds = []
+        real = engine.dependency_levels
+        monkeypatch.setattr(engine, "dependency_levels",
+                            lambda adj: builds.append(adj) or real(adj))
         assert main(["verify", model_path, stream_path]) == EXIT_OK
         assert "OK" in capsys.readouterr().out
+        assert len(builds) == 1
 
     def test_corrupted_requant_stays_consistent(self, small_model,
                                                 stream_path, tmp_path):

@@ -59,6 +59,34 @@ class TestTextFormat:
             event_io.parse_text_stream("1 1 10 0\n1 1 9 0\n", W, H)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ("1 2 9 0", NonMonotoneTime, "timestamp 9 < previous 11"),
+        ("1 2 x 0", MalformedLine, "non-integer field in '1 2 x 0'"),
+        ("1 2 10", MalformedLine, "expected 4 fields, got 3"),
+        (f"{W} 2 12 0", OutOfBounds, f"pixel ({W},2) outside {W}x{H}"),
+        ("1 2 12 2", OutOfBounds, "polarity 2 not in {0,1}"),
+        ("1 2 4294967296 0", OutOfBounds,
+         "timestamp 4294967296 outside 32-bit range"),
+    ])
+    def test_first_error_after_blank_lines(self, bad, error, message):
+        text = f"1 2 10 0\n\n  \n3 4 11 1\n\n{bad}\n"
+        for source in (text, text.encode(), text + f"{W} 0 9 5\n"):
+            with pytest.raises(error) as exc:
+                event_io.parse_text_stream(source, W, H)
+            assert exc.value.line_no == 6
+            assert str(exc.value) == f"line 6: {message}"
+
+    @pytest.mark.parametrize("text, per_line", [
+        ("+1\t2 010 -0\n\n3 4  11 1", False),
+        ("1 2 10 0\r\n3 4 1_1 1\r\n", True),
+    ])
+    def test_integer_forms(self, make_stream, monkeypatch, text, per_line):
+        if not per_line:
+            monkeypatch.setattr(event_io, "_parse_text_lines", None)
+        want = make_stream(W, H, [(1, 2, 10, 0), (3, 4, 11, 1)])
+        for source in (text, text.encode()):
+            assert _same(event_io.parse_text_stream(source, W, H), want)
+
     def test_equal_timestamps_legal(self):
         s = event_io.parse_text_stream("1 1 10 0\n2 2 10 1\n", W, H)
         assert [ev.t for ev in s.events] == [10, 10]

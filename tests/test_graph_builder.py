@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evgnn import event_io
+from evgnn import event_io, graph_builder
 from evgnn.engine import build_adjacency
 from evgnn.event_io import Event
 from evgnn.graph_builder import (EventQueueGrid, InvalidDims,
@@ -222,8 +222,7 @@ def _incremental_reference(stream, params):
     return (deg, *nbr, scanned), mid_queue_stops
 
 
-@pytest.mark.parametrize("shape", ["prism", "cylinder"])
-def test_build_adjacency_equals_incremental_reference(shape, make_stream):
+def _check_against_incremental_reference(shape, make_stream):
     """All six replay outputs, entries_scanned included, on 1x1 to 12x12
     sensors with shallow queues, timestamp ties and early stops mid-queue."""
     rng = np.random.default_rng(17)
@@ -251,6 +250,36 @@ def test_build_adjacency_equals_incremental_reference(shape, make_stream):
         ties += int(np.sum((adj.nbr_dt == 0)
                            & (np.arange(params.d_max) < adj.deg[:, None])))
     assert mid_queue_stops > 0 and ties > 0
+
+
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_equals_incremental_reference(shape, make_stream):
+    _check_against_incremental_reference(shape, make_stream)
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_chunk_boundaries(shape, cells, make_stream,
+                                          monkeypatch):
+    """The same check with replay_build's chunks cut small: 1 row each, or
+    2 to 40 rows, which splits pixel runs of these up to 59-event streams
+    between chunks."""
+    monkeypatch.setattr(graph_builder, "REPLAY_CELLS", cells)
+    _check_against_incremental_reference(shape, make_stream)
+
+
+def test_build_adjacency_rejects_backwards_time(make_stream):
+    stream = make_stream(8, 6, [(1, 1, 10, 0), (2, 2, 20, 1),
+                                (3, 3, 19, 0), (4, 4, 5, 0)])
+    with pytest.raises(event_io.NonMonotoneTime,
+                       match=r"n=2: timestamp 19 < previous 20"):
+        build_adjacency(stream, SearchParams())
+
+
+def test_build_adjacency_rejects_off_sensor_event(make_stream):
+    stream = make_stream(8, 6, [(1, 1, 10, 0), (1, 6, 20, 1)])
+    with pytest.raises(OutOfBoundsEvent, match=r"n=1: \(1,6\)"):
+        build_adjacency(stream, SearchParams())
 
 
 def test_build_adjacency_empty_stream(make_stream):
