@@ -145,27 +145,20 @@ def cmd_verify(args) -> int:
         print(f"{args.stream}: no events")
         return EXIT_OK
     adj = engine.build_adjacency(stream, model)
-    groups = engine.dependency_levels(adj)
-    par = engine.run_stream(model, stream, adjacency=adj, levels=True,
-                            dep_levels=groups)
-    seq = engine.run_stream(model, stream, sequential=True, adjacency=adj,
-                            dep_levels=groups)
-    graph = static_oracle.StaticGraph(stream, adj, model.search)
-    sta = static_oracle.forward_eq7_int8(graph, model)
-
-    sta_feats = np.zeros_like(par.feats)
-    for l, f in enumerate(sta.feats):
-        sta_feats[:, l, :f.shape[1]] = f
-
-    for name, feats, logits in (("layer-sequential", seq.feats, seq.logits),
-                                ("static-oracle", sta_feats, sta.logits)):
-        if not np.array_equal(par.feats, feats):
-            n, l, c = np.argwhere(par.feats != feats)[0]
+    par = engine.run_stream(model, stream, adjacency=adj, levels=True)
+    seq = engine.run_stream(model, stream, sequential=True, adjacency=adj)
+    sta = static_oracle.forward_eq7_int8(stream, adj, model)
+    for name, run in (("layer-sequential", seq), ("static-oracle", sta)):
+        diffs = [(n, l, c) for l, (a, b) in enumerate(zip(par.feats,
+                                                          run.feats))
+                 for n, c in np.argwhere(a != b)[:1]]
+        if diffs:
+            n, l, c = min(diffs)  # lowest event, then layer, then channel
             print(f"DIVERGENCE vs {name}: event n={n} layer={l + 1} "
-                  f"channel={c}: {par.feats[n, l, c]} != {feats[n, l, c]}")
+                  f"channel={c}: {par.feats[l][n, c]} != {run.feats[l][n, c]}")
             return EXIT_DIVERGENCE
-        if not np.array_equal(par.logits, logits):
-            n, c = np.argwhere(par.logits != logits)[0]
+        if not np.array_equal(par.logits, run.logits):
+            n, c = np.argwhere(par.logits != run.logits)[0]
             print(f"DIVERGENCE vs {name}: logits at event n={n} class={c}")
             return EXIT_DIVERGENCE
     print(f"OK: layer-parallel == layer-sequential == static oracle "

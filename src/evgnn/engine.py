@@ -13,8 +13,10 @@ Two granularities are provided:
       costs one C_out add and a max. run_layers batches it three ways: the
       whole graph, layer by layer (the default and the static oracle,
       static_oracle.forward_eq7_int8), and the layer-sequential and
-      layer-parallel dependency-level schedules, kept to verify it. All
-      share one incremental readout / FC, readout_trace.
+      layer-parallel schedules over the adjacency's dependency levels,
+      kept to verify it. All share one incremental readout / FC,
+      readout_trace, and return one RunResult whose feats hold one
+      int64 [N, C_out] array per layer; the static forwards return it too.
 
 All INT8 arithmetic is exact. The node terms are float64 products, which
 hold every partial sum exactly because the model loader proves that each
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import perf_model
 from .event_io import Event, EventStream
-from .graph_builder import (Adjacency, EventQueueGrid, new_queue_grid,
-                            replay_build, search_neighbors)
+from .graph_builder import (Adjacency, EventQueueGrid, replay_build,
+                            search_neighbors)
 from .model import ACC_LIMIT, LayerParams, QuantizedModel
 
 NEG_IDENTITY = np.int64(-(2**62))  # "-inf" empty-aggregation identity
@@ -70,13 +72,6 @@ def rne_mulshift(v, mult: int, shift: int):
     rem = prod & ((1 << shift) - 1)
     half = 1 << (shift - 1)
     return q + ((rem > half) | ((rem == half) & (q & 1 == 1)))
-
-
-def encode_input(p: int, encoding: dict[int, int] | None = None) -> int:
-    """Polarity bit to INT8 input feature; default map {0:-127, 1:+127}."""
-    if encoding is None:
-        encoding = {0: -127, 1: 127}
-    return encoding[p]
 
 
 def quantize_position(offset: int, pos_requant: tuple[int, int]) -> int:
@@ -227,7 +222,7 @@ class EngineState:
 
     @staticmethod
     def new(model: QuantizedModel, num_events: int) -> "EngineState":
-        grid = new_queue_grid(model.width, model.height,
+        grid = EventQueueGrid(model.width, model.height,
                               model.search.queue_depth)
         store = FeatureStore(num_events, [l.c_out for l in model.layers])
         return EngineState(grid, store, ReadoutState(model))
@@ -263,13 +258,13 @@ def process_event(state: EngineState, model: QuantizedModel,
 
 @dataclass
 class RunResult:
-    """Whole-stream outputs from the batch executor."""
+    """Whole-stream outputs of a batch schedule or a static forward."""
 
     adjacency: Adjacency
-    feats: np.ndarray    # int64[N, L, max_cout]; valid channels per layer
-    logits: np.ndarray   # int64[N, classes]
-    cls: np.ndarray      # int64[N]
-    readout: np.ndarray  # flattened final readout state
+    feats: list[np.ndarray]  # one [N, C_out_l] array per layer
+    logits: np.ndarray       # [N, classes]
+    cls: np.ndarray          # int64[N]
+    readout: np.ndarray      # flattened final readout state
     # conv MACs per event of the modelled hardware, deg * sum (C_in+2)*C_out;
     # the factored batch path executes fewer
     macs: np.ndarray
@@ -349,22 +344,6 @@ def eq7_layer(layer: LayerParams, terms: np.ndarray, table: np.ndarray,
     return baq_batch(agg + layer.bias, layer.requant)
 
 
-def dependency_levels(adj: Adjacency) -> list[np.ndarray]:
-    """Event rows grouped by level(i) = 1 + max level(neighbors of i).
-
-    Every neighbor of an event sits in a lower level, so the events of one
-    level read only stored features and run as one batch.
-    """
-    level = [0] * len(adj.deg)
-    for i, (d, row) in enumerate(zip(adj.deg.tolist(), adj.nbr_n.tolist())):
-        level[i] = 1 + max((level[j] for j in row[:d]), default=-1)
-    if not level:
-        return []
-    level = np.asarray(level, dtype=np.int64)
-    order = np.argsort(level, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(level))[:-1])
-
-
 def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
                groups: list[np.ndarray],
                layer_outer: bool) -> list[np.ndarray]:
@@ -434,41 +413,38 @@ def readout_trace(model, stream: EventStream, last: np.ndarray,
     return logits, np.argmax(logits, axis=1), cells.reshape(-1)
 
 
+def _run_groups(model: QuantizedModel, stream: EventStream, adj: Adjacency,
+                groups: list[np.ndarray], layer_outer: bool) -> RunResult:
+    """run_layers over groups, then the readout / FC trace of every event."""
+    feats = run_layers(model, encoded_inputs(stream, model), adj, groups,
+                       layer_outer)
+    logits, cls, readout = readout_trace(model, stream, feats[-1],
+                                         model.fc.weights, model.fc.bias)
+    return RunResult(adj, feats, logits, cls, readout,
+                     perf_model.conv_macs(model, adj.deg))
+
+
 def run_stream(model: QuantizedModel, stream: EventStream,
                sequential: bool = False,
                adjacency: Adjacency | None = None, *,
-               levels: bool = False,
-               dep_levels: list[np.ndarray] | None = None) -> RunResult:
+               levels: bool = False) -> RunResult:
     """Process a whole stream through the batch executor.
 
     Default: each layer runs over the whole graph before the next; layer l
     of an event reads only layer l-1 outputs of earlier events, so this
     computes what the event-driven schedules compute. The dependency-level
-    schedules are kept to verify it. sequential: each layer runs every
-    dependency level in turn (layer-sequential). levels: each dependency
-    level runs every layer (the layer-parallel wavefront). dep_levels:
-    dependency_levels(adjacency), if the caller has them already.
+    schedules, over adjacency.levels, are kept to verify it. sequential:
+    each layer runs every dependency level in turn (layer-sequential).
+    levels: each dependency level runs every layer (the layer-parallel
+    wavefront).
     """
     if stream.width != model.width or stream.height != model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = adjacency if adjacency is not None else build_adjacency(stream, model)
-    if not (sequential or levels):
-        groups = [np.arange(len(adj.deg))]
-    elif dep_levels is None:
-        groups = dependency_levels(adj)
-    else:
-        groups = dep_levels
-    outs = run_layers(model, encoded_inputs(stream, model), adj, groups,
-                      layer_outer=sequential or not levels)
-    feats = np.zeros((len(adj.deg), len(outs),
-                      max(l.c_out for l in model.layers)), dtype=np.int64)
-    for l, out in enumerate(outs):
-        feats[:, l, :out.shape[1]] = out
-    logits, cls, readout = readout_trace(model, stream,
-                                         feats[:, -1, :model.c_last],
-                                         model.fc.weights, model.fc.bias)
-    return RunResult(adj, feats, logits, cls, readout,
-                     perf_model.conv_macs(model, adj.deg))
+    groups = (adj.levels if sequential or levels
+              else [np.arange(len(adj.deg))])
+    return _run_groups(model, stream, adj, groups,
+                       layer_outer=sequential or not levels)
 
 
 def prediction_trace_lines(model: QuantizedModel, result: RunResult) -> list[str]:

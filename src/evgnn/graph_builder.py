@@ -34,13 +34,15 @@ gives the degree, the d_max early stop and the entries scanned, and only
 the kept neighbours are built. The offsets are walked in tranches of 2, 4,
 8, ...; an event leaves the walk once it holds d_max neighbours. A chunk
 holds at most REPLAY_CELLS (event, offset) cells, which bounds the build's
-working memory.
+working memory. An Adjacency holds the result; its dependency levels, the
+batches of the engine's level schedules, are built on first use and kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,10 +171,6 @@ class EventQueueGrid:
         self._n[qi, slot] = ev.n
         self._head[qi] = slot
         return evicted
-
-
-def new_queue_grid(width: int, height: int, depth: int = 16) -> EventQueueGrid:
-    return EventQueueGrid(width, height, depth)
 
 
 def _spatial_ok(shape: str, dx: int, dy: int, params: SearchParams) -> bool:
@@ -427,7 +425,11 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
 
 @dataclass
 class Adjacency:
-    """Flattened per-event neighbor lists for a whole stream."""
+    """Flattened per-event neighbor lists for a whole stream.
+
+    A built adjacency is not changed: levels is computed from it once, on
+    first use, and kept.
+    """
 
     deg: np.ndarray              # int64[N]
     nbr_n: np.ndarray            # int64[N, d_max]
@@ -437,9 +439,30 @@ class Adjacency:
     entries_scanned: np.ndarray  # queue entries inspected per event
     d_max: int = 16
 
+    @cached_property
+    def levels(self) -> list[np.ndarray]:
+        """Event rows by dependency level, lowest first."""
+        return dependency_levels(self)
+
     def neighbors(self, i: int) -> list[tuple[int, int, int, int]]:
         """(n, dx, dy, dt) tuples for event i, in scan order."""
         d = int(self.deg[i])
         return [(int(self.nbr_n[i, k]), int(self.nbr_dx[i, k]),
                  int(self.nbr_dy[i, k]), int(self.nbr_dt[i, k]))
                 for k in range(d)]
+
+
+def dependency_levels(adj: Adjacency) -> list[np.ndarray]:
+    """Event rows grouped by level(i) = 1 + max level(neighbors of i).
+
+    Every neighbor of an event sits in a lower level, so the events of one
+    level read only stored features and run as one batch.
+    """
+    level = [0] * len(adj.deg)
+    for i, (d, row) in enumerate(zip(adj.deg.tolist(), adj.nbr_n.tolist())):
+        level[i] = 1 + max((level[j] for j in row[:d]), default=-1)
+    if not level:
+        return []
+    level = np.asarray(level, dtype=np.int64)
+    order = np.argsort(level, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(level))[:-1])

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import build_adjacency
 from .event_io import EventStream
 from .graph_builder import SearchParams
 from .model import (DenseParams, LayerParams, ModelConfigError,
                     QuantizedModel, _params_from_json, _params_to_json)
-from .static_oracle import (FPLayer, FPModel, build_static_graph,
-                            forward_eq7_fp)
+from .static_oracle import FPLayer, FPModel, forward_eq7_fp
 
 
 class DegenerateVariance(ValueError):
@@ -106,15 +106,16 @@ def quantize_model(model_fp: FPModel, calib: EventStream
 
     Input features are the encoded polarity (+-127 representing +-1.0, so
     the layer-1 input scale is 1/127); every subsequent input scale is the
-    previous layer's output scale.
+    previous layer's output scale. The calibration graph is the queue
+    replay, so the search shape must be prism or cylinder (ValueError).
     """
     if len(calib) == 0:
         raise EmptyCalibration("calibration stream has no events")
     if any(l.bn is not None for l in model_fp.layers):
         model_fp = fold_model(model_fp)
 
-    graph = build_static_graph(calib, model_fp.search)
-    ref = forward_eq7_fp(graph, model_fp)
+    ref = forward_eq7_fp(calib, build_adjacency(calib, model_fp.search),
+                         model_fp)
 
     act_scales = []
     for feat in ref.feats:

@@ -1,18 +1,21 @@
-"""Reference GNN execution over fully materialized static directed graphs.
+"""Reference GNN execution over a whole, fully built directed event graph.
 
-The static graph inherits the dynamic builder's semantics exactly
-(retention, canonical scan order, d_max truncation), so comparisons against
-the event-driven engine isolate the execution schedule, not the topology.
+The graph is the stream plus its Adjacency, as engine.build_adjacency
+builds it for the event-driven engine (retention, canonical scan order,
+d_max truncation), so comparisons against the engine isolate the
+execution schedule, not the topology.
 
-Supported forward paths, both the static schedule (each layer over the
-whole graph, then the next):
+Supported forward paths run the static schedule (each layer over the
+whole graph, then the next); each takes (stream, adjacency, model) and
+returns the engine's RunResult:
     eq7_int8 -- integer simplified conv through the engine's factored
                 layer function, bit-exact vs the engine
     eq7_fp   -- the same conv in float (relu(max_j W (x_j,|dx|,|dy|) + b)),
                 kept on the unfactored gather form: factoring moves float
                 rounding, and with it the quantizer's activation scales
-plus a scalar generic message-passing framework with pluggable phi /
-aggregator / gamma that reproduces eq7_fp when specialized.
+plus a scalar generic message-passing framework over an Adjacency, with
+pluggable phi / aggregator / gamma, that reproduces eq7_fp when
+specialized.
 """
 
 from __future__ import annotations
@@ -22,67 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import (build_adjacency, encoded_inputs, readout_trace,
-                     run_layers)
+from . import perf_model
+from .engine import RunResult, _run_groups, readout_trace
 from .event_io import EventStream
-from .graph_builder import (Adjacency, SearchParams, brute_force_neighbors)
+from .graph_builder import Adjacency, SearchParams
 from .model import QuantizedModel
 
 FP_BATCH_ROWS = 4096  # events per FP step; bounds the [B, D, C_in+2] gather
-
-
-@dataclass
-class StaticGraph:
-    stream: EventStream
-    adjacency: Adjacency
-    params: SearchParams
-
-    def __len__(self) -> int:
-        return len(self.stream)
-
-    def neighbors(self, i: int):
-        return self.adjacency.neighbors(i)
-
-
-def build_static_graph(stream: EventStream,
-                       params: SearchParams) -> StaticGraph:
-    """Materialize adjacency[i] == brute_force_neighbors(prefix(i), ev_i).
-
-    Queue-backed shapes reuse the dynamic queue replay (proven equal to
-    the brute-force reference by the oracle-equivalence suite); the other
-    shapes run the brute-force reference directly.
-    """
-    if params.shape in ("prism", "cylinder"):
-        adj = build_adjacency(stream, params)
-        return StaticGraph(stream, adj, params)
-    n = len(stream)
-    deg = np.zeros(n, dtype=np.int64)
-    shape = (n, params.d_max)
-    nbr_n = np.zeros(shape, dtype=np.int64)
-    nbr_dx = np.zeros(shape, dtype=np.int64)
-    nbr_dy = np.zeros(shape, dtype=np.int64)
-    nbr_dt = np.zeros(shape, dtype=np.int64)
-    for i, ev in enumerate(stream.events):
-        nbs = brute_force_neighbors(stream.events[:i], ev, params)
-        deg[i] = len(nbs)
-        for k, nb in enumerate(nbs):
-            nbr_n[i, k] = nb.n
-            nbr_dx[i, k] = nb.dx
-            nbr_dy[i, k] = nb.dy
-            nbr_dt[i, k] = nb.dt
-    adj = Adjacency(deg, nbr_n, nbr_dx, nbr_dy, nbr_dt,
-                    np.zeros(n, dtype=np.int64), d_max=params.d_max)
-    return StaticGraph(stream, adj, params)
-
-
-@dataclass
-class StaticForwardResult:
-    """Per-node per-layer features plus the per-event prediction trace."""
-
-    feats: list[np.ndarray]        # one [N, C_out_l] array per layer
-    logits: np.ndarray | None      # [N, classes]
-    cls: np.ndarray | None         # [N]
-    readout: np.ndarray | None     # final flattened readout state
 
 
 # ---------------------------------------------------------------- FP model
@@ -138,12 +87,12 @@ def _fp_inputs(stream: EventStream) -> np.ndarray:
     return np.where(stream.p != 0, 1.0, -1.0)
 
 
-def forward_eq7_fp(graph: StaticGraph, model: FPModel) -> StaticForwardResult:
-    adj = graph.adjacency
-    n = len(graph)
+def forward_eq7_fp(stream: EventStream, adj: Adjacency,
+                   model: FPModel) -> RunResult:
+    n = len(stream)
     valid = np.arange(adj.nbr_n.shape[1]) < adj.deg[:, None]
     offsets = np.abs(np.stack([adj.nbr_dx, adj.nbr_dy], axis=2))
-    x = _fp_inputs(graph.stream)[:, None]
+    x = _fp_inputs(stream)[:, None]
     feats = []
     for layer in model.layers:
         out = np.zeros((n, layer.c_out))
@@ -163,19 +112,17 @@ def forward_eq7_fp(graph: StaticGraph, model: FPModel) -> StaticForwardResult:
             out[rows] = np.maximum(agg + layer.bias, 0.0)
         feats.append(out)
         x = out
-    logits, cls, readout = readout_trace(model, graph.stream, feats[-1],
+    logits, cls, readout = readout_trace(model, stream, feats[-1],
                                          model.fc_weights, model.fc_bias)
-    return StaticForwardResult(feats, logits, cls, readout)
+    return RunResult(adj, feats, logits, cls, readout,
+                     perf_model.conv_macs(model, adj.deg))
 
 
-def forward_eq7_int8(graph: StaticGraph,
-                     model: QuantizedModel) -> StaticForwardResult:
-    feats = run_layers(model, encoded_inputs(graph.stream, model),
-                       graph.adjacency, [np.arange(len(graph))],
+def forward_eq7_int8(stream: EventStream, adj: Adjacency,
+                     model: QuantizedModel) -> RunResult:
+    """The engine's INT8 layers, each over the whole graph in turn."""
+    return _run_groups(model, stream, adj, [np.arange(len(stream))],
                        layer_outer=True)
-    logits, cls, readout = readout_trace(model, graph.stream, feats[-1],
-                                         model.fc.weights, model.fc.bias)
-    return StaticForwardResult(feats, logits, cls, readout)
 
 
 # ----------------------------------------------- generic message passing
@@ -192,12 +139,11 @@ class GenericConvSpec:
     empty_aggregation: str = "zero"  # zero | neg_inf (max only)
 
 
-def message_passing_generic(graph: StaticGraph, spec: GenericConvSpec,
+def message_passing_generic(adj: Adjacency, spec: GenericConvSpec,
                             features: np.ndarray) -> np.ndarray:
     if spec.aggregator not in ("sum", "mean", "max"):
         raise ValueError(f"unknown aggregator {spec.aggregator!r}")
-    n = len(graph)
-    adj = graph.adjacency
+    n = len(adj.deg)
     features = np.asarray(features, dtype=np.float64)
     out = []
     for i in range(n):

@@ -78,16 +78,15 @@ def test_criterion_1_equivalence_triad(corpus):
     """Layer-parallel, layer-sequential, and static INT8 agree bit-exactly."""
     t0 = time.perf_counter()
     checked = 0
-    for stream, params, model in corpus:
+    for stream, _, model in corpus:
         par = run_stream(model, stream, levels=True)
         seq = run_stream(model, stream, sequential=True,
                          adjacency=par.adjacency)
-        graph = static_oracle.StaticGraph(stream, par.adjacency, params)
-        sta = static_oracle.forward_eq7_int8(graph, model)
-        assert np.array_equal(par.feats, seq.feats)
+        sta = static_oracle.forward_eq7_int8(stream, par.adjacency, model)
+        for l in range(len(model.layers)):
+            assert np.array_equal(par.feats[l], seq.feats[l])
+            assert np.array_equal(par.feats[l], sta.feats[l])
         assert np.array_equal(par.logits, seq.logits)
-        for l, lp in enumerate(model.layers):
-            assert np.array_equal(sta.feats[l], par.feats[:, l, :lp.c_out])
         assert np.array_equal(sta.logits, par.logits)
         assert np.array_equal(sta.cls, par.cls)
         assert np.array_equal(sta.readout, par.readout)
@@ -300,9 +299,9 @@ def test_criterion_6_quantization_properties():
                        "duration_us": 80_000}, s)
     qm, _ = quant.quantize_model(fp, gen(1))
     held_out = gen(2)
-    graph = static_oracle.build_static_graph(held_out, fp.search)
-    ref = static_oracle.forward_eq7_fp(graph, fp)
-    got = static_oracle.forward_eq7_int8(graph, qm)
+    adj = engine.build_adjacency(held_out, fp.search)
+    ref = static_oracle.forward_eq7_fp(held_out, adj, fp)
+    got = static_oracle.forward_eq7_int8(held_out, adj, qm)
     agree = float(np.mean(got.cls == ref.cls))
     _report(6, "quantization properties", agree >= 0.95,
             f"BN fold <= 1e-5 rel; requant <= 1 ULP on 10^6 samples; "

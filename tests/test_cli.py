@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from evgnn import engine, event_io, quant
+from evgnn import engine, event_io, graph_builder, quant, static_oracle
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from evgnn.graph_builder import SearchParams
 from evgnn.model import load_model, model_to_json, save_model
@@ -31,6 +31,27 @@ def stream_path(small_stream, tmp_path):
     path = tmp_path / "stream.txt"
     path.write_text(event_io.write_text_stream(small_stream))
     return str(path)
+
+
+def _inject(monkeypatch, module, name, feats=(), logits=(), only=None):
+    """Rebind module.name to return its result off by one at each fault.
+
+    feats holds (layer, n, channel), layers numbered from 1 as verify
+    prints them; logits holds (n, class). only, if given, picks the calls
+    to corrupt by their keyword arguments.
+    """
+    real = getattr(module, name)
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if only is None or only(kwargs):
+            for l, n, c in feats:
+                out.feats[l - 1][n, c] += 1
+            for n, c in logits:
+                out.logits[n, c] += 1
+        return out
+
+    monkeypatch.setattr(module, name, corrupted)
 
 
 class TestGen:
@@ -118,8 +139,8 @@ class TestVerify:
                                    monkeypatch):
         # both level schedules run on one build of the dependency levels
         builds = []
-        real = engine.dependency_levels
-        monkeypatch.setattr(engine, "dependency_levels",
+        real = graph_builder.dependency_levels
+        monkeypatch.setattr(graph_builder, "dependency_levels",
                             lambda adj: builds.append(adj) or real(adj))
         assert main(["verify", model_path, stream_path]) == EXIT_OK
         assert "OK" in capsys.readouterr().out
@@ -135,26 +156,46 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert main(["verify", str(bad), stream_path]) == EXIT_OK
 
-    def test_divergence_detected(self, small_model, small_stream,
-                                 monkeypatch, tmp_path, capsys):
+    def test_divergence_detected(self, model_path, stream_path,
+                                 monkeypatch, capsys):
         # fault-inject the static oracle to prove verify catches divergence
-        from evgnn import cli, static_oracle
-
-        real = static_oracle.forward_eq7_int8
-
-        def corrupted(graph, model):
-            out = real(graph, model)
-            out.feats[1][3, 0] += 1
-            return out
-
-        monkeypatch.setattr(cli.static_oracle, "forward_eq7_int8", corrupted)
-        mp = tmp_path / "m.json"
-        sp = tmp_path / "s.txt"
-        save_model(small_model, str(mp))
-        sp.write_text(event_io.write_text_stream(small_stream))
-        assert main(["verify", str(mp), str(sp)]) == EXIT_DIVERGENCE
+        _inject(monkeypatch, static_oracle, "forward_eq7_int8",
+                feats=[(2, 3, 0)])
+        assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
         out = capsys.readouterr().out
         assert "DIVERGENCE" in out and "n=3" in out
+
+    def test_sequential_leg_divergence(self, small_model, small_stream,
+                                       model_path, stream_path, monkeypatch,
+                                       capsys):
+        v = engine.run_stream(small_model, small_stream).feats[1][5, 3]
+        _inject(monkeypatch, engine, "run_stream", feats=[(2, 5, 3)],
+                only=lambda kwargs: kwargs.get("sequential"))
+        assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().out == (
+            f"DIVERGENCE vs layer-sequential: event n=5 layer=2 channel=3: "
+            f"{v} != {v + 1}\n")
+
+    def test_logits_only_divergence(self, model_path, stream_path,
+                                    monkeypatch, capsys):
+        _inject(monkeypatch, static_oracle, "forward_eq7_int8",
+                logits=[(77, 1)])
+        assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().out == (
+            "DIVERGENCE vs static-oracle: logits at event n=77 class=1\n")
+
+    @pytest.mark.parametrize("faults, first", [
+        ([(3, 50, 0), (1, 60, 0)], "n=50 layer=3 channel=0"),
+        ([(2, 40, 4), (3, 40, 1)], "n=40 layer=2 channel=4"),
+        ([(2, 40, 6), (2, 40, 2)], "n=40 layer=2 channel=2"),
+    ])
+    def test_first_divergence_reported(self, model_path, stream_path,
+                                       monkeypatch, capsys, faults, first):
+        # the lowest event, then the lowest layer, then the lowest channel
+        _inject(monkeypatch, static_oracle, "forward_eq7_int8", feats=faults)
+        assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
+        out = capsys.readouterr().out
+        assert out.startswith(f"DIVERGENCE vs static-oracle: event {first}: ")
 
     def test_unsupported_shape_is_config_error(self, brute_force_shape_model,
                                                stream_path, capsys):

@@ -10,7 +10,7 @@ from evgnn import engine, event_io, static_oracle
 from evgnn.engine import (DimMismatch, EngineState, FeatureStore,
                           LengthMismatch, Prediction, ReadoutState,
                           StoreError, aggregate_max, baq, count_ops,
-                          encode_input, fc_forward, message_matvec,
+                          fc_forward, message_matvec,
                           rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, DenseParams, LayerParams,
@@ -30,12 +30,15 @@ def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
 
 class TestPrimitives:
     def test_encode_default_map(self):
-        assert encode_input(1) == 127
-        assert encode_input(0) == -127
+        model = random_model(0)
+        assert model.encode_input(1) == 127
+        assert model.encode_input(0) == -127
 
     def test_encode_override(self):
-        assert encode_input(0, {0: 0, 1: 1}) == 0
-        assert encode_input(1, {0: 0, 1: 1}) == 1
+        model = dataclasses.replace(random_model(0),
+                                    input_encoding={0: 0, 1: 1})
+        assert model.encode_input(0) == 0
+        assert model.encode_input(1) == 1
 
     def test_matvec_zero_weights(self):
         layer = _layer(np.zeros((3, 4), dtype=np.int64))
@@ -246,19 +249,15 @@ class TestProcessEvent:
         else:
             assert np.any(adj.deg == 0)  # the empty identity is exercised
         if schedule == "static":
-            graph = static_oracle.StaticGraph(stream, adj, model.search)
-            res = static_oracle.forward_eq7_int8(graph, model)
-            feats = res.feats
+            res = static_oracle.forward_eq7_int8(stream, adj, model)
         else:
             res = engine.run_stream(model, stream, adjacency=adj,
                                     sequential=schedule == "sequential",
                                     levels=schedule == "parallel")
-            feats = [res.feats[:, l, :lp.c_out]
-                     for l, lp in enumerate(model.layers)]
-            per_nbr = sum((lp.c_in + 2) * lp.c_out for lp in model.layers)
-            assert np.array_equal(res.macs, adj.deg * per_nbr)
+        per_nbr = sum((lp.c_in + 2) * lp.c_out for lp in model.layers)
+        assert np.array_equal(res.macs, adj.deg * per_nbr)
         for l in range(len(model.layers)):
-            assert np.array_equal(feats[l], np.stack(
+            assert np.array_equal(res.feats[l], np.stack(
                 [state.store.read(i, l + 1) for i in range(len(stream))]))
         assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
         assert res.cls.tolist() == [p.cls for p in preds]
@@ -301,13 +300,13 @@ class TestProcessEvent:
         assert adj.deg[rows + 1:].max() > 0
         for kw in ({}, {"levels": True}, {"sequential": True}):
             res = engine.run_stream(model, stream, adjacency=adj, **kw)
-            for l, lp in enumerate(model.layers):
-                assert np.array_equal(res.feats[:, l, :lp.c_out], np.stack(
+            for l in range(len(model.layers)):
+                assert np.array_equal(res.feats[l], np.stack(
                     [state.store.read(i, l + 1) for i in range(len(stream))]))
             assert np.array_equal(res.logits,
                                   np.stack([p.logits for p in preds]))
             assert np.array_equal(res.readout, state.readout.flatten())
-        wide_out = res.feats[adj.deg > 0, 1, :20]  # bias at +-(limit - acc)
+        wide_out = res.feats[1][adj.deg > 0, :20]  # bias at +-(limit - acc)
         assert np.all(wide_out[:, :10] == 127)
         assert np.all(wide_out[:, 10:] == 0)
 
@@ -323,7 +322,8 @@ class TestProcessEvent:
 class TestInvariantsOnStream:
     def test_baq_range(self, small_model, small_stream):
         res = engine.run_stream(small_model, small_stream)
-        assert res.feats.min() >= 0 and res.feats.max() <= 127
+        for f in res.feats:
+            assert f.min() >= 0 and f.max() <= 127
 
     def test_readout_monotone(self, small_model, small_stream):
         state = EngineState.new(small_model, len(small_stream))

@@ -9,8 +9,7 @@ from evgnn.event_io import Event
 from evgnn.graph_builder import (EventQueueGrid, InvalidDims,
                                  InvalidSearchParams, OutOfBoundsEvent,
                                  SearchParams, brute_force_neighbors,
-                                 naive_neighbors, new_queue_grid,
-                                 search_neighbors)
+                                 naive_neighbors, search_neighbors)
 
 
 def _rand_stream(seed, width=24, height=20, count=400, duration=2_000):
@@ -22,25 +21,25 @@ def _rand_stream(seed, width=24, height=20, count=400, duration=2_000):
 
 class TestQueueGrid:
     def test_new_grid_empty(self):
-        g = new_queue_grid(120, 100, 16)
+        g = EventQueueGrid(120, 100, 16)
         assert g.queue_len(0, 0) == 0
         assert g.queue_len(119, 99) == 0
 
     def test_single_entry_queue(self):
-        g = new_queue_grid(1, 1, 1)
+        g = EventQueueGrid(1, 1, 1)
         assert g.depth == 1
 
     def test_bad_dims(self):
         with pytest.raises(InvalidDims):
-            new_queue_grid(0, 5, 16)
+            EventQueueGrid(0, 5, 16)
 
     def test_push_no_eviction(self):
-        g = new_queue_grid(4, 4, 16)
+        g = EventQueueGrid(4, 4, 16)
         assert g.push_event(Event(1, 1, 10, 0, 0)) is None
         assert g.queue_len(1, 1) == 1
 
     def test_17th_push_evicts_first(self):
-        g = new_queue_grid(4, 4, 16)
+        g = EventQueueGrid(4, 4, 16)
         for i in range(16):
             assert g.push_event(Event(2, 2, i, 0, i)) is None
         evicted = g.push_event(Event(2, 2, 16, 1, 16))
@@ -48,12 +47,12 @@ class TestQueueGrid:
         assert g.queue_len(2, 2) == 16
 
     def test_push_out_of_bounds(self):
-        g = new_queue_grid(4, 4, 16)
+        g = EventQueueGrid(4, 4, 16)
         with pytest.raises(OutOfBoundsEvent):
             g.push_event(Event(4, 0, 0, 0, 0))
 
     def test_entries_newest_first(self):
-        g = new_queue_grid(4, 4, 4)
+        g = EventQueueGrid(4, 4, 4)
         for i in range(6):
             g.push_event(Event(0, 0, i * 10, i % 2, i))
         assert [e.n for e in g.entries(0, 0)] == [5, 4, 3, 2]
@@ -75,12 +74,12 @@ class TestSearchParams:
 
 class TestSearchNeighbors:
     def test_empty_grid(self):
-        g = new_queue_grid(8, 8, 16)
+        g = EventQueueGrid(8, 8, 16)
         assert search_neighbors(g, Event(3, 3, 100, 0, 0),
                                 SearchParams()) == []
 
     def test_prism_predicate(self):
-        g = new_queue_grid(16, 16, 16)
+        g = EventQueueGrid(16, 16, 16)
         g.push_event(Event(6, 5, 90, 0, 0))
         g.push_event(Event(5, 8, 95, 1, 1))
         out = search_neighbors(g, Event(5, 5, 100, 0, 2),
@@ -89,20 +88,20 @@ class TestSearchNeighbors:
         assert [(nb.n, nb.dx, nb.dy, nb.dt) for nb in out] == [(0, -1, 0, 10)]
 
     def test_dt_zero_tie_is_neighbor(self):
-        g = new_queue_grid(8, 8, 16)
+        g = EventQueueGrid(8, 8, 16)
         g.push_event(Event(3, 3, 100, 0, 0))
         out = search_neighbors(g, Event(3, 3, 100, 1, 1), SearchParams())
         assert [nb.n for nb in out] == [0]
         assert out[0].dt == 0
 
     def test_not_queue_backed_rejected(self):
-        g = new_queue_grid(8, 8, 16)
+        g = EventQueueGrid(8, 8, 16)
         with pytest.raises(InvalidSearchParams):
             search_neighbors(g, Event(3, 3, 1, 0, 0),
                              SearchParams(shape="hemisphere", r=2.0))
 
     def test_d_max_early_stop(self):
-        g = new_queue_grid(8, 8, 16)
+        g = EventQueueGrid(8, 8, 16)
         for i in range(10):
             g.push_event(Event(3, 3, i, 0, i))
         out = search_neighbors(g, Event(3, 3, 20, 0, 10),
@@ -142,7 +141,7 @@ class TestBruteForce:
 
 def _replay_search(stream, params):
     """search_neighbors over an incrementally built grid, per event."""
-    grid = new_queue_grid(stream.width, stream.height, params.queue_depth)
+    grid = EventQueueGrid(stream.width, stream.height, params.queue_depth)
     out = []
     for ev in stream.events:
         out.append(search_neighbors(grid, ev, params))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from evgnn import engine, event_io, static_oracle
 from evgnn.graph_builder import SearchParams
 from evgnn.model import random_model
 from evgnn.static_oracle import (FPLayer, FPModel, GenericConvSpec,
-                                 build_static_graph, forward_eq7_fp,
-                                 forward_eq7_int8, message_passing_generic)
+                                 forward_eq7_fp, forward_eq7_int8,
+                                 message_passing_generic)
 
 PARAMS = SearchParams(r_s=3, r_t=500, d_max=8, queue_depth=6)
 
@@ -31,40 +33,32 @@ def _fp_model(seed=0, width=32, height=24):
 
 
 class TestBuildStaticGraph:
-    def test_empty_stream(self, make_stream):
-        g = build_static_graph(make_stream(8, 8), PARAMS)
-        assert len(g) == 0
+    """The static graph is the whole stream's engine.build_adjacency."""
 
     def test_two_events_one_directed_edge(self, make_stream):
         s = make_stream(8, 8, [(3, 3, 10, 0), (4, 3, 20, 1)])
-        g = build_static_graph(s, PARAMS)
-        assert g.neighbors(0) == []
-        assert g.neighbors(1) == [(0, 1, 0, 10)]
+        adj = engine.build_adjacency(s, PARAMS)
+        assert adj.neighbors(0) == []
+        assert adj.neighbors(1) == [(0, 1, 0, 10)]
 
-    @pytest.mark.parametrize("shape", ["prism", "hemisphere"])
+    @pytest.mark.parametrize("shape", ["prism"])
     def test_matches_brute_force(self, shape):
         from evgnn.graph_builder import brute_force_neighbors
-        if shape == "prism":
-            params = PARAMS
-        else:
-            params = SearchParams(shape="hemisphere", r=3.0, beta=0.01,
-                                  d_max=8, queue_depth=6)
+        params = dataclasses.replace(PARAMS, shape=shape)
         s = _stream(2, count=200)
-        g = build_static_graph(s, params)
+        adj = engine.build_adjacency(s, params)
         for i, ev in enumerate(s.events):
             expect = [(nb.n, nb.dx, nb.dy, nb.dt) for nb in
                       brute_force_neighbors(s.events[:i], ev, params)]
-            assert g.neighbors(i) == expect
+            assert adj.neighbors(i) == expect
 
 
 class TestEq7Int8:
     def test_matches_event_driven_engine(self, small_model, small_stream):
         res = engine.run_stream(small_model, small_stream)
-        g = static_oracle.StaticGraph(small_stream, res.adjacency,
-                                      small_model.search)
-        sta = forward_eq7_int8(g, small_model)
-        for l, lp in enumerate(small_model.layers):
-            assert np.array_equal(sta.feats[l], res.feats[:, l, :lp.c_out])
+        sta = forward_eq7_int8(small_stream, res.adjacency, small_model)
+        for l in range(len(small_model.layers)):
+            assert np.array_equal(sta.feats[l], res.feats[l])
         assert np.array_equal(sta.logits, res.logits)
         assert np.array_equal(sta.cls, res.cls)
         assert np.array_equal(sta.readout, res.readout)
@@ -72,9 +66,8 @@ class TestEq7Int8:
     def test_trace_lines(self, small_model):
         s = _stream(3, count=20, width=64, height=48)
         res = engine.run_stream(small_model, s)
-        g = static_oracle.StaticGraph(s, res.adjacency, small_model.search)
         lines = engine.prediction_trace_lines(
-            small_model, forward_eq7_int8(g, small_model))
+            small_model, forward_eq7_int8(s, res.adjacency, small_model))
         assert len(lines) == 20
         n, cls, *logits = lines[7].split()
         assert int(n) == 7
@@ -88,12 +81,12 @@ class TestGenericMessagePassing:
         # with max/replicate/identity, a node only sees in-neighbors
         s = make_stream(4, 4, [(1, 1, t, 1) for t in [0, 10, 20, 30]])
         params = SearchParams(r_s=1, r_t=11, d_max=4, queue_depth=4)
-        g = build_static_graph(s, params)
+        adj = engine.build_adjacency(s, params)
         feats = np.array([[4.0], [3.0], [2.0], [1.0]])
         spec = GenericConvSpec(
             phi=lambda xi, xj, rel: xj, aggregator="max",
             gamma=lambda xi, agg: agg, out_dim=1)
-        out = message_passing_generic(g, spec, feats)
+        out = message_passing_generic(adj, spec, feats)
         # D (n=3, t=30) is out of r_t range of A (t=0): A's message
         # cannot reach D
         assert out[3, 0] == 2.0
@@ -101,25 +94,25 @@ class TestGenericMessagePassing:
 
     def test_empty_sum_identity(self, make_stream):
         s = make_stream(4, 4, [(1, 1, 0, 1)])
-        g = build_static_graph(s, PARAMS)
+        adj = engine.build_adjacency(s, PARAMS)
         spec = GenericConvSpec(
             phi=lambda xi, xj, rel: xj, aggregator="sum",
             gamma=lambda xi, agg: xi + agg, out_dim=1)
-        out = message_passing_generic(g, spec, np.array([[5.0]]))
+        out = message_passing_generic(adj, spec, np.array([[5.0]]))
         assert out[0, 0] == 5.0
 
     def test_unknown_aggregator(self):
-        g = build_static_graph(_stream(count=3), PARAMS)
+        adj = engine.build_adjacency(_stream(count=3), PARAMS)
         spec = GenericConvSpec(phi=lambda xi, xj, rel: xj, aggregator="min",
                                gamma=lambda xi, agg: agg, out_dim=1)
         with pytest.raises(ValueError):
-            message_passing_generic(g, spec, np.zeros((3, 1)))
+            message_passing_generic(adj, spec, np.zeros((3, 1)))
 
     def test_specializes_to_eq7_fp(self):
         model = _fp_model()
         s = _stream(4)
-        g = build_static_graph(s, PARAMS)
-        ref = forward_eq7_fp(g, model)
+        adj = engine.build_adjacency(s, PARAMS)
+        ref = forward_eq7_fp(s, adj, model)
         feats = static_oracle._fp_inputs(s).reshape(-1, 1)
         for l, (layer, expect) in enumerate(zip(model.layers, ref.feats)):
             def phi(xi, xj, rel, layer=layer):
@@ -131,20 +124,19 @@ class TestGenericMessagePassing:
                 gamma=lambda xi, agg, layer=layer: np.maximum(
                     agg + layer.bias, 0.0),
                 out_dim=layer.c_out)
-            feats = message_passing_generic(g, spec, feats)
+            feats = message_passing_generic(adj, spec, feats)
             assert np.allclose(feats, expect), f"layer {l}"
 
     def test_permutation_invariance(self, rng):
         s = _stream(5, count=150)
-        g = build_static_graph(s, PARAMS)
+        adj = engine.build_adjacency(s, PARAMS)
         feats = rng.normal(size=(len(s), 3))
         for agg in ("sum", "mean", "max"):
             spec = GenericConvSpec(
                 phi=lambda xi, xj, rel: xj, aggregator=agg,
                 gamma=lambda xi, agg_v: agg_v, out_dim=3)
-            base = message_passing_generic(g, spec, feats)
+            base = message_passing_generic(adj, spec, feats)
             # shuffle every adjacency row in place (post-truncation)
-            adj = g.adjacency
             for i in range(len(s)):
                 d = int(adj.deg[i])
                 if d > 1:
@@ -152,19 +144,19 @@ class TestGenericMessagePassing:
                     for arr in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy,
                                 adj.nbr_dt):
                         arr[i, :d] = arr[i, :d][perm]
-            assert np.allclose(message_passing_generic(g, spec, feats),
+            assert np.allclose(message_passing_generic(adj, spec, feats),
                                base)
 
 
 class TestDirectedness:
     def test_zeroing_later_node_cannot_affect_earlier(self, rng):
         s = _stream(6, count=120)
-        g = build_static_graph(s, PARAMS)
+        adj = engine.build_adjacency(s, PARAMS)
         model = _fp_model(3)
-        base = forward_eq7_fp(g, model)
+        base = forward_eq7_fp(s, adj, model)
         k = len(s) // 2
         # drop all edges into nodes >= k; features of nodes < k must hold
-        g.adjacency.deg[k:] = 0
-        cut = forward_eq7_fp(g, model)
+        adj.deg[k:] = 0
+        cut = forward_eq7_fp(s, adj, model)
         for lb, lc in zip(base.feats, cut.feats):
             assert np.allclose(lb[:k], lc[:k])
