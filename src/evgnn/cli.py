@@ -90,10 +90,23 @@ def _require_queue_shape(params: SearchParams) -> None:
                        f"{', '.join(QUEUE_BACKED_SHAPES)}")
 
 
+def _load_hw_config(path: str) -> perf_model.HwConfig:
+    try:
+        cfg = perf_model.load_hw_config(path)
+    except OSError as exc:
+        raise CliError(f"cannot read hw config {path}: {exc}") from exc
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise CliError(f"bad hw config {path}: {exc}") from exc
+    if cfg.e_mac is not None and (cfg.e_sram_byte is None
+                                  or cfg.e_dram_byte is None):
+        raise CliError(f"bad hw config {path}: e_mac needs e_sram_byte "
+                       f"and e_dram_byte")
+    return cfg
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join(lines) + "\n" if lines else "")
 
 
 def _infer_one(model_path: str, stream_path: str, args) -> int:
@@ -169,8 +182,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     model = _apply_overrides(_load_model(args.model), args)
     stream = _load_stream(args.stream, model.width, model.height, args.format)
-    cfg = (perf_model.load_hw_config(args.hw) if args.hw
-           else perf_model.HwConfig())
+    cfg = _load_hw_config(args.hw) if args.hw else perf_model.HwConfig()
     if len(stream) == 0:
         print(f"{args.stream}: no events")
         return EXIT_OK

@@ -16,7 +16,8 @@ Two granularities are provided:
       layer-parallel schedules over the adjacency's dependency levels,
       kept to verify it. All share one incremental readout / FC,
       readout_trace, and return one RunResult whose feats hold one
-      int64 [N, C_out] array per layer; the static forwards return it too.
+      uint8 [N, C_out] array per layer (BAQ clamps every output to
+      [0, 127]); the static forwards return it too.
 
 All INT8 arithmetic is exact. The node terms are float64 products, which
 hold every partial sum exactly because the model loader proves that each
@@ -261,7 +262,8 @@ class RunResult:
     """Whole-stream outputs of a batch schedule or a static forward."""
 
     adjacency: Adjacency
-    feats: list[np.ndarray]  # one [N, C_out_l] array per layer
+    feats: list[np.ndarray]  # one [N, C_out_l] array per layer; uint8 on
+                             # the INT8 paths, float64 from forward_eq7_fp
     logits: np.ndarray       # [N, classes]
     cls: np.ndarray          # int64[N]
     readout: np.ndarray      # flattened final readout state
@@ -354,18 +356,24 @@ def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
     layers. Each eq7_layer call holds at most CHUNK_CELLS message cells.
     x0 is the encoded input of every event; a layer's node terms are
     computed as its input rows are written. Returns the per-layer outputs
-    (int64[N, C_out]).
+    (uint8[N, C_out]).
     """
     layers = model.layers
     n, d_max = adj.nbr_n.shape
     extent = model.search.spatial_extent
     valid = np.arange(d_max) < adj.deg[:, None]
-    pos = np.abs(adj.nbr_dx) * (extent + 1) + np.abs(adj.nbr_dy)
+    # table row |dx| * (extent+1) + |dy|, in the narrowest unsigned type
+    # that holds the last row; |dx| and |dy| are cast to it before the
+    # multiply, which would overflow int8 from extent = 11
+    pos_type = np.min_scalar_type((extent + 1) ** 2 - 1)
+    pos = np.abs(adj.nbr_dx).astype(pos_type)
+    pos *= extent + 1
+    pos += np.abs(adj.nbr_dy).astype(pos_type)
     tables = [position_terms(lp, extent) for lp in layers]
     w_x = [lp.weights[:, :-2].T.astype(np.float64) for lp in layers]
     terms = [node_terms(np.asarray(x0, dtype=np.float64)[:, None], w_x[0])]
     terms += [np.zeros((n, lp.c_out), dtype=np.int32) for lp in layers[1:]]
-    outs = [np.zeros((n, lp.c_out), dtype=np.int64) for lp in layers]
+    outs = [np.zeros((n, lp.c_out), dtype=np.uint8) for lp in layers]
     chunk = [max(1, CHUNK_CELLS // (max(d_max, 1) * lp.c_out))
              for lp in layers]
     steps = ([(l, g) for l in range(len(layers)) for g in groups]
@@ -390,10 +398,11 @@ def readout_trace(model, stream: EventStream, last: np.ndarray,
     """Per-event logits of the cumulative per-cell max readout.
 
     model supplies the readout grid (patch, n_cells_x, n_cells_y); last is
-    the final-layer output of every event, [N, C_last]. Each event raises its cell's running max by delta >= 0, so
-    logits_i = fc_b + sum_{k<=i} W_fc[:, cell_k] . delta_k, which equals
-    fc_b + W_fc . readout_i exactly in integers. Returns (logits[N,
-    classes], cls[N] with ties to the lowest class, flattened readout).
+    the final-layer output of every event, [N, C_last]. Each event raises
+    its cell's running max by delta >= 0, so logits_i = fc_b + sum_{k<=i}
+    W_fc[:, cell_k] . delta_k, which equals fc_b + W_fc . readout_i exactly
+    in integers. Returns (logits[N, classes], cls[N] with ties to the
+    lowest class, flattened readout).
     """
     n_cells = model.n_cells_x * model.n_cells_y
     cell = ((stream.y // model.patch) * model.n_cells_x

@@ -295,6 +295,11 @@ def naive_neighbors(history: list[Event], ev: Event,
     return out
 
 
+def _narrowest(types, bound: int):
+    """The first of types (narrowest first) whose maximum is >= bound."""
+    return next(t for t in types if np.iinfo(t).max >= bound)
+
+
 def _window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
     """(dx, dy) of the prism / cylinder window in canonical scan order."""
     span = np.arange(-r_s, r_s + 1)
@@ -312,9 +317,10 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     Returns (deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, entries_scanned), where the
     nbr_* arrays are [N, d_max] in canonical scan order (zero past deg) and
     entries_scanned counts queue entries inspected up to the d_max early
-    stop. Timestamps must never decrease (raises NonMonotoneTime at the
-    first that does) and every event must lie on the sensor (raises
-    OutOfBoundsEvent).
+    stop. deg and entries_scanned are int64; each nbr_* array has the
+    narrowest type that holds its bound (see Adjacency). Timestamps must
+    never decrease (raises NonMonotoneTime at the first that does) and
+    every event must lie on the sensor (raises OutOfBoundsEvent).
 
     The work per event is O(window offsets) + O(kept neighbours), whatever
     the queue depth: each (event, offset) cell is reduced to two counts,
@@ -325,9 +331,16 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     n_ev = xs.shape[0]
     deg = np.zeros(n_ev, dtype=np.int64)
     scanned = np.zeros(n_ev, dtype=np.int64)
-    nbr_n = np.zeros((n_ev, d_max), dtype=np.int64)
+    nbr_n = np.zeros((n_ev, d_max),
+                     dtype=_narrowest((np.int32, np.int64), n_ev - 1))
+    dxy_type = _narrowest((np.int8, np.int16, np.int32, np.int64), r_s)
+    # a kept dt is at most r_t and at most the stream's time span
+    dt_type = _narrowest((np.uint8, np.uint16, np.uint32, np.uint64),
+                         min(r_t, int(ts[-1] - ts[0]) if n_ev else 0))
     if n_ev == 0:
-        return deg, nbr_n, nbr_n.copy(), nbr_n.copy(), nbr_n.copy(), scanned
+        return (deg, nbr_n, np.zeros_like(nbr_n, dtype=dxy_type),
+                np.zeros_like(nbr_n, dtype=dxy_type),
+                np.zeros_like(nbr_n, dtype=dt_type), scanned)
     back = np.flatnonzero(ts[1:] < ts[:-1])
     if len(back):
         k = int(back[0]) + 1
@@ -415,11 +428,17 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
             deg[i] += np.minimum(n_hit[-1], need)
         live = live[deg[live] < d_max]
         a = b
-    # dx, dy and dt follow from the neighbour and its offset; 0 when empty
-    nbr_dx, nbr_dy = np.r_[odx, 0][nbr_o], np.r_[ody, 0][nbr_o]
-    nbr_dt = ts[nbr_n]
-    np.subtract(ts[:, None], nbr_dt, out=nbr_dt)
-    nbr_dt[nbr_o == len(odx)] = 0
+    # dx, dy and dt follow from the neighbour and its offset; 0 when empty.
+    # Each is written at its own width; dt goes through int64 a block of
+    # rows at a time.
+    nbr_dx = np.r_[odx, 0].astype(dxy_type)[nbr_o]
+    nbr_dy = np.r_[ody, 0].astype(dxy_type)[nbr_o]
+    nbr_dt = np.empty((n_ev, d_max), dtype=dt_type)
+    rows = max(1, REPLAY_CELLS // d_max)
+    for s in range(0, n_ev, rows):
+        blk = slice(s, s + rows)
+        nbr_dt[blk] = np.where(nbr_o[blk] < len(odx),
+                               ts[blk, None] - ts[nbr_n[blk]], 0)
     return deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned
 
 
@@ -432,11 +451,12 @@ class Adjacency:
     """
 
     deg: np.ndarray              # int64[N]
-    nbr_n: np.ndarray            # int64[N, d_max]
-    nbr_dx: np.ndarray
-    nbr_dy: np.ndarray
-    nbr_dt: np.ndarray
-    entries_scanned: np.ndarray  # queue entries inspected per event
+    nbr_n: np.ndarray            # [N, d_max] int32; int64 past 2**31 events
+    nbr_dx: np.ndarray           # [N, d_max] narrowest signed type for +-r_s
+    nbr_dy: np.ndarray           # (int8 up to r_s = 127)
+    nbr_dt: np.ndarray           # [N, d_max] narrowest unsigned type for
+                                 # min(r_t, t[-1] - t[0])
+    entries_scanned: np.ndarray  # int64[N] queue entries inspected
     d_max: int = 16
 
     @cached_property

@@ -77,7 +77,11 @@ class HwConfig:
 def load_hw_config(path: str) -> HwConfig:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return HwConfig.from_json(doc.get("hw", doc))
+    if isinstance(doc, dict):
+        doc = doc.get("hw", doc)
+    if not isinstance(doc, dict):
+        raise ValueError("hw config must be a JSON object")
+    return HwConfig.from_json(doc)
 
 
 @dataclass

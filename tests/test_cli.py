@@ -239,6 +239,32 @@ class TestBench:
                      "--hw", str(hw)]) == EXIT_OK
         assert "nJ/ev" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"hw": {"clock_hz": 2e8,', "bad hw config"),
+        ('{"hw": {"baq_cycles": 0}}', "must be positive"),
+        ('{"hw": {"clock_hz": "fast"}}', "bad hw config"),
+        ('{"hw": {"e_mac": 1e-12, "e_sram_byte": 1e-12}}',
+         "e_mac needs e_sram_byte and e_dram_byte"),
+        ('[200000000.0]', "must be a JSON object"),
+    ], ids=["malformed_json", "non_positive", "wrong_type",
+            "e_mac_alone", "not_an_object"])
+    def test_bad_hw_config_is_config_error(self, model_path, stream_path,
+                                           tmp_path, capsys, text, message):
+        hw = tmp_path / "hw.json"
+        hw.write_text(text)
+        assert main(["bench", model_path, stream_path,
+                     "--hw", str(hw)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_missing_hw_config_is_io_error(self, model_path, stream_path,
+                                           tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["bench", model_path, stream_path,
+                     "--hw", str(missing)]) == EXIT_IO
+        assert "cannot read hw config" in capsys.readouterr().err
+
     def test_search_overrides(self, model_path, stream_path):
         assert main(["bench", model_path, stream_path, "--r-s", "1",
                      "--d-max", "4"]) == EXIT_OK

@@ -310,6 +310,27 @@ class TestProcessEvent:
         assert np.all(wide_out[:, :10] == 127)
         assert np.all(wide_out[:, 10:] == 0)
 
+    @pytest.mark.parametrize("r_s", [12, 16])
+    def test_per_event_equals_batch_wide_window(self, r_s):
+        """Offset-table rows |dx| * (r_s+1) + |dy| of int8 offsets: past
+        the int8 range from r_s = 11, past uint8 from r_s = 16."""
+        params = SearchParams(r_s=r_s, r_t=5_000, d_max=8, queue_depth=2)
+        model = random_model(5, width=40, height=36, layer_dims=(6, 5),
+                             search=params)
+        stream = event_io.gen_synthetic(
+            "uniform_random", {"width": 40, "height": 36, "count": 120,
+                               "duration_us": 1_000}, seed=8)
+        state, preds = _per_event_run(model, stream)
+        adj = engine.build_adjacency(stream, model)
+        assert adj.nbr_dx.dtype == np.int8
+        assert (np.abs(adj.nbr_dx.astype(np.int64))
+                + np.abs(adj.nbr_dy.astype(np.int64))).max() >= r_s - 1
+        res = engine.run_stream(model, stream, adjacency=adj)
+        for l in range(len(model.layers)):
+            assert np.array_equal(res.feats[l], np.stack(
+                [state.store.read(i, l + 1) for i in range(len(stream))]))
+        assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
+
     def test_single_layer_model(self, small_stream):
         model = random_model(3, layer_dims=(6,))
         _, preds = _per_event_run(model, small_stream)
@@ -320,6 +341,19 @@ class TestProcessEvent:
 
 
 class TestInvariantsOnStream:
+    def test_result_dtypes(self, small_model, small_stream):
+        """INT8 paths keep uint8 layer outputs, int64 logits and classes."""
+        adj = engine.build_adjacency(small_stream, small_model)
+        runs = [engine.run_stream(small_model, small_stream, adjacency=adj,
+                                  **kw)
+                for kw in ({}, {"levels": True}, {"sequential": True})]
+        runs.append(static_oracle.forward_eq7_int8(small_stream, adj,
+                                                   small_model))
+        for res in runs:
+            assert [f.dtype for f in res.feats] == [np.uint8] * len(
+                small_model.layers)
+            assert res.logits.dtype == res.cls.dtype == np.int64
+
     def test_baq_range(self, small_model, small_stream):
         res = engine.run_stream(small_model, small_stream)
         for f in res.feats:

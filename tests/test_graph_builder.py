@@ -221,6 +221,18 @@ def _incremental_reference(stream, params):
     return (deg, *nbr, scanned), mid_queue_stops
 
 
+def _assert_equals_reference(adj, stream, params) -> int:
+    """Check all six outputs; return the reference's mid-queue stops."""
+    got = (adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt,
+           adj.entries_scanned)
+    want, stops = _incremental_reference(stream, params)
+    for name, a, b in zip(("deg", "n", "dx", "dy", "dt", "scanned"),
+                          got, want):
+        assert np.array_equal(a, b), (name, stream.width, stream.height,
+                                      params)
+    return stops
+
+
 def _check_against_incremental_reference(shape, make_stream):
     """All six replay outputs, entries_scanned included, on 1x1 to 12x12
     sensors with shallow queues, timestamp ties and early stops mid-queue."""
@@ -239,13 +251,7 @@ def _check_against_incremental_reference(shape, make_stream):
                               d_max=int(rng.integers(1, 10)),
                               queue_depth=int(rng.integers(1, 6)))
         adj = build_adjacency(stream, params)
-        got = (adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt,
-               adj.entries_scanned)
-        want, stops = _incremental_reference(stream, params)
-        for name, a, b in zip(("deg", "n", "dx", "dy", "dt", "scanned"),
-                              got, want):
-            assert np.array_equal(a, b), (name, w, h, params)
-        mid_queue_stops += stops
+        mid_queue_stops += _assert_equals_reference(adj, stream, params)
         ties += int(np.sum((adj.nbr_dt == 0)
                            & (np.arange(params.d_max) < adj.deg[:, None])))
     assert mid_queue_stops > 0 and ties > 0
@@ -287,6 +293,57 @@ def test_build_adjacency_empty_stream(make_stream):
     assert adj.deg.shape == adj.entries_scanned.shape == (0,)
     for a in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt):
         assert a.shape == (0, 5)
+
+
+def _dtypes(adj):
+    return [a.dtype for a in (adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy,
+                              adj.nbr_dt, adj.entries_scanned)]
+
+
+def test_build_adjacency_dtypes(make_stream):
+    """Each neighbour slot field has the narrowest type for its bound."""
+    i64, i32, i8 = np.int64, np.int32, np.int8
+    stream = make_stream(8, 6, [(1, 1, 0, 0), (2, 1, 300, 1),
+                                (2, 2, 70_000, 0)])
+    adj = build_adjacency(stream, SearchParams(r_s=3, r_t=50_000))
+    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint16, i64]
+    # the time span, not r_t, bounds dt when it is the smaller
+    adj = build_adjacency(stream, SearchParams(r_s=3, r_t=2**40))
+    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint32, i64]
+    adj = build_adjacency(stream, SearchParams(r_s=127, r_t=255))
+    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint8, i64]
+    adj = build_adjacency(make_stream(8, 6), SearchParams(d_max=5))
+    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint8, i64]
+
+
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_offsets_past_int8(shape, make_stream):
+    """r_s = 128: dx and dy of +-128 need int16."""
+    pixels = [(0, 0), (128, 0), (0, 128), (0, 0), (128, 0), (0, 128),
+              (64, 64), (129, 129), (1, 0)]
+    stream = make_stream(130, 130, [(x, y, t, t % 2)
+                                    for t, (x, y) in enumerate(pixels)])
+    params = SearchParams(shape=shape, r_s=128, r_t=100, d_max=6,
+                          queue_depth=2)
+    adj = build_adjacency(stream, params)
+    _assert_equals_reference(adj, stream, params)
+    assert adj.nbr_dx.dtype == adj.nbr_dy.dtype == np.int16
+    for a in (adj.nbr_dx, adj.nbr_dy):
+        assert a.min() == -128 and a.max() == 128
+
+
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_time_past_32_bits(shape, make_stream):
+    """r_t >= 2**32 over timestamps past 2**32: dt needs uint64."""
+    ts = [0, 5, 2**32 + 7, 2**32 + 7, 2**33 + 1, 2**34]
+    stream = make_stream(4, 3, [(k % 2, 1, t, k % 2)
+                                for k, t in enumerate(ts)])
+    params = SearchParams(shape=shape, r_s=1, r_t=2**33, d_max=4,
+                          queue_depth=3)
+    adj = build_adjacency(stream, params)
+    _assert_equals_reference(adj, stream, params)
+    assert adj.nbr_dt.dtype == np.uint64
+    assert int(adj.nbr_dt.max()) == 2**34 - (2**33 + 1)
 
 
 class TestProperties:
