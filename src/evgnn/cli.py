@@ -18,8 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import engine, event_io, perf_model, quant, static_oracle
-from .graph_builder import (QUEUE_BACKED_SHAPES, InvalidSearchParams,
-                            SearchParams)
+from .graph_builder import InvalidSearchParams, SearchParams
 from .model import ModelConfigError, load_model, save_model
 
 log = logging.getLogger("evgnn")
@@ -76,18 +75,10 @@ def _apply_overrides(model, args):
                               if args.queue_depth is not None
                               else sp.queue_depth)}
     try:
-        model.search = SearchParams(r=sp.r, beta=sp.beta, **fields)
+        model.search = SearchParams(**fields)
     except InvalidSearchParams as exc:
         raise CliError(f"bad search parameters: {exc}") from exc
-    _require_queue_shape(model.search)
     return model
-
-
-def _require_queue_shape(params: SearchParams) -> None:
-    if params.shape not in QUEUE_BACKED_SHAPES:
-        raise CliError(f"search shape {params.shape!r} cannot run "
-                       f"here: the graph build needs one of "
-                       f"{', '.join(QUEUE_BACKED_SHAPES)}")
 
 
 def _load_hw_config(path: str) -> perf_model.HwConfig:
@@ -252,11 +243,9 @@ def cmd_quantize(args) -> int:
         raise CliError(f"cannot read {args.fp_model}: {exc}") from exc
     except (ModelConfigError, json.JSONDecodeError) as exc:
         raise CliError(f"bad FP model: {exc}") from exc
-    _require_queue_shape(fp.search)
-    folded = quant.fold_model(fp)
     calib = _load_stream(args.calib, fp.width, fp.height, args.format)
     try:
-        qm, rep = quant.quantize_model(folded, calib)
+        qm, rep = quant.quantize_model(fp, calib)
     except (quant.EmptyCalibration, ModelConfigError) as exc:
         raise CliError(str(exc)) from exc
     save_model(qm, args.out)

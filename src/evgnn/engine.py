@@ -274,10 +274,8 @@ class RunResult:
 
 def build_adjacency(stream: EventStream,
                     model_or_params) -> Adjacency:
-    """Replay the queue grid over a whole stream (prism / cylinder)."""
+    """Replay the queue grid over a whole stream."""
     params = getattr(model_or_params, "search", model_or_params)
-    if params.shape not in ("prism", "cylinder"):
-        raise ValueError("queue replay supports prism/cylinder only")
     deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned = replay_build(
         stream.x, stream.y, stream.t, stream.width, stream.height,
         params.queue_depth, params.r_s, params.r_t, params.d_max,
@@ -360,7 +358,7 @@ def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
     """
     layers = model.layers
     n, d_max = adj.nbr_n.shape
-    extent = model.search.spatial_extent
+    extent = model.search.r_s
     valid = np.arange(d_max) < adj.deg[:, None]
     # table row |dx| * (extent+1) + |dy|, in the narrowest unsigned type
     # that holds the last row; |dx| and |dy| are cast to it before the
@@ -398,27 +396,29 @@ def readout_trace(model, stream: EventStream, last: np.ndarray,
     """Per-event logits of the cumulative per-cell max readout.
 
     model supplies the readout grid (patch, n_cells_x, n_cells_y); last is
-    the final-layer output of every event, [N, C_last]. Each event raises
-    its cell's running max by delta >= 0, so logits_i = fc_b + sum_{k<=i}
-    W_fc[:, cell_k] . delta_k, which equals fc_b + W_fc . readout_i exactly
-    in integers. Returns (logits[N, classes], cls[N] with ties to the
-    lowest class, flattened readout).
+    the final-layer output of every event, [N, C_last], all >= 0. Every
+    cell starts at 0 and each event raises its cell's running max by
+    delta >= 0, so logits_i = fc_b + sum_{k<=i} W_fc[:, cell_k] . delta_k,
+    which equals fc_b + W_fc . readout_i exactly in integers. Returns
+    (logits[N, classes], cls[N] with ties to the lowest class, flattened
+    readout).
     """
     n_cells = model.n_cells_x * model.n_cells_y
     cell = ((stream.y // model.patch) * model.n_cells_x
             + stream.x // model.patch)
     cells = np.zeros((n_cells, last.shape[1]), dtype=last.dtype)
-    delta = np.zeros_like(last)
+    w = fc_w.reshape(len(fc_b), n_cells, last.shape[1])
+    step = np.zeros((len(last), len(fc_b)), dtype=np.result_type(w, last))
     order = np.argsort(cell, kind="stable")
     bounds = np.cumsum(np.bincount(cell, minlength=n_cells))[:-1]
     for k, rows in enumerate(np.split(order, bounds)):
         if len(rows):
-            run = np.maximum.accumulate(np.vstack([cells[k], last[rows]]))
-            delta[rows] = np.diff(run, axis=0)
+            run = np.maximum.accumulate(last[rows])
+            # run never falls, so its steps fit last's own type
+            grow = np.diff(run, axis=0, prepend=run.dtype.type(0))
+            step[rows] = grow @ w[:, k].T
             cells[k] = run[-1]
-    w = fc_w.reshape(len(fc_b), n_cells, last.shape[1])
-    logits = fc_b + np.cumsum(np.einsum("kic,ic->ik", w[:, cell], delta),
-                              axis=0)
+    logits = fc_b + np.cumsum(step, axis=0)
     return logits, np.argmax(logits, axis=1), cells.reshape(-1)
 
 

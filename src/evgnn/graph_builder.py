@@ -1,8 +1,11 @@
 """Dynamic directed event-graph construction over per-pixel event queues.
 
-The entire stored graph state is a W x H grid of fixed-depth ring buffers
-(one per pixel); edges are never materialized. Neighbor search for a new
-event scans the spatial candidate window in a canonical order:
+The search range is spatiotemporally decoupled: a spatial window of
+radius r_s (L1 for the prism, L2 for the cylinder) and a separate time
+window 0 <= dt <= r_t. The entire stored graph state is a W x H grid of
+fixed-depth ring buffers (one per pixel); edges are never materialized.
+Neighbor search for a new event scans the spatial candidate window in a
+canonical order:
 
     dy from -r_s to +r_s, then dx from -r_s to +r_s (row-major), where
     (dx, dy) = new minus neighbor; offsets failing the spatial predicate
@@ -15,14 +18,12 @@ The new event is pushed into its queue only *after* its search completes
 equal timestamps are valid neighbors when their stream index is smaller.
 
 `brute_force_neighbors` is an independent reference over the full stream
-prefix (plain dict-of-lists retention replay, no ring buffers) and also
-covers the hemisphere / semi-octahedron search shapes that the queue-backed
-engine does not accelerate.
+prefix (plain dict-of-lists retention replay, no ring buffers).
 
 `replay_build` replays search-then-push over a whole stream into flat
-[N, d_max] neighbor arrays (prism / cylinder) without a per-event loop,
-and its work per event is one pair of counts per window offset plus the
-neighbours it keeps, whatever the queue depth. Events are stable-sorted by
+[N, d_max] neighbor arrays without a per-event loop, and its work per
+event is one pair of counts per window offset plus the neighbours it
+keeps, whatever the queue depth. Events are stable-sorted by
 pixel, so each pixel's arrivals form one run in stream order. For event i
 and a window offset, a binary search counts the arrivals at the neighbour
 pixel before i; its queue at that moment is the last min(depth, count) of
@@ -40,7 +41,6 @@ batches of the engine's level schedules, are built on first use and kept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,8 +48,7 @@ import numpy as np
 
 from .event_io import Event, NonMonotoneTime
 
-SHAPES = ("hemisphere", "semi_octahedron", "cylinder", "prism")
-QUEUE_BACKED_SHAPES = ("cylinder", "prism")
+SHAPES = ("cylinder", "prism")
 # (event, window offset) cells per replay_build chunk; bounds its memory.
 REPLAY_CELLS = 1 << 16
 
@@ -70,33 +69,24 @@ class InvalidSearchParams(ValueError):
 class SearchParams:
     """Neighbor search geometry.
 
-    prism / cylinder use (r_s, r_t); hemisphere / semi_octahedron use
-    (r, beta). d_max caps the neighbor count; queue_depth is the per-pixel
-    retention replayed by the brute-force reference.
+    shape is prism (|dx| + |dy| <= r_s) or cylinder (dx^2 + dy^2 <= r_s^2),
+    either with 0 <= dt <= r_t. d_max caps the neighbor count; queue_depth
+    is the per-pixel queue length.
     """
 
     shape: str = "prism"
     r_s: int = 3
     r_t: int = 50_000
-    r: float = 0.0
-    beta: float = 0.0
     d_max: int = 16
     queue_depth: int = 16
 
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise InvalidSearchParams(f"unknown shape {self.shape!r}")
-        if self.r_s < 0 or self.r_t < 0 or self.r < 0 or self.beta < 0:
+        if self.r_s < 0 or self.r_t < 0:
             raise InvalidSearchParams("radii must be non-negative")
         if self.d_max < 1 or self.queue_depth < 1:
             raise InvalidSearchParams("d_max and queue_depth must be >= 1")
-
-    @property
-    def spatial_extent(self) -> int:
-        """Half-width in pixels of the candidate window to scan."""
-        if self.shape in QUEUE_BACKED_SHAPES:
-            return int(self.r_s)
-        return int(math.floor(self.r))
 
 
 @dataclass(frozen=True)
@@ -174,40 +164,21 @@ class EventQueueGrid:
 
 
 def _spatial_ok(shape: str, dx: int, dy: int, params: SearchParams) -> bool:
-    """Spatial slice of the shape predicate (dt = 0 cross-section)."""
+    """Spatial window test: L1 (prism) or L2 (cylinder) within r_s."""
     if shape == "prism":
         return abs(dx) + abs(dy) <= params.r_s
-    if shape == "cylinder":
-        return dx * dx + dy * dy <= params.r_s * params.r_s
-    if shape == "hemisphere":
-        return dx * dx + dy * dy <= params.r * params.r
-    return abs(dx) + abs(dy) <= params.r  # semi_octahedron
+    return dx * dx + dy * dy <= params.r_s * params.r_s
 
 
 def _full_ok(shape: str, dx: int, dy: int, dt: int, params: SearchParams) -> bool:
-    if dt < 0:
-        return False
-    if shape == "prism":
-        return abs(dx) + abs(dy) <= params.r_s and dt <= params.r_t
-    if shape == "cylinder":
-        return (dx * dx + dy * dy <= params.r_s * params.r_s
-                and dt <= params.r_t)
-    if shape == "hemisphere":
-        return math.sqrt(dx * dx + dy * dy + (params.beta * dt) ** 2) <= params.r
-    return abs(dx) + abs(dy) + params.beta * dt <= params.r
+    return 0 <= dt <= params.r_t and _spatial_ok(shape, dx, dy, params)
 
 
 def search_neighbors(grid: EventQueueGrid, ev: Event,
                      params: SearchParams) -> list[Neighbor]:
-    """Queue-backed neighbor search (prism / cylinder shapes only).
-
-    ev must not yet have been pushed into the grid.
-    """
-    if params.shape not in QUEUE_BACKED_SHAPES:
-        raise InvalidSearchParams(
-            f"shape {params.shape!r} is not queue-backed")
+    """Queue-backed neighbor search; ev must not yet be in the grid."""
     grid._check_bounds(ev.x, ev.y)
-    r = params.spatial_extent
+    r = params.r_s
     out: list[Neighbor] = []
     for dy in range(-r, r + 1):
         yj = ev.y - dy
@@ -235,13 +206,12 @@ def brute_force_neighbors(history: list[Event], ev: Event,
 
     Retention is replayed first (only the queue_depth most recent events per
     pixel are eligible), then the shape predicate, canonical scan order, and
-    d_max truncation. For queue-backed shapes this matches search_neighbors
-    exactly.
+    d_max truncation. It matches search_neighbors exactly.
     """
     per_pixel: dict[tuple[int, int], list[Event]] = {}
     for old in history:
         per_pixel.setdefault((old.x, old.y), []).append(old)
-    r = params.spatial_extent
+    r = params.r_s
     out: list[Neighbor] = []
     for dy in range(-r, r + 1):
         yj = ev.y - dy
@@ -365,7 +335,6 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     run_start = np.flatnonzero(new_run)
     n_runs = len(run_start)
     key = (np.cumsum(new_run) - 1) * n_ev + order
-    sorted_ts = ts[order]
     # Empty and padding pixels map to run n_runs, whose queries find
     # end = lo = run_start[n_runs] = n_ev: an empty queue.
     run_of = np.full(wide * (height + 2 * r_s), n_runs, dtype=np.int64)

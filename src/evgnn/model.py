@@ -14,7 +14,8 @@ The on-disk model is a UTF-8 JSON document:
      hw:{...}}            # optional HwConfig, see perf_model
 
 Integer arrays are stored as decimal JSON arrays; value-exactness matters,
-byte-exactness does not.
+byte-exactness does not. Other search keys are ignored, such as the "r"
+and "beta" that older files carry.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ class QuantizedModel:
 
 def _params_to_json(sp: SearchParams) -> dict:
     return {"shape": sp.shape, "r_s": sp.r_s, "r_t": sp.r_t,
-            "r": sp.r, "beta": sp.beta,
             "D_max": sp.d_max, "queue_depth": sp.queue_depth}
 
 
@@ -170,8 +170,6 @@ def _params_from_json(d: dict) -> SearchParams:
     return SearchParams(shape=d.get("shape", "prism"),
                         r_s=int(d.get("r_s", 3)),
                         r_t=int(d.get("r_t", 50_000)),
-                        r=float(d.get("r", 0.0)),
-                        beta=float(d.get("beta", 0.0)),
                         d_max=int(d.get("D_max", 16)),
                         queue_depth=int(d.get("queue_depth", 16)))
 

@@ -107,7 +107,7 @@ def quantize_model(model_fp: FPModel, calib: EventStream
     Input features are the encoded polarity (+-127 representing +-1.0, so
     the layer-1 input scale is 1/127); every subsequent input scale is the
     previous layer's output scale. The calibration graph is the queue
-    replay, so the search shape must be prism or cylinder (ValueError).
+    replay of the calibration stream.
     """
     if len(calib) == 0:
         raise EmptyCalibration("calibration stream has no events")

@@ -5,7 +5,6 @@ import pytest
 
 from evgnn import engine, event_io, graph_builder, quant, static_oracle
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
-from evgnn.graph_builder import SearchParams
 from evgnn.model import load_model, model_to_json, save_model
 
 
@@ -18,7 +17,7 @@ def model_path(small_model, tmp_path):
 
 @pytest.fixture(params=["hemisphere", "semi_octahedron"])
 def brute_force_shape_model(request, small_model, tmp_path):
-    """A model whose search shape has no queue-backed graph build."""
+    """A model file with a cone search shape, which the loader rejects."""
     doc = model_to_json(small_model)
     doc["search"] = {"shape": request.param, "r": 3.0, "beta": 0.01}
     path = tmp_path / "shape_model.json"
@@ -331,10 +330,10 @@ class TestQuantizePipeline:
     @pytest.mark.parametrize("shape", ["hemisphere", "semi_octahedron"])
     def test_unsupported_shape_is_config_error(self, shape, tmp_path,
                                                stream_path, capsys):
-        fp = quant.random_fp_model(
-            5, search=SearchParams(shape=shape, r=3.0, beta=0.01))
+        doc = quant.fp_model_to_json(quant.random_fp_model(5))
+        doc["search"] = {"shape": shape, "r": 3.0, "beta": 0.01}
         fp_path = tmp_path / "fp.json"
-        quant.save_fp_model(fp, str(fp_path))
+        fp_path.write_text(json.dumps(doc))
         out = tmp_path / "q.json"
         assert main(["quantize", str(fp_path), "--calib", stream_path,
                      "-o", str(out)]) == EXIT_IO

@@ -127,6 +127,14 @@ class TestSerialization:
         with pytest.raises(ModelConfigError):
             model_from_json({"sensor": {"W": 8, "H": 8}})
 
+    def test_old_cone_keys_ignored(self, small_model):
+        """Files that still carry the "r" and "beta" search keys load."""
+        doc = model_to_json(small_model)
+        old = model_to_json(small_model)
+        old["search"].update(r=2.5, beta=0.02)
+        assert "r" not in doc["search"] and "beta" not in doc["search"]
+        assert model_from_json(old).search == model_from_json(doc).search
+
     def test_hw_block_preserved(self, small_model, tmp_path):
         small_model.hw = {"clock_hz": 1e8}
         path = tmp_path / "model.json"

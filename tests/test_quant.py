@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evgnn import engine, event_io, quant, static_oracle
 from evgnn.engine import rne_mulshift
 from evgnn.graph_builder import SearchParams
+from evgnn.model import ModelConfigError
 from evgnn.quant import (DegenerateVariance, EmptyCalibration, choose_requant,
                          fold_batchnorm, fold_model, fp_model_from_json,
                          fp_model_to_json, quantize_model, random_fp_model)
@@ -146,11 +147,21 @@ class TestFpModelSerialization:
         assert back.search == fp.search
 
     @pytest.mark.parametrize("shape", ["hemisphere", "semi_octahedron"])
-    def test_round_trip_keeps_cone_params(self, shape):
-        search = SearchParams(shape=shape, r=2.5, beta=0.02, d_max=8)
-        fp = random_fp_model(6, search=search)
-        back = fp_model_from_json(fp_model_to_json(fp))
-        assert back.search == search
+    def test_cone_shape_rejected(self, shape):
+        doc = fp_model_to_json(random_fp_model(6))
+        doc["search"] = {"shape": shape, "r": 2.5, "beta": 0.02, "D_max": 8}
+        with pytest.raises(ModelConfigError, match=shape):
+            fp_model_from_json(doc)
+
+    def test_old_cone_keys_ignored(self):
+        """FP files that still carry the "r" and "beta" search keys load."""
+        fp = random_fp_model(6, search=SearchParams(shape="cylinder", d_max=8))
+        doc = fp_model_to_json(fp)
+        old = fp_model_to_json(fp)
+        old["search"].update(r=2.5, beta=0.02)
+        assert "r" not in doc["search"] and "beta" not in doc["search"]
+        assert fp_model_from_json(old).search == fp.search
+        assert fp_model_from_json(doc).search == fp.search
 
     def test_quantize_after_round_trip_identical(self):
         fp = random_fp_model(7)

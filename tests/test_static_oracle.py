@@ -75,6 +75,23 @@ class TestEq7Int8:
         assert [int(v) for v in logits] == res.logits[7].tolist()
 
 
+class TestEq7Fp:
+    def test_logits_equal_per_event_readout(self):
+        """Logits of event i are fc_b + W_fc . (per-cell max up to i)."""
+        width, height = 64, 48
+        s = _stream(4, count=400, width=width, height=height)
+        fp = _fp_model(5, width, height)
+        res = forward_eq7_fp(s, engine.build_adjacency(s, PARAMS), fp)
+        cells = np.zeros((fp.n_cells_x * fp.n_cells_y, fp.layers[-1].c_out))
+        for i, ev in enumerate(s.events):
+            k = (ev.y // fp.patch) * fp.n_cells_x + ev.x // fp.patch
+            cells[k] = np.maximum(cells[k], res.feats[-1][i])
+            want = fp.fc_bias + fp.fc_weights @ cells.reshape(-1)
+            assert np.allclose(res.logits[i], want), f"event {i}"
+        assert np.array_equal(res.readout, cells.reshape(-1))
+        assert np.array_equal(res.cls, np.argmax(res.logits, axis=1))
+
+
 class TestGenericMessagePassing:
     def test_directed_chain_topology(self, make_stream):
         # chain A -> B -> C -> D in time at one pixel with a short queue:
