@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import engine, event_io, perf_model, quant, static_oracle
-from .graph_builder import InvalidSearchParams, SearchParams
+from .graph_builder import SHAPES, InvalidSearchParams, SearchParams
 from .model import ModelConfigError, load_model, save_model
 
 log = logging.getLogger("evgnn")
@@ -256,7 +256,7 @@ def cmd_quantize(args) -> int:
 
 def _add_common_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "bin"), default=None)
-    p.add_argument("--shape", choices=("prism", "cylinder"), default=None)
+    p.add_argument("--shape", choices=SHAPES, default=None)
     p.add_argument("--r-s", dest="r_s", type=int, default=None)
     p.add_argument("--r-t", dest="r_t", type=int, default=None)
     p.add_argument("--d-max", dest="d_max", type=int, default=None)

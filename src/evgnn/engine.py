@@ -10,8 +10,13 @@ Two granularities are provided:
       function, eq7_layer, reading the stream's x, y, t, p columns. It
       splits each message W . (x_j, q|dx|, q|dy|) into a per-node term
       W_x . x_j and a per-layer table over the window offsets, so an edge
-      costs one C_out add and a max. run_layers batches it three ways: the
-      whole graph, layer by layer (the default and the static oracle,
+      costs one C_out add and a max. The neighbour lists are held
+      slot-major, [d_max, N], and a slot past an event's degree points at
+      a sentinel row appended to the node terms (MSG_FLOOR) and to the
+      table (0): a batch of B events is one gather into a [D, B, C_out]
+      tensor and one max over the slot axis, with no mask. run_layers
+      batches it three ways: the whole graph, layer by layer, in
+      contiguous row slices (the default and the static oracle,
       static_oracle.forward_eq7_int8), and the layer-sequential and
       layer-parallel schedules over the adjacency's dependency levels,
       kept to verify it. All share one incremental readout / FC,
@@ -321,73 +326,130 @@ def node_terms(x: np.ndarray, w_x: np.ndarray) -> np.ndarray:
 
 
 def eq7_layer(layer: LayerParams, terms: np.ndarray, table: np.ndarray,
-              nbr: np.ndarray, pos: np.ndarray, valid: np.ndarray,
+              nbr: np.ndarray, pos: np.ndarray, empty: np.ndarray,
               empty_aggregation: str) -> np.ndarray:
     """Eq-7 INT8 conv of one layer for a batch of B events, factored.
 
-    out_b = BAQ(max over valid j of (terms[nbr_bj] + table[pos_bj]) + bias),
+    out_b = BAQ(max over slots j of (terms[nbr_jb] + table[pos_jb]) + bias),
     which equals BAQ(max_j W . (x_j, q|dx_bj|, q|dy_bj|) + bias) exactly.
-    terms holds W_x . x_j of every event, int32[N, C_out]; table is the
-    layer's position_terms. nbr, pos (the table row of |dx|, |dy|) and
-    valid (the real-slot mask) are [B, D]. A row with no valid slot
-    aggregates to the empty identity: 0 ("zero") or -inf ("neg_inf").
+    nbr (neighbour rows) and pos (offset-table rows of |dx|, |dy|) are
+    slot-major [D, B]. terms holds W_x . x_j of every event plus a last
+    sentinel row of MSG_FLOOR, int32[N+1, C_out]; table is the layer's
+    position_terms plus a last sentinel row of 0. A slot at or past an
+    event's degree points at both sentinels, so its message is exactly
+    MSG_FLOOR. The gathers build one [D, B, C_out] tensor, and one reduce
+    over the slot axis takes the max. empty marks the rows of degree 0,
+    which aggregate to the empty identity: 0 ("zero") or -inf ("neg_inf").
     The loader's range proof puts every message, bias and their sum
-    strictly inside int32, so MSG_FLOOR lies below every message and
+    strictly inside int32, so MSG_FLOOR lies below every real message and
     MSG_FLOOR + bias < 0 maps to 0 exactly as -inf does.
     """
-    msgs = terms[nbr]
-    msgs += table[pos]
-    msgs[~valid] = MSG_FLOOR
-    agg = msgs.max(axis=1, initial=MSG_FLOOR).astype(np.int64)
+    msgs = np.take(terms, nbr, axis=0)
+    msgs += np.take(table, pos, axis=0)
+    agg = np.maximum.reduce(msgs, axis=0, initial=MSG_FLOOR).astype(np.int64)
     if empty_aggregation == "zero":
-        agg[~valid.any(axis=1)] = 0
+        agg[empty] = 0
     return baq_batch(agg + layer.bias, layer.requant)
 
 
+def _row_chunks(group, size: int):
+    """group's rows in runs of at most size.
+
+    A slice yields slices (views of the per-event arrays), an index array
+    yields index arrays.
+    """
+    if isinstance(group, slice):
+        return [slice(s, min(s + size, group.stop))
+                for s in range(group.start, group.stop, size)]
+    return [group[s:s + size] for s in range(0, len(group), size)]
+
+
+def slot_major(adj: Adjacency, extent: int) -> tuple[np.ndarray, np.ndarray]:
+    """C-contiguous [d_max, N] neighbour rows and offset-table rows.
+
+    The table row of an edge is |dx| * (extent+1) + |dy|. A slot at or
+    past an event's degree holds the sentinels: row N of the node terms
+    and row (extent+1)**2 of the table. Offset rows are in the narrowest
+    unsigned type that holds the sentinel row; |dx| and |dy| are cast to
+    it before the multiply, which would overflow int8 from extent = 11.
+    Built one slot at a time, so no other [N, d_max] array is made.
+    """
+    n, d_max = adj.nbr_n.shape
+    side = extent + 1
+    nbr_type = np.promote_types(adj.nbr_n.dtype, np.min_scalar_type(n))
+    pos_type = np.min_scalar_type(side * side)
+    nbr = np.empty((d_max, n), dtype=nbr_type)
+    pos = np.empty((d_max, n), dtype=pos_type)
+    for k in range(d_max):
+        pad = adj.deg <= k
+        nbr[k] = adj.nbr_n[:, k]
+        nbr[k, pad] = n
+        pos[k] = np.abs(adj.nbr_dx[:, k])
+        pos[k] *= side
+        pos[k] += np.abs(adj.nbr_dy[:, k]).astype(pos_type)
+        pos[k, pad] = side * side
+    return nbr, pos
+
+
 def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
-               groups: list[np.ndarray],
+               groups: list[slice | np.ndarray],
                layer_outer: bool) -> list[np.ndarray]:
     """Run every INT8 layer over every group of event rows, in schedule order.
 
-    A group's events must depend only on earlier groups. layer_outer runs
-    layer by layer over all groups; otherwise group by group over all
-    layers. Each eq7_layer call holds at most CHUNK_CELLS message cells.
-    x0 is the encoded input of every event; a layer's node terms are
-    computed as its input rows are written. Returns the per-layer outputs
-    (uint8[N, C_out]).
+    A group is a slice (the whole graph, taken in contiguous views) or an
+    index array (a dependency level). A group's events must depend only on
+    earlier groups. layer_outer runs layer by layer over all groups, and
+    drops a layer's node terms once the layer is done, so only two
+    layers' terms are alive at a time; otherwise it runs group by group
+    over all layers. Each eq7_layer call holds at most CHUNK_CELLS message
+    cells. x0 is the encoded input of every event; a layer's node terms
+    are computed as its input rows are written. Returns the per-layer
+    outputs (uint8[N, C_out]).
     """
     layers = model.layers
     n, d_max = adj.nbr_n.shape
     extent = model.search.r_s
-    valid = np.arange(d_max) < adj.deg[:, None]
-    # table row |dx| * (extent+1) + |dy|, in the narrowest unsigned type
-    # that holds the last row; |dx| and |dy| are cast to it before the
-    # multiply, which would overflow int8 from extent = 11
-    pos_type = np.min_scalar_type((extent + 1) ** 2 - 1)
-    pos = np.abs(adj.nbr_dx).astype(pos_type)
-    pos *= extent + 1
-    pos += np.abs(adj.nbr_dy).astype(pos_type)
-    tables = [position_terms(lp, extent) for lp in layers]
+    nbr, pos = slot_major(adj, extent)
+    empty = adj.deg == 0
+    tables = [np.vstack([position_terms(lp, extent),
+                         np.zeros((1, lp.c_out), dtype=np.int32)])
+              for lp in layers]
     w_x = [lp.weights[:, :-2].T.astype(np.float64) for lp in layers]
-    terms = [node_terms(np.asarray(x0, dtype=np.float64)[:, None], w_x[0])]
-    terms += [np.zeros((n, lp.c_out), dtype=np.int32) for lp in layers[1:]]
+
+    def new_terms(l):
+        t = np.empty((n + 1, layers[l].c_out), dtype=np.int32)
+        t[n] = MSG_FLOOR
+        return t
+
+    terms = [new_terms(0)] + [None] * (len(layers) - 1)
+    terms[0][:n] = node_terms(np.asarray(x0, dtype=np.float64)[:, None],
+                              w_x[0])
     outs = [np.zeros((n, lp.c_out), dtype=np.uint8) for lp in layers]
     chunk = [max(1, CHUNK_CELLS // (max(d_max, 1) * lp.c_out))
              for lp in layers]
-    steps = ([(l, g) for l in range(len(layers)) for g in groups]
-             if layer_outer else
-             [(l, g) for g in groups for l in range(len(layers))])
-    for l, group in steps:
-        for s in range(0, len(group), chunk[l]):
-            rows = group[s:s + chunk[l]]
+
+    def run(l, group):
+        if l + 1 < len(layers) and terms[l + 1] is None:
+            terms[l + 1] = new_terms(l + 1)
+        for rows in _row_chunks(group, chunk[l]):
             d = int(adj.deg[rows].max())
-            out = eq7_layer(layers[l], terms[l], tables[l],
-                            adj.nbr_n[rows, :d], pos[rows, :d],
-                            valid[rows, :d], model.empty_aggregation)
+            out = eq7_layer(layers[l], terms[l], tables[l], nbr[:d, rows],
+                            pos[:d, rows], empty[rows],
+                            model.empty_aggregation)
             outs[l][rows] = out
             if l + 1 < len(layers):
                 terms[l + 1][rows] = node_terms(out.astype(np.float64),
                                                 w_x[l + 1])
+
+    if layer_outer:
+        for l in range(len(layers)):
+            for group in groups:
+                run(l, group)
+            terms[l] = None
+    else:
+        for group in groups:
+            for l in range(len(layers)):
+                run(l, group)
     return outs
 
 
@@ -451,7 +513,7 @@ def run_stream(model: QuantizedModel, stream: EventStream,
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = adjacency if adjacency is not None else build_adjacency(stream, model)
     groups = (adj.levels if sequential or levels
-              else [np.arange(len(adj.deg))])
+              else [slice(0, len(adj.deg))])
     return _run_groups(model, stream, adj, groups,
                        layer_outer=sequential or not levels)
 

@@ -163,15 +163,15 @@ class EventQueueGrid:
         return evicted
 
 
-def _spatial_ok(shape: str, dx: int, dy: int, params: SearchParams) -> bool:
+def _spatial_ok(dx: int, dy: int, params: SearchParams) -> bool:
     """Spatial window test: L1 (prism) or L2 (cylinder) within r_s."""
-    if shape == "prism":
+    if params.shape == "prism":
         return abs(dx) + abs(dy) <= params.r_s
     return dx * dx + dy * dy <= params.r_s * params.r_s
 
 
-def _full_ok(shape: str, dx: int, dy: int, dt: int, params: SearchParams) -> bool:
-    return 0 <= dt <= params.r_t and _spatial_ok(shape, dx, dy, params)
+def _full_ok(dx: int, dy: int, dt: int, params: SearchParams) -> bool:
+    return 0 <= dt <= params.r_t and _spatial_ok(dx, dy, params)
 
 
 def search_neighbors(grid: EventQueueGrid, ev: Event,
@@ -185,7 +185,7 @@ def search_neighbors(grid: EventQueueGrid, ev: Event,
         if yj < 0 or yj >= grid.height:
             continue
         for dx in range(-r, r + 1):
-            if not _spatial_ok(params.shape, dx, dy, params):
+            if not _spatial_ok(dx, dy, params):
                 continue
             xj = ev.x - dx
             if xj < 0 or xj >= grid.width:
@@ -216,7 +216,7 @@ def brute_force_neighbors(history: list[Event], ev: Event,
     for dy in range(-r, r + 1):
         yj = ev.y - dy
         for dx in range(-r, r + 1):
-            if not _spatial_ok(params.shape, dx, dy, params):
+            if not _spatial_ok(dx, dy, params):
                 continue
             xj = ev.x - dx
             retained = per_pixel.get((xj, yj))
@@ -225,7 +225,7 @@ def brute_force_neighbors(history: list[Event], ev: Event,
             # Newest-first over the last queue_depth arrivals at this pixel.
             for old in reversed(retained[-params.queue_depth:]):
                 dt = ev.t - old.t
-                if _full_ok(params.shape, dx, dy, dt, params):
+                if _full_ok(dx, dy, dt, params):
                     out.append(Neighbor(old.n, old.t, old.p, dx, dy, dt))
                     if len(out) == params.d_max:
                         return out
@@ -258,7 +258,7 @@ def naive_neighbors(history: list[Event], ev: Event,
     for old in sorted(eligible, key=scan_key):
         dx, dy = ev.x - old.x, ev.y - old.y
         dt = ev.t - old.t
-        if _full_ok(params.shape, dx, dy, dt, params):
+        if _full_ok(dx, dy, dt, params):
             out.append(Neighbor(old.n, old.t, old.p, dx, dy, dt))
             if len(out) == params.d_max:
                 break

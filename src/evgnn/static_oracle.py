@@ -121,7 +121,7 @@ def forward_eq7_fp(stream: EventStream, adj: Adjacency,
 def forward_eq7_int8(stream: EventStream, adj: Adjacency,
                      model: QuantizedModel) -> RunResult:
     """The engine's INT8 layers, each over the whole graph in turn."""
-    return _run_groups(model, stream, adj, [np.arange(len(stream))],
+    return _run_groups(model, stream, adj, [slice(0, len(stream))],
                        layer_outer=True)
 
 

@@ -5,7 +5,6 @@ The latency/energy targets of criterion 8 are calibration reproductions
 (constants fitted to the documented operating point), not blind predictions.
 """
 
-import math
 import time
 from fractions import Fraction
 from pathlib import Path

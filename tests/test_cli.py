@@ -5,7 +5,7 @@ import pytest
 
 from evgnn import engine, event_io, graph_builder, quant, static_oracle
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
-from evgnn.model import load_model, model_to_json, save_model
+from evgnn.model import model_to_json, save_model
 
 
 @pytest.fixture()

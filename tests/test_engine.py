@@ -14,7 +14,7 @@ from evgnn.engine import (DimMismatch, EngineState, FeatureStore,
                           rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, DenseParams, LayerParams,
-                         QuantizedModel, calibration_model, random_model)
+                         calibration_model, random_model)
 
 
 def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
@@ -338,6 +338,100 @@ class TestProcessEvent:
         for sequential in (False, True):
             res = engine.run_stream(model, small_stream, sequential=sequential)
             assert np.array_equal(res.logits, logits)
+
+
+SCHEDULES = ({}, {"levels": True}, {"sequential": True})
+
+
+def _assert_feats_equal(feats, state):
+    for l, f in enumerate(feats):
+        assert np.array_equal(f, np.stack(
+            [state.store.read(i, l + 1) for i in range(len(f))]))
+
+
+class TestSentinelKernel:
+    """Slots past an event's degree point at the sentinel rows: the last
+    row of the node terms (MSG_FLOOR) and of the offset table (0)."""
+
+    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    def test_sentinel_table_row_past_uint8(self, empty):
+        """r_s = 15: 256 table rows, so the sentinel row 256 needs uint16
+        (a uint8 index would wrap to row 0)."""
+        params = SearchParams(r_s=15, r_t=5_000, d_max=8, queue_depth=2)
+        model = random_model(6, width=40, height=36, layer_dims=(6, 5),
+                             search=params, empty_aggregation=empty)
+        stream = event_io.gen_synthetic(
+            "uniform_random", {"width": 40, "height": 36, "count": 120,
+                               "duration_us": 1_000}, seed=9)
+        adj = engine.build_adjacency(stream, model)
+        nbr, pos = engine.slot_major(adj, params.r_s)
+        pad = np.arange(params.d_max)[:, None] >= adj.deg
+        assert pad.any() and (~pad).any() and np.any(adj.deg == 0)
+        assert nbr.shape == pos.shape == (params.d_max, len(stream))
+        assert pos.dtype == np.uint16
+        assert np.all(pos[pad] == 256) and pos[~pad].max() < 256
+        assert np.all(nbr[pad] == len(stream))
+        state, preds = _per_event_run(model, stream)
+        for kw in SCHEDULES:
+            res = engine.run_stream(model, stream, adjacency=adj, **kw)
+            _assert_feats_equal(res.feats, state)
+            assert np.array_equal(res.logits,
+                                  np.stack([p.logits for p in preds]))
+
+    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    def test_whole_graph_chunk_without_edges(self, empty):
+        """Every row of the first whole-graph chunk has degree 0, so its
+        gather takes D = 0 slots."""
+        model = random_model(7, layer_dims=(32, 32), empty_aggregation=empty)
+        rows = engine.CHUNK_CELLS // (model.search.d_max * 32)
+        base = event_io.gen_synthetic(
+            "uniform_random", {"width": 64, "height": 48,
+                               "count": 2 * rows, "duration_us": 2_000},
+            seed=10)
+        step = model.search.r_t + 1  # one event per time window: no edges
+        t = base.t.copy()
+        t[:rows] = np.arange(rows) * step
+        t[rows:] += rows * step
+        stream = event_io.EventStream(64, 48, base.x, base.y, t, base.p)
+        adj = engine.build_adjacency(stream, model)
+        assert adj.deg[:rows].max() == 0 and adj.deg[rows:].max() > 0
+        state, preds = _per_event_run(model, stream)
+        for kw in SCHEDULES:
+            res = engine.run_stream(model, stream, adjacency=adj, **kw)
+            _assert_feats_equal(res.feats, state)
+            assert np.array_equal(res.logits,
+                                  np.stack([p.logits for p in preds]))
+
+    @pytest.mark.parametrize("layer_outer", [True, False])
+    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    def test_group_mixing_empty_and_saturated_rows(self, empty,
+                                                   layer_outer):
+        """One batch holds rows of degree 0 beside rows at d_max."""
+        model = dataclasses.replace(calibration_model(),
+                                    empty_aggregation=empty)
+        dot = event_io.gen_synthetic(
+            "moving_dot", {"width": 120, "height": 100, "count": 250,
+                           "duration_us": 1_250, "velocity": (1.0, 0.0),
+                           "dot_radius": 1.5}, seed=1)
+        # isolated events after the dot: nothing reads them
+        k = 5
+        tail_t = int(dot.t[-1]) + np.arange(1, k + 1) * (
+            model.search.r_t + 1)
+        stream = event_io.EventStream(
+            120, 100, np.r_[dot.x, np.full(k, 60)],
+            np.r_[dot.y, np.full(k, 50)], np.r_[dot.t, tail_t],
+            np.r_[dot.p, np.ones(k, dtype=dot.p.dtype)])
+        adj = engine.build_adjacency(stream, model)
+        tail = np.arange(len(dot), len(stream))
+        assert np.all(adj.deg[tail] == 0)
+        groups = [g for g in (np.setdiff1d(g, tail) for g in adj.levels)
+                  if len(g)]
+        groups[-1] = np.r_[groups[-1], tail]
+        assert np.any(adj.deg[groups[-1]] == model.search.d_max)
+        feats = engine.run_layers(model, engine.encoded_inputs(stream, model),
+                                  adj, groups, layer_outer)
+        state, _ = _per_event_run(model, stream)
+        _assert_feats_equal(feats, state)
 
 
 class TestInvariantsOnStream:

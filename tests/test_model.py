@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from evgnn import engine, event_io
-from evgnn.graph_builder import SearchParams
 from evgnn.model import (DenseParams, LayerParams, ModelConfigError,
                          QuantizedModel, calibration_model, load_model,
                          model_from_json, model_to_json, random_model,

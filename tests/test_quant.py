@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evgnn import engine, event_io, quant, static_oracle
+from evgnn import engine, event_io, static_oracle
 from evgnn.engine import rne_mulshift
 from evgnn.graph_builder import SearchParams
 from evgnn.model import ModelConfigError

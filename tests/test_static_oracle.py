@@ -5,7 +5,6 @@ import pytest
 
 from evgnn import engine, event_io, static_oracle
 from evgnn.graph_builder import SearchParams
-from evgnn.model import random_model
 from evgnn.static_oracle import (FPLayer, FPModel, GenericConvSpec,
                                  forward_eq7_fp, forward_eq7_int8,
                                  message_passing_generic)
