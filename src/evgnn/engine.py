@@ -16,13 +16,14 @@ Two granularities are provided:
       table (0): a batch of B events is one gather into a [D, B, C_out]
       tensor and one max over the slot axis, with no mask. run_layers
       batches it three ways: the whole graph, layer by layer, in
-      contiguous row slices (the default and the static oracle,
-      static_oracle.forward_eq7_int8), and the layer-sequential and
-      layer-parallel schedules over the adjacency's dependency levels,
-      kept to verify it. All share one incremental readout / FC,
-      readout_trace, and return one RunResult whose feats hold one
-      uint8 [N, C_out] array per layer (BAQ clamps every output to
-      [0, 127]); the static forwards return it too.
+      contiguous row slices (the default of infer and bench), and the
+      layer-sequential and layer-parallel schedules over the adjacency's
+      dependency levels, kept to verify it. All share one incremental
+      readout / FC, readout_trace, and return one RunResult whose feats
+      hold one uint8 [N, C_out] array per layer (BAQ clamps every output
+      to [0, 127]). The static forwards of static_oracle return it too;
+      they compute each message unfactored, so verify checks this
+      factoring against them.
 
 All INT8 arithmetic is exact. The node terms are float64 products, which
 hold every partial sum exactly because the model loader proves that each
@@ -31,7 +32,6 @@ stays below 2**31; requantization rounds to nearest even.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,14 +150,6 @@ class FeatureStore:
         self._written = np.zeros((num_events, len(self.layer_dims)),
                                  dtype=bool)
 
-    @property
-    def num_events(self) -> int:
-        return self._written.shape[0]
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.layer_dims)
-
     def write(self, n: int, l: int, feat: np.ndarray) -> None:
         if self._written[n, l]:
             raise StoreError(f"slot ({n},{l}) already written")
@@ -171,18 +163,6 @@ class FeatureStore:
         if not self._written[n, l]:
             raise StoreError(f"slot ({n},{l}) not yet written")
         return self._data[l][n]
-
-    def dump(self) -> bytes:
-        """Debug dump: (n:u32, l:u8, len:u16, payload int8*len), LE."""
-        chunks = []
-        for n in range(self.num_events):
-            for l in range(self.num_levels):
-                if not self._written[n, l]:
-                    continue
-                payload = self._data[l][n].astype(np.int8).tobytes()
-                chunks.append(struct.pack("<IBH", n, l, len(payload)))
-                chunks.append(payload)
-        return b"".join(chunks)
 
 
 class ReadoutState:

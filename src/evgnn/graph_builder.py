@@ -232,39 +232,6 @@ def brute_force_neighbors(history: list[Event], ev: Event,
     return out
 
 
-def naive_neighbors(history: list[Event], ev: Event,
-                    params: SearchParams) -> list[Neighbor]:
-    """Second, even simpler reference: no pixel index at all.
-
-    Eligibility (last queue_depth arrivals per pixel) is computed by a
-    backwards scan of the whole history; candidates are then sorted into the
-    canonical scan order. Used for oracle-vs-oracle self-consistency.
-    """
-    seen: dict[tuple[int, int], int] = {}
-    eligible: list[Event] = []
-    for old in reversed(history):
-        key = (old.x, old.y)
-        c = seen.get(key, 0)
-        if c < params.queue_depth:
-            seen[key] = c + 1
-            eligible.append(old)
-
-    def scan_key(old: Event):
-        dx, dy = ev.x - old.x, ev.y - old.y
-        # (window row, window col, newest-first within the pixel queue)
-        return (dy, dx, -old.n)
-
-    out: list[Neighbor] = []
-    for old in sorted(eligible, key=scan_key):
-        dx, dy = ev.x - old.x, ev.y - old.y
-        dt = ev.t - old.t
-        if _full_ok(dx, dy, dt, params):
-            out.append(Neighbor(old.n, old.t, old.p, dx, dy, dt))
-            if len(out) == params.d_max:
-                break
-    return out
-
-
 def _narrowest(types, bound: int):
     """The first of types (narrowest first) whose maximum is >= bound."""
     return next(t for t in types if np.iinfo(t).max >= bound)

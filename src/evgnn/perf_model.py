@@ -2,10 +2,10 @@
 
 Two evaluations of the same pipeline are provided and must agree exactly:
 a closed form evaluated over a whole trace's int64 arrays at once
-(estimate_stream_latency; estimate_event_latency is the same formula on one
-event) and a discrete-event simulation that walks an event through
-explicit stage resources (simulate_cycles). The walk runs once per distinct
-row of the trace's four columns, since its result depends on nothing else.
+(estimate_stream_latency) and a discrete-event simulation that walks an
+event through explicit stage resources (simulate_cycles). The walk runs
+once per distinct row of the trace's four columns, since its result
+depends on nothing else.
 
 Stage composition per event (cycles):
     graph_build  = queue entries scanned * cycles_per_queue_entry_scan
@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class HwConfig:
     def bits_per_cycle(self) -> float:
         return self.dram_bw_bits_per_s / self.clock_hz
 
-    @staticmethod
-    def from_json(doc: dict) -> "HwConfig":
-        return HwConfig(**{k: doc[k] for k in doc
-                           if k in HwConfig.__dataclass_fields__})
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def load_hw_config(path: str) -> HwConfig:
     with open(path, encoding="utf-8") as fh:
@@ -81,7 +73,7 @@ def load_hw_config(path: str) -> HwConfig:
         doc = doc.get("hw", doc)
     if not isinstance(doc, dict):
         raise ValueError("hw config must be a JSON object")
-    return HwConfig.from_json(doc)
+    return HwConfig(**doc)  # an unknown key raises TypeError
 
 
 @dataclass
@@ -104,21 +96,6 @@ class EventTrace:
 
 
 STAGES = ("graph_build", "feature_fetch", "conv", "writeback", "readout_fc")
-
-
-@dataclass
-class LatencyBreakdown:
-    """Cycles per pipeline stage for one event."""
-
-    graph_build: int
-    feature_fetch: int
-    conv: int
-    writeback: int
-    readout_fc: int
-    total: int
-
-    def stage_cycles(self) -> dict[str, int]:
-        return {s: getattr(self, s) for s in STAGES}
 
 
 def fetch_bytes_per_neighbor(model: QuantizedModel) -> int:
@@ -198,18 +175,6 @@ def _stage_cycles(model: QuantizedModel, deg, entries_scanned,
     else:
         total = sum(stages.values())
     return stages, total
-
-
-def estimate_event_latency(model: QuantizedModel, deg: int,
-                           entries_scanned: int, bytes_fetched: int,
-                           bytes_written: int, cfg: HwConfig,
-                           mode: str = "parallel") -> LatencyBreakdown:
-    """Closed-form stage cycles for one event."""
-    stages, total = _stage_cycles(
-        model, *(np.int64(v) for v in (deg, entries_scanned, bytes_fetched,
-                                       bytes_written)), cfg, mode)
-    return LatencyBreakdown(**{s: int(stages[s]) for s in STAGES},
-                            total=int(total))
 
 
 @dataclass
@@ -411,19 +376,3 @@ def trace_from_run(model: QuantizedModel, deg: np.ndarray,
         bytes_written=np.full(len(deg), writeback_bytes(model),
                               dtype=np.int64))
 
-
-def calibration_trace(model: QuantizedModel, n_events: int = 2000,
-                      seed: int = 7, mean_deg: float = 12.2,
-                      mean_entries: float = 150.0) -> EventTrace:
-    """Deterministic synthetic trace used for the calibrated-profile checks.
-
-    Degrees are drawn around the documented calibration mean degree (12.2,
-    capped at D_max) and entries scanned around the documented mean queue
-    occupancy of the candidate window.
-    """
-    rng = np.random.default_rng(seed)
-    deg = np.clip(np.round(rng.normal(mean_deg, 1.5, n_events)),
-                  0, model.search.d_max).astype(np.int64)
-    entries = np.clip(np.round(rng.normal(mean_entries, 25.0, n_events)),
-                      deg, None).astype(np.int64)
-    return trace_from_run(model, deg, entries)

@@ -3,35 +3,39 @@
 The graph is the stream plus its Adjacency, as engine.build_adjacency
 builds it for the event-driven engine (retention, canonical scan order,
 d_max truncation), so comparisons against the engine isolate the
-execution schedule, not the topology.
+execution schedule and the layer arithmetic, not the topology.
 
-Supported forward paths run the static schedule (each layer over the
-whole graph, then the next); each takes (stream, adjacency, model) and
+Both forwards run the static schedule (each layer over the whole graph,
+then the next) through one gather-form layer loop that computes eq 7
+unfactored: each message is W . (x_j, q|dx|, q|dy|), one float64 matmul
+per batch with the layer's full weights, then the max over neighbours,
+the bias and the activation. Each takes (stream, adjacency, model) and
 returns the engine's RunResult:
-    eq7_int8 -- integer simplified conv through the engine's factored
-                layer function, bit-exact vs the engine
-    eq7_fp   -- the same conv in float (relu(max_j W (x_j,|dx|,|dy|) + b)),
-                kept on the unfactored gather form: factoring moves float
-                rounding, and with it the quantizer's activation scales
-plus a scalar generic message-passing framework over an Adjacency, with
-pluggable phi / aggregator / gamma, that reproduces eq7_fp when
-specialized.
+    eq7_fp   -- inputs +-1.0, raw pixel offsets, ReLU; its activations set
+                the quantizer's scales
+    eq7_int8 -- the encoded inputs, the layer's position requant (RNE,
+                clipped at 32767) and BAQ, with uint8 outputs. The float64
+                sums are exact, because the model loader proves every
+                |sum| < 2**31, so it is bit-exact against the engine's
+                factored eq7_layer while using none of that factoring
+                (node terms, offset table, slot-major rows): verify's
+                static leg checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import perf_model
-from .engine import RunResult, _run_groups, readout_trace
+from .engine import (RunResult, baq_batch, encoded_inputs, readout_trace,
+                     rne_mulshift)
 from .event_io import EventStream
 from .graph_builder import Adjacency, SearchParams
 from .model import QuantizedModel
 
-FP_BATCH_ROWS = 4096  # events per FP step; bounds the [B, D, C_in+2] gather
+BATCH_ROWS = 4096  # events per step; bounds the [B, D, C_in+2] gather
 
 
 # ---------------------------------------------------------------- FP model
@@ -82,92 +86,68 @@ class FPModel:
         return -(-self.height // self.patch)
 
 
-def _fp_inputs(stream: EventStream) -> np.ndarray:
-    """Polarity to float feature: 0 -> -1.0, 1 -> +1.0."""
-    return np.where(stream.p != 0, 1.0, -1.0)
+def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
+                    position, activation, fc_w: np.ndarray,
+                    fc_b: np.ndarray) -> RunResult:
+    """Every layer of model over the whole graph, eq 7 in gather form.
 
-
-def forward_eq7_fp(stream: EventStream, adj: Adjacency,
-                   model: FPModel) -> RunResult:
+    x is the input feature of every event, [N]. Per batch of events, the
+    loop gathers (x_j, position(layer, |dx|), position(layer, |dy|)) of
+    every neighbour slot, runs one float64 matmul with the layer's
+    weights, sets the slots past the degree to -inf, takes the max, applies
+    the empty identity (0 for "zero"; -inf stays for "neg_inf") and hands
+    the sum with the bias to activation(v, layer). Its result is the
+    layer's output and the next layer's input.
+    """
     n = len(stream)
     valid = np.arange(adj.nbr_n.shape[1]) < adj.deg[:, None]
     offsets = np.abs(np.stack([adj.nbr_dx, adj.nbr_dy], axis=2))
-    x = _fp_inputs(stream)[:, None]
+    x = x[:, None]
     feats = []
     for layer in model.layers:
-        out = np.zeros((n, layer.c_out))
-        for s in range(0, n, FP_BATCH_ROWS):
-            rows = slice(s, s + FP_BATCH_ROWS)
-            d = int(adj.deg[rows].max())
+        w = np.asarray(layer.weights, dtype=np.float64).T
+        outs = []
+        # an empty stream still runs one empty batch, which types its output
+        for s in range(0, max(n, 1), BATCH_ROWS):
+            rows = slice(s, s + BATCH_ROWS)
+            d = int(adj.deg[rows].max(initial=0))
             ok = valid[rows, :d]
-            inp = np.concatenate([x[adj.nbr_n[rows, :d]], offsets[rows, :d]],
-                                 axis=2)
+            inp = np.concatenate([x[adj.nbr_n[rows, :d]],
+                                  position(layer, offsets[rows, :d])],
+                                 axis=2, dtype=np.float64)
             b = len(inp)
-            msgs = (inp.reshape(b * d, inp.shape[2]) @ layer.weights.T
+            msgs = (inp.reshape(b * d, inp.shape[2]) @ w
                     ).reshape(b, d, layer.c_out)
             msgs[~ok] = -np.inf
             agg = msgs.max(axis=1, initial=-np.inf)
             if model.empty_aggregation == "zero":
                 agg[~ok.any(axis=1)] = 0.0
-            out[rows] = np.maximum(agg + layer.bias, 0.0)
-        feats.append(out)
-        x = out
-    logits, cls, readout = readout_trace(model, stream, feats[-1],
-                                         model.fc_weights, model.fc_bias)
+            outs.append(activation(agg + layer.bias, layer))
+        x = np.concatenate(outs)
+        feats.append(x)
+    logits, cls, readout = readout_trace(model, stream, x, fc_w, fc_b)
     return RunResult(adj, feats, logits, cls, readout,
                      perf_model.conv_macs(model, adj.deg))
 
 
+def forward_eq7_fp(stream: EventStream, adj: Adjacency,
+                   model: FPModel) -> RunResult:
+    """Float eq 7: relu(max_j W . (x_j, |dx|, |dy|) + b), x0 = +-1.0."""
+    return _gather_forward(
+        stream, adj, model, np.where(stream.p != 0, 1.0, -1.0),
+        lambda layer, offs: offs,
+        lambda v, layer: np.maximum(v, 0.0),
+        model.fc_weights, model.fc_bias)
+
+
 def forward_eq7_int8(stream: EventStream, adj: Adjacency,
                      model: QuantizedModel) -> RunResult:
-    """The engine's INT8 layers, each over the whole graph in turn."""
-    return _run_groups(model, stream, adj, [slice(0, len(stream))],
-                       layer_outer=True)
+    """INT8 eq 7: BAQ(max_j W . (x_j, q|dx|, q|dy|) + b), uint8 outputs."""
+    def position(layer, offs):
+        return np.minimum(rne_mulshift(offs.astype(np.int64),
+                                       *layer.pos_requant), 32767)
 
-
-# ----------------------------------------------- generic message passing
-
-@dataclass
-class GenericConvSpec:
-    """Eq-style pluggable conv: x'_i = gamma(x_i, agg_j phi(x_i, x_j, rel))."""
-
-    phi: Callable[[np.ndarray, np.ndarray, tuple[int, int, int]], np.ndarray]
-    aggregator: str  # sum | mean | max
-    gamma: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    out_dim: int
-    include_self: bool = False
-    empty_aggregation: str = "zero"  # zero | neg_inf (max only)
-
-
-def message_passing_generic(adj: Adjacency, spec: GenericConvSpec,
-                            features: np.ndarray) -> np.ndarray:
-    if spec.aggregator not in ("sum", "mean", "max"):
-        raise ValueError(f"unknown aggregator {spec.aggregator!r}")
-    n = len(adj.deg)
-    features = np.asarray(features, dtype=np.float64)
-    out = []
-    for i in range(n):
-        msgs = []
-        if spec.include_self:
-            msgs.append(np.asarray(
-                spec.phi(features[i], features[i], (0, 0, 0)),
-                dtype=np.float64))
-        for k in range(int(adj.deg[i])):
-            j = int(adj.nbr_n[i, k])
-            rel = (int(adj.nbr_dx[i, k]), int(adj.nbr_dy[i, k]),
-                   int(adj.nbr_dt[i, k]))
-            msgs.append(np.asarray(spec.phi(features[i], features[j], rel),
-                                   dtype=np.float64))
-        if not msgs:
-            if spec.aggregator == "max" and spec.empty_aggregation == "neg_inf":
-                agg = np.full(spec.out_dim, -np.inf)
-            else:
-                agg = np.zeros(spec.out_dim)
-        elif spec.aggregator == "sum":
-            agg = np.sum(msgs, axis=0)
-        elif spec.aggregator == "mean":
-            agg = np.mean(msgs, axis=0)
-        else:
-            agg = np.max(msgs, axis=0)
-        out.append(np.asarray(spec.gamma(features[i], agg), dtype=np.float64))
-    return np.stack(out)
+    return _gather_forward(
+        stream, adj, model, encoded_inputs(stream, model), position,
+        lambda v, layer: baq_batch(v, layer.requant).astype(np.uint8),
+        model.fc.weights, model.fc.bias)

@@ -1,0 +1,23 @@
+"""Test-only references shared by several test files."""
+
+import numpy as np
+
+from evgnn.model import QuantizedModel
+from evgnn.perf_model import EventTrace, trace_from_run
+
+
+def calibration_trace(model: QuantizedModel, n_events: int = 2000,
+                      seed: int = 7, mean_deg: float = 12.2,
+                      mean_entries: float = 150.0) -> EventTrace:
+    """Deterministic synthetic trace used for the calibrated-profile checks.
+
+    Degrees are drawn around the documented calibration mean degree (12.2,
+    capped at D_max) and entries scanned around the documented mean queue
+    occupancy of the candidate window.
+    """
+    rng = np.random.default_rng(seed)
+    deg = np.clip(np.round(rng.normal(mean_deg, 1.5, n_events)),
+                  0, model.search.d_max).astype(np.int64)
+    entries = np.clip(np.round(rng.normal(mean_entries, 25.0, n_events)),
+                      deg, None).astype(np.int64)
+    return trace_from_run(model, deg, entries)

@@ -18,9 +18,11 @@ from evgnn import engine, event_io, perf_model, quant, static_oracle
 from evgnn.engine import count_ops, rne_mulshift, run_stream
 from evgnn.graph_builder import SearchParams, brute_force_neighbors
 from evgnn.model import calibration_model, random_model
-from evgnn.perf_model import (HwConfig, calibration_trace, conv_latency,
-                              estimate_energy, estimate_stream_latency,
-                              simulate_cycles, trace_from_run)
+from evgnn.perf_model import (HwConfig, conv_latency, estimate_energy,
+                              estimate_stream_latency, simulate_cycles,
+                              trace_from_run)
+
+from helpers import calibration_trace
 
 N_STREAMS = 20
 EVENTS_PER_STREAM = 10_000

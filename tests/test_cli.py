@@ -5,7 +5,7 @@ import pytest
 
 from evgnn import engine, event_io, graph_builder, quant, static_oracle
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
-from evgnn.model import model_to_json, save_model
+from evgnn.model import model_to_json, random_model, save_model
 
 
 @pytest.fixture()
@@ -196,6 +196,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith(f"DIVERGENCE vs static-oracle: event {first}: ")
 
+    @pytest.mark.parametrize("name, fault", [
+        ("position_terms", lambda table: table[::-1]),
+        ("node_terms", lambda terms: terms + 1),
+    ], ids=["offset_table_reversed", "node_terms_plus_one"])
+    def test_factoring_fault_detected(self, tmp_path, monkeypatch, capsys,
+                                      name, fault):
+        # the factored layer serves all three engine schedules alike, so
+        # only the unfactored static oracle can catch a fault in it
+        model = random_model(3)
+        stream = event_io.gen_synthetic(
+            "uniform_random", {"width": model.width, "height": model.height,
+                               "count": 2000, "duration_us": 20_000}, 3)
+        mpath, spath = tmp_path / "m.json", tmp_path / "s.txt"
+        save_model(model, str(mpath))
+        spath.write_text(event_io.write_text_stream(stream))
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name,
+                            lambda *args: fault(real(*args)))
+        assert main(["verify", str(mpath), str(spath)]) == EXIT_DIVERGENCE
+        assert "DIVERGENCE vs static-oracle" in capsys.readouterr().out
+
     def test_unsupported_shape_is_config_error(self, brute_force_shape_model,
                                                stream_path, capsys):
         path, shape = brute_force_shape_model
@@ -245,8 +266,9 @@ class TestBench:
         ('{"hw": {"e_mac": 1e-12, "e_sram_byte": 1e-12}}',
          "e_mac needs e_sram_byte and e_dram_byte"),
         ('[200000000.0]', "must be a JSON object"),
+        ('{"hw": {"clock_Hz": 1e8}}', "clock_Hz"),
     ], ids=["malformed_json", "non_positive", "wrong_type",
-            "e_mac_alone", "not_an_object"])
+            "e_mac_alone", "not_an_object", "unknown_key"])
     def test_bad_hw_config_is_config_error(self, model_path, stream_path,
                                            tmp_path, capsys, text, message):
         hw = tmp_path / "hw.json"

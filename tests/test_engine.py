@@ -150,15 +150,6 @@ class TestFeatureStore:
         with pytest.raises(StoreError):
             store.write(0, 1, np.array([1, 2, 3]))
 
-    def test_dump_format(self):
-        store = FeatureStore(2, [2])
-        store.write(1, 0, np.array([-5]))
-        store.write(1, 1, np.array([3, 0]))
-        data = store.dump()
-        # (n=1, l=0, len=1, payload) then (n=1, l=1, len=2, payload)
-        assert data[:8] == b"\x01\x00\x00\x00\x00\x01\x00" + b"\xfb"
-        assert data[8:] == b"\x01\x00\x00\x00\x01\x02\x00" + b"\x03\x00"
-
 
 class TestReadout:
     def test_grid_8x7_for_120x100(self):

@@ -8,8 +8,8 @@ from evgnn.engine import build_adjacency
 from evgnn.event_io import Event
 from evgnn.graph_builder import (EventQueueGrid, InvalidDims,
                                  InvalidSearchParams, OutOfBoundsEvent,
-                                 SearchParams, brute_force_neighbors,
-                                 naive_neighbors, search_neighbors)
+                                 Neighbor, SearchParams,
+                                 brute_force_neighbors, search_neighbors)
 
 
 def _rand_stream(seed, width=24, height=20, count=400, duration=2_000):
@@ -142,6 +142,45 @@ def test_dynamic_equals_brute_force(shape, seed):
     for i, ev in enumerate(stream.events):
         assert dynamic[i] == brute_force_neighbors(
             stream.events[:i], ev, params), f"event {i}"
+
+
+def naive_neighbors(history: list[Event], ev: Event,
+                    params: SearchParams) -> list[Neighbor]:
+    """Second, even simpler reference: no pixel index at all.
+
+    Eligibility (last queue_depth arrivals per pixel) is computed by a
+    backwards scan of the whole history; candidates are then sorted into the
+    canonical scan order. Used for oracle-vs-oracle self-consistency.
+    """
+    seen: dict[tuple[int, int], int] = {}
+    eligible: list[Event] = []
+    for old in reversed(history):
+        key = (old.x, old.y)
+        c = seen.get(key, 0)
+        if c < params.queue_depth:
+            seen[key] = c + 1
+            eligible.append(old)
+
+    def scan_key(old: Event):
+        dx, dy = ev.x - old.x, ev.y - old.y
+        # (window row, window col, newest-first within the pixel queue)
+        return (dy, dx, -old.n)
+
+    def in_window(dx, dy, dt):
+        r = params.r_s
+        near = (abs(dx) + abs(dy) <= r if params.shape == "prism"
+                else dx * dx + dy * dy <= r * r)
+        return near and 0 <= dt <= params.r_t
+
+    out: list[Neighbor] = []
+    for old in sorted(eligible, key=scan_key):
+        dx, dy = ev.x - old.x, ev.y - old.y
+        dt = ev.t - old.t
+        if in_window(dx, dy, dt):
+            out.append(Neighbor(old.n, old.t, old.p, dx, dy, dt))
+            if len(out) == params.d_max:
+                break
+    return out
 
 
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])

@@ -1,8 +1,12 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name is used, and every package definition is read.
 
 An import that nothing reads is dead code that still costs a module load
 and misleads a reader about what a file depends on. `from __future__`
 imports are exempt; a package `__init__` may re-export through `__all__`.
+
+Likewise every top-level function and class of the package must be read
+by the package itself or by the benchmark: code that only the tests call
+belongs in tests/.
 """
 
 import ast
@@ -11,8 +15,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "evgnn").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "evgnn").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+# The scalar reference of the neighbour search stays in the package by
+# name: it states the search's semantics next to the code it checks.
+UNREAD_OK = ["graph_builder.brute_force_neighbors"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +56,58 @@ def test_checker_flags_an_unused_name():
            "import math\nimport os.path\nfrom a import b as c, d\n"
            "print(os.sep, d)\n")
     assert unused_imports(src) == ["c (line 4)", "math (line 2)"]
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names node reads: bare names, attributes and from-imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out |= {a.name for a in n.names}
+    return out
+
+
+def unread_definitions(package: dict[str, str],
+                       readers: list[str]) -> list[str]:
+    """Top-level functions and classes of package that nothing reads.
+
+    package maps module names to sources. A definition counts as read
+    when another statement of its own module, another package module or
+    one of the reader sources names it; its own body does not count.
+    """
+    trees = {m: ast.parse(src) for m, src in package.items()}
+    read = set().union(*(names_read(ast.parse(src)) for src in readers))
+    out = []
+    for mod, tree in trees.items():
+        elsewhere = read.union(*(names_read(t) for m, t in trees.items()
+                                 if m != mod))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = set().union(*(names_read(other) for other in tree.body
+                                    if other is not node))
+                if node.name not in own | elsewhere:
+                    out.append(f"{mod}.{node.name}")
+    return out
+
+
+def test_package_definitions_are_read():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    readers = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    assert unread_definitions(package, readers) == UNREAD_OK
+
+
+def test_checker_flags_an_unread_definition():
+    package = {
+        "a": ("def f():\n    return g()\n"
+              "def g():\n    pass\n"
+              "def h():\n    return h()\n"
+              "class C:\n    pass\n"
+              "class D:\n    pass\n"),
+        "b": "from .a import D\n",
+    }
+    readers = ["import a\na.f()\n"]
+    assert unread_definitions(package, readers) == ["a.h", "a.C"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -10,10 +11,18 @@ from hypothesis import strategies as st
 from evgnn import perf_model as pm
 from evgnn.model import calibration_model, random_model
 from evgnn.perf_model import (EventTrace, HwConfig, MissingConstants,
-                              calibration_trace, conv_latency,
-                              estimate_energy, estimate_event_latency,
+                              conv_latency, estimate_energy,
                               estimate_stream_latency, simulate_cycles,
                               trace_from_run)
+
+from helpers import calibration_trace
+
+
+def _one_event(model, deg, entries, fetched, written, cfg,
+               mode="parallel"):
+    """The closed form on a one-event trace: its stage and total cycles."""
+    return estimate_stream_latency(
+        model, EventTrace([deg], [entries], [fetched], [written]), cfg, mode)
 
 
 def _rand_trace(rng, model, n=50):
@@ -33,12 +42,18 @@ class TestHwConfig:
 
     def test_json_round_trip(self):
         cfg = HwConfig(e_mac=1e-12, overlap_fetch_compute=False)
-        assert HwConfig.from_json(cfg.to_json()) == cfg
+        assert HwConfig(**dataclasses.asdict(cfg)) == cfg
 
     def test_load_nested_hw_key(self, tmp_path):
         path = tmp_path / "hw.json"
         path.write_text(json.dumps({"hw": {"clock_hz": 1e8}}))
         assert pm.load_hw_config(str(path)).clock_hz == 1e8
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps({"hw": {"clock_Hz": 1e8}}))
+        with pytest.raises(TypeError, match="clock_Hz"):
+            pm.load_hw_config(str(path))
 
 
 class TestConvLatency:
@@ -78,25 +93,25 @@ class TestConvLatency:
 class TestEventLatency:
     def test_no_overlap_total_is_stage_sum(self, small_model):
         cfg = HwConfig(overlap_fetch_compute=False)
-        bd = estimate_event_latency(small_model, 5, 60, 120, 32, cfg)
-        assert bd.total == sum(bd.stage_cycles().values())
+        bd = _one_event(small_model, 5, 60, 120, 32, cfg)
+        assert bd.total_cycles == sum(bd.stage_cycles.values())
 
     def test_overlap_total_at_most_sum(self, small_model):
         cfg = HwConfig(overlap_fetch_compute=True)
-        bd = estimate_event_latency(small_model, 5, 60, 120, 32, cfg)
-        assert bd.total <= sum(bd.stage_cycles().values())
-        assert bd.total >= max(bd.stage_cycles().values())
+        bd = _one_event(small_model, 5, 60, 120, 32, cfg)
+        assert bd.total_cycles <= sum(bd.stage_cycles.values())
+        assert bd.total_cycles >= max(bd.stage_cycles.values())
 
     def test_zero_neighbor_readout_dominates(self, small_model):
         cfg = HwConfig()
-        bd = estimate_event_latency(small_model, 0, 0, 0, 8, cfg)
-        assert bd.readout_fc == max(bd.stage_cycles().values())
+        bd = _one_event(small_model, 0, 0, 0, 8, cfg)
+        assert bd.stage_cycles["readout_fc"] == max(bd.stage_cycles.values())
 
     def test_monotone_in_degree(self, small_model):
         cfg = HwConfig()
         fetch = pm.fetch_bytes_per_neighbor(small_model)
-        totals = [estimate_event_latency(small_model, d, 10 + d,
-                                         d * fetch, 32, cfg).total
+        totals = [_one_event(small_model, d, 10 + d, d * fetch, 32,
+                             cfg).total_cycles
                   for d in range(17)]
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
@@ -105,16 +120,16 @@ class TestEventLatency:
         fast = HwConfig(dram_bw_bits_per_s=3.2e9)
         trace = _rand_trace(rng, small_model)
         for i in range(len(trace)):
-            a = estimate_event_latency(
+            a = _one_event(
                 small_model, int(trace.deg[i]),
                 int(trace.entries_scanned[i]),
                 int(trace.bytes_fetched[i]),
-                int(trace.bytes_written[i]), fast).total
-            b = estimate_event_latency(
+                int(trace.bytes_written[i]), fast).total_cycles
+            b = _one_event(
                 small_model, int(trace.deg[i]),
                 int(trace.entries_scanned[i]),
                 int(trace.bytes_fetched[i]),
-                int(trace.bytes_written[i]), slow).total
+                int(trace.bytes_written[i]), slow).total_cycles
             assert a <= b
 
 
@@ -206,13 +221,12 @@ class TestStreamForm:
                     baq_cycles=int(rng.integers(1, 4)),
                     overlap_fetch_compute=overlap)
                 report = estimate_stream_latency(model, trace, cfg, mode)
-                events = [estimate_event_latency(model, *c, cfg, mode)
-                          for c in columns]
+                events = [_one_event(model, *c, cfg, mode) for c in columns]
                 assert report.stage_cycles == {
-                    s: sum(getattr(bd, s) for bd in events)
+                    s: sum(bd.stage_cycles[s] for bd in events)
                     for s in pm.STAGES}
                 assert report.per_event_cycles.tolist() == \
-                    [bd.total for bd in events]
+                    [bd.total_cycles for bd in events]
                 assert report.stage_cycles["feature_fetch"] == sum(
                     math.ceil(c[2] * 8 / cfg.bits_per_cycle) for c in columns)
                 assert report.stage_cycles["writeback"] == sum(

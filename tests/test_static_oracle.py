@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from evgnn import engine, event_io, static_oracle
+from evgnn import engine, event_io
 from evgnn.graph_builder import SearchParams
-from evgnn.static_oracle import (FPLayer, FPModel, GenericConvSpec,
-                                 forward_eq7_fp, forward_eq7_int8,
-                                 message_passing_generic)
+from evgnn.model import random_model
+from evgnn.static_oracle import (BATCH_ROWS, FPLayer, FPModel,
+                                 forward_eq7_fp, forward_eq7_int8)
 
 PARAMS = SearchParams(r_s=3, r_t=500, d_max=8, queue_depth=6)
 
@@ -51,6 +51,15 @@ class TestBuildStaticGraph:
                       brute_force_neighbors(s.events[:i], ev, params)]
             assert adj.neighbors(i) == expect
 
+    def test_directed_chain_topology(self, make_stream):
+        # chain A -> B -> C -> D in time at one pixel: a node has only
+        # in-edges from earlier events within r_t
+        s = make_stream(4, 4, [(1, 1, t, 1) for t in [0, 10, 20, 30]])
+        params = SearchParams(r_s=1, r_t=11, d_max=4, queue_depth=4)
+        adj = engine.build_adjacency(s, params)
+        assert [[nb[0] for nb in adj.neighbors(i)] for i in range(4)] == \
+            [[], [0], [1], [2]]  # D (t=30) is out of r_t range of A (t=0)
+
 
 class TestEq7Int8:
     def test_matches_event_driven_engine(self, small_model, small_stream):
@@ -61,6 +70,37 @@ class TestEq7Int8:
         assert np.array_equal(sta.logits, res.logits)
         assert np.array_equal(sta.cls, res.cls)
         assert np.array_equal(sta.readout, res.readout)
+
+    def test_permutation_invariance(self, small_model, small_stream, rng):
+        adj = engine.build_adjacency(small_stream, small_model)
+        base = forward_eq7_int8(small_stream, adj, small_model)
+        # shuffle every adjacency row in place (post-truncation)
+        for i in range(len(small_stream)):
+            d = int(adj.deg[i])
+            if d > 1:
+                perm = rng.permutation(d)
+                for arr in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt):
+                    arr[i, :d] = arr[i, :d][perm]
+        res = forward_eq7_int8(small_stream, adj, small_model)
+        for a, b in zip(base.feats, res.feats):
+            assert np.array_equal(a, b)
+        assert np.array_equal(base.logits, res.logits)
+
+    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    def test_matches_engine_across_batches(self, empty):
+        # more events than one gather batch; a short r_t leaves events
+        # without neighbours next to d_max-saturated ones
+        params = dataclasses.replace(PARAMS, r_t=200)
+        model = random_model(3, width=32, height=24, search=params,
+                             empty_aggregation=empty)
+        s = _stream(7, count=BATCH_ROWS + 904)
+        res = engine.run_stream(model, s)
+        sta = forward_eq7_int8(s, res.adjacency, model)
+        assert (res.adjacency.deg == 0).any()
+        assert (res.adjacency.deg == params.d_max).any()
+        for l in range(len(model.layers)):
+            assert np.array_equal(sta.feats[l], res.feats[l])
+        assert np.array_equal(sta.logits, res.logits)
 
     def test_trace_lines(self, small_model):
         s = _stream(3, count=20, width=64, height=48)
@@ -75,6 +115,28 @@ class TestEq7Int8:
 
 
 class TestEq7Fp:
+    def test_hand_computed_three_events(self, make_stream):
+        """+-1.0 inputs, raw |dx|, |dy| and ReLU, worked out by hand.
+
+        e0 (1,1) p=1 has no neighbour; e1 (2,1) p=0 sees e0 at (|dx|,|dy|)
+        = (1,0); e2 (1,2) p=1 sees e0 at (0,1) and e1 at (1,1).
+        """
+        s = make_stream(4, 4, [(1, 1, 0, 1), (2, 1, 10, 0), (1, 2, 20, 1)])
+        params = SearchParams(r_s=2, r_t=100, d_max=4, queue_depth=4)
+        layer = FPLayer([[1.0, 0.5, -1.0], [-2.0, 1.0, 0.25]], [0.5, -0.25])
+        fp = FPModel(4, 4, [layer], [[1.0, -1.0], [0.5, 2.0]], [0.0, 0.25],
+                     params)
+        res = forward_eq7_fp(s, engine.build_adjacency(s, params), fp)
+        # e0: empty -> 0; relu(0 + b) = (0.5, 0)
+        # e1: W.(+1, 1, 0) = (1.5, -1); relu(+ b) = (2, 0)
+        # e2: W.(+1, 0, 1) = (0, -1.75), W.(-1, 1, 1) = (-1.5, 3.25);
+        #     max (0, 3.25); relu(+ b) = (0.5, 3)
+        assert res.feats[0].tolist() == [[0.5, 0.0], [2.0, 0.0], [0.5, 3.0]]
+        # one readout cell: its running max is (0.5,0), (2,0), (2,3)
+        assert res.logits.tolist() == [[0.5, 0.5], [2.0, 1.25], [-1.0, 7.25]]
+        assert res.cls.tolist() == [0, 0, 1]
+        assert res.readout.tolist() == [2.0, 3.0]
+
     def test_logits_equal_per_event_readout(self):
         """Logits of event i are fc_b + W_fc . (per-cell max up to i)."""
         width, height = 64, 48
@@ -89,79 +151,6 @@ class TestEq7Fp:
             assert np.allclose(res.logits[i], want), f"event {i}"
         assert np.array_equal(res.readout, cells.reshape(-1))
         assert np.array_equal(res.cls, np.argmax(res.logits, axis=1))
-
-
-class TestGenericMessagePassing:
-    def test_directed_chain_topology(self, make_stream):
-        # chain A -> B -> C -> D in time at one pixel with a short queue:
-        # with max/replicate/identity, a node only sees in-neighbors
-        s = make_stream(4, 4, [(1, 1, t, 1) for t in [0, 10, 20, 30]])
-        params = SearchParams(r_s=1, r_t=11, d_max=4, queue_depth=4)
-        adj = engine.build_adjacency(s, params)
-        feats = np.array([[4.0], [3.0], [2.0], [1.0]])
-        spec = GenericConvSpec(
-            phi=lambda xi, xj, rel: xj, aggregator="max",
-            gamma=lambda xi, agg: agg, out_dim=1)
-        out = message_passing_generic(adj, spec, feats)
-        # D (n=3, t=30) is out of r_t range of A (t=0): A's message
-        # cannot reach D
-        assert out[3, 0] == 2.0
-        assert out[0, 0] == 0.0  # no in-neighbors, zero identity
-
-    def test_empty_sum_identity(self, make_stream):
-        s = make_stream(4, 4, [(1, 1, 0, 1)])
-        adj = engine.build_adjacency(s, PARAMS)
-        spec = GenericConvSpec(
-            phi=lambda xi, xj, rel: xj, aggregator="sum",
-            gamma=lambda xi, agg: xi + agg, out_dim=1)
-        out = message_passing_generic(adj, spec, np.array([[5.0]]))
-        assert out[0, 0] == 5.0
-
-    def test_unknown_aggregator(self):
-        adj = engine.build_adjacency(_stream(count=3), PARAMS)
-        spec = GenericConvSpec(phi=lambda xi, xj, rel: xj, aggregator="min",
-                               gamma=lambda xi, agg: agg, out_dim=1)
-        with pytest.raises(ValueError):
-            message_passing_generic(adj, spec, np.zeros((3, 1)))
-
-    def test_specializes_to_eq7_fp(self):
-        model = _fp_model()
-        s = _stream(4)
-        adj = engine.build_adjacency(s, PARAMS)
-        ref = forward_eq7_fp(s, adj, model)
-        feats = static_oracle._fp_inputs(s).reshape(-1, 1)
-        for l, (layer, expect) in enumerate(zip(model.layers, ref.feats)):
-            def phi(xi, xj, rel, layer=layer):
-                inp = np.concatenate([xj, [abs(rel[0]), abs(rel[1])]])
-                return layer.weights @ inp
-
-            spec = GenericConvSpec(
-                phi=phi, aggregator="max",
-                gamma=lambda xi, agg, layer=layer: np.maximum(
-                    agg + layer.bias, 0.0),
-                out_dim=layer.c_out)
-            feats = message_passing_generic(adj, spec, feats)
-            assert np.allclose(feats, expect), f"layer {l}"
-
-    def test_permutation_invariance(self, rng):
-        s = _stream(5, count=150)
-        adj = engine.build_adjacency(s, PARAMS)
-        feats = rng.normal(size=(len(s), 3))
-        for agg in ("sum", "mean", "max"):
-            spec = GenericConvSpec(
-                phi=lambda xi, xj, rel: xj, aggregator=agg,
-                gamma=lambda xi, agg_v: agg_v, out_dim=3)
-            base = message_passing_generic(adj, spec, feats)
-            # shuffle every adjacency row in place (post-truncation)
-            for i in range(len(s)):
-                d = int(adj.deg[i])
-                if d > 1:
-                    perm = rng.permutation(d)
-                    for arr in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy,
-                                adj.nbr_dt):
-                        arr[i, :d] = arr[i, :d][perm]
-            assert np.allclose(message_passing_generic(adj, spec, feats),
-                               base)
 
 
 class TestDirectedness:
