@@ -222,7 +222,8 @@ class TestProcessEvent:
 
     @pytest.mark.parametrize("schedule",
                              ["parallel", "sequential", "graph", "static"])
-    @pytest.mark.parametrize("case", ["zero", "neg_inf", "dmax_saturated"])
+    @pytest.mark.parametrize("case", ["zero", "neg_inf", "dmax_saturated",
+                                      "cylinder"])
     def test_per_event_equals_batch(self, small_stream, case, schedule):
         if case == "dmax_saturated":
             model = calibration_model()
@@ -230,6 +231,10 @@ class TestProcessEvent:
                 "moving_dot", {"width": 120, "height": 100, "count": 250,
                                "duration_us": 1_250, "velocity": (1.0, 0.0),
                                "dot_radius": 1.5}, seed=1)
+        elif case == "cylinder":
+            model = random_model(9, search=SearchParams(shape="cylinder",
+                                                        r_s=3))
+            stream = small_stream
         else:
             model = random_model(9, empty_aggregation=case)
             stream = small_stream
@@ -239,6 +244,11 @@ class TestProcessEvent:
             assert np.mean(adj.deg == model.search.d_max) >= 0.9
         else:
             assert np.any(adj.deg == 0)  # the empty identity is exercised
+        if case == "cylinder":
+            # the cylinder window holds (+-2, +-2), which the prism's lacks
+            edge = np.arange(adj.d_max) < adj.deg[:, None]
+            assert np.any((np.abs(adj.nbr_dx[edge]) == 2)
+                          & (np.abs(adj.nbr_dy[edge]) == 2))
         if schedule == "static":
             res = static_oracle.forward_eq7_int8(stream, adj, model)
         else:
