@@ -9,14 +9,15 @@ Two granularities are provided:
     - run_stream: whole-stream execution through one factored INT8 layer
       function, eq7_layer, reading the stream's x, y, t, p columns. It
       splits each message W . (x_j, q|dx|, q|dy|) into a per-node term
-      W_x . x_j and a per-layer table over the window offsets, so an edge
-      costs one C_out add and a max. The neighbour lists are held
-      slot-major, [d_max, N], and a slot past an event's degree points at
-      a sentinel row appended to the node terms (MSG_FLOOR) and to the
-      table (0): a batch of B events is one gather into a [D, B, C_out]
-      tensor and one max over the slot axis, with no mask. run_layers
-      batches it three ways: the whole graph, layer by layer, in
-      contiguous row slices (the default of infer and bench), and the
+      W_x . x_j and a per-layer table with one row per slot of the
+      search window, so an edge, held as its neighbour and its window
+      slot (Adjacency.nbr_n, nbr_o), costs one C_out add and a max. Both
+      are held slot-major, [d_max, N], and a slot past an event's degree
+      points at a sentinel row appended to the node terms (MSG_FLOOR) and
+      to the table (0, row K): a batch of B events is one gather into a
+      [D, B, C_out] tensor and one max over the slot axis, with no mask.
+      run_layers batches it three ways: the whole graph, layer by layer,
+      in contiguous row slices (the default of infer and bench), and the
       layer-sequential and layer-parallel schedules over the adjacency's
       dependency levels, kept to verify it. All share one incremental
       readout / FC, readout_trace, and return one RunResult whose feats
@@ -261,12 +262,10 @@ def build_adjacency(stream: EventStream,
                     model_or_params) -> Adjacency:
     """Replay the queue grid over a whole stream."""
     params = getattr(model_or_params, "search", model_or_params)
-    deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned = replay_build(
+    return Adjacency(*replay_build(
         stream.x, stream.y, stream.t, stream.width, stream.height,
         params.queue_depth, params.r_s, params.r_t, params.d_max,
-        params.shape == "cylinder")
-    return Adjacency(deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned,
-                     d_max=params.d_max)
+        params.shape == "cylinder"), d_max=params.d_max)
 
 
 def encoded_inputs(stream: EventStream, model: QuantizedModel) -> np.ndarray:
@@ -282,18 +281,16 @@ def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
                                    *requant), 127)
 
 
-def position_terms(layer: LayerParams, extent: int) -> np.ndarray:
-    """int32[(extent+1)**2, C_out]: row a*(extent+1)+b is W_pos . (q(a), q(b)).
+def position_terms(layer: LayerParams, win_dx: np.ndarray,
+                   win_dy: np.ndarray) -> np.ndarray:
+    """int32[K, C_out]: row o is W_pos . (q|dx_o|, q|dy_o|) of window slot o.
 
-    q is the layer's position requant of an absolute pixel offset. Offsets
-    never exceed the search window's half-width, extent, so the table
-    covers every (|dx|, |dy|) an edge can carry.
+    q is the layer's position requant of an absolute pixel offset; win_dx
+    and win_dy are the search window's K offsets (Adjacency.win_dx/_dy).
     """
-    offs = np.arange(extent + 1, dtype=np.int64)
+    offs = np.abs(np.stack([win_dx, win_dy], axis=1)).astype(np.int64)
     q = np.minimum(rne_mulshift(offs, *layer.pos_requant), 32767)
-    w_dx, w_dy = layer.weights[:, -2], layer.weights[:, -1]
-    return (q[:, None, None] * w_dx + q[None, :, None] * w_dy
-            ).reshape(-1, layer.c_out).astype(np.int32)
+    return (q @ layer.weights[:, -2:].T).astype(np.int32)
 
 
 def node_terms(x: np.ndarray, w_x: np.ndarray) -> np.ndarray:
@@ -312,10 +309,10 @@ def eq7_layer(layer: LayerParams, terms: np.ndarray, table: np.ndarray,
 
     out_b = BAQ(max over slots j of (terms[nbr_jb] + table[pos_jb]) + bias),
     which equals BAQ(max_j W . (x_j, q|dx_bj|, q|dy_bj|) + bias) exactly.
-    nbr (neighbour rows) and pos (offset-table rows of |dx|, |dy|) are
+    nbr (neighbour rows) and pos (window slots, the table's rows) are
     slot-major [D, B]. terms holds W_x . x_j of every event plus a last
     sentinel row of MSG_FLOOR, int32[N+1, C_out]; table is the layer's
-    position_terms plus a last sentinel row of 0. A slot at or past an
+    position_terms plus a last sentinel row of 0, row K. A slot at or past an
     event's degree points at both sentinels, so its message is exactly
     MSG_FLOOR. The gathers build one [D, B, C_out] tensor, and one reduce
     over the slot axis takes the max. empty marks the rows of degree 0,
@@ -344,31 +341,18 @@ def _row_chunks(group, size: int):
     return [group[s:s + size] for s in range(0, len(group), size)]
 
 
-def slot_major(adj: Adjacency, extent: int) -> tuple[np.ndarray, np.ndarray]:
-    """C-contiguous [d_max, N] neighbour rows and offset-table rows.
+def slot_major(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """C-contiguous [d_max, N] neighbour rows and window slots.
 
-    The table row of an edge is |dx| * (extent+1) + |dy|. A slot at or
-    past an event's degree holds the sentinels: row N of the node terms
-    and row (extent+1)**2 of the table. Offset rows are in the narrowest
-    unsigned type that holds the sentinel row; |dx| and |dy| are cast to
-    it before the multiply, which would overflow int8 from extent = 11.
-    Built one slot at a time, so no other [N, d_max] array is made.
+    A slot at or past an event's degree holds the sentinels: row N of the
+    node terms and row K of the position table, which nbr_o holds there
+    already.
     """
-    n, d_max = adj.nbr_n.shape
-    side = extent + 1
-    nbr_type = np.promote_types(adj.nbr_n.dtype, np.min_scalar_type(n))
-    pos_type = np.min_scalar_type(side * side)
-    nbr = np.empty((d_max, n), dtype=nbr_type)
-    pos = np.empty((d_max, n), dtype=pos_type)
-    for k in range(d_max):
-        pad = adj.deg <= k
-        nbr[k] = adj.nbr_n[:, k]
-        nbr[k, pad] = n
-        pos[k] = np.abs(adj.nbr_dx[:, k])
-        pos[k] *= side
-        pos[k] += np.abs(adj.nbr_dy[:, k]).astype(pos_type)
-        pos[k, pad] = side * side
-    return nbr, pos
+    n = len(adj.deg)
+    nbr = np.array(adj.nbr_n.T, order="C", dtype=np.promote_types(
+        adj.nbr_n.dtype, np.min_scalar_type(n)))
+    nbr[np.arange(adj.nbr_n.shape[1])[:, None] >= adj.deg] = n
+    return nbr, np.ascontiguousarray(adj.nbr_o.T)
 
 
 def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
@@ -388,10 +372,9 @@ def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
     """
     layers = model.layers
     n, d_max = adj.nbr_n.shape
-    extent = model.search.r_s
-    nbr, pos = slot_major(adj, extent)
+    nbr, pos = slot_major(adj)
     empty = adj.deg == 0
-    tables = [np.vstack([position_terms(lp, extent),
+    tables = [np.vstack([position_terms(lp, adj.win_dx, adj.win_dy),
                          np.zeros((1, lp.c_out), dtype=np.int32)])
               for lp in layers]
     w_x = [lp.weights[:, :-2].T.astype(np.float64) for lp in layers]
@@ -506,17 +489,9 @@ def prediction_trace_lines(model: QuantizedModel, result: RunResult) -> list[str
     return ((fmt * n) % tuple(cols.ravel().tolist())).splitlines()
 
 
-@dataclass
-class OpCount:
-    per_event: np.ndarray
-    total: int
-    mean: float
-    percentiles: dict[int, float]
-    mflops_per_event: float
-
-
-def count_ops(model: QuantizedModel, neighbor_counts: np.ndarray) -> OpCount:
-    """Arithmetic ops per event (1 MAC = 2 OPs) from per-event degrees.
+def count_ops(model: QuantizedModel,
+              neighbor_counts: np.ndarray) -> np.ndarray:
+    """int64 arithmetic ops of each event (1 MAC = 2 OPs) from its degree.
 
     conv: 2*(C_in+2)*C_out*deg MACs-as-ops plus 2*C_out BAQ ops per layer;
     readout: C_last max-compares; FC: 2*(Gx*Gy*C_last)*num_classes.
@@ -525,10 +500,4 @@ def count_ops(model: QuantizedModel, neighbor_counts: np.ndarray) -> OpCount:
     per_nbr = 2 * perf_model.conv_weight_bytes(model)
     baq_ops = sum(2 * l.c_out for l in model.layers)
     fixed = baq_ops + model.c_last + 2 * model.fc.in_dim * model.fc.out_dim
-    per_event = per_nbr * deg + fixed
-    mean = float(per_event.mean()) if len(per_event) else 0.0
-    pct = {p: float(np.percentile(per_event, p)) if len(per_event) else 0.0
-           for p in (50, 90, 99)}
-    return OpCount(per_event=per_event, total=int(per_event.sum()),
-                   mean=mean, percentiles=pct,
-                   mflops_per_event=mean / 1e6)
+    return per_nbr * deg + fixed

@@ -35,8 +35,11 @@ gives the degree, the d_max early stop and the entries scanned, and only
 the kept neighbours are built. The offsets are walked in tranches of 2, 4,
 8, ...; an event leaves the walk once it holds d_max neighbours. A chunk
 holds at most REPLAY_CELLS (event, offset) cells, which bounds the build's
-working memory. An Adjacency holds the result; its dependency levels, the
-batches of the engine's level schedules, are built on first use and kept.
+working memory. An Adjacency holds the result and stores no edge offsets:
+an edge is its neighbour's stream index (nbr_n) and the window slot it was
+found at (nbr_o), and the window's K (dx, dy) pairs are kept once. Its
+dependency levels, the batches of the engine's level schedules, are built
+on first use and kept.
 """
 
 from __future__ import annotations
@@ -232,11 +235,6 @@ def brute_force_neighbors(history: list[Event], ev: Event,
     return out
 
 
-def _narrowest(types, bound: int):
-    """The first of types (narrowest first) whose maximum is >= bound."""
-    return next(t for t in types if np.iinfo(t).max >= bound)
-
-
 def _window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
     """(dx, dy) of the prism / cylinder window in canonical scan order."""
     span = np.arange(-r_s, r_s + 1)
@@ -251,13 +249,13 @@ def _window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
 def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     """Replay search-then-push over a whole stream (prism or cylinder).
 
-    Returns (deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, entries_scanned), where the
-    nbr_* arrays are [N, d_max] in canonical scan order (zero past deg) and
+    Returns Adjacency's fields (deg, nbr_n, nbr_o, win_dx, win_dy,
+    entries_scanned), where nbr_n and nbr_o are [N, d_max] in canonical
+    scan order (neighbour 0 and window slot K past deg) and
     entries_scanned counts queue entries inspected up to the d_max early
-    stop. deg and entries_scanned are int64; each nbr_* array has the
-    narrowest type that holds its bound (see Adjacency). Timestamps must
-    never decrease (raises NonMonotoneTime at the first that does) and
-    every event must lie on the sensor (raises OutOfBoundsEvent).
+    stop. Timestamps must never decrease (raises NonMonotoneTime at the
+    first that does) and every event must lie on the sensor (raises
+    OutOfBoundsEvent).
 
     The work per event is O(window offsets) + O(kept neighbours), whatever
     the queue depth: each (event, offset) cell is reduced to two counts,
@@ -268,16 +266,14 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     n_ev = xs.shape[0]
     deg = np.zeros(n_ev, dtype=np.int64)
     scanned = np.zeros(n_ev, dtype=np.int64)
-    nbr_n = np.zeros((n_ev, d_max),
-                     dtype=_narrowest((np.int32, np.int64), n_ev - 1))
-    dxy_type = _narrowest((np.int8, np.int16, np.int32, np.int64), r_s)
-    # a kept dt is at most r_t and at most the stream's time span
-    dt_type = _narrowest((np.uint8, np.uint16, np.uint32, np.uint64),
-                         min(r_t, int(ts[-1] - ts[0]) if n_ev else 0))
+    nbr_n = np.zeros((n_ev, d_max), dtype=np.int32
+                     if n_ev <= 2**31 else np.int64)
+    odx, ody = _window_offsets(r_s, use_l2)
+    # the window slot of each kept neighbour; len(odx) marks empty slots
+    nbr_o = np.full((n_ev, d_max), len(odx),
+                    dtype=np.min_scalar_type(len(odx)))
     if n_ev == 0:
-        return (deg, nbr_n, np.zeros_like(nbr_n, dtype=dxy_type),
-                np.zeros_like(nbr_n, dtype=dxy_type),
-                np.zeros_like(nbr_n, dtype=dt_type), scanned)
+        return deg, nbr_n, nbr_o, odx, ody, scanned
     back = np.flatnonzero(ts[1:] < ts[:-1])
     if len(back):
         k = int(back[0]) + 1
@@ -312,11 +308,7 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     # the temporal test are its newest ones: a prefix of the scan.
     first = np.searchsorted(ts, ts - r_t)
 
-    odx, ody = _window_offsets(r_s, use_l2)
     shift = ody * wide + odx
-    # the window offset of each kept neighbour; len(odx) marks empty slots
-    nbr_o = np.full((n_ev, d_max), len(odx),
-                    dtype=np.min_scalar_type(len(odx)))
     # The window is walked in tranches of 2, 4, 8, ... offsets. deg and
     # scanned carry each event's running hit and queue-entry counts; an
     # event that holds d_max neighbours leaves the walk with both final.
@@ -364,34 +356,25 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
             deg[i] += np.minimum(n_hit[-1], need)
         live = live[deg[live] < d_max]
         a = b
-    # dx, dy and dt follow from the neighbour and its offset; 0 when empty.
-    # Each is written at its own width; dt goes through int64 a block of
-    # rows at a time.
-    nbr_dx = np.r_[odx, 0].astype(dxy_type)[nbr_o]
-    nbr_dy = np.r_[ody, 0].astype(dxy_type)[nbr_o]
-    nbr_dt = np.empty((n_ev, d_max), dtype=dt_type)
-    rows = max(1, REPLAY_CELLS // d_max)
-    for s in range(0, n_ev, rows):
-        blk = slice(s, s + rows)
-        nbr_dt[blk] = np.where(nbr_o[blk] < len(odx),
-                               ts[blk, None] - ts[nbr_n[blk]], 0)
-    return deg, nbr_n, nbr_dx, nbr_dy, nbr_dt, scanned
+    return deg, nbr_n, nbr_o, odx, ody, scanned
 
 
 @dataclass
 class Adjacency:
-    """Flattened per-event neighbor lists for a whole stream.
+    """Per-event neighbour lists of a whole stream, as window slots.
 
-    A built adjacency is not changed: levels is computed from it once, on
-    first use, and kept.
+    Edge k of event i is the queue entry nbr_n[i, k], found at slot
+    o = nbr_o[i, k] of the search window, so its offset (new minus
+    neighbour) is (win_dx[o], win_dy[o]). Slots past deg hold neighbour 0
+    and slot K = len(win_dx). A built adjacency is not changed: levels is
+    computed from it once, on first use, and kept.
     """
 
     deg: np.ndarray              # int64[N]
     nbr_n: np.ndarray            # [N, d_max] int32; int64 past 2**31 events
-    nbr_dx: np.ndarray           # [N, d_max] narrowest signed type for +-r_s
-    nbr_dy: np.ndarray           # (int8 up to r_s = 127)
-    nbr_dt: np.ndarray           # [N, d_max] narrowest unsigned type for
-                                 # min(r_t, t[-1] - t[0])
+    nbr_o: np.ndarray            # [N, d_max] window slot, min_scalar_type(K)
+    win_dx: np.ndarray           # int64[K] the window's offsets, in
+    win_dy: np.ndarray           # canonical scan order
     entries_scanned: np.ndarray  # int64[N] queue entries inspected
     d_max: int = 16
 
@@ -399,13 +382,6 @@ class Adjacency:
     def levels(self) -> list[np.ndarray]:
         """Event rows by dependency level, lowest first."""
         return dependency_levels(self)
-
-    def neighbors(self, i: int) -> list[tuple[int, int, int, int]]:
-        """(n, dx, dy, dt) tuples for event i, in scan order."""
-        d = int(self.deg[i])
-        return [(int(self.nbr_n[i, k]), int(self.nbr_dx[i, k]),
-                 int(self.nbr_dy[i, k]), int(self.nbr_dt[i, k]))
-                for k in range(d)]
 
 
 def dependency_levels(adj: Adjacency) -> list[np.ndarray]:

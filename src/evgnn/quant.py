@@ -209,7 +209,7 @@ def fp_model_from_json(doc: dict) -> FPModel:
             patch=int(doc.get("grid", {}).get("patch", 16)),
             classes=[str(c) for c in doc.get("classes", ["0", "1"])],
             empty_aggregation=doc.get("empty_aggregation", "zero"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelConfigError(f"bad FP model config: {exc}") from None
 
 

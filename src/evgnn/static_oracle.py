@@ -7,9 +7,10 @@ execution schedule and the layer arithmetic, not the topology.
 
 Both forwards run the static schedule (each layer over the whole graph,
 then the next) through one gather-form layer loop that computes eq 7
-unfactored: each message is W . (x_j, q|dx|, q|dy|), one float64 matmul
-per batch with the layer's full weights, then the max over neighbours,
-the bias and the activation. Each takes (stream, adjacency, model) and
+unfactored: each message is W . (x_j, q|dx|, q|dy|), where each edge's
+|dx|, |dy| is looked up in the adjacency's window by its window slot and
+quantized edge by edge, one float64 matmul per batch with the layer's
+full weights, then the max over neighbours, the bias and the activation. Each takes (stream, adjacency, model) and
 returns the engine's RunResult:
     eq7_fp   -- inputs +-1.0, raw pixel offsets, ReLU; its activations set
                 the quantizer's scales
@@ -18,8 +19,8 @@ returns the engine's RunResult:
                 sums are exact, because the model loader proves every
                 |sum| < 2**31, so it is bit-exact against the engine's
                 factored eq7_layer while using none of that factoring
-                (node terms, offset table, slot-major rows): verify's
-                static leg checks it.
+                (node terms, per-slot position table, slot-major rows):
+                verify's static leg checks it.
 """
 
 from __future__ import annotations
@@ -92,16 +93,18 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
     """Every layer of model over the whole graph, eq 7 in gather form.
 
     x is the input feature of every event, [N]. Per batch of events, the
-    loop gathers (x_j, position(layer, |dx|), position(layer, |dy|)) of
-    every neighbour slot, runs one float64 matmul with the layer's
+    loop looks up the |dx|, |dy| of every neighbour slot in the window by
+    its window slot (nbr_o), gathers (x_j, position(layer, |dx|),
+    position(layer, |dy|)), runs one float64 matmul with the layer's
     weights, sets the slots past the degree to -inf, takes the max, applies
     the empty identity (0 for "zero"; -inf stays for "neg_inf") and hands
     the sum with the bias to activation(v, layer). Its result is the
     layer's output and the next layer's input.
     """
     n = len(stream)
-    valid = np.arange(adj.nbr_n.shape[1]) < adj.deg[:, None]
-    offsets = np.abs(np.stack([adj.nbr_dx, adj.nbr_dy], axis=2))
+    # |dx|, |dy| of each window slot, and of slot K past the degree
+    window = np.abs(np.stack([np.r_[adj.win_dx, 0], np.r_[adj.win_dy, 0]],
+                             axis=1))
     x = x[:, None]
     feats = []
     for layer in model.layers:
@@ -111,9 +114,10 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
         for s in range(0, max(n, 1), BATCH_ROWS):
             rows = slice(s, s + BATCH_ROWS)
             d = int(adj.deg[rows].max(initial=0))
-            ok = valid[rows, :d]
+            ok = np.arange(d) < adj.deg[rows, None]
+            offs = window[adj.nbr_o[rows, :d]]
             inp = np.concatenate([x[adj.nbr_n[rows, :d]],
-                                  position(layer, offsets[rows, :d])],
+                                  position(layer, offs)],
                                  axis=2, dtype=np.float64)
             b = len(inp)
             msgs = (inp.reshape(b * d, inp.shape[2]) @ w

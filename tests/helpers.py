@@ -21,3 +21,15 @@ def calibration_trace(model: QuantizedModel, n_events: int = 2000,
     entries = np.clip(np.round(rng.normal(mean_entries, 25.0, n_events)),
                       deg, None).astype(np.int64)
     return trace_from_run(model, deg, entries)
+
+
+def neighbors(adj, stream, i: int) -> list[tuple[int, int, int, int]]:
+    """(n, dx, dy, dt) of event i's neighbours in scan order; dx and dy
+    are looked up in the adjacency's window by window slot, dt is taken
+    from the stream's timestamps."""
+    out = []
+    for n, o in zip(adj.nbr_n[i, :adj.deg[i]].tolist(),
+                    adj.nbr_o[i, :adj.deg[i]].tolist()):
+        out.append((n, int(adj.win_dx[o]), int(adj.win_dy[o]),
+                    int(stream.t[i] - stream.t[n])))
+    return out

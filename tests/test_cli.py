@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from evgnn import engine, event_io, graph_builder, quant, static_oracle
+from evgnn import (cli, engine, event_io, graph_builder, quant,
+                   static_oracle)
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from evgnn.model import model_to_json, random_model, save_model
 
@@ -132,6 +133,30 @@ class TestInfer:
             paths.append(str(p))
         assert main(["infer", model_path, *paths, "--jobs", "2"]) == EXIT_OK
 
+    def test_jobs_capped_at_stream_count(self, model_path, stream_path,
+                                         monkeypatch):
+        # a stand-in pool records its size and maps in this process, so
+        # the test starts no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        assert main(["infer", model_path, stream_path, stream_path,
+                     "--jobs", "1000"]) == EXIT_OK
+        assert sizes == [2]
+
 
 class TestVerify:
     def test_clean_model_exit_zero(self, model_path, stream_path, capsys,
@@ -197,7 +222,9 @@ class TestVerify:
         assert out.startswith(f"DIVERGENCE vs static-oracle: event {first}: ")
 
     @pytest.mark.parametrize("name, fault", [
-        ("position_terms", lambda table: table[::-1]),
+        # the channels: reversed rows would be the same table, since
+        # slots o and K-1-o of a window hold (dx, dy) and (-dx, -dy)
+        ("position_terms", lambda table: table[:, ::-1]),
         ("node_terms", lambda terms: terms + 1),
     ], ids=["offset_table_reversed", "node_terms_plus_one"])
     def test_factoring_fault_detected(self, tmp_path, monkeypatch, capsys,
@@ -348,6 +375,19 @@ class TestQuantizePipeline:
         bad.write_text("{not json")
         assert main(["quantize", str(bad), "--calib", stream_path,
                      "-o", str(tmp_path / "q.json")]) == EXIT_IO
+
+    @pytest.mark.parametrize("key", ["C_in", "C_out"])
+    def test_overflowing_dimension_is_config_error(self, key, tmp_path,
+                                                   stream_path, capsys):
+        doc = quant.fp_model_to_json(quant.random_fp_model(5))
+        doc["layers"][0][key] = "HUGE"
+        fp_path = tmp_path / "fp.json"
+        fp_path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+        out = tmp_path / "q.json"
+        assert main(["quantize", str(fp_path), "--calib", stream_path,
+                     "-o", str(out)]) == EXIT_IO
+        assert "bad FP model" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("shape", ["hemisphere", "semi_octahedron"])
     def test_unsupported_shape_is_config_error(self, shape, tmp_path,

@@ -246,9 +246,9 @@ class TestProcessEvent:
             assert np.any(adj.deg == 0)  # the empty identity is exercised
         if case == "cylinder":
             # the cylinder window holds (+-2, +-2), which the prism's lacks
-            edge = np.arange(adj.d_max) < adj.deg[:, None]
-            assert np.any((np.abs(adj.nbr_dx[edge]) == 2)
-                          & (np.abs(adj.nbr_dy[edge]) == 2))
+            edge = adj.nbr_o[np.arange(adj.d_max) < adj.deg[:, None]]
+            assert np.any((np.abs(adj.win_dx[edge]) == 2)
+                          & (np.abs(adj.win_dy[edge]) == 2))
         if schedule == "static":
             res = static_oracle.forward_eq7_int8(stream, adj, model)
         else:
@@ -313,8 +313,8 @@ class TestProcessEvent:
 
     @pytest.mark.parametrize("r_s", [12, 16])
     def test_per_event_equals_batch_wide_window(self, r_s):
-        """Offset-table rows |dx| * (r_s+1) + |dy| of int8 offsets: past
-        the int8 range from r_s = 11, past uint8 from r_s = 16."""
+        """Windows of K = 313 and 545 slots: window slots past uint8, and
+        edges whose |dx| + |dy| reaches r_s - 1."""
         params = SearchParams(r_s=r_s, r_t=5_000, d_max=8, queue_depth=2)
         model = random_model(5, width=40, height=36, layer_dims=(6, 5),
                              search=params)
@@ -323,9 +323,10 @@ class TestProcessEvent:
                                "duration_us": 1_000}, seed=8)
         state, preds = _per_event_run(model, stream)
         adj = engine.build_adjacency(stream, model)
-        assert adj.nbr_dx.dtype == np.int8
-        assert (np.abs(adj.nbr_dx.astype(np.int64))
-                + np.abs(adj.nbr_dy.astype(np.int64))).max() >= r_s - 1
+        assert adj.nbr_o.dtype == np.uint16
+        edge = adj.nbr_o[np.arange(params.d_max) < adj.deg[:, None]]
+        assert (np.abs(adj.win_dx[edge])
+                + np.abs(adj.win_dy[edge])).max() >= r_s - 1
         res = engine.run_stream(model, stream, adjacency=adj)
         for l in range(len(model.layers)):
             assert np.array_equal(res.feats[l], np.stack(
@@ -350,27 +351,48 @@ def _assert_feats_equal(feats, state):
             [state.store.read(i, l + 1) for i in range(len(f))]))
 
 
+def test_schedules_equal_static_on_another_window(small_stream):
+    """An adjacency built with r_s = 4 for an r_s = 3 model: every
+    schedule reads its offsets from the adjacency's window, as the static
+    forward does, not from the model's search parameters."""
+    model = random_model(9)
+    assert model.search.r_s == 3
+    adj = engine.build_adjacency(
+        small_stream, dataclasses.replace(model.search, r_s=4))
+    edge = adj.nbr_o[np.arange(adj.d_max) < adj.deg[:, None]]
+    assert (np.abs(adj.win_dx[edge]) == 4).any()
+    assert (np.abs(adj.win_dy[edge]) == 4).any()
+    sta = static_oracle.forward_eq7_int8(small_stream, adj, model)
+    for kw in SCHEDULES:
+        res = engine.run_stream(model, small_stream, adjacency=adj, **kw)
+        for a, b in zip(res.feats, sta.feats):
+            assert np.array_equal(a, b), kw
+        assert np.array_equal(res.logits, sta.logits), kw
+
+
 class TestSentinelKernel:
     """Slots past an event's degree point at the sentinel rows: the last
     row of the node terms (MSG_FLOOR) and of the offset table (0)."""
 
     @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
     def test_sentinel_table_row_past_uint8(self, empty):
-        """r_s = 15: 256 table rows, so the sentinel row 256 needs uint16
-        (a uint8 index would wrap to row 0)."""
-        params = SearchParams(r_s=15, r_t=5_000, d_max=8, queue_depth=2)
+        """r_s = 11: a window of K = 265 slots, so the sentinel row 265
+        needs uint16 (a uint8 index would wrap to row 9)."""
+        params = SearchParams(r_s=11, r_t=5_000, d_max=8, queue_depth=2)
         model = random_model(6, width=40, height=36, layer_dims=(6, 5),
                              search=params, empty_aggregation=empty)
         stream = event_io.gen_synthetic(
             "uniform_random", {"width": 40, "height": 36, "count": 120,
                                "duration_us": 1_000}, seed=9)
         adj = engine.build_adjacency(stream, model)
-        nbr, pos = engine.slot_major(adj, params.r_s)
+        k = len(adj.win_dx)
+        assert k == 265 and adj.nbr_o.dtype == np.uint16
+        nbr, pos = engine.slot_major(adj)
         pad = np.arange(params.d_max)[:, None] >= adj.deg
         assert pad.any() and (~pad).any() and np.any(adj.deg == 0)
         assert nbr.shape == pos.shape == (params.d_max, len(stream))
         assert pos.dtype == np.uint16
-        assert np.all(pos[pad] == 256) and pos[~pad].max() < 256
+        assert np.all(pos[pad] == k) and pos[~pad].max() < k
         assert np.all(nbr[pad] == len(stream))
         state, preds = _per_event_run(model, stream)
         for kw in SCHEDULES:
@@ -478,24 +500,25 @@ class TestInvariantsOnStream:
 
 class TestCountOps:
     def test_deg_zero_fixed_term(self, small_model):
-        oc = count_ops(small_model, np.zeros(10, dtype=np.int64))
+        ops = count_ops(small_model, np.zeros(10, dtype=np.int64))
         fixed = (sum(2 * l.c_out for l in small_model.layers)
                  + small_model.c_last
                  + 2 * small_model.fc.in_dim * small_model.fc.out_dim)
-        assert np.all(oc.per_event == fixed)
+        assert ops.dtype == np.int64 and ops.shape == (10,)
+        assert np.all(ops == fixed)
 
     def test_formula_single_layer(self):
         # C_in=1, C_out=4, deg=2: conv MACs = 2 * 3 * 4 = 24 -> 48 ops
         m = random_model(0, width=16, height=16, layer_dims=(4,))
-        oc = count_ops(m, np.array([2]))
-        conv_ops = int(oc.per_event[0]) - (
+        ops = count_ops(m, np.array([2]))
+        conv_ops = int(ops[0]) - (
             2 * 4 + 4 + 2 * m.fc.in_dim * m.fc.out_dim)
         assert conv_ops == 48
 
     def test_matches_instrumentation(self, small_model, small_stream):
         res = engine.run_stream(small_model, small_stream)
-        oc = count_ops(small_model, res.adjacency.deg)
+        ops = count_ops(small_model, res.adjacency.deg)
         fixed = (sum(2 * l.c_out for l in small_model.layers)
                  + small_model.c_last
                  + 2 * small_model.fc.in_dim * small_model.fc.out_dim)
-        assert np.array_equal(oc.per_event, 2 * res.macs + fixed)
+        assert np.array_equal(ops, 2 * res.macs + fixed)

@@ -10,6 +10,7 @@ from evgnn.graph_builder import (EventQueueGrid, InvalidDims,
                                  InvalidSearchParams, OutOfBoundsEvent,
                                  Neighbor, SearchParams,
                                  brute_force_neighbors, search_neighbors)
+from helpers import neighbors
 
 
 def _rand_stream(seed, width=24, height=20, count=400, duration=2_000):
@@ -200,19 +201,20 @@ def test_kernel_replay_equals_brute_force():
     for i, ev in enumerate(stream.events):
         expect = [(nb.n, nb.dx, nb.dy, nb.dt) for nb in
                   brute_force_neighbors(stream.events[:i], ev, params)]
-        assert adj.neighbors(i) == expect, f"event {i}"
+        assert neighbors(adj, stream, i) == expect, f"event {i}"
 
 
 def _incremental_reference(stream, params):
     """Search-then-push over per-pixel arrival lists, counting the queue
     entries each search inspects.
 
-    Returns build_adjacency's six arrays and the number of searches whose
-    d_max-th hit left entries of its queue unscanned.
+    Returns (deg, n, dx, dy, scanned), with n, dx and dy [N, d_max] and 0
+    past deg, and the number of searches whose d_max-th hit left entries
+    of its queue unscanned.
     """
     n, d, r = len(stream), params.d_max, params.r_s
     deg, scanned = np.zeros(n, np.int64), np.zeros(n, np.int64)
-    nbr = np.zeros((4, n, d), np.int64)  # n, dx, dy, dt
+    nbr = np.zeros((3, n, d), np.int64)  # n, dx, dy
     arrivals: dict[tuple[int, int], list[Event]] = {}
     mid_queue_stops = 0
     for i, ev in enumerate(stream.events):
@@ -230,7 +232,7 @@ def _incremental_reference(stream, params):
                         break
                     scanned[i] += 1
                     if 0 <= ev.t - old.t <= params.r_t:
-                        nbr[:, i, deg[i]] = (old.n, dx, dy, ev.t - old.t)
+                        nbr[:, i, deg[i]] = (old.n, dx, dy)
                         deg[i] += 1
                         if deg[i] == d and k < len(retained) - 1:
                             mid_queue_stops += 1
@@ -239,19 +241,29 @@ def _incremental_reference(stream, params):
 
 
 def _assert_equals_reference(adj, stream, params) -> int:
-    """Check all six outputs; return the reference's mid-queue stops."""
-    got = (adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt,
-           adj.entries_scanned)
+    """Check deg, the scan count and every slot's n, dx and dy, with dx
+    and dy looked up in the window by nbr_o, and that nbr_o holds the
+    window size K past deg; return the reference's mid-queue stops."""
+    k = len(adj.win_dx)
+    pad = np.arange(params.d_max) >= adj.deg[:, None]
+    assert np.array_equal(adj.nbr_o == k, pad)
+    got = (adj.deg, adj.nbr_n, np.r_[adj.win_dx, 0][adj.nbr_o],
+           np.r_[adj.win_dy, 0][adj.nbr_o], adj.entries_scanned)
     want, stops = _incremental_reference(stream, params)
-    for name, a, b in zip(("deg", "n", "dx", "dy", "dt", "scanned"),
-                          got, want):
+    for name, a, b in zip(("deg", "n", "dx", "dy", "scanned"), got, want):
         assert np.array_equal(a, b), (name, stream.width, stream.height,
                                       params)
     return stops
 
 
+def _edge_dt(adj, stream):
+    """dt of every kept edge, from the stream's timestamps."""
+    edge = np.arange(adj.d_max) < adj.deg[:, None]
+    return (stream.t[:, None] - stream.t[adj.nbr_n])[edge]
+
+
 def _check_against_incremental_reference(shape, make_stream):
-    """All six replay outputs, entries_scanned included, on 1x1 to 12x12
+    """Every replay output, entries_scanned included, on 1x1 to 12x12
     sensors with shallow queues, timestamp ties and early stops mid-queue."""
     rng = np.random.default_rng(17)
     mid_queue_stops = ties = 0
@@ -269,8 +281,7 @@ def _check_against_incremental_reference(shape, make_stream):
                               queue_depth=int(rng.integers(1, 6)))
         adj = build_adjacency(stream, params)
         mid_queue_stops += _assert_equals_reference(adj, stream, params)
-        ties += int(np.sum((adj.nbr_dt == 0)
-                           & (np.arange(params.d_max) < adj.deg[:, None])))
+        ties += int(np.sum(_edge_dt(adj, stream) == 0))
     assert mid_queue_stops > 0 and ties > 0
 
 
@@ -308,34 +319,37 @@ def test_build_adjacency_empty_stream(make_stream):
     params = SearchParams(d_max=5)
     adj = build_adjacency(make_stream(8, 6), params)
     assert adj.deg.shape == adj.entries_scanned.shape == (0,)
-    for a in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt):
+    for a in (adj.nbr_n, adj.nbr_o):
         assert a.shape == (0, 5)
-
-
-def _dtypes(adj):
-    return [a.dtype for a in (adj.deg, adj.nbr_n, adj.nbr_dx, adj.nbr_dy,
-                              adj.nbr_dt, adj.entries_scanned)]
+    assert len(adj.win_dx) == len(adj.win_dy) == 25
 
 
 def test_build_adjacency_dtypes(make_stream):
-    """Each neighbour slot field has the narrowest type for its bound."""
-    i64, i32, i8 = np.int64, np.int32, np.int8
-    stream = make_stream(8, 6, [(1, 1, 0, 0), (2, 1, 300, 1),
-                                (2, 2, 70_000, 0)])
-    adj = build_adjacency(stream, SearchParams(r_s=3, r_t=50_000))
-    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint16, i64]
-    # the time span, not r_t, bounds dt when it is the smaller
-    adj = build_adjacency(stream, SearchParams(r_s=3, r_t=2**40))
-    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint32, i64]
-    adj = build_adjacency(stream, SearchParams(r_s=127, r_t=255))
-    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint8, i64]
-    adj = build_adjacency(make_stream(8, 6), SearchParams(d_max=5))
-    assert _dtypes(adj) == [i64, i32, i8, i8, np.uint8, i64]
+    """nbr_o has the narrowest unsigned type that holds the window size K,
+    which marks every slot past the degree."""
+    stream = make_stream(30, 30, [(1, 1, 0, 0), (2, 1, 300, 1),
+                                  (2, 2, 700, 0), (1, 1, 800, 1)])
+    for shape, r_s, k, slot_type in [
+            ("prism", 3, 25, np.uint8), ("cylinder", 3, 29, np.uint8),
+            ("prism", 10, 221, np.uint8), ("prism", 11, 265, np.uint16),
+            ("cylinder", 9, 253, np.uint8), ("cylinder", 10, 317, np.uint16)]:
+        params = SearchParams(shape=shape, r_s=r_s, d_max=4)
+        adj = build_adjacency(stream, params)
+        assert [a.dtype for a in (adj.deg, adj.nbr_n, adj.nbr_o,
+                                  adj.entries_scanned)] == \
+            [np.int64, np.int32, slot_type, np.int64]
+        assert len(adj.win_dx) == len(adj.win_dy) == k
+        assert adj.deg.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(adj.nbr_o == k,
+                              np.arange(4) >= adj.deg[:, None])
+        empty = build_adjacency(make_stream(30, 30), params)
+        assert empty.nbr_o.dtype == slot_type
 
 
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
 def test_build_adjacency_offsets_past_int8(shape, make_stream):
-    """r_s = 128: dx and dy of +-128 need int16."""
+    """r_s = 128: offsets of +-128, past int8, from a window of more than
+    2**8 slots."""
     pixels = [(0, 0), (128, 0), (0, 128), (0, 0), (128, 0), (0, 128),
               (64, 64), (129, 129), (1, 0)]
     stream = make_stream(130, 130, [(x, y, t, t % 2)
@@ -344,14 +358,16 @@ def test_build_adjacency_offsets_past_int8(shape, make_stream):
                           queue_depth=2)
     adj = build_adjacency(stream, params)
     _assert_equals_reference(adj, stream, params)
-    assert adj.nbr_dx.dtype == adj.nbr_dy.dtype == np.int16
-    for a in (adj.nbr_dx, adj.nbr_dy):
+    assert adj.nbr_o.dtype == np.uint16
+    edge = adj.nbr_o[np.arange(params.d_max) < adj.deg[:, None]]
+    for a in (adj.win_dx[edge], adj.win_dy[edge]):
         assert a.min() == -128 and a.max() == 128
 
 
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
 def test_build_adjacency_time_past_32_bits(shape, make_stream):
-    """r_t >= 2**32 over timestamps past 2**32: dt needs uint64."""
+    """r_t >= 2**32 over timestamps past 2**32: edges more than 2**32 apart
+    are kept."""
     ts = [0, 5, 2**32 + 7, 2**32 + 7, 2**33 + 1, 2**34]
     stream = make_stream(4, 3, [(k % 2, 1, t, k % 2)
                                 for k, t in enumerate(ts)])
@@ -359,8 +375,7 @@ def test_build_adjacency_time_past_32_bits(shape, make_stream):
                           queue_depth=3)
     adj = build_adjacency(stream, params)
     _assert_equals_reference(adj, stream, params)
-    assert adj.nbr_dt.dtype == np.uint64
-    assert int(adj.nbr_dt.max()) == 2**34 - (2**33 + 1)
+    assert int(_edge_dt(adj, stream).max()) == 2**34 - (2**33 + 1)
 
 
 class TestProperties:

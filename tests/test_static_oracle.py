@@ -8,6 +8,7 @@ from evgnn.graph_builder import SearchParams
 from evgnn.model import random_model
 from evgnn.static_oracle import (BATCH_ROWS, FPLayer, FPModel,
                                  forward_eq7_fp, forward_eq7_int8)
+from helpers import neighbors
 
 PARAMS = SearchParams(r_s=3, r_t=500, d_max=8, queue_depth=6)
 
@@ -37,8 +38,8 @@ class TestBuildStaticGraph:
     def test_two_events_one_directed_edge(self, make_stream):
         s = make_stream(8, 8, [(3, 3, 10, 0), (4, 3, 20, 1)])
         adj = engine.build_adjacency(s, PARAMS)
-        assert adj.neighbors(0) == []
-        assert adj.neighbors(1) == [(0, 1, 0, 10)]
+        assert neighbors(adj, s, 0) == []
+        assert neighbors(adj, s, 1) == [(0, 1, 0, 10)]
 
     @pytest.mark.parametrize("shape", ["prism"])
     def test_matches_brute_force(self, shape):
@@ -49,7 +50,7 @@ class TestBuildStaticGraph:
         for i, ev in enumerate(s.events):
             expect = [(nb.n, nb.dx, nb.dy, nb.dt) for nb in
                       brute_force_neighbors(s.events[:i], ev, params)]
-            assert adj.neighbors(i) == expect
+            assert neighbors(adj, s, i) == expect
 
     def test_directed_chain_topology(self, make_stream):
         # chain A -> B -> C -> D in time at one pixel: a node has only
@@ -57,7 +58,8 @@ class TestBuildStaticGraph:
         s = make_stream(4, 4, [(1, 1, t, 1) for t in [0, 10, 20, 30]])
         params = SearchParams(r_s=1, r_t=11, d_max=4, queue_depth=4)
         adj = engine.build_adjacency(s, params)
-        assert [[nb[0] for nb in adj.neighbors(i)] for i in range(4)] == \
+        assert [[nb[0] for nb in neighbors(adj, s, i)]
+                for i in range(4)] == \
             [[], [0], [1], [2]]  # D (t=30) is out of r_t range of A (t=0)
 
 
@@ -79,7 +81,7 @@ class TestEq7Int8:
             d = int(adj.deg[i])
             if d > 1:
                 perm = rng.permutation(d)
-                for arr in (adj.nbr_n, adj.nbr_dx, adj.nbr_dy, adj.nbr_dt):
+                for arr in (adj.nbr_n, adj.nbr_o):
                     arr[i, :d] = arr[i, :d][perm]
         res = forward_eq7_int8(small_stream, adj, small_model)
         for a, b in zip(base.feats, res.feats):
