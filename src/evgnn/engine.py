@@ -312,8 +312,8 @@ def eq7_layer(layer: LayerParams, terms: np.ndarray, table: np.ndarray,
     nbr (neighbour rows) and pos (window slots, the table's rows) are
     slot-major [D, B]. terms holds W_x . x_j of every event plus a last
     sentinel row of MSG_FLOOR, int32[N+1, C_out]; table is the layer's
-    position_terms plus a last sentinel row of 0, row K. A slot at or past an
-    event's degree points at both sentinels, so its message is exactly
+    position_terms plus a last sentinel row of 0, row K. A slot at or past
+    an event's degree points at both sentinels, so its message is exactly
     MSG_FLOOR. The gathers build one [D, B, C_out] tensor, and one reduce
     over the slot axis takes the max. empty marks the rows of degree 0,
     which aggregate to the empty identity: 0 ("zero") or -inf ("neg_inf").

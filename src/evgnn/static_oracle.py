@@ -10,8 +10,8 @@ then the next) through one gather-form layer loop that computes eq 7
 unfactored: each message is W . (x_j, q|dx|, q|dy|), where each edge's
 |dx|, |dy| is looked up in the adjacency's window by its window slot and
 quantized edge by edge, one float64 matmul per batch with the layer's
-full weights, then the max over neighbours, the bias and the activation. Each takes (stream, adjacency, model) and
-returns the engine's RunResult:
+full weights, then the max over neighbours, the bias and the activation.
+Each takes (stream, adjacency, model) and returns the engine's RunResult:
     eq7_fp   -- inputs +-1.0, raw pixel offsets, ReLU; its activations set
                 the quantizer's scales
     eq7_int8 -- the encoded inputs, the layer's position requant (RNE,
