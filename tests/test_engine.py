@@ -372,7 +372,7 @@ def test_schedules_equal_static_on_another_window(small_stream):
 
 class TestSentinelKernel:
     """Slots past an event's degree point at the sentinel rows: the last
-    row of the node terms (MSG_FLOOR) and of the offset table (0)."""
+    row of the node terms (MSG_FLOOR) and of the position table (0)."""
 
     @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
     def test_sentinel_table_row_past_uint8(self, empty):
