@@ -8,6 +8,7 @@ Set EVGNN_LOG to a logging level name (e.g. DEBUG) for diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -100,10 +101,11 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n" if lines else "")
 
 
-def _infer_one(model_path: str, stream_path: str, args) -> int:
-    model = _apply_overrides(_load_model(model_path), args)
+def _infer_one(model, stream_path: str, args) -> int:
     stream = _load_stream(stream_path, model.width, model.height, args.format)
     if len(stream) == 0:
+        if args.trace_out:
+            _write_lines(args.trace_out, [])
         print(f"{stream_path}: no events")
         return EXIT_OK
     t0 = time.perf_counter()
@@ -120,24 +122,26 @@ def _infer_one(model_path: str, stream_path: str, args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.trace_out and len(args.stream) > 1:
+        raise CliError(f"--trace-out takes one stream, "
+                       f"got {len(args.stream)}")
+    model = _apply_overrides(_load_model(args.model), args)
     if len(args.stream) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(args.stream))) as pool:
             codes = list(pool.map(_infer_worker,
-                                  [(args.model, s, vars(args))
-                                   for s in args.stream]))
+                                  [(model, s, args) for s in args.stream]))
         return max(codes)
     code = EXIT_OK
     for s in args.stream:
-        code = max(code, _infer_one(args.model, s, args))
+        code = max(code, _infer_one(model, s, args))
     return code
 
 
 def _infer_worker(packed):
-    model_path, stream_path, argd = packed
-    ns = argparse.Namespace(**argd)
+    model, stream_path, args = packed
     try:
-        return _infer_one(model_path, stream_path, ns)
+        return _infer_one(model, stream_path, args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -265,7 +269,13 @@ def _add_common_search_flags(p: argparse.ArgumentParser) -> None:
                    default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `evgnn` parser, built once per process.
+
+    parse_args returns a fresh namespace on every call, so no call sees
+    another call's flags.
+    """
     ap = argparse.ArgumentParser(
         prog="evgnn",
         description="Event-driven quantized GNN inference and modeling")

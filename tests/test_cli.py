@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -52,6 +53,43 @@ def _inject(monkeypatch, module, name, feats=(), logits=(), only=None):
         return out
 
     monkeypatch.setattr(module, name, corrupted)
+
+
+@pytest.fixture()
+def inline_pool(monkeypatch):
+    """Swap in a pool stand-in that records its size and maps in this
+    process, so a test starts no process; returns the recorded sizes."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.fixture()
+def run_stream_calls(monkeypatch):
+    """Record (sequential, model r_s) of every engine.run_stream call."""
+    calls = []
+    real = engine.run_stream
+
+    def recording(model, stream, sequential=False, **kwargs):
+        calls.append((sequential, model.search.r_s))
+        return real(model, stream, sequential=sequential, **kwargs)
+
+    monkeypatch.setattr(engine, "run_stream", recording)
+    return calls
 
 
 class TestGen:
@@ -134,28 +172,99 @@ class TestInfer:
         assert main(["infer", model_path, *paths, "--jobs", "2"]) == EXIT_OK
 
     def test_jobs_capped_at_stream_count(self, model_path, stream_path,
-                                         monkeypatch):
-        # a stand-in pool records its size and maps in this process, so
-        # the test starts no process
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+                                         inline_pool):
         assert main(["infer", model_path, stream_path, stream_path,
                      "--jobs", "1000"]) == EXIT_OK
-        assert sizes == [2]
+        assert inline_pool == [2]
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_model_loaded_once_per_command(self, model_path, stream_path,
+                                           inline_pool, monkeypatch, jobs):
+        loads = []
+        real = cli.load_model
+
+        def counting(path):
+            loads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_model", counting)
+        assert main(["infer", model_path, stream_path, stream_path,
+                     stream_path, "--jobs", jobs]) == EXIT_OK
+        assert loads == [model_path]
+        assert inline_pool == ([] if jobs == "1" else [3])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trace_out_with_several_streams_rejected(self, stream_path,
+                                                     tmp_path, capsys, jobs):
+        # the model path does not exist: the check comes before any read
+        trace = tmp_path / "t.txt"
+        assert main(["infer", str(tmp_path / "no_model.json"), stream_path,
+                     stream_path, "--trace-out", str(trace),
+                     "--jobs", jobs]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--trace-out" in captured.err
+        assert not trace.exists()
+
+    def test_empty_stream_writes_empty_trace(self, model_path, tmp_path):
+        empty, trace = tmp_path / "empty.txt", tmp_path / "t.txt"
+        empty.write_text("")
+        trace.write_text("0 1 5 -5\n" * 200)  # a previous run's trace
+        assert main(["infer", model_path, str(empty),
+                     "--trace-out", str(trace)]) == EXIT_OK
+        assert trace.read_bytes() == b""
+
+
+class TestSharedParser:
+    """main reuses one parser; no call may see another call's flags."""
+
+    @pytest.fixture()
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_built_once(self, model_path, stream_path, fresh_parser,
+                        monkeypatch, capsys):
+        top = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "evgnn":  # subparsers: "evgnn infer"
+                top.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        for _ in range(3):
+            assert main(["infer", model_path, stream_path]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert len(top) == 1
+
+    def test_sequential_does_not_carry_over(self, model_path, stream_path,
+                                            run_stream_calls):
+        assert main(["infer", model_path, stream_path,
+                     "--sequential"]) == EXIT_OK
+        assert main(["infer", model_path, stream_path]) == EXIT_OK
+        assert [seq for seq, _ in run_stream_calls] == [True, False]
+
+    def test_search_override_does_not_carry_over(self, small_model,
+                                                 model_path, stream_path,
+                                                 run_stream_calls):
+        assert small_model.search.r_s != 2
+        assert main(["infer", model_path, stream_path,
+                     "--r-s", "2"]) == EXIT_OK
+        assert main(["infer", model_path, stream_path]) == EXIT_OK
+        assert [r_s for _, r_s in run_stream_calls] == [
+            2, small_model.search.r_s]
+
+    def test_parse_error_then_valid_call(self, model_path, stream_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", model_path, stream_path, "--jobs", "many"])
+        assert exc.value.code == EXIT_IO
+        assert main(["infer", model_path, stream_path]) == EXIT_OK
 
 
 class TestVerify:
