@@ -78,20 +78,6 @@ def inline_pool(monkeypatch):
     return sizes
 
 
-@pytest.fixture()
-def run_stream_calls(monkeypatch):
-    """Record (sequential, model r_s) of every engine.run_stream call."""
-    calls = []
-    real = engine.run_stream
-
-    def recording(model, stream, sequential=False, **kwargs):
-        calls.append((sequential, model.search.r_s))
-        return real(model, stream, sequential=sequential, **kwargs)
-
-    monkeypatch.setattr(engine, "run_stream", recording)
-    return calls
-
-
 class TestGen:
     def test_deterministic(self, tmp_path):
         args = ["gen", "--kind", "uniform_random", "--width", "32",
@@ -224,6 +210,19 @@ class TestSharedParser:
         cli.build_parser.cache_clear()
         yield
         cli.build_parser.cache_clear()
+
+    @pytest.fixture()
+    def run_stream_calls(self, monkeypatch):
+        """(sequential, model r_s) of every engine.run_stream call."""
+        calls = []
+        real = engine.run_stream
+
+        def recording(model, stream, sequential=False, **kwargs):
+            calls.append((sequential, model.search.r_s))
+            return real(model, stream, sequential=sequential, **kwargs)
+
+        monkeypatch.setattr(engine, "run_stream", recording)
+        return calls
 
     def test_built_once(self, model_path, stream_path, fresh_parser,
                         monkeypatch, capsys):
