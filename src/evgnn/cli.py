@@ -8,6 +8,7 @@ Set EVGNN_LOG to a logging level name (e.g. DEBUG) for diagnostics.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import engine, event_io, perf_model, quant, static_oracle
 from .graph_builder import SHAPES, InvalidSearchParams, SearchParams
-from .model import ModelConfigError, load_model, save_model
+from .model import (ModelConfigError, load_fp_model, load_model,
+                    random_fp_model, save_fp_model, save_model)
 
 log = logging.getLogger("evgnn")
 
@@ -57,26 +59,23 @@ def _load_stream(path: str, width: int, height: int,
         raise CliError(f"bad stream {path}: {exc}") from exc
 
 
-def _load_model(path: str):
+def _load_model(load, path: str, what: str = "model"):
+    """load(path), with a read or format error as a CliError."""
     try:
-        return load_model(path)
+        return load(path)
     except OSError as exc:
-        raise CliError(f"cannot read model {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
     except (ModelConfigError, json.JSONDecodeError) as exc:
-        raise CliError(f"bad model {path}: {exc}") from exc
+        raise CliError(f"bad {what} {path}: {exc}") from exc
 
 
 def _apply_overrides(model, args):
-    sp = model.search
-    fields = {"shape": args.shape or sp.shape,
-              "r_s": args.r_s if args.r_s is not None else sp.r_s,
-              "r_t": args.r_t if args.r_t is not None else sp.r_t,
-              "d_max": args.d_max if args.d_max is not None else sp.d_max,
-              "queue_depth": (args.queue_depth
-                              if args.queue_depth is not None
-                              else sp.queue_depth)}
+    """The model with each search flag given on the command line set."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(SearchParams)
+             if getattr(args, f.name) is not None}
     try:
-        model.search = SearchParams(**fields)
+        model.search = dataclasses.replace(model.search, **given)
     except InvalidSearchParams as exc:
         raise CliError(f"bad search parameters: {exc}") from exc
     return model
@@ -109,7 +108,7 @@ def _infer_one(model, stream_path: str, args) -> int:
         print(f"{stream_path}: no events")
         return EXIT_OK
     t0 = time.perf_counter()
-    result = engine.run_stream(model, stream, sequential=args.sequential)
+    result = engine.run_stream(model, stream)
     wall = time.perf_counter() - t0
     if args.trace_out:
         _write_lines(args.trace_out,
@@ -125,7 +124,7 @@ def cmd_infer(args) -> int:
     if args.trace_out and len(args.stream) > 1:
         raise CliError(f"--trace-out takes one stream, "
                        f"got {len(args.stream)}")
-    model = _apply_overrides(_load_model(args.model), args)
+    model = _apply_overrides(_load_model(load_model, args.model), args)
     if len(args.stream) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(args.stream))) as pool:
@@ -148,7 +147,7 @@ def _infer_worker(packed):
 
 
 def cmd_verify(args) -> int:
-    model = _apply_overrides(_load_model(args.model), args)
+    model = _apply_overrides(_load_model(load_model, args.model), args)
     stream = _load_stream(args.stream, model.width, model.height, args.format)
     if len(stream) == 0:
         print(f"{args.stream}: no events")
@@ -176,14 +175,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model = _apply_overrides(_load_model(args.model), args)
+    model = _apply_overrides(_load_model(load_model, args.model), args)
     stream = _load_stream(args.stream, model.width, model.height, args.format)
     cfg = _load_hw_config(args.hw) if args.hw else perf_model.HwConfig()
     if len(stream) == 0:
         print(f"{args.stream}: no events")
         return EXIT_OK
     t0 = time.perf_counter()
-    result = engine.run_stream(model, stream, sequential=args.sequential)
+    result = engine.run_stream(model, stream)
     wall = time.perf_counter() - t0
     trace = perf_model.trace_from_run(model, result.adjacency.deg,
                                       result.adjacency.entries_scanned)
@@ -234,20 +233,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gen_model(args) -> int:
-    fp = quant.random_fp_model(args.seed, width=args.width,
-                               height=args.height, with_bn=args.with_bn)
-    quant.save_fp_model(fp, args.out)
+    fp = random_fp_model(args.seed, width=args.width, height=args.height,
+                         with_bn=args.with_bn)
+    save_fp_model(fp, args.out)
     print(f"wrote FP model to {args.out}")
     return EXIT_OK
 
 
 def cmd_quantize(args) -> int:
-    try:
-        fp = quant.load_fp_model(args.fp_model)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.fp_model}: {exc}") from exc
-    except (ModelConfigError, json.JSONDecodeError) as exc:
-        raise CliError(f"bad FP model: {exc}") from exc
+    fp = _load_model(load_fp_model, args.fp_model, "FP model")
     calib = _load_stream(args.calib, fp.width, fp.height, args.format)
     try:
         qm, rep = quant.quantize_model(fp, calib)
@@ -284,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run inference over event streams")
     p.add_argument("model")
     p.add_argument("stream", nargs="+")
-    p.add_argument("--sequential", action="store_true")
     p.add_argument("--trace-out", default=None)
     p.add_argument("--jobs", type=int, default=1)
     _add_common_search_flags(p)
@@ -301,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("stream")
     p.add_argument("--hw", default=None, help="HwConfig JSON path")
-    p.add_argument("--sequential", action="store_true")
+    p.add_argument("--sequential", action="store_true",
+                   help="model layer-sequential hardware")
     p.add_argument("--report-out", default=None)
     _add_common_search_flags(p)
     p.set_defaults(func=cmd_bench)

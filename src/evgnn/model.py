@@ -1,25 +1,31 @@
-"""Quantized model container and its JSON config format.
+"""The float and the INT8 model: containers, structure and JSON format.
 
-The on-disk model is a UTF-8 JSON document:
+Both kinds are UTF-8 JSON documents with one header and one structure:
 
     {version, sensor:{W,H},
      search:{shape,r_s,r_t,D_max,queue_depth},
-     input_encoding:{"0":-127,"1":127},
      empty_aggregation:"zero"|"neg_inf",
-     layers:[{C_in,C_out,weights(row-major int array),bias,
-              requant:{M,shift}, pos_requant:{M,shift}}],
-     fc:{in_dim,out_dim,weights,bias},
-     grid:{patch,Gx,Gy},
+     grid:{patch,Gx,Gy},          # Gx, Gy optional; checked when present
      classes:[labels],
-     hw:{...}}            # optional HwConfig, see perf_model
+     layers:[{C_in,C_out,weights(row-major array),bias,...}],
+     fc:{in_dim,out_dim,weights,bias}}
 
-Integer arrays are stored as decimal JSON arrays; value-exactness matters,
-byte-exactness does not. Other search keys are ignored, such as the "r"
-and "beta" that older files carry.
+The FP model (gen-model writes it, quantize reads it) has float arrays
+and "precision":"fp32"; a layer may carry a batchnorm block
+bn:{gamma,beta,mean,var,eps}. The INT8 model (infer, verify and bench run
+it) has integer arrays and no "precision"; it adds
+input_encoding:{"0":-127,"1":127}, requant:{M,shift}, pos_requant:{M,shift}
+and s_in per layer, and an optional hw:{...} HwConfig (see perf_model).
+Each reader rejects the other kind's document.
+
+Value-exactness matters, byte-exactness does not. Other search keys are
+ignored, such as the "r" and "beta" that older files carry.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,6 +40,19 @@ ACC_LIMIT = 2**31  # accumulators and logits stay in 32-bit signed range
 
 class ModelConfigError(ValueError):
     pass
+
+
+def _int8_arrays(weights, bias, shape: tuple[int, int], what: str):
+    """weights and bias as int64, checked against shape and INT8 range."""
+    weights = np.asarray(weights, dtype=np.int64)
+    bias = np.asarray(bias, dtype=np.int64)
+    if weights.shape != shape:
+        raise ModelConfigError(f"{what}weights {weights.shape} != {shape}")
+    if bias.shape != shape[:1]:
+        raise ModelConfigError(f"{what}bias length mismatch")
+    if np.abs(weights).max(initial=0) > 127:
+        raise ModelConfigError(f"{what}weight magnitude > 127")
+    return weights, bias
 
 
 @dataclass
@@ -56,16 +75,8 @@ class LayerParams:
     s_in: float = 1.0
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.int64)
-        self.bias = np.asarray(self.bias, dtype=np.int64)
-        if self.weights.shape != (self.c_out, self.c_in + 2):
-            raise ModelConfigError(
-                f"weights shape {self.weights.shape} != "
-                f"({self.c_out},{self.c_in + 2})")
-        if self.bias.shape != (self.c_out,):
-            raise ModelConfigError("bias length mismatch")
-        if np.abs(self.weights).max(initial=0) > 127:
-            raise ModelConfigError("weight magnitude > 127")
+        self.weights, self.bias = _int8_arrays(
+            self.weights, self.bias, (self.c_out, self.c_in + 2), "")
         for name, (m, s) in (("requant", self.requant),
                              ("pos_requant", self.pos_requant)):
             if not (0 <= m < 2**31 and 0 <= s <= 62):
@@ -83,48 +94,120 @@ class DenseParams:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.int64)
-        self.bias = np.asarray(self.bias, dtype=np.int64)
-        if self.weights.shape != (self.out_dim, self.in_dim):
-            raise ModelConfigError(
-                f"fc weights shape {self.weights.shape} != "
-                f"({self.out_dim},{self.in_dim})")
-        if self.bias.shape != (self.out_dim,):
-            raise ModelConfigError("fc bias length mismatch")
-        if np.abs(self.weights).max(initial=0) > 127:
-            raise ModelConfigError("fc weight magnitude > 127")
+        self.weights, self.bias = _int8_arrays(
+            self.weights, self.bias, (self.out_dim, self.in_dim), "fc ")
 
 
 @dataclass
-class QuantizedModel:
+class FPLayer:
+    """Float conv layer; weights (C_out, C_in+2), optional batchnorm block."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+    bn: dict | None = None
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.bias = np.asarray(self.bias, dtype=np.float64)
+        if self.bias.shape != self.weights.shape[:1]:
+            raise ModelConfigError("FP layer bias length != C_out")
+        if self.bn is not None:
+            self.bn = {k: np.asarray(v, dtype=np.float64)
+                       for k, v in self.bn.items()}
+            if any(np.shape(self.bn.get(k)) != self.bias.shape
+                   for k in ("gamma", "beta", "mean", "var")):
+                raise ModelConfigError("bn needs C_out gamma, beta, mean, var")
+
+    @property
+    def c_out(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def c_in(self) -> int:
+        return self.weights.shape[1] - 2
+
+
+@dataclass(kw_only=True)
+class ModelHeader:
+    """What both model kinds share: sensor, search, readout grid, classes.
+
+    A model subclass adds its layers and FC head and calls
+    _check_structure on them.
+    """
+
     width: int
     height: int
-    layers: list[LayerParams]
-    fc: DenseParams
-    search: SearchParams
+    search: SearchParams = field(default_factory=SearchParams)
     patch: int = 16
     classes: list[str] = field(default_factory=lambda: ["0", "1"])
+    empty_aggregation: str = "zero"  # or "neg_inf"
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ModelConfigError("sensor W and H must be >= 1")
+        if self.patch < 1:
+            raise ModelConfigError("grid patch must be >= 1")
+        if self.empty_aggregation not in ("zero", "neg_inf"):
+            raise ModelConfigError("empty_aggregation: zero or neg_inf")
+
+    @property
+    def n_cells_x(self) -> int:
+        return -(-self.width // self.patch)
+
+    @property
+    def n_cells_y(self) -> int:
+        return -(-self.height // self.patch)
+
+    @property
+    def c_last(self) -> int:
+        return self.layers[-1].c_out
+
+    def header(self) -> dict:
+        """The header fields, to build another model on the same header."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(ModelHeader)}
+
+    def _check_structure(self, fc_weights: np.ndarray,
+                         fc_bias: np.ndarray) -> None:
+        """The layers chain from the polarity input to an FC head that
+        reads the whole readout grid and scores every class."""
+        c_in = [l.c_in for l in self.layers]
+        chain = [1] + [l.c_out for l in self.layers[:-1]]
+        if c_in != chain:  # also rejects a model without layers
+            raise ModelConfigError(f"layer C_in {c_in} != {chain}: the "
+                                   f"layers do not chain from the polarity")
+        shape = (len(self.classes),
+                 self.n_cells_x * self.n_cells_y * self.c_last)
+        if fc_weights.shape != shape or fc_bias.shape != shape[:1]:
+            raise ModelConfigError(
+                f"fc weights {fc_weights.shape}, bias {fc_bias.shape}: "
+                f"need (classes, Gx*Gy*C_last) = {shape}")
+
+
+@dataclass(kw_only=True)
+class FPModel(ModelHeader):
+    layers: list[FPLayer]
+    fc_weights: np.ndarray
+    fc_bias: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.fc_weights = np.asarray(self.fc_weights, dtype=np.float64)
+        self.fc_bias = np.asarray(self.fc_bias, dtype=np.float64)
+        self._check_structure(self.fc_weights, self.fc_bias)
+
+
+@dataclass(kw_only=True)
+class QuantizedModel(ModelHeader):
+    layers: list[LayerParams]
+    fc: DenseParams
     input_encoding: dict[int, int] = field(
         default_factory=lambda: {0: -127, 1: 127})
-    empty_aggregation: str = "zero"  # or "neg_inf"
     hw: dict | None = None
 
     def __post_init__(self):
-        if not self.layers:
-            raise ModelConfigError("at least one conv layer required")
-        if self.layers[0].c_in != 1:
-            raise ModelConfigError("layer 0 must take the 1-channel polarity")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if b.c_in != a.c_out:
-                raise ModelConfigError("layer channel dims do not chain")
-        expect = self.n_cells_x * self.n_cells_y * self.layers[-1].c_out
-        if self.fc.in_dim != expect:
-            raise ModelConfigError(
-                f"fc in_dim {self.fc.in_dim} != grid*C_last {expect}")
-        if self.fc.out_dim != len(self.classes):
-            raise ModelConfigError("fc out_dim != number of classes")
-        if self.empty_aggregation not in ("zero", "neg_inf"):
-            raise ModelConfigError("empty_aggregation: zero or neg_inf")
+        super().__post_init__()
+        self._check_structure(self.fc.weights, self.fc.bias)
         # Prove every accumulator and logit stays inside 32-bit range: the
         # batch engine relies on it, since float64 partial sums are exact
         # only below 2**53 and requant products v * M must stay below 2**63.
@@ -145,105 +228,144 @@ class QuantizedModel:
             raise ModelConfigError(
                 f"fc: |logit| may reach {fc_bound:.0f} >= 2**31")
 
-    @property
-    def n_cells_x(self) -> int:
-        return math.ceil(self.width / self.patch)
-
-    @property
-    def n_cells_y(self) -> int:
-        return math.ceil(self.height / self.patch)
-
-    @property
-    def c_last(self) -> int:
-        return self.layers[-1].c_out
-
     def encode_input(self, p: int) -> int:
         return self.input_encoding[p]
 
 
-def _params_to_json(sp: SearchParams) -> dict:
-    return {"shape": sp.shape, "r_s": sp.r_s, "r_t": sp.r_t,
-            "D_max": sp.d_max, "queue_depth": sp.queue_depth}
+# ------------------------------------------------------------------ JSON
+
+def _header_to_json(model: ModelHeader) -> dict:
+    sp = model.search
+    return {"version": 1,
+            "sensor": {"W": model.width, "H": model.height},
+            "search": {"shape": sp.shape, "r_s": sp.r_s, "r_t": sp.r_t,
+                       "D_max": sp.d_max, "queue_depth": sp.queue_depth},
+            "empty_aggregation": model.empty_aggregation,
+            "grid": {"patch": model.patch},
+            "classes": list(model.classes)}
 
 
-def _params_from_json(d: dict) -> SearchParams:
-    return SearchParams(shape=d.get("shape", "prism"),
-                        r_s=int(d.get("r_s", 3)),
-                        r_t=int(d.get("r_t", 50_000)),
-                        d_max=int(d.get("D_max", 16)),
-                        queue_depth=int(d.get("queue_depth", 16)))
+def _header_from_json(doc: dict) -> dict:
+    sp, grid = doc.get("search", {}), doc.get("grid", {})
+    header = ModelHeader(
+        width=int(doc["sensor"]["W"]), height=int(doc["sensor"]["H"]),
+        search=SearchParams(shape=sp.get("shape", "prism"),
+                            r_s=int(sp.get("r_s", 3)),
+                            r_t=int(sp.get("r_t", 50_000)),
+                            d_max=int(sp.get("D_max", 16)),
+                            queue_depth=int(sp.get("queue_depth", 16))),
+        patch=int(grid.get("patch", 16)),
+        classes=[str(c) for c in doc.get("classes", ["0", "1"])],
+        empty_aggregation=doc.get("empty_aggregation", "zero"))
+    for key, cells in (("Gx", header.n_cells_x), ("Gy", header.n_cells_y)):
+        if key in grid and int(grid[key]) != cells:
+            raise ModelConfigError(f"grid {key} disagrees with sensor/patch")
+    return vars(header)  # header() without its field scan on every load
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """Turn a missing key, a wrong type or a bad value met while reading
+    a document into a ModelConfigError that names the model kind."""
+    try:
+        yield
+    except ModelConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError,
+            AttributeError) as exc:
+        raise ModelConfigError(f"bad {what} config: {exc}") from None
+
+
+def _layer_to_json(layer) -> dict:
+    return {"C_in": layer.c_in, "C_out": layer.c_out,
+            "weights": layer.weights.reshape(-1).tolist(),
+            "bias": layer.bias.tolist()}
+
+
+def _fc_to_json(weights: np.ndarray, bias: np.ndarray) -> dict:
+    return {"in_dim": weights.shape[1], "out_dim": weights.shape[0],
+            "weights": weights.reshape(-1).tolist(), "bias": bias.tolist()}
+
+
+def _arrays(d: dict, rows: int, cols: int, dtype) -> tuple:
+    """The (rows, cols) weights and the bias of a layer or fc document."""
+    if rows < 0 or cols < 0:  # reshape would infer a -1 from the data
+        raise ValueError(f"negative dims ({rows}, {cols})")
+    return (np.asarray(d["weights"], dtype=dtype).reshape(rows, cols),
+            np.asarray(d["bias"], dtype=dtype))
 
 
 def model_to_json(model: QuantizedModel) -> dict:
-    return {
-        "version": 1,
-        "sensor": {"W": model.width, "H": model.height},
-        "search": _params_to_json(model.search),
-        "input_encoding": {str(k): v for k, v in model.input_encoding.items()},
-        "empty_aggregation": model.empty_aggregation,
-        "layers": [
-            {"C_in": l.c_in, "C_out": l.c_out,
-             "weights": l.weights.reshape(-1).tolist(),
-             "bias": l.bias.tolist(),
-             "requant": {"M": l.requant[0], "shift": l.requant[1]},
-             "pos_requant": {"M": l.pos_requant[0], "shift": l.pos_requant[1]},
-             "s_in": l.s_in}
-            for l in model.layers
-        ],
-        "fc": {"in_dim": model.fc.in_dim, "out_dim": model.fc.out_dim,
-               "weights": model.fc.weights.reshape(-1).tolist(),
-               "bias": model.fc.bias.tolist()},
-        "grid": {"patch": model.patch,
-                 "Gx": model.n_cells_x, "Gy": model.n_cells_y},
-        "classes": list(model.classes),
-        **({"hw": model.hw} if model.hw else {}),
-    }
+    doc = _header_to_json(model)
+    doc["grid"].update(Gx=model.n_cells_x, Gy=model.n_cells_y)
+    doc["input_encoding"] = {str(k): v
+                             for k, v in model.input_encoding.items()}
+    doc["layers"] = [
+        {**_layer_to_json(l),
+         "requant": {"M": l.requant[0], "shift": l.requant[1]},
+         "pos_requant": {"M": l.pos_requant[0], "shift": l.pos_requant[1]},
+         "s_in": l.s_in}
+        for l in model.layers]
+    doc["fc"] = _fc_to_json(model.fc.weights, model.fc.bias)
+    if model.hw:
+        doc["hw"] = model.hw
+    return doc
 
 
 def model_from_json(doc: dict) -> QuantizedModel:
-    try:
-        sensor = doc["sensor"]
+    with _reading("model"):
+        header = _header_from_json(doc)
+        if "precision" in doc:
+            raise ModelConfigError(
+                f"an FP model (precision {doc['precision']!r}); "
+                f"evgnn quantize turns it into an INT8 model")
         layers = []
         for ld in doc["layers"]:
             ci, co = int(ld["C_in"]), int(ld["C_out"])
             layers.append(LayerParams(
-                c_in=ci, c_out=co,
-                weights=np.asarray(ld["weights"],
-                                   dtype=np.int64).reshape(co, ci + 2),
-                bias=np.asarray(ld["bias"], dtype=np.int64),
-                requant=(int(ld["requant"]["M"]), int(ld["requant"]["shift"])),
+                ci, co, *_arrays(ld, co, ci + 2, np.int64),
+                requant=(int(ld["requant"]["M"]),
+                         int(ld["requant"]["shift"])),
                 pos_requant=(int(ld["pos_requant"]["M"]),
                              int(ld["pos_requant"]["shift"])),
                 s_in=float(ld.get("s_in", 1.0))))
         fd = doc["fc"]
-        fc = DenseParams(
-            in_dim=int(fd["in_dim"]), out_dim=int(fd["out_dim"]),
-            weights=np.asarray(fd["weights"],
-                               dtype=np.int64).reshape(int(fd["out_dim"]),
-                                                       int(fd["in_dim"])),
-            bias=np.asarray(fd["bias"], dtype=np.int64))
-        model = QuantizedModel(
-            width=int(sensor["W"]), height=int(sensor["H"]),
-            layers=layers, fc=fc,
-            search=_params_from_json(doc.get("search", {})),
-            patch=int(doc.get("grid", {}).get("patch", 16)),
-            classes=[str(c) for c in doc.get("classes", ["0", "1"])],
-            input_encoding={int(k): int(v)
-                            for k, v in doc.get(
-                                "input_encoding",
-                                {"0": -127, "1": 127}).items()},
-            empty_aggregation=doc.get("empty_aggregation", "zero"),
+        ci, co = int(fd["in_dim"]), int(fd["out_dim"])
+        return QuantizedModel(
+            **header, layers=layers,
+            fc=DenseParams(ci, co, *_arrays(fd, co, ci, np.int64)),
+            input_encoding={int(k): int(v) for k, v in doc.get(
+                "input_encoding", {"0": -127, "1": 127}).items()},
             hw=doc.get("hw"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ModelConfigError):
-            raise
-        raise ModelConfigError(f"bad model config: {exc}") from None
-    grid = doc.get("grid", {})
-    if "Gx" in grid and int(grid["Gx"]) != model.n_cells_x:
-        raise ModelConfigError("grid Gx inconsistent with sensor/patch")
-    if "Gy" in grid and int(grid["Gy"]) != model.n_cells_y:
-        raise ModelConfigError("grid Gy inconsistent with sensor/patch")
-    return model
+
+
+def fp_model_to_json(model: FPModel) -> dict:
+    def layer_doc(l: FPLayer) -> dict:
+        doc = _layer_to_json(l)
+        if l.bn is not None:
+            doc["bn"] = {k: np.asarray(v).tolist() for k, v in l.bn.items()}
+        return doc
+
+    return {"precision": "fp32", **_header_to_json(model),
+            "layers": [layer_doc(l) for l in model.layers],
+            "fc": _fc_to_json(model.fc_weights, model.fc_bias)}
+
+
+def fp_model_from_json(doc: dict) -> FPModel:
+    with _reading("FP model"):
+        header = _header_from_json(doc)
+        if doc.get("precision") != "fp32":
+            raise ModelConfigError('not an FP model: no "precision": "fp32"')
+        layers = []
+        for ld in doc["layers"]:
+            ci, co = int(ld["C_in"]), int(ld["C_out"])
+            layers.append(FPLayer(*_arrays(ld, co, ci + 2, np.float64),
+                                  ld.get("bn")))
+        fd = doc["fc"]
+        fc_w, fc_b = _arrays(fd, int(fd["out_dim"]), int(fd["in_dim"]),
+                             np.float64)
+        return FPModel(**header, layers=layers, fc_weights=fc_w,
+                       fc_bias=fc_b)
 
 
 def save_model(model: QuantizedModel, path: str) -> None:
@@ -257,12 +379,26 @@ def load_model(path: str) -> QuantizedModel:
         return model_from_json(json.load(fh))
 
 
+def save_fp_model(model: FPModel, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(fp_model_to_json(model), fh)
+        fh.write("\n")
+
+
+def load_fp_model(path: str) -> FPModel:
+    with open(path, encoding="utf-8") as fh:
+        return fp_model_from_json(json.load(fh))
+
+
 def random_model(seed: int, width: int = 64, height: int = 48,
                  layer_dims: tuple[int, ...] = (8, 8, 8, 8),
-                 n_classes: int = 2, patch: int = 16,
                  search: SearchParams | None = None,
                  empty_aggregation: str = "zero") -> QuantizedModel:
     """Random but valid quantized model (test/benchmark stimulus)."""
+    header = ModelHeader(width=width, height=height,
+                         search=search or SearchParams(),
+                         empty_aggregation=empty_aggregation)
+    n_classes = len(header.classes)
     rng = np.random.default_rng(seed)
     layers = []
     dims = (1,) + tuple(layer_dims)
@@ -275,17 +411,40 @@ def random_model(seed: int, width: int = 64, height: int = 48,
                      int(rng.integers(32, 38))),
             pos_requant=(int(rng.integers(2**28, 2**30)),
                          int(rng.integers(28, 31)))))
-    gx = math.ceil(width / patch)
-    gy = math.ceil(height / patch)
-    in_dim = gx * gy * dims[-1]
+    in_dim = header.n_cells_x * header.n_cells_y * dims[-1]
     fc = DenseParams(in_dim=in_dim, out_dim=n_classes,
                      weights=rng.integers(-64, 65, size=(n_classes, in_dim)),
                      bias=rng.integers(-1000, 1001, size=n_classes))
-    return QuantizedModel(
-        width=width, height=height, layers=layers, fc=fc,
-        search=search or SearchParams(),
-        patch=patch, classes=[str(i) for i in range(n_classes)],
-        empty_aggregation=empty_aggregation)
+    return QuantizedModel(**header.header(), layers=layers, fc=fc)
+
+
+def random_fp_model(seed: int, width: int = 64, height: int = 48,
+                    layer_dims: tuple[int, ...] = (8, 12, 12, 8),
+                    search: SearchParams | None = None,
+                    with_bn: bool = False) -> FPModel:
+    """Random float model with fan-in scaled weights (test/demo stimulus)."""
+    header = ModelHeader(width=width, height=height,
+                         search=search or SearchParams())
+    n_classes = len(header.classes)
+    rng = np.random.default_rng(seed)
+    layers = []
+    dims = (1,) + tuple(layer_dims)
+    for ci, co in zip(dims, dims[1:]):
+        w = rng.normal(0.0, 1.0 / math.sqrt(ci + 2), size=(co, ci + 2))
+        b = rng.normal(0.0, 0.1, size=co)
+        bn = None
+        if with_bn:
+            bn = {"gamma": rng.uniform(0.5, 1.5, size=co),
+                  "beta": rng.normal(0.0, 0.1, size=co),
+                  "mean": rng.normal(0.0, 0.2, size=co),
+                  "var": rng.uniform(0.5, 2.0, size=co),
+                  "eps": 1e-5}
+        layers.append(FPLayer(w, b, bn))
+    in_dim = header.n_cells_x * header.n_cells_y * dims[-1]
+    fc_w = rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(n_classes, in_dim))
+    fc_b = rng.normal(0.0, 0.1, size=n_classes)
+    return FPModel(**header.header(), layers=layers, fc_weights=fc_w,
+                   fc_bias=fc_b)
 
 
 def calibration_model(seed: int = 0) -> QuantizedModel:
@@ -298,6 +457,6 @@ def calibration_model(seed: int = 0) -> QuantizedModel:
     layer-parallel conv cycle ratio tends to 113/42 ~ 2.69 at large degree.
     """
     return random_model(seed, width=120, height=100,
-                        layer_dims=(24, 40, 40, 24), n_classes=2,
+                        layer_dims=(24, 40, 40, 24),
                         search=SearchParams(shape="prism", r_s=3,
                                             r_t=50_000, d_max=16))

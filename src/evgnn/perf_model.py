@@ -120,10 +120,17 @@ def fc_macs(model: QuantizedModel) -> int:
     return model.fc.in_dim * model.fc.out_dim
 
 
+def bus_cycles(nbytes, cfg: HwConfig):
+    """Cycles to move nbytes over the DRAM bus: int64 per array element."""
+    if isinstance(nbytes, np.ndarray):
+        return np.ceil(nbytes * 8 / cfg.bits_per_cycle).astype(np.int64)
+    return math.ceil(nbytes * 8 / cfg.bits_per_cycle)  # int: fast in the DES
+
+
 def weight_load_cycles(model: QuantizedModel, cfg: HwConfig) -> int:
     """One-time cost of loading all weights over the DRAM bus."""
-    nbytes = conv_weight_bytes(model) + fc_macs(model) + model.fc.out_dim * 4
-    return math.ceil(nbytes * 8 / cfg.bits_per_cycle)
+    return bus_cycles(conv_weight_bytes(model) + fc_macs(model)
+                      + model.fc.out_dim * 4, cfg)
 
 
 def conv_latency(model: QuantizedModel, deg: int, mode: str = "parallel",
@@ -142,10 +149,6 @@ def conv_latency(model: QuantizedModel, deg: int, mode: str = "parallel",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _ceil_div_bits(nbytes: int, cfg: HwConfig) -> int:
-    return math.ceil(nbytes * 8 / cfg.bits_per_cycle)
-
-
 def _stage_cycles(model: QuantizedModel, deg, entries_scanned,
                   bytes_fetched, bytes_written, cfg: HwConfig,
                   mode: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -156,19 +159,15 @@ def _stage_cycles(model: QuantizedModel, deg, entries_scanned,
     parallel mode the total counts the fetch/conv pair as
     deg * max(fetch_per_nbr, compute_per_nbr) + baq instead.
     """
-    def ceil_bits(nbytes):
-        return np.ceil(nbytes * 8 / cfg.bits_per_cycle).astype(np.int64)
-
     stages = {
         "graph_build": entries_scanned * cfg.cycles_per_queue_entry_scan,
-        "feature_fetch": ceil_bits(bytes_fetched),
+        "feature_fetch": bus_cycles(bytes_fetched, cfg),
         "conv": conv_latency(model, deg, mode, cfg),
-        "writeback": ceil_bits(bytes_written),
-        "readout_fc": np.full_like(deg, model.n_cells_x * model.n_cells_y
-                                   * model.c_last + model.c_last),
+        "writeback": bus_cycles(bytes_written, cfg),
+        "readout_fc": np.full_like(deg, model.fc.in_dim + model.c_last),
     }
     if cfg.overlap_fetch_compute and mode == "parallel":
-        per_nbr = max(_ceil_div_bits(fetch_bytes_per_neighbor(model), cfg),
+        per_nbr = max(bus_cycles(fetch_bytes_per_neighbor(model), cfg),
                       max(l.c_in + 2 for l in model.layers))
         total = (stages["graph_build"] + deg * per_nbr + cfg.baq_cycles
                  + stages["writeback"] + stages["readout_fc"])
@@ -270,7 +269,7 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
     run(entries * cfg.cycles_per_queue_entry_scan)  # graph build scan
 
     if cfg.overlap_fetch_compute and mode == "parallel":
-        per_nbr_fetch = _ceil_div_bits(fetch_bytes_per_neighbor(model), cfg)
+        per_nbr_fetch = bus_cycles(fetch_bytes_per_neighbor(model), cfg)
         per_nbr_comp = max(l.c_in + 2 for l in model.layers)
         for _ in range(deg):
             # both units busy for the slot; the slower one gates progress
@@ -281,7 +280,7 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
             now = heapq.heappop(calendar)[0]
         run(cfg.baq_cycles)
     else:
-        run(_ceil_div_bits(bytes_fetched, cfg))
+        run(bus_cycles(bytes_fetched, cfg))
         depths = [l.c_in + 2 for l in model.layers]
         if mode == "parallel":
             run(deg * max(depths))
@@ -291,9 +290,9 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
                 run(deg * d)
                 run(cfg.baq_cycles)
 
-    run(_ceil_div_bits(bytes_written, cfg))
-    run(model.n_cells_x * model.n_cells_y * model.c_last)  # FC matvec
-    run(model.c_last)                                      # readout compares
+    run(bus_cycles(bytes_written, cfg))
+    run(model.fc.in_dim)  # FC matvec
+    run(model.c_last)  # readout compares
     return now
 
 

@@ -9,7 +9,7 @@ input activation scale the same way.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -17,13 +17,12 @@ import numpy as np
 
 from .engine import build_adjacency
 from .event_io import EventStream
-from .graph_builder import SearchParams
-from .model import (DenseParams, LayerParams, ModelConfigError,
-                    QuantizedModel, _params_from_json, _params_to_json)
-from .static_oracle import FPLayer, FPModel, forward_eq7_fp
+from .model import (DenseParams, FPLayer, FPModel, LayerParams,
+                    ModelConfigError, QuantizedModel)
+from .static_oracle import forward_eq7_fp
 
 
-class DegenerateVariance(ValueError):
+class DegenerateVariance(ModelConfigError):
     pass
 
 
@@ -64,10 +63,9 @@ def fold_model(model: FPModel) -> FPModel:
                               bn["gamma"], bn["beta"], bn["mean"],
                               bn["var"], float(bn.get("eps", 1e-5)))
         layers.append(FPLayer(w, b))
-    return FPModel(model.width, model.height, layers,
-                   model.fc_weights.copy(), model.fc_bias.copy(),
-                   model.search, model.patch, list(model.classes),
-                   model.empty_aggregation)
+    return dataclasses.replace(model, layers=layers,
+                               fc_weights=model.fc_weights.copy(),
+                               fc_bias=model.fc_bias.copy())
 
 
 def choose_requant(scale: float) -> tuple[int, int]:
@@ -148,107 +146,6 @@ def quantize_model(model_fp: FPModel, calib: EventStream
                      out_dim=model_fp.fc_weights.shape[0],
                      weights=q_fcw, bias=q_fcb)
 
-    qm = QuantizedModel(
-        width=model_fp.width, height=model_fp.height,
-        layers=layers, fc=fc, search=model_fp.search,
-        patch=model_fp.patch, classes=list(model_fp.classes),
-        empty_aggregation=model_fp.empty_aggregation)
+    qm = QuantizedModel(**model_fp.header(), layers=layers, fc=fc)
     return qm, QuantizationReport(w_scales, act_scales, s_wfc)
 
-
-# ------------------------------------------------------- FP model on disk
-
-def fp_model_to_json(model: FPModel) -> dict:
-    def layer_doc(l: FPLayer) -> dict:
-        doc = {"C_in": l.c_in, "C_out": l.c_out,
-               "weights": l.weights.reshape(-1).tolist(),
-               "bias": l.bias.tolist()}
-        if l.bn is not None:
-            doc["bn"] = {k: (np.asarray(v).tolist()
-                             if not np.isscalar(v) else v)
-                         for k, v in l.bn.items()}
-        return doc
-
-    return {
-        "version": 1,
-        "precision": "fp32",
-        "sensor": {"W": model.width, "H": model.height},
-        "search": _params_to_json(model.search),
-        "empty_aggregation": model.empty_aggregation,
-        "layers": [layer_doc(l) for l in model.layers],
-        "fc": {"in_dim": model.fc_weights.shape[1],
-               "out_dim": model.fc_weights.shape[0],
-               "weights": model.fc_weights.reshape(-1).tolist(),
-               "bias": model.fc_bias.tolist()},
-        "grid": {"patch": model.patch},
-        "classes": list(model.classes),
-    }
-
-
-def fp_model_from_json(doc: dict) -> FPModel:
-    try:
-        layers = []
-        for ld in doc["layers"]:
-            co, ci = int(ld["C_out"]), int(ld["C_in"])
-            bn = None
-            if "bn" in ld:
-                bn = {k: np.asarray(v, dtype=np.float64) if k != "eps" else v
-                      for k, v in ld["bn"].items()}
-            layers.append(FPLayer(
-                np.asarray(ld["weights"],
-                           dtype=np.float64).reshape(co, ci + 2),
-                np.asarray(ld["bias"], dtype=np.float64), bn))
-        fd = doc["fc"]
-        return FPModel(
-            width=int(doc["sensor"]["W"]), height=int(doc["sensor"]["H"]),
-            layers=layers,
-            fc_weights=np.asarray(fd["weights"], dtype=np.float64).reshape(
-                int(fd["out_dim"]), int(fd["in_dim"])),
-            fc_bias=np.asarray(fd["bias"], dtype=np.float64),
-            search=_params_from_json(doc.get("search", {})),
-            patch=int(doc.get("grid", {}).get("patch", 16)),
-            classes=[str(c) for c in doc.get("classes", ["0", "1"])],
-            empty_aggregation=doc.get("empty_aggregation", "zero"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelConfigError(f"bad FP model config: {exc}") from None
-
-
-def save_fp_model(model: FPModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fp_model_to_json(model), fh)
-        fh.write("\n")
-
-
-def load_fp_model(path: str) -> FPModel:
-    with open(path, encoding="utf-8") as fh:
-        return fp_model_from_json(json.load(fh))
-
-
-def random_fp_model(seed: int, width: int = 64, height: int = 48,
-                    layer_dims: tuple[int, ...] = (8, 12, 12, 8),
-                    n_classes: int = 2, patch: int = 16,
-                    search: SearchParams | None = None,
-                    with_bn: bool = False) -> FPModel:
-    """Random float model with fan-in scaled weights (test/demo stimulus)."""
-    rng = np.random.default_rng(seed)
-    layers = []
-    dims = (1,) + tuple(layer_dims)
-    for ci, co in zip(dims, dims[1:]):
-        w = rng.normal(0.0, 1.0 / math.sqrt(ci + 2), size=(co, ci + 2))
-        b = rng.normal(0.0, 0.1, size=co)
-        bn = None
-        if with_bn:
-            bn = {"gamma": rng.uniform(0.5, 1.5, size=co),
-                  "beta": rng.normal(0.0, 0.1, size=co),
-                  "mean": rng.normal(0.0, 0.2, size=co),
-                  "var": rng.uniform(0.5, 2.0, size=co),
-                  "eps": 1e-5}
-        layers.append(FPLayer(w, b, bn))
-    gx = -(-width // patch)
-    gy = -(-height // patch)
-    in_dim = gx * gy * dims[-1]
-    fc_w = rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(n_classes, in_dim))
-    fc_b = rng.normal(0.0, 0.1, size=n_classes)
-    return FPModel(width, height, layers, fc_w, fc_b,
-                   search or SearchParams(), patch,
-                   [str(i) for i in range(n_classes)])

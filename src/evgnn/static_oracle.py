@@ -25,66 +25,16 @@ Each takes (stream, adjacency, model) and returns the engine's RunResult:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import perf_model
 from .engine import (RunResult, baq_batch, encoded_inputs, readout_trace,
                      rne_mulshift)
 from .event_io import EventStream
-from .graph_builder import Adjacency, SearchParams
-from .model import QuantizedModel
+from .graph_builder import Adjacency
+from .model import FPModel, QuantizedModel
 
 BATCH_ROWS = 4096  # events per step; bounds the [B, D, C_in+2] gather
-
-
-# ---------------------------------------------------------------- FP model
-
-@dataclass
-class FPLayer:
-    """Float conv layer; weights (C_out, C_in+2), optional batchnorm block."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    bn: dict | None = None
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-
-    @property
-    def c_out(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def c_in(self) -> int:
-        return self.weights.shape[1] - 2
-
-
-@dataclass
-class FPModel:
-    width: int
-    height: int
-    layers: list[FPLayer]
-    fc_weights: np.ndarray
-    fc_bias: np.ndarray
-    search: SearchParams = field(default_factory=SearchParams)
-    patch: int = 16
-    classes: list[str] = field(default_factory=lambda: ["0", "1"])
-    empty_aggregation: str = "zero"
-
-    def __post_init__(self):
-        self.fc_weights = np.asarray(self.fc_weights, dtype=np.float64)
-        self.fc_bias = np.asarray(self.fc_bias, dtype=np.float64)
-
-    @property
-    def n_cells_x(self) -> int:
-        return -(-self.width // self.patch)
-
-    @property
-    def n_cells_y(self) -> int:
-        return -(-self.height // self.patch)
 
 
 def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,

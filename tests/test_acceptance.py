@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from evgnn import engine, event_io, perf_model, quant, static_oracle
 from evgnn.engine import count_ops, rne_mulshift, run_stream
 from evgnn.graph_builder import SearchParams, brute_force_neighbors
-from evgnn.model import calibration_model, random_model
+from evgnn.model import calibration_model, random_fp_model, random_model
 from evgnn.perf_model import (HwConfig, conv_latency, estimate_energy,
                               estimate_stream_latency, simulate_cycles,
                               trace_from_run)
@@ -271,8 +271,8 @@ def test_criterion_6_quantization_properties():
     # (c) INT8 vs FP argmax agreement on a held-out stream; dataset-level
     # accuracy figures are not reproducible here (no training data), so
     # this distributional agreement check substitutes for them
-    fp = quant.random_fp_model(8, width=120, height=100,
-                               layer_dims=(12, 16, 16, 12))
+    fp = random_fp_model(8, width=120, height=100,
+                         layer_dims=(12, 16, 16, 12))
     gen = lambda s: event_io.gen_synthetic(
         "moving_dot", {"width": 120, "height": 100, "count": 3000,
                        "duration_us": 80_000}, s)

@@ -1,13 +1,14 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
 
-from evgnn import (cli, engine, event_io, graph_builder, quant,
-                   static_oracle)
+from evgnn import cli, engine, event_io, graph_builder, quant, static_oracle
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
-from evgnn.model import model_to_json, random_model, save_model
+from evgnn.model import (fp_model_to_json, model_to_json, random_fp_model,
+                         random_model, save_model)
 
 
 @pytest.fixture()
@@ -112,14 +113,6 @@ class TestInfer:
                      "--trace-out", str(t2)]) == EXIT_OK
         assert t1.read_bytes() == t2.read_bytes()
 
-    def test_sequential_trace_identical(self, model_path, stream_path,
-                                        tmp_path):
-        par, seq = tmp_path / "par.txt", tmp_path / "seq.txt"
-        main(["infer", model_path, stream_path, "--trace-out", str(par)])
-        main(["infer", model_path, stream_path, "--sequential",
-              "--trace-out", str(seq)])
-        assert par.read_bytes() == seq.read_bytes()
-
     def test_trace_line_format(self, model_path, stream_path, tmp_path):
         trace = tmp_path / "t.txt"
         main(["infer", model_path, stream_path, "--trace-out", str(trace)])
@@ -213,13 +206,13 @@ class TestSharedParser:
 
     @pytest.fixture()
     def run_stream_calls(self, monkeypatch):
-        """(sequential, model r_s) of every engine.run_stream call."""
+        """The model r_s of every engine.run_stream call."""
         calls = []
         real = engine.run_stream
 
-        def recording(model, stream, sequential=False, **kwargs):
-            calls.append((sequential, model.search.r_s))
-            return real(model, stream, sequential=sequential, **kwargs)
+        def recording(model, stream, **kwargs):
+            calls.append(model.search.r_s)
+            return real(model, stream, **kwargs)
 
         monkeypatch.setattr(engine, "run_stream", recording)
         return calls
@@ -242,13 +235,6 @@ class TestSharedParser:
             main(["--help"])
         assert len(top) == 1
 
-    def test_sequential_does_not_carry_over(self, model_path, stream_path,
-                                            run_stream_calls):
-        assert main(["infer", model_path, stream_path,
-                     "--sequential"]) == EXIT_OK
-        assert main(["infer", model_path, stream_path]) == EXIT_OK
-        assert [seq for seq, _ in run_stream_calls] == [True, False]
-
     def test_search_override_does_not_carry_over(self, small_model,
                                                  model_path, stream_path,
                                                  run_stream_calls):
@@ -256,8 +242,7 @@ class TestSharedParser:
         assert main(["infer", model_path, stream_path,
                      "--r-s", "2"]) == EXIT_OK
         assert main(["infer", model_path, stream_path]) == EXIT_OK
-        assert [r_s for _, r_s in run_stream_calls] == [
-            2, small_model.search.r_s]
+        assert run_stream_calls == [2, small_model.search.r_s]
 
     def test_parse_error_then_valid_call(self, model_path, stream_path):
         with pytest.raises(SystemExit) as exc:
@@ -467,7 +452,7 @@ class TestQuantizePipeline:
         assert main(["verify", str(qpath), str(stream)]) == EXIT_OK
 
     def test_identity_bn_fold_unchanged(self, tmp_path):
-        fp = quant.random_fp_model(5, width=48, height=32, with_bn=True)
+        fp = random_fp_model(5, width=48, height=32, with_bn=True)
         for layer in fp.layers:
             layer.bn = {"gamma": np.ones(layer.c_out),
                         "beta": np.zeros(layer.c_out),
@@ -487,7 +472,7 @@ class TestQuantizePipeline:
     @pytest.mark.parametrize("key", ["C_in", "C_out"])
     def test_overflowing_dimension_is_config_error(self, key, tmp_path,
                                                    stream_path, capsys):
-        doc = quant.fp_model_to_json(quant.random_fp_model(5))
+        doc = fp_model_to_json(random_fp_model(5))
         doc["layers"][0][key] = "HUGE"
         fp_path = tmp_path / "fp.json"
         fp_path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
@@ -500,7 +485,7 @@ class TestQuantizePipeline:
     @pytest.mark.parametrize("shape", ["hemisphere", "semi_octahedron"])
     def test_unsupported_shape_is_config_error(self, shape, tmp_path,
                                                stream_path, capsys):
-        doc = quant.fp_model_to_json(quant.random_fp_model(5))
+        doc = fp_model_to_json(random_fp_model(5))
         doc["search"] = {"shape": shape, "r": 3.0, "beta": 0.01}
         fp_path = tmp_path / "fp.json"
         fp_path.write_text(json.dumps(doc))
@@ -508,6 +493,61 @@ class TestQuantizePipeline:
         assert main(["quantize", str(fp_path), "--calib", stream_path,
                      "-o", str(out)]) == EXIT_IO
         assert shape in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _layer0_two_channels(doc):
+    layer = doc["layers"][0]
+    layer["C_in"] = 2
+    layer["weights"] += [0.0] * layer["C_out"]
+
+
+def _model_doc(kind: str, small_model) -> dict:
+    if kind == "int8":
+        return model_to_json(small_model)
+    return fp_model_to_json(random_fp_model(5, with_bn=kind == "fp_bn"))
+
+
+class TestModelFiles:
+    """A malformed model file, or one of the other kind, is a config error
+    that stops the command before it writes anything."""
+
+    @pytest.mark.parametrize("kind, edit, command, expect", [
+        ("fp", lambda d: d["layers"].pop(1), "quantize", "bad FP model"),
+        ("fp", lambda d: d["grid"].update(patch=32), "quantize",
+         "bad FP model"),
+        ("fp", lambda d: d["grid"].update(patch=0), "quantize",
+         "bad FP model"),
+        ("fp", _layer0_two_channels, "quantize", "bad FP model"),
+        ("int8", lambda d: d["grid"].update(patch=0), "infer", "bad model"),
+        ("int8", lambda d: None, "quantize", "bad FP model"),
+        ("fp", lambda d: None, "infer", "bad model .*FP model"),
+        ("fp_bn", lambda d: d["layers"][1]["bn"]["gamma"].pop(), "quantize",
+         "bad FP model"),
+        ("fp_bn", lambda d: d["layers"][1]["bn"]["var"].__setitem__(0, -1.0),
+         "quantize", "var \\+ eps"),
+        ("fp_bn", lambda d: d["layers"][1]["bn"].update(eps="small"),
+         "quantize", "bad FP model"),
+        ("fp", lambda d: d["layers"][1].update(C_in=-3), "quantize",
+         "bad FP model"),
+    ], ids=["fp_unchained", "fp_fc_in_dim", "fp_patch_0", "fp_layer0_c_in_2",
+            "int8_patch_0", "int8_into_quantize", "fp_into_infer",
+            "fp_bn_short_gamma", "fp_bn_negative_var",
+            "fp_bn_eps_not_a_number", "fp_c_in_minus_3"])
+    def test_rejected(self, kind, edit, command, expect, small_model,
+                      stream_path, tmp_path, capsys):
+        doc = _model_doc(kind, small_model)
+        edit(doc)
+        path, out = tmp_path / "model.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        argv = (["quantize", str(path), "--calib", stream_path,
+                 "-o", str(out)] if command == "quantize"
+                else ["infer", str(path), stream_path,
+                      "--trace-out", str(out)])
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(expect, err), err
         assert not out.exists()
 
 

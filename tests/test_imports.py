@@ -1,8 +1,12 @@
-"""Every imported name is used, and every package definition is read.
+"""Every imported name is used, no private name crosses a module, and
+every package definition is read.
 
 An import that nothing reads is dead code that still costs a module load
 and misleads a reader about what a file depends on. `from __future__`
 imports are exempt; a package `__init__` may re-export through `__all__`.
+
+An underscore name is its module's own: no package module imports one
+from another, so a module's private helpers can change without a search.
 
 Likewise every top-level function and class of the package must be read
 by the package itself or by the benchmark: code that only the tests call
@@ -56,6 +60,29 @@ def test_checker_flags_an_unused_name():
            "import math\nimport os.path\nfrom a import b as c, d\n"
            "print(os.sep, d)\n")
     assert unused_imports(src) == ["c (line 4)", "math (line 2)"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that source imports from a package module."""
+    return [f"{a.name} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("evgnn"))
+            for a in node.names if a.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_private_import():
+    src = ("from __future__ import annotations\n"
+           "from os import _exit\nfrom .model import _a, b\n"
+           "from . import _m\nfrom evgnn.quant import _c\n")
+    assert private_imports(src) == ["_a (line 3)", "_m (line 4)",
+                                    "_c (line 5)"]
 
 
 def names_read(node: ast.AST) -> set[str]:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from evgnn import engine, event_io, static_oracle
 from evgnn.engine import rne_mulshift
 from evgnn.graph_builder import SearchParams
-from evgnn.model import ModelConfigError
+from evgnn.model import (ModelConfigError, fp_model_from_json,
+                         fp_model_to_json, random_fp_model)
 from evgnn.quant import (DegenerateVariance, EmptyCalibration, choose_requant,
-                         fold_batchnorm, fold_model, fp_model_from_json,
-                         fp_model_to_json, quantize_model, random_fp_model)
+                         fold_batchnorm, fold_model, quantize_model)
 from evgnn.static_oracle import forward_eq7_fp
 
 

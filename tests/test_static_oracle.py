@@ -5,9 +5,8 @@ import pytest
 
 from evgnn import engine, event_io
 from evgnn.graph_builder import SearchParams
-from evgnn.model import random_model
-from evgnn.static_oracle import (BATCH_ROWS, FPLayer, FPModel,
-                                 forward_eq7_fp, forward_eq7_int8)
+from evgnn.model import FPLayer, FPModel, random_model
+from evgnn.static_oracle import BATCH_ROWS, forward_eq7_fp, forward_eq7_int8
 from helpers import neighbors
 
 PARAMS = SearchParams(r_s=3, r_t=500, d_max=8, queue_depth=6)
@@ -28,8 +27,8 @@ def _fp_model(seed=0, width=32, height=24):
               for ci, co in zip(dims, dims[1:])]
     gx, gy = -(-width // 16), -(-height // 16)
     fc_w = rng.normal(0, 0.2, size=(2, gx * gy * dims[-1]))
-    return FPModel(width, height, layers, fc_w, rng.normal(0, 0.1, size=2),
-                   PARAMS)
+    return FPModel(width=width, height=height, layers=layers, fc_weights=fc_w,
+                   fc_bias=rng.normal(0, 0.1, size=2), search=PARAMS)
 
 
 class TestBuildStaticGraph:
@@ -126,8 +125,9 @@ class TestEq7Fp:
         s = make_stream(4, 4, [(1, 1, 0, 1), (2, 1, 10, 0), (1, 2, 20, 1)])
         params = SearchParams(r_s=2, r_t=100, d_max=4, queue_depth=4)
         layer = FPLayer([[1.0, 0.5, -1.0], [-2.0, 1.0, 0.25]], [0.5, -0.25])
-        fp = FPModel(4, 4, [layer], [[1.0, -1.0], [0.5, 2.0]], [0.0, 0.25],
-                     params)
+        fp = FPModel(width=4, height=4, layers=[layer],
+                     fc_weights=[[1.0, -1.0], [0.5, 2.0]],
+                     fc_bias=[0.0, 0.25], search=params)
         res = forward_eq7_fp(s, engine.build_adjacency(s, params), fp)
         # e0: empty -> 0; relu(0 + b) = (0.5, 0)
         # e1: W.(+1, 1, 0) = (1.5, -1); relu(+ b) = (2, 0)
