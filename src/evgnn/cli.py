@@ -83,16 +83,11 @@ def _apply_overrides(model, args):
 
 def _load_hw_config(path: str) -> perf_model.HwConfig:
     try:
-        cfg = perf_model.load_hw_config(path)
+        return perf_model.load_hw_config(path)
     except OSError as exc:
         raise CliError(f"cannot read hw config {path}: {exc}") from exc
     except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise CliError(f"bad hw config {path}: {exc}") from exc
-    if cfg.e_mac is not None and (cfg.e_sram_byte is None
-                                  or cfg.e_dram_byte is None):
-        raise CliError(f"bad hw config {path}: e_mac needs e_sram_byte "
-                       f"and e_dram_byte")
-    return cfg
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

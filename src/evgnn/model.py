@@ -15,11 +15,11 @@ and "precision":"fp32"; a layer may carry a batchnorm block
 bn:{gamma,beta,mean,var,eps}. The INT8 model (infer, verify and bench run
 it) has integer arrays and no "precision"; it adds
 input_encoding:{"0":-127,"1":127}, requant:{M,shift}, pos_requant:{M,shift}
-and s_in per layer, and an optional hw:{...} HwConfig (see perf_model).
-Each reader rejects the other kind's document.
+and s_in per layer. Each reader rejects the other kind's document.
 
-Value-exactness matters, byte-exactness does not. Other search keys are
-ignored, such as the "r" and "beta" that older files carry.
+Value-exactness matters, byte-exactness does not. Other keys are ignored,
+such as the search "r" and "beta" and the top-level "hw" block that older
+files carry.
 """
 
 from __future__ import annotations
@@ -171,6 +171,9 @@ class ModelHeader:
                          fc_bias: np.ndarray) -> None:
         """The layers chain from the polarity input to an FC head that
         reads the whole readout grid and scores every class."""
+        if not self.classes:
+            raise ModelConfigError("classes is empty: the FC head needs at "
+                                   "least one class to score")
         c_in = [l.c_in for l in self.layers]
         chain = [1] + [l.c_out for l in self.layers[:-1]]
         if c_in != chain:  # also rejects a model without layers
@@ -203,7 +206,6 @@ class QuantizedModel(ModelHeader):
     fc: DenseParams
     input_encoding: dict[int, int] = field(
         default_factory=lambda: {0: -127, 1: 127})
-    hw: dict | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -307,8 +309,6 @@ def model_to_json(model: QuantizedModel) -> dict:
          "s_in": l.s_in}
         for l in model.layers]
     doc["fc"] = _fc_to_json(model.fc.weights, model.fc.bias)
-    if model.hw:
-        doc["hw"] = model.hw
     return doc
 
 
@@ -335,8 +335,7 @@ def model_from_json(doc: dict) -> QuantizedModel:
             **header, layers=layers,
             fc=DenseParams(ci, co, *_arrays(fd, co, ci, np.int64)),
             input_encoding={int(k): int(v) for k, v in doc.get(
-                "input_encoding", {"0": -127, "1": 127}).items()},
-            hw=doc.get("hw"))
+                "input_encoding", {"0": -127, "1": 127}).items()})
 
 
 def fp_model_to_json(model: FPModel) -> dict:

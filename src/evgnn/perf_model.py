@@ -4,14 +4,16 @@ Two evaluations of the same pipeline are provided and must agree exactly:
 a closed form evaluated over a whole trace's int64 arrays at once
 (estimate_stream_latency) and a discrete-event simulation that walks an
 event through explicit stage resources (simulate_cycles). The walk runs
-once per distinct row of the trace's four columns, since its result
-depends on nothing else.
+once per distinct (deg, entries_scanned) pair of the trace, since its
+result depends on nothing else.
 
-Stage composition per event (cycles):
+Per event, only the degree and the queue entries scanned vary; the
+model's layer widths fix the rest. Stage composition (cycles), with
+fetch_bytes = deg * sum C_in and writeback_bytes = sum C_out (INT8):
     graph_build  = queue entries scanned * cycles_per_queue_entry_scan
-    feature_fetch= ceil(bytes_fetched * 8 / bits_per_cycle)
+    feature_fetch= ceil(fetch_bytes * 8 / bits_per_cycle)
     conv         = conv_latency(model, deg, parallel|sequential)
-    writeback    = ceil(bytes_written * 8 / bits_per_cycle)
+    writeback    = ceil(writeback_bytes * 8 / bits_per_cycle)
     readout_fc   = Gx*Gy*C_last (FC matvec reuse) + C_last (readout compares)
 
 With overlap_fetch_compute on, the per-neighbor feature fetch and matvec
@@ -60,6 +62,11 @@ class HwConfig:
                 or self.cycles_per_queue_entry_scan <= 0
                 or self.baq_cycles <= 0 or self.queue_entry_bytes <= 0):
             raise ValueError("HwConfig values must be positive")
+        given = [e is not None
+                 for e in (self.e_mac, self.e_sram_byte, self.e_dram_byte)]
+        if any(given) and not all(given):
+            raise ValueError("e_mac, e_sram_byte and e_dram_byte go "
+                             "together: give all three or none")
 
     @property
     def bits_per_cycle(self) -> float:
@@ -78,18 +85,15 @@ def load_hw_config(path: str) -> HwConfig:
 
 @dataclass
 class EventTrace:
-    """Per-event instrumentation of an inference run."""
+    """Per-event instrumentation of an inference run: each event's degree
+    and the queue entries its neighbor search scanned."""
 
     deg: np.ndarray
     entries_scanned: np.ndarray
-    bytes_fetched: np.ndarray
-    bytes_written: np.ndarray
 
     def __post_init__(self):
         self.deg = np.asarray(self.deg, dtype=np.int64)
         self.entries_scanned = np.asarray(self.entries_scanned, dtype=np.int64)
-        self.bytes_fetched = np.asarray(self.bytes_fetched, dtype=np.int64)
-        self.bytes_written = np.asarray(self.bytes_written, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.deg)
@@ -133,24 +137,22 @@ def weight_load_cycles(model: QuantizedModel, cfg: HwConfig) -> int:
                       + model.fc.out_dim * 4, cfg)
 
 
-def conv_latency(model: QuantizedModel, deg: int, mode: str = "parallel",
-                 cfg: HwConfig | None = None) -> int:
+def conv_latency(model: QuantizedModel, deg: int, mode: str,
+                 cfg: HwConfig) -> int:
     """Conv-stage cycles: per-neighbor layer-l cost is C_in^l + 2 cycles.
 
     parallel runs all layers concurrently (bounded by the largest layer);
     sequential runs them back to back.
     """
-    baq = cfg.baq_cycles if cfg is not None else 1
     depths = [l.c_in + 2 for l in model.layers]
     if mode == "parallel":
-        return deg * max(depths) + baq
+        return deg * max(depths) + cfg.baq_cycles
     if mode == "sequential":
-        return deg * sum(depths) + len(depths) * baq
+        return deg * sum(depths) + len(depths) * cfg.baq_cycles
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _stage_cycles(model: QuantizedModel, deg, entries_scanned,
-                  bytes_fetched, bytes_written, cfg: HwConfig,
+def _stage_cycles(model: QuantizedModel, deg, entries_scanned, cfg: HwConfig,
                   mode: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Closed-form stage cycles and total cycles of every event.
 
@@ -159,11 +161,13 @@ def _stage_cycles(model: QuantizedModel, deg, entries_scanned,
     parallel mode the total counts the fetch/conv pair as
     deg * max(fetch_per_nbr, compute_per_nbr) + baq instead.
     """
+    fetch_bytes = deg * fetch_bytes_per_neighbor(model)
     stages = {
         "graph_build": entries_scanned * cfg.cycles_per_queue_entry_scan,
-        "feature_fetch": bus_cycles(bytes_fetched, cfg),
+        "feature_fetch": bus_cycles(fetch_bytes, cfg),
         "conv": conv_latency(model, deg, mode, cfg),
-        "writeback": bus_cycles(bytes_written, cfg),
+        "writeback": np.full_like(
+            deg, bus_cycles(writeback_bytes(model), cfg)),
         "readout_fc": np.full_like(deg, model.fc.in_dim + model.c_last),
     }
     if cfg.overlap_fetch_compute and mode == "parallel":
@@ -236,8 +240,7 @@ def estimate_stream_latency(model: QuantizedModel, trace: EventTrace,
                             ) -> PerfReport:
     """Closed-form cycles of every event of a trace, with stage totals."""
     stages, per_event = _stage_cycles(
-        model, trace.deg, trace.entries_scanned, trace.bytes_fetched,
-        trace.bytes_written, cfg, mode)
+        model, trace.deg, trace.entries_scanned, cfg, mode)
     return PerfReport(per_event.astype(np.int64),
                       {s: int(c.sum()) for s, c in stages.items()},
                       int(per_event.sum()), cfg.clock_hz,
@@ -247,7 +250,6 @@ def estimate_stream_latency(model: QuantizedModel, trace: EventTrace,
 # ---------------------------------------------------------------- DES
 
 def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
-                        bytes_fetched: int, bytes_written: int,
                         cfg: HwConfig, mode: str) -> int:
     """Event-calendar walk of one event through the pipeline stages.
 
@@ -280,7 +282,7 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
             now = heapq.heappop(calendar)[0]
         run(cfg.baq_cycles)
     else:
-        run(bus_cycles(bytes_fetched, cfg))
+        run(bus_cycles(deg * fetch_bytes_per_neighbor(model), cfg))
         depths = [l.c_in + 2 for l in model.layers]
         if mode == "parallel":
             run(deg * max(depths))
@@ -290,7 +292,7 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
                 run(deg * d)
                 run(cfg.baq_cycles)
 
-    run(bus_cycles(bytes_written, cfg))
+    run(bus_cycles(writeback_bytes(model), cfg))
     run(model.fc.in_dim)  # FC matvec
     run(model.c_last)  # readout compares
     return now
@@ -300,16 +302,14 @@ def simulate_cycles(trace: EventTrace, model: QuantizedModel, cfg: HwConfig,
                     mode: str = "parallel") -> PerfReport:
     """Discrete-event re-derivation of the analytic model.
 
-    An event's walk depends only on its four trace columns, and these
-    repeat (deg <= d_max, fetch bytes are deg times a constant), so the
-    walk runs once per distinct (deg, entries_scanned, bytes_fetched,
-    bytes_written) row of this trace and its result goes to every event
-    with that row. Nothing is kept between calls.
+    An event's walk depends only on its two trace columns, and these
+    repeat (deg <= d_max), so the walk runs once per distinct
+    (deg, entries_scanned) pair of this trace and its result goes to every
+    event with that pair. Nothing is kept between calls.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
-    rows = np.stack([trace.deg, trace.entries_scanned, trace.bytes_fetched,
-                     trace.bytes_written])
+    rows = np.stack([trace.deg, trace.entries_scanned])
     order = np.lexsort(rows)
     rows = rows[:, order]
     first = np.ones(len(trace), dtype=bool)
@@ -333,7 +333,7 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
 
     Per event:
         macs       = conv MACs (deg * sum (C_in+2) C_out) + FC MACs
-        dram_bytes = feature fetch + writeback
+        dram_bytes = feature fetch (deg * sum C_in) + writeback (sum C_out)
         sram_bytes = queue entries scanned * entry size
                      + conv weight reads per neighbor + FC weight reads
     """
@@ -343,7 +343,8 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
     n = len(trace)
     conv = conv_macs(model, trace.deg)
     macs = conv + fc_macs(model)
-    dram = trace.bytes_fetched + trace.bytes_written
+    fetched = trace.deg * fetch_bytes_per_neighbor(model)
+    dram = fetched + writeback_bytes(model)
     sram = (trace.entries_scanned * cfg.queue_entry_bytes
             + trace.deg * per_nbr_w + fc_macs(model))
     energy = (macs * cfg.e_mac + sram * cfg.e_sram_byte
@@ -354,10 +355,10 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
         "graph_build": float((trace.entries_scanned
                               * cfg.queue_entry_bytes).sum()
                              * cfg.e_sram_byte),
-        "feature_fetch": float(trace.bytes_fetched.sum() * cfg.e_dram_byte),
+        "feature_fetch": float(fetched.sum() * cfg.e_dram_byte),
         "conv": float((conv * cfg.e_mac
                        + trace.deg * per_nbr_w * cfg.e_sram_byte).sum()),
-        "writeback": float(trace.bytes_written.sum() * cfg.e_dram_byte),
+        "writeback": float(n * writeback_bytes(model) * cfg.e_dram_byte),
         "readout_fc": float(n * fc_macs(model)
                             * (cfg.e_mac + cfg.e_sram_byte)),
     }
@@ -366,12 +367,6 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
 
 def trace_from_run(model: QuantizedModel, deg: np.ndarray,
                    entries_scanned: np.ndarray) -> EventTrace:
-    """Build a trace from engine instrumentation and the model's dims."""
-    deg = np.asarray(deg, dtype=np.int64)
-    return EventTrace(
-        deg=deg,
-        entries_scanned=np.asarray(entries_scanned, dtype=np.int64),
-        bytes_fetched=deg * fetch_bytes_per_neighbor(model),
-        bytes_written=np.full(len(deg), writeback_bytes(model),
-                              dtype=np.int64))
+    """Build a trace from engine instrumentation; model is unused."""
+    return EventTrace(deg, entries_scanned)
 

@@ -159,8 +159,9 @@ def test_criterion_3_layer_parallel_speedup():
     """Sequential / parallel conv ratio matches the documented structure."""
     model = calibration_model()
     deg = 12  # documented calibration mean degree, rounded
-    ratio = (conv_latency(model, deg, "sequential")
-             / conv_latency(model, deg, "parallel"))
+    cfg = HwConfig()
+    ratio = (conv_latency(model, deg, "sequential", cfg)
+             / conv_latency(model, deg, "parallel", cfg))
     ok = 2.35 <= ratio <= 2.95
 
     # structural limit: ratio -> sum/max of per-layer depths as deg grows
@@ -172,8 +173,8 @@ def test_criterion_3_layer_parallel_speedup():
         m = random_model(1, layer_dims=dims)
         depths = [l.c_in + 2 for l in m.layers]
         expect = sum(depths) / max(depths)
-        got = (conv_latency(m, 100_000, "sequential")
-               / conv_latency(m, 100_000, "parallel"))
+        got = (conv_latency(m, 100_000, "sequential", cfg)
+               / conv_latency(m, 100_000, "parallel", cfg))
         worst = max(worst, abs(got - expect) / expect)
     ok = ok and worst <= 0.02
     _report(3, "layer-parallel speedup", ok,

@@ -384,7 +384,7 @@ class TestBench:
         ('{"hw": {"baq_cycles": 0}}', "must be positive"),
         ('{"hw": {"clock_hz": "fast"}}', "bad hw config"),
         ('{"hw": {"e_mac": 1e-12, "e_sram_byte": 1e-12}}',
-         "e_mac needs e_sram_byte and e_dram_byte"),
+         "give all three or none"),
         ('[200000000.0]', "must be a JSON object"),
         ('{"hw": {"clock_Hz": 1e8}}', "clock_Hz"),
     ], ids=["malformed_json", "non_positive", "wrong_type",
@@ -502,6 +502,11 @@ def _layer0_two_channels(doc):
     layer["weights"] += [0.0] * layer["C_out"]
 
 
+def _no_classes(doc):
+    doc["classes"] = []
+    doc["fc"].update(out_dim=0, weights=[], bias=[])
+
+
 def _model_doc(kind: str, small_model) -> dict:
     if kind == "int8":
         return model_to_json(small_model)
@@ -530,10 +535,13 @@ class TestModelFiles:
          "quantize", "bad FP model"),
         ("fp", lambda d: d["layers"][1].update(C_in=-3), "quantize",
          "bad FP model"),
+        ("int8", _no_classes, "infer", "bad model .*classes is empty"),
+        ("fp", _no_classes, "quantize", "bad FP model .*classes is empty"),
     ], ids=["fp_unchained", "fp_fc_in_dim", "fp_patch_0", "fp_layer0_c_in_2",
             "int8_patch_0", "int8_into_quantize", "fp_into_infer",
             "fp_bn_short_gamma", "fp_bn_negative_var",
-            "fp_bn_eps_not_a_number", "fp_c_in_minus_3"])
+            "fp_bn_eps_not_a_number", "fp_c_in_minus_3", "int8_no_classes",
+            "fp_no_classes"])
     def test_rejected(self, kind, edit, command, expect, small_model,
                       stream_path, tmp_path, capsys):
         doc = _model_doc(kind, small_model)

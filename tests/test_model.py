@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from evgnn import engine, event_io
+from evgnn.cli import EXIT_OK, main
 from evgnn.model import (DenseParams, LayerParams, ModelConfigError,
                          QuantizedModel, calibration_model, load_model,
                          model_from_json, model_to_json, random_model,
@@ -134,11 +137,20 @@ class TestSerialization:
         assert "r" not in doc["search"] and "beta" not in doc["search"]
         assert model_from_json(old).search == model_from_json(doc).search
 
-    def test_hw_block_preserved(self, small_model, tmp_path):
-        small_model.hw = {"clock_hz": 1e8}
+    def test_hw_block_ignored(self, small_model, small_stream, tmp_path):
+        """A model file that still carries an "hw" block loads as it would
+        without it, and bench --hw reads the block from that file."""
+        doc = model_to_json(small_model)
         path = tmp_path / "model.json"
-        save_model(small_model, str(path))
-        assert load_model(str(path)).hw == {"clock_hz": 1e8}
+        path.write_text(json.dumps({**doc, "hw": {"clock_hz": 1e8}}))
+        assert "hw" not in doc
+        assert model_to_json(load_model(str(path))) == doc
+        stream, report = tmp_path / "stream.txt", tmp_path / "report.json"
+        stream.write_text(event_io.write_text_stream(small_stream))
+        assert main(["bench", str(path), str(stream), "--hw", str(path),
+                     "--report-out", str(report)]) == EXIT_OK
+        totals = json.loads(report.read_text())["totals"]
+        assert totals["ns"] == totals["cycles"] * 10  # 100 MHz
 
 
 class TestCalibrationModel:

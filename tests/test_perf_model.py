@@ -18,11 +18,10 @@ from evgnn.perf_model import (EventTrace, HwConfig, MissingConstants,
 from helpers import calibration_trace
 
 
-def _one_event(model, deg, entries, fetched, written, cfg,
-               mode="parallel"):
+def _one_event(model, deg, entries, cfg, mode="parallel"):
     """The closed form on a one-event trace: its stage and total cycles."""
-    return estimate_stream_latency(
-        model, EventTrace([deg], [entries], [fetched], [written]), cfg, mode)
+    return estimate_stream_latency(model, EventTrace([deg], [entries]), cfg,
+                                   mode)
 
 
 def _rand_trace(rng, model, n=50):
@@ -41,8 +40,18 @@ class TestHwConfig:
             HwConfig(clock_hz=0)
 
     def test_json_round_trip(self):
-        cfg = HwConfig(e_mac=1e-12, overlap_fetch_compute=False)
+        cfg = HwConfig(e_mac=1e-12, e_sram_byte=1e-12, e_dram_byte=1e-10,
+                       overlap_fetch_compute=False)
         assert HwConfig(**dataclasses.asdict(cfg)) == cfg
+
+    @pytest.mark.parametrize("given", [
+        {"e_mac": 1e-12},
+        {"e_mac": 1e-12, "e_sram_byte": 1e-12},
+        {"e_sram_byte": 1e-12, "e_dram_byte": 1e-10},
+    ], ids=["e_mac", "e_mac_e_sram", "no_e_mac"])
+    def test_energy_constants_all_or_none(self, given):
+        with pytest.raises(ValueError, match="all three or none"):
+            HwConfig(**given)
 
     def test_load_nested_hw_key(self, tmp_path):
         path = tmp_path / "hw.json"
@@ -68,50 +77,50 @@ class TestConvLatency:
         # four layers with equal C_in: sum / max of equal terms = 4
         m = random_model(0, layer_dims=(8, 8, 8, 8))
         m.layers[0] = m.layers[1]  # make layer 0 depth match (C_in = 8)
-        seq = conv_latency(m, 1, "sequential") - 4  # drop BAQ terms
-        par = conv_latency(m, 1, "parallel") - 1
+        cfg = HwConfig()
+        seq = conv_latency(m, 1, "sequential", cfg) - 4  # drop BAQ terms
+        par = conv_latency(m, 1, "parallel", cfg) - 1
         assert seq == 4 * par
 
     def test_parallel_le_sequential(self, small_model):
+        cfg = HwConfig()
         for deg in (0, 1, 5, 16):
-            assert conv_latency(small_model, deg, "parallel") <= \
-                conv_latency(small_model, deg, "sequential")
+            assert conv_latency(small_model, deg, "parallel", cfg) <= \
+                conv_latency(small_model, deg, "sequential", cfg)
 
     def test_unknown_mode(self, small_model):
         with pytest.raises(ValueError):
-            conv_latency(small_model, 1, "pipelined")
+            conv_latency(small_model, 1, "pipelined", HwConfig())
 
     def test_large_degree_ratio_limit(self, small_model):
         depths = [l.c_in + 2 for l in small_model.layers]
         expect = sum(depths) / max(depths)
-        deg = 10_000
-        ratio = (conv_latency(small_model, deg, "sequential")
-                 / conv_latency(small_model, deg, "parallel"))
+        deg, cfg = 10_000, HwConfig()
+        ratio = (conv_latency(small_model, deg, "sequential", cfg)
+                 / conv_latency(small_model, deg, "parallel", cfg))
         assert ratio == pytest.approx(expect, rel=0.02)
 
 
 class TestEventLatency:
     def test_no_overlap_total_is_stage_sum(self, small_model):
         cfg = HwConfig(overlap_fetch_compute=False)
-        bd = _one_event(small_model, 5, 60, 120, 32, cfg)
+        bd = _one_event(small_model, 5, 60, cfg)
         assert bd.total_cycles == sum(bd.stage_cycles.values())
 
     def test_overlap_total_at_most_sum(self, small_model):
         cfg = HwConfig(overlap_fetch_compute=True)
-        bd = _one_event(small_model, 5, 60, 120, 32, cfg)
+        bd = _one_event(small_model, 5, 60, cfg)
         assert bd.total_cycles <= sum(bd.stage_cycles.values())
         assert bd.total_cycles >= max(bd.stage_cycles.values())
 
     def test_zero_neighbor_readout_dominates(self, small_model):
         cfg = HwConfig()
-        bd = _one_event(small_model, 0, 0, 0, 8, cfg)
+        bd = _one_event(small_model, 0, 0, cfg)
         assert bd.stage_cycles["readout_fc"] == max(bd.stage_cycles.values())
 
     def test_monotone_in_degree(self, small_model):
         cfg = HwConfig()
-        fetch = pm.fetch_bytes_per_neighbor(small_model)
-        totals = [_one_event(small_model, d, 10 + d, d * fetch, 32,
-                             cfg).total_cycles
+        totals = [_one_event(small_model, d, 10 + d, cfg).total_cycles
                   for d in range(17)]
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
@@ -119,30 +128,20 @@ class TestEventLatency:
         slow = HwConfig(dram_bw_bits_per_s=1.6e9)
         fast = HwConfig(dram_bw_bits_per_s=3.2e9)
         trace = _rand_trace(rng, small_model)
-        for i in range(len(trace)):
-            a = _one_event(
-                small_model, int(trace.deg[i]),
-                int(trace.entries_scanned[i]),
-                int(trace.bytes_fetched[i]),
-                int(trace.bytes_written[i]), fast).total_cycles
-            b = _one_event(
-                small_model, int(trace.deg[i]),
-                int(trace.entries_scanned[i]),
-                int(trace.bytes_fetched[i]),
-                int(trace.bytes_written[i]), slow).total_cycles
-            assert a <= b
+        for event in zip(trace.deg.tolist(), trace.entries_scanned.tolist()):
+            assert (_one_event(small_model, *event, fast).total_cycles
+                    <= _one_event(small_model, *event, slow).total_cycles)
 
 
 def _repeated_rows_trace(rng, n=300):
-    """Eight distinct rows, each repeated, in shuffled order.
+    """Four distinct (deg, entries) rows, each repeated, in shuffled order.
 
     They form one pair per column whose rows differ in that column only.
     The pairs lie far apart in every column, so each pair sits side by
     side whichever column a sort puts first.
     """
-    spread = np.array([4, 100, 500, 100])
-    base = np.array([1, 10, 100, 10]) + np.arange(4)[:, None] * spread
-    rows = np.concatenate([base, base + np.diag([1, 1, 64, 64])])
+    base = np.array([1, 10]) + np.arange(2)[:, None] * np.array([4, 100])
+    rows = np.concatenate([base, base + np.eye(2, dtype=np.int64)])
     return EventTrace(*rows[rng.permutation(np.arange(n) % len(rows))].T)
 
 
@@ -157,9 +156,7 @@ class TestAnalyticVsSimulation:
             des = simulate_cycles(trace, small_model, cfg, mode)
             walked = [pm._simulate_one_event(small_model, *row, cfg, mode)
                       for row in zip(trace.deg.tolist(),
-                                     trace.entries_scanned.tolist(),
-                                     trace.bytes_fetched.tolist(),
-                                     trace.bytes_written.tolist())]
+                                     trace.entries_scanned.tolist())]
             assert des.per_event_cycles.tolist() == walked
             assert np.array_equal(analytic.per_event_cycles,
                                   des.per_event_cycles)
@@ -178,6 +175,23 @@ class TestAnalyticVsSimulation:
         des = simulate_cycles(trace, model, cfg)
         assert np.array_equal(analytic.per_event_cycles,
                               des.per_event_cycles)
+
+    @pytest.mark.parametrize("mode, conv", [
+        ("parallel", lambda deg: deg * 42 + 1),
+        ("sequential", lambda deg: deg * 113 + 4)])
+    def test_fractional_fetch_rounds_up(self, mode, conv):
+        """The calibration model fetches 105 bytes per neighbor, 52.5 bus
+        cycles at 16 bits per cycle, so an odd degree needs the ceil."""
+        model = calibration_model()
+        cfg = HwConfig(overlap_fetch_compute=False)
+        deg, entries = [1, 3, 15], [7, 20, 90]
+        trace = EventTrace(deg, entries)
+        # writeback: 128 bytes in 64 cycles; readout_fc: 8*7*24 + 24
+        expect = [e + -(-d * 105 // 2) + conv(d) + 64 + 1368
+                  for d, e in zip(deg, entries)]
+        for report in (estimate_stream_latency(model, trace, cfg, mode),
+                       simulate_cycles(trace, model, cfg, mode)):
+            assert report.per_event_cycles.tolist() == expect
 
 
 class TestStreamForm:
@@ -206,12 +220,10 @@ class TestStreamForm:
         model = random_model(seed, layer_dims=dims)
         n = 40
         trace = EventTrace(deg=rng.integers(0, 17, size=n),
-                           entries_scanned=rng.integers(0, 300, size=n),
-                           bytes_fetched=rng.integers(0, 2000, size=n),
-                           bytes_written=rng.integers(0, 200, size=n))
-        columns = list(zip(trace.deg.tolist(), trace.entries_scanned.tolist(),
-                           trace.bytes_fetched.tolist(),
-                           trace.bytes_written.tolist()))
+                           entries_scanned=rng.integers(0, 300, size=n))
+        columns = list(zip(trace.deg.tolist(), trace.entries_scanned.tolist()))
+        fetch = sum(l.c_in for l in model.layers)
+        written = sum(l.c_out for l in model.layers)
         for mode in ("parallel", "sequential"):
             for overlap in (True, False):
                 cfg = HwConfig(
@@ -228,9 +240,10 @@ class TestStreamForm:
                 assert report.per_event_cycles.tolist() == \
                     [bd.total_cycles for bd in events]
                 assert report.stage_cycles["feature_fetch"] == sum(
-                    math.ceil(c[2] * 8 / cfg.bits_per_cycle) for c in columns)
-                assert report.stage_cycles["writeback"] == sum(
-                    math.ceil(c[3] * 8 / cfg.bits_per_cycle) for c in columns)
+                    math.ceil(deg * fetch * 8 / cfg.bits_per_cycle)
+                    for deg, _ in columns)
+                assert report.stage_cycles["writeback"] == n * math.ceil(
+                    written * 8 / cfg.bits_per_cycle)
 
 
 class TestEnergy:
@@ -257,6 +270,20 @@ class TestEnergy:
             estimate_energy(report, trace, small_model, cfg)
             energies.append(report.total_energy)
         assert energies[1] == pytest.approx(2 * energies[0])
+
+    def test_dram_bytes_per_event(self, small_model, rng):
+        """One joule per DRAM byte: deg * sum C_in fetched, sum C_out
+        written back."""
+        cfg = HwConfig(e_mac=0.0, e_sram_byte=0.0, e_dram_byte=1.0)
+        trace = _rand_trace(rng, small_model)
+        report = estimate_stream_latency(small_model, trace, cfg)
+        estimate_energy(report, trace, small_model, cfg)
+        fetch = sum(l.c_in for l in small_model.layers)
+        written = sum(l.c_out for l in small_model.layers)
+        assert report.per_event_energy.tolist() == \
+            (trace.deg * fetch + written).tolist()
+        assert report.stage_energy["feature_fetch"] == trace.deg.sum() * fetch
+        assert report.stage_energy["writeback"] == len(trace) * written
 
     def test_report_json_shape(self, small_model, rng):
         cfg = HwConfig(e_mac=1e-12, e_sram_byte=1e-12, e_dram_byte=1e-10)
