@@ -65,7 +65,8 @@ def _load_model(load, path: str, what: str = "model"):
         return load(path)
     except OSError as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
-    except (ModelConfigError, json.JSONDecodeError) as exc:
+    except (ModelConfigError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         raise CliError(f"bad {what} {path}: {exc}") from exc
 
 
@@ -95,7 +96,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n" if lines else "")
 
 
-def _infer_one(model, stream_path: str, args) -> int:
+def _infer_one(plan: engine.RunPlan, stream_path: str, args) -> int:
+    model = plan.model
     stream = _load_stream(stream_path, model.width, model.height, args.format)
     if len(stream) == 0:
         if args.trace_out:
@@ -103,7 +105,7 @@ def _infer_one(model, stream_path: str, args) -> int:
         print(f"{stream_path}: no events")
         return EXIT_OK
     t0 = time.perf_counter()
-    result = engine.run_stream(model, stream)
+    result = engine.run_stream(plan, stream)
     wall = time.perf_counter() - t0
     if args.trace_out:
         _write_lines(args.trace_out,
@@ -119,23 +121,24 @@ def cmd_infer(args) -> int:
     if args.trace_out and len(args.stream) > 1:
         raise CliError(f"--trace-out takes one stream, "
                        f"got {len(args.stream)}")
-    model = _apply_overrides(_load_model(load_model, args.model), args)
+    plan = engine.build_plan(
+        _apply_overrides(_load_model(load_model, args.model), args))
     if len(args.stream) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(args.stream))) as pool:
             codes = list(pool.map(_infer_worker,
-                                  [(model, s, args) for s in args.stream]))
+                                  [(plan, s, args) for s in args.stream]))
         return max(codes)
     code = EXIT_OK
     for s in args.stream:
-        code = max(code, _infer_one(model, s, args))
+        code = max(code, _infer_one(plan, s, args))
     return code
 
 
 def _infer_worker(packed):
-    model, stream_path, args = packed
+    plan, stream_path, args = packed
     try:
-        return _infer_one(model, stream_path, args)
+        return _infer_one(plan, stream_path, args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -148,8 +151,9 @@ def cmd_verify(args) -> int:
         print(f"{args.stream}: no events")
         return EXIT_OK
     adj = engine.build_adjacency(stream, model)
-    par = engine.run_stream(model, stream, adjacency=adj, levels=True)
-    seq = engine.run_stream(model, stream, sequential=True, adjacency=adj)
+    plan = engine.build_plan(model)
+    par = engine.run_stream(plan, stream, adjacency=adj, levels=True)
+    seq = engine.run_stream(plan, stream, sequential=True, adjacency=adj)
     sta = static_oracle.forward_eq7_int8(stream, adj, model)
     for name, run in (("layer-sequential", seq), ("static-oracle", sta)):
         diffs = [(n, l, c) for l, (a, b) in enumerate(zip(par.feats,

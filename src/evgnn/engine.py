@@ -26,6 +26,11 @@ Two granularities are provided:
       they compute each message unfactored, so verify checks this
       factoring against them.
 
+What a run reads of the model alone (the window, the per-layer tables
+and W_x, the input encoding, the FC weights per readout cell) is one
+immutable RunPlan, built once per (model, search) by build_plan; a
+command builds one and runs all its streams and schedules on it.
+
 All INT8 arithmetic is exact. The node terms are float64 products, which
 hold every partial sum exactly because the model loader proves that each
 stays below 2**31; requantization rounds to nearest even.
@@ -38,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perf_model
-from .event_io import Event, EventStream
-from .graph_builder import (Adjacency, EventQueueGrid, replay_build,
-                            search_neighbors)
-from .model import ACC_LIMIT, LayerParams, QuantizedModel
+from .event_io import Event, EventStream, OutOfBounds
+from .graph_builder import (Adjacency, EventQueueGrid, SearchParams,
+                            replay_build, search_neighbors, window_offsets)
+from .model import ACC_LIMIT, LayerParams, ModelHeader, QuantizedModel
 
 NEG_IDENTITY = np.int64(-(2**62))  # "-inf" empty-aggregation identity
 MSG_FLOOR = np.int32(-(2**31))  # batch path's "-inf": below every message
@@ -268,13 +273,6 @@ def build_adjacency(stream: EventStream,
         params.shape == "cylinder"), d_max=params.d_max)
 
 
-def encoded_inputs(stream: EventStream, model: QuantizedModel) -> np.ndarray:
-    feats0 = np.empty(len(stream), dtype=np.int64)
-    for p, v in model.input_encoding.items():
-        feats0[stream.p == p] = v
-    return feats0
-
-
 def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
     """BAQ of biased aggregates: ReLU, requantize (RNE), clamp to [0, 127]."""
     return np.minimum(rne_mulshift(np.maximum(v, 0).astype(np.int64),
@@ -300,6 +298,67 @@ def node_terms(x: np.ndarray, w_x: np.ndarray) -> np.ndarray:
     because the model loader proves every partial sum stays below 2**31.
     """
     return (x @ w_x).astype(np.int32)
+
+
+def fc_by_cell(model: ModelHeader, fc_w: np.ndarray) -> np.ndarray:
+    """[cells, C_last, classes]: the FC columns that read each readout cell.
+
+    The readout flattens the grid row-major by (gy, gx) with the channels
+    contiguous per cell, so cell k is columns k*C_last ... (k+1)*C_last-1.
+    """
+    return np.ascontiguousarray(fc_w.reshape(
+        len(fc_w), model.n_cells_x * model.n_cells_y, model.c_last
+    ).transpose(1, 2, 0))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """What every run of one model under one search reads, built once.
+
+    win_dx, win_dy are the search window's offsets and tables its
+    position_tables; w_x[l] is float64[C_in, C_out], the weights that
+    multiply layer l's input features; encoding maps a polarity to its
+    encoded input; fc_cells is fc_by_cell of the FC weights. The arrays
+    are read-only, so one plan serves any number of runs.
+    """
+
+    model: QuantizedModel
+    search: SearchParams
+    win_dx: np.ndarray
+    win_dy: np.ndarray
+    tables: tuple[np.ndarray, ...]
+    w_x: tuple[np.ndarray, ...]
+    encoding: np.ndarray  # float64[2], indexed by polarity 0 / 1
+    fc_cells: np.ndarray
+
+
+def position_tables(layers: list[LayerParams], win_dx: np.ndarray,
+                    win_dy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each layer's position_terms over a window, plus the sentinel row K
+    of 0 that the slots past an event's degree point at."""
+    return tuple(
+        _frozen(np.vstack([position_terms(lp, win_dx, win_dy),
+                           np.zeros((1, lp.c_out), dtype=np.int32)]))
+        for lp in layers)
+
+
+def build_plan(model: QuantizedModel) -> RunPlan:
+    """The run plan of model under its current search parameters."""
+    search = model.search
+    win_dx, win_dy = window_offsets(search.r_s, search.shape == "cylinder")
+    tables = position_tables(model.layers, win_dx, win_dy)
+    w_x = tuple(_frozen(lp.weights[:, :-2].T.astype(np.float64))
+                for lp in model.layers)
+    encoding = np.array([model.input_encoding[0], model.input_encoding[1]],
+                        dtype=np.float64)
+    return RunPlan(model, search, _frozen(win_dx), _frozen(win_dy), tables,
+                   w_x, _frozen(encoding),
+                   _frozen(fc_by_cell(model, model.fc.weights)))
 
 
 def eq7_layer(layer: LayerParams, terms: np.ndarray, table: np.ndarray,
@@ -355,7 +414,7 @@ def slot_major(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
     return nbr, np.ascontiguousarray(adj.nbr_o.T)
 
 
-def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
+def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
                groups: list[slice | np.ndarray],
                layer_outer: bool) -> list[np.ndarray]:
     """Run every INT8 layer over every group of event rows, in schedule order.
@@ -367,17 +426,18 @@ def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
     layers' terms are alive at a time; otherwise it runs group by group
     over all layers. Each eq7_layer call holds at most CHUNK_CELLS message
     cells. x0 is the encoded input of every event; a layer's node terms
-    are computed as its input rows are written. Returns the per-layer
-    outputs (uint8[N, C_out]).
+    are computed as its input rows are written. The offsets come from the
+    adjacency's window: the plan's tables when it is the plan's window.
+    Returns the per-layer outputs (uint8[N, C_out]).
     """
-    layers = model.layers
+    layers = plan.model.layers
+    tables = plan.tables
+    if not (np.array_equal(adj.win_dx, plan.win_dx)
+            and np.array_equal(adj.win_dy, plan.win_dy)):
+        tables = position_tables(layers, adj.win_dx, adj.win_dy)
     n, d_max = adj.nbr_n.shape
     nbr, pos = slot_major(adj)
     empty = adj.deg == 0
-    tables = [np.vstack([position_terms(lp, adj.win_dx, adj.win_dy),
-                         np.zeros((1, lp.c_out), dtype=np.int32)])
-              for lp in layers]
-    w_x = [lp.weights[:, :-2].T.astype(np.float64) for lp in layers]
 
     def new_terms(l):
         t = np.empty((n + 1, layers[l].c_out), dtype=np.int32)
@@ -386,7 +446,7 @@ def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
 
     terms = [new_terms(0)] + [None] * (len(layers) - 1)
     terms[0][:n] = node_terms(np.asarray(x0, dtype=np.float64)[:, None],
-                              w_x[0])
+                              plan.w_x[0])
     outs = [np.zeros((n, lp.c_out), dtype=np.uint8) for lp in layers]
     chunk = [max(1, CHUNK_CELLS // (max(d_max, 1) * lp.c_out))
              for lp in layers]
@@ -396,13 +456,13 @@ def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
             terms[l + 1] = new_terms(l + 1)
         for rows in _row_chunks(group, chunk[l]):
             d = int(adj.deg[rows].max())
-            out = eq7_layer(layers[l], terms[l], tables[l], nbr[:d, rows],
-                            pos[:d, rows], empty[rows],
-                            model.empty_aggregation)
+            out = eq7_layer(layers[l], terms[l], tables[l],
+                            nbr[:d, rows], pos[:d, rows], empty[rows],
+                            plan.model.empty_aggregation)
             outs[l][rows] = out
             if l + 1 < len(layers):
                 terms[l + 1][rows] = node_terms(out.astype(np.float64),
-                                                w_x[l + 1])
+                                                plan.w_x[l + 1])
 
     if layer_outer:
         for l in range(len(layers)):
@@ -416,54 +476,59 @@ def run_layers(model: QuantizedModel, x0: np.ndarray, adj: Adjacency,
     return outs
 
 
-def readout_trace(model, stream: EventStream, last: np.ndarray,
-                  fc_w: np.ndarray, fc_b: np.ndarray):
+def readout_trace(model: ModelHeader, stream: EventStream, last: np.ndarray,
+                  fc_cells: np.ndarray, fc_b: np.ndarray):
     """Per-event logits of the cumulative per-cell max readout.
 
     model supplies the readout grid (patch, n_cells_x, n_cells_y); last is
-    the final-layer output of every event, [N, C_last], all >= 0. Every
-    cell starts at 0 and each event raises its cell's running max by
-    delta >= 0, so logits_i = fc_b + sum_{k<=i} W_fc[:, cell_k] . delta_k,
-    which equals fc_b + W_fc . readout_i exactly in integers. Returns
-    (logits[N, classes], cls[N] with ties to the lowest class, flattened
-    readout).
+    the final-layer output of every event, [N, C_last], all >= 0; fc_cells
+    is fc_by_cell of the FC weights. Every cell starts at 0 and each event
+    raises its cell's running max by delta >= 0, so logits_i = fc_b +
+    sum_{k<=i} W_fc[:, cell_k] . delta_k, which equals fc_b + W_fc .
+    readout_i exactly in integers. Only the cells some event falls in are
+    visited. Returns (logits[N, classes], cls[N] with ties to the lowest
+    class, flattened readout).
     """
-    n_cells = model.n_cells_x * model.n_cells_y
     cell = ((stream.y // model.patch) * model.n_cells_x
             + stream.x // model.patch)
-    cells = np.zeros((n_cells, last.shape[1]), dtype=last.dtype)
-    w = fc_w.reshape(len(fc_b), n_cells, last.shape[1])
-    step = np.zeros((len(last), len(fc_b)), dtype=np.result_type(w, last))
+    cells = np.zeros((len(fc_cells), last.shape[1]), dtype=last.dtype)
+    step = np.zeros((len(last), len(fc_b)),
+                    dtype=np.result_type(fc_cells, last))
     order = np.argsort(cell, kind="stable")
-    bounds = np.cumsum(np.bincount(cell, minlength=n_cells))[:-1]
-    for k, rows in enumerate(np.split(order, bounds)):
-        if len(rows):
-            run = np.maximum.accumulate(last[rows])
-            # run never falls, so its steps fit last's own type
-            grow = np.diff(run, axis=0, prepend=run.dtype.type(0))
-            step[rows] = grow @ w[:, k].T
-            cells[k] = run[-1]
+    counts = np.bincount(cell, minlength=len(fc_cells))
+    ends = np.cumsum(counts)
+    for k in np.flatnonzero(counts).tolist():
+        rows = order[ends[k] - counts[k]:ends[k]]
+        run = np.maximum.accumulate(last[rows])
+        # run never falls, so its steps fit last's own type
+        grow = np.diff(run, axis=0, prepend=run.dtype.type(0))
+        step[rows] = grow @ fc_cells[k]
+        cells[k] = run[-1]
     logits = fc_b + np.cumsum(step, axis=0)
     return logits, np.argmax(logits, axis=1), cells.reshape(-1)
 
 
-def _run_groups(model: QuantizedModel, stream: EventStream, adj: Adjacency,
+def _run_groups(plan: RunPlan, stream: EventStream, adj: Adjacency,
                 groups: list[np.ndarray], layer_outer: bool) -> RunResult:
     """run_layers over groups, then the readout / FC trace of every event."""
-    feats = run_layers(model, encoded_inputs(stream, model), adj, groups,
+    if np.any((stream.p < 0) | (stream.p > 1)):  # a lookup would wrap -1
+        raise OutOfBounds("a polarity outside {0, 1} has no input encoding")
+    feats = run_layers(plan, plan.encoding[stream.p], adj, groups,
                        layer_outer)
-    logits, cls, readout = readout_trace(model, stream, feats[-1],
-                                         model.fc.weights, model.fc.bias)
+    logits, cls, readout = readout_trace(plan.model, stream, feats[-1],
+                                         plan.fc_cells, plan.model.fc.bias)
     return RunResult(adj, feats, logits, cls, readout,
-                     perf_model.conv_macs(model, adj.deg))
+                     perf_model.conv_macs(plan.model, adj.deg))
 
 
-def run_stream(model: QuantizedModel, stream: EventStream,
+def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
                sequential: bool = False,
                adjacency: Adjacency | None = None, *,
                levels: bool = False) -> RunResult:
     """Process a whole stream through the batch executor.
 
+    model is a QuantizedModel, or the RunPlan of one: a caller that runs
+    several streams or schedules builds the plan once and passes it.
     Default: each layer runs over the whole graph before the next; layer l
     of an event reads only layer l-1 outputs of earlier events, so this
     computes what the event-driven schedules compute. The dependency-level
@@ -472,12 +537,14 @@ def run_stream(model: QuantizedModel, stream: EventStream,
     levels: each dependency level runs every layer (the layer-parallel
     wavefront).
     """
-    if stream.width != model.width or stream.height != model.height:
+    plan = model if isinstance(model, RunPlan) else build_plan(model)
+    if stream.width != plan.model.width or stream.height != plan.model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
-    adj = adjacency if adjacency is not None else build_adjacency(stream, model)
+    adj = (adjacency if adjacency is not None
+           else build_adjacency(stream, plan.search))
     groups = (adj.levels if sequential or levels
               else [slice(0, len(adj.deg))])
-    return _run_groups(model, stream, adj, groups,
+    return _run_groups(plan, stream, adj, groups,
                        layer_outer=sequential or not levels)
 
 

@@ -235,7 +235,7 @@ def brute_force_neighbors(history: list[Event], ev: Event,
     return out
 
 
-def _window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
+def window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
     """(dx, dy) of the prism / cylinder window in canonical scan order."""
     span = np.arange(-r_s, r_s + 1)
     dy, dx = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
@@ -268,7 +268,7 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     scanned = np.zeros(n_ev, dtype=np.int64)
     nbr_n = np.zeros((n_ev, d_max), dtype=np.int32
                      if n_ev <= 2**31 else np.int64)
-    odx, ody = _window_offsets(r_s, use_l2)
+    odx, ody = window_offsets(r_s, use_l2)
     # the window slot of each kept neighbour; len(odx) marks empty slots
     nbr_o = np.full((n_ev, d_max), len(odx),
                     dtype=np.min_scalar_type(len(odx)))

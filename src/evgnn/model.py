@@ -10,12 +10,20 @@ Both kinds are UTF-8 JSON documents with one header and one structure:
      layers:[{C_in,C_out,weights(row-major array),bias,...}],
      fc:{in_dim,out_dim,weights,bias}}
 
-The FP model (gen-model writes it, quantize reads it) has float arrays
-and "precision":"fp32"; a layer may carry a batchnorm block
+The FP model (gen-model writes it, quantize reads it) is version 1, has
+float arrays and "precision":"fp32"; a layer may carry a batchnorm block
 bn:{gamma,beta,mean,var,eps}. The INT8 model (infer, verify and bench run
-it) has integer arrays and no "precision"; it adds
-input_encoding:{"0":-127,"1":127}, requant:{M,shift}, pos_requant:{M,shift}
-and s_in per layer. Each reader rejects the other kind's document.
+it) has no "precision"; it adds input_encoding:{"0":-127,"1":127},
+requant:{M,shift}, pos_requant:{M,shift} and s_in per layer. Each reader
+rejects the other kind's document, and a version other than 1 or 2.
+
+The INT8 writer stores version 2: each weights array is a base64 string
+of its int8 bytes, each bias one of its little-endian int32 bytes, and it
+raises on a value that does not fit its type. The reader also takes
+version-1 arrays, flat lists of JSON integers (either form, in either
+version), and rejects a non-integer such as 1.7 or true in them and in
+the requant pairs and the input encoding. Decoded arrays then pass the
+same shape, magnitude and 32-bit range checks as lists.
 
 Value-exactness matters, byte-exactness does not. Other keys are ignored,
 such as the search "r" and "beta" and the top-level "hw" block that older
@@ -24,6 +32,7 @@ files carry.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import json
@@ -36,6 +45,8 @@ from .graph_builder import SearchParams
 
 IDENTITY_REQUANT = (1 << 30, 30)  # exact multiply-shift identity
 ACC_LIMIT = 2**31  # accumulators and logits stay in 32-bit signed range
+FORMAT_VERSIONS = (1, 2)  # the versions the readers take
+WEIGHT_BLOB, BIAS_BLOB = np.dtype("<i1"), np.dtype("<i4")  # INT8 version 2
 
 
 class ModelConfigError(ValueError):
@@ -213,6 +224,10 @@ class QuantizedModel(ModelHeader):
         # Prove every accumulator and logit stays inside 32-bit range: the
         # batch engine relies on it, since float64 partial sums are exact
         # only below 2**53 and requant products v * M must stay below 2**63.
+        if sorted(self.input_encoding) != [0, 1]:
+            raise ModelConfigError(
+                f"input encoding keys {sorted(self.input_encoding)}: need "
+                f"exactly the polarities 0 and 1")
         if any(abs(v) > 127 for v in self.input_encoding.values()):
             raise ModelConfigError("input encoding magnitude > 127")
         for i, lp in enumerate(self.layers):
@@ -236,9 +251,9 @@ class QuantizedModel(ModelHeader):
 
 # ------------------------------------------------------------------ JSON
 
-def _header_to_json(model: ModelHeader) -> dict:
+def _header_to_json(model: ModelHeader, version: int) -> dict:
     sp = model.search
-    return {"version": 1,
+    return {"version": version,
             "sensor": {"W": model.width, "H": model.height},
             "search": {"shape": sp.shape, "r_s": sp.r_s, "r_t": sp.r_t,
                        "D_max": sp.d_max, "queue_depth": sp.queue_depth},
@@ -248,6 +263,10 @@ def _header_to_json(model: ModelHeader) -> dict:
 
 
 def _header_from_json(doc: dict) -> dict:
+    version = doc.get("version")
+    if type(version) is not int or version not in FORMAT_VERSIONS:
+        raise ModelConfigError(f"format version {version!r}: this reader "
+                               f"takes versions {FORMAT_VERSIONS}")
     sp, grid = doc.get("search", {}), doc.get("grid", {})
     header = ModelHeader(
         width=int(doc["sensor"]["W"]), height=int(doc["sensor"]["H"]),
@@ -278,37 +297,76 @@ def _reading(what: str):
         raise ModelConfigError(f"bad {what} config: {exc}") from None
 
 
-def _layer_to_json(layer) -> dict:
-    return {"C_in": layer.c_in, "C_out": layer.c_out,
-            "weights": layer.weights.reshape(-1).tolist(),
-            "bias": layer.bias.tolist()}
+def _blob(values: np.ndarray, dtype: np.dtype, what: str) -> str:
+    """base64 of values as dtype bytes; raises if a value does not fit."""
+    info = np.iinfo(dtype)
+    if values.size and (values.min() < info.min or values.max() > info.max):
+        raise ModelConfigError(f"{what}: a value does not fit {dtype.name}")
+    return base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")
 
 
-def _fc_to_json(weights: np.ndarray, bias: np.ndarray) -> dict:
-    return {"in_dim": weights.shape[1], "out_dim": weights.shape[0],
-            "weights": weights.reshape(-1).tolist(), "bias": bias.tolist()}
+def _json_int(value, what: str) -> int:
+    """value, which must be a JSON integer (not 1.7, "1" or true)."""
+    if type(value) is not int:
+        raise ModelConfigError(f"{what}: {value!r} is not an integer")
+    return value
 
 
-def _arrays(d: dict, rows: int, cols: int, dtype) -> tuple:
-    """The (rows, cols) weights and the bias of a layer or fc document."""
+def _ints(value, count: int, dtype: np.dtype, what: str) -> np.ndarray:
+    """An INT8-model array: a base64 blob of count dtype values, or a flat
+    list of JSON integers."""
+    if isinstance(value, str):
+        data = base64.b64decode(value, validate=True)
+        if len(data) != count * dtype.itemsize:
+            raise ModelConfigError(f"{what}: {len(data)} bytes, need "
+                                   f"{count} {dtype.name} values")
+        return np.frombuffer(data, dtype=dtype)
+    bad = [v for v in value if type(v) is not int]
+    if bad:
+        raise ModelConfigError(f"{what}: {bad[0]!r} is not an integer")
+    return np.asarray(value, dtype=np.int64)
+
+
+def _floats(value, *_) -> np.ndarray:
+    """An FP-model array: a list of JSON numbers."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _arrays(d: dict, rows: int, cols: int, read, what: str) -> tuple:
+    """The (rows, cols) weights and the bias of a layer or fc document,
+    each read by read(value, count, blob dtype, name)."""
     if rows < 0 or cols < 0:  # reshape would infer a -1 from the data
         raise ValueError(f"negative dims ({rows}, {cols})")
-    return (np.asarray(d["weights"], dtype=dtype).reshape(rows, cols),
-            np.asarray(d["bias"], dtype=dtype))
+    return (read(d["weights"], rows * cols, WEIGHT_BLOB,
+                 f"{what}weights").reshape(rows, cols),
+            read(d["bias"], rows, BIAS_BLOB, f"{what}bias"))
+
+
+def _pair(d: dict, what: str) -> tuple[int, int]:
+    return (_json_int(d["M"], f"{what} M"),
+            _json_int(d["shift"], f"{what} shift"))
 
 
 def model_to_json(model: QuantizedModel) -> dict:
-    doc = _header_to_json(model)
+    doc = _header_to_json(model, 2)
     doc["grid"].update(Gx=model.n_cells_x, Gy=model.n_cells_y)
     doc["input_encoding"] = {str(k): v
                              for k, v in model.input_encoding.items()}
+
+    def arrays(what: str, weights: np.ndarray, bias: np.ndarray) -> dict:
+        return {"weights": _blob(weights.reshape(-1), WEIGHT_BLOB,
+                                 f"{what}weights"),
+                "bias": _blob(bias, BIAS_BLOB, f"{what}bias")}
+
     doc["layers"] = [
-        {**_layer_to_json(l),
+        {"C_in": l.c_in, "C_out": l.c_out,
+         **arrays(f"layer {i} ", l.weights, l.bias),
          "requant": {"M": l.requant[0], "shift": l.requant[1]},
          "pos_requant": {"M": l.pos_requant[0], "shift": l.pos_requant[1]},
          "s_in": l.s_in}
-        for l in model.layers]
-    doc["fc"] = _fc_to_json(model.fc.weights, model.fc.bias)
+        for i, l in enumerate(model.layers)]
+    doc["fc"] = {"in_dim": model.fc.in_dim, "out_dim": model.fc.out_dim,
+                 **arrays("fc ", model.fc.weights, model.fc.bias)}
     return doc
 
 
@@ -320,34 +378,40 @@ def model_from_json(doc: dict) -> QuantizedModel:
                 f"an FP model (precision {doc['precision']!r}); "
                 f"evgnn quantize turns it into an INT8 model")
         layers = []
-        for ld in doc["layers"]:
+        for i, ld in enumerate(doc["layers"]):
             ci, co = int(ld["C_in"]), int(ld["C_out"])
             layers.append(LayerParams(
-                ci, co, *_arrays(ld, co, ci + 2, np.int64),
-                requant=(int(ld["requant"]["M"]),
-                         int(ld["requant"]["shift"])),
-                pos_requant=(int(ld["pos_requant"]["M"]),
-                             int(ld["pos_requant"]["shift"])),
+                ci, co, *_arrays(ld, co, ci + 2, _ints, f"layer {i} "),
+                requant=_pair(ld["requant"], f"layer {i} requant"),
+                pos_requant=_pair(ld["pos_requant"],
+                                  f"layer {i} pos_requant"),
                 s_in=float(ld.get("s_in", 1.0))))
         fd = doc["fc"]
         ci, co = int(fd["in_dim"]), int(fd["out_dim"])
         return QuantizedModel(
             **header, layers=layers,
-            fc=DenseParams(ci, co, *_arrays(fd, co, ci, np.int64)),
-            input_encoding={int(k): int(v) for k, v in doc.get(
-                "input_encoding", {"0": -127, "1": 127}).items()})
+            fc=DenseParams(ci, co, *_arrays(fd, co, ci, _ints, "fc ")),
+            input_encoding={int(k): _json_int(v, f"input_encoding {k}")
+                            for k, v in doc.get(
+                                "input_encoding",
+                                {"0": -127, "1": 127}).items()})
 
 
 def fp_model_to_json(model: FPModel) -> dict:
     def layer_doc(l: FPLayer) -> dict:
-        doc = _layer_to_json(l)
+        doc = {"C_in": l.c_in, "C_out": l.c_out,
+               "weights": l.weights.reshape(-1).tolist(),
+               "bias": l.bias.tolist()}
         if l.bn is not None:
             doc["bn"] = {k: np.asarray(v).tolist() for k, v in l.bn.items()}
         return doc
 
-    return {"precision": "fp32", **_header_to_json(model),
+    fc_w = model.fc_weights
+    return {"precision": "fp32", **_header_to_json(model, 1),
             "layers": [layer_doc(l) for l in model.layers],
-            "fc": _fc_to_json(model.fc_weights, model.fc_bias)}
+            "fc": {"in_dim": fc_w.shape[1], "out_dim": fc_w.shape[0],
+                   "weights": fc_w.reshape(-1).tolist(),
+                   "bias": model.fc_bias.tolist()}}
 
 
 def fp_model_from_json(doc: dict) -> FPModel:
@@ -358,11 +422,11 @@ def fp_model_from_json(doc: dict) -> FPModel:
         layers = []
         for ld in doc["layers"]:
             ci, co = int(ld["C_in"]), int(ld["C_out"])
-            layers.append(FPLayer(*_arrays(ld, co, ci + 2, np.float64),
+            layers.append(FPLayer(*_arrays(ld, co, ci + 2, _floats, ""),
                                   ld.get("bn")))
         fd = doc["fc"]
         fc_w, fc_b = _arrays(fd, int(fd["out_dim"]), int(fd["in_dim"]),
-                             np.float64)
+                             _floats, "fc ")
         return FPModel(**header, layers=layers, fc_weights=fc_w,
                        fc_bias=fc_b)
 

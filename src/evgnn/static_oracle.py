@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import perf_model
-from .engine import (RunResult, baq_batch, encoded_inputs, readout_trace,
+from .engine import (RunResult, baq_batch, fc_by_cell, readout_trace,
                      rne_mulshift)
 from .event_io import EventStream
 from .graph_builder import Adjacency
@@ -79,9 +79,18 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
             outs.append(activation(agg + layer.bias, layer))
         x = np.concatenate(outs)
         feats.append(x)
-    logits, cls, readout = readout_trace(model, stream, x, fc_w, fc_b)
+    logits, cls, readout = readout_trace(model, stream, x,
+                                         fc_by_cell(model, fc_w), fc_b)
     return RunResult(adj, feats, logits, cls, readout,
                      perf_model.conv_macs(model, adj.deg))
+
+
+def encoded_inputs(stream: EventStream, model: QuantizedModel) -> np.ndarray:
+    """The model's input encoding of every event's polarity, int64[N]."""
+    feats0 = np.empty(len(stream), dtype=np.int64)
+    for p, v in model.input_encoding.items():
+        feats0[stream.p == p] = v
+    return feats0
 
 
 def forward_eq7_fp(stream: EventStream, adj: Adjacency,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from evgnn.model import QuantizedModel
+from evgnn.model import QuantizedModel, model_to_json
 from evgnn.perf_model import EventTrace, trace_from_run
 
 
@@ -33,3 +33,29 @@ def neighbors(adj, stream, i: int) -> list[tuple[int, int, int, int]]:
         out.append((n, int(adj.win_dx[o]), int(adj.win_dy[o]),
                     int(stream.t[i] - stream.t[n])))
     return out
+
+
+def list_form_doc(model: QuantizedModel) -> dict:
+    """model's document in the version-1 form: every weights and bias
+    array a flat list of JSON integers, as files written before the base64
+    blobs hold them."""
+    doc = model_to_json(model)
+    doc["version"] = 1
+    for d, p in zip(doc["layers"] + [doc["fc"]], model.layers + [model.fc]):
+        d.update(weights=p.weights.reshape(-1).tolist(), bias=p.bias.tolist())
+    return doc
+
+
+def assert_models_equal(a: QuantizedModel, b: QuantizedModel) -> None:
+    """Every value the INT8 model file holds is equal in a and b."""
+    assert a.header() == b.header()
+    assert a.input_encoding == b.input_encoding
+    assert len(a.layers) == len(b.layers)
+    for la, lb in zip(a.layers + [a.fc], b.layers + [b.fc]):
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
+        assert la.weights.dtype == lb.weights.dtype == np.int64
+        assert la.bias.dtype == lb.bias.dtype == np.int64
+    for la, lb in zip(a.layers, b.layers):
+        assert (la.requant, la.pos_requant, la.s_in) == (
+            lb.requant, lb.pos_requant, lb.s_in)

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 import re
 
@@ -7,8 +8,10 @@ import pytest
 
 from evgnn import cli, engine, event_io, graph_builder, quant, static_oracle
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
-from evgnn.model import (fp_model_to_json, model_to_json, random_fp_model,
-                         random_model, save_model)
+from evgnn.model import (fp_model_to_json, load_fp_model, load_model,
+                         model_to_json, random_fp_model, random_model,
+                         save_model)
+from helpers import assert_models_equal, list_form_doc
 
 
 @pytest.fixture()
@@ -159,18 +162,40 @@ class TestInfer:
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_model_loaded_once_per_command(self, model_path, stream_path,
                                            inline_pool, monkeypatch, jobs):
-        loads = []
-        real = cli.load_model
+        """One model load and one run plan serve all three streams."""
+        loads, plans = [], []
+        real_load, real_plan = cli.load_model, engine.build_plan
 
         def counting(path):
             loads.append(path)
-            return real(path)
+            return real_load(path)
 
         monkeypatch.setattr(cli, "load_model", counting)
+        monkeypatch.setattr(engine, "build_plan",
+                            lambda model: plans.append(model)
+                            or real_plan(model))
         assert main(["infer", model_path, stream_path, stream_path,
                      stream_path, "--jobs", jobs]) == EXIT_OK
         assert loads == [model_path]
+        assert len(plans) == 1
         assert inline_pool == ([] if jobs == "1" else [3])
+
+    def test_list_form_model_same_trace(self, small_model, stream_path,
+                                        tmp_path, capsys):
+        """A version-1 list-form file and the blob file of the same model
+        give byte-identical traces and verify output."""
+        blob, listed = tmp_path / "blob.json", tmp_path / "list.json"
+        save_model(small_model, str(blob))
+        listed.write_text(json.dumps(list_form_doc(small_model)))
+        outs = []
+        for path in (blob, listed):
+            trace = tmp_path / f"{path.stem}.trace"
+            assert main(["infer", str(path), stream_path,
+                         "--trace-out", str(trace)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["verify", str(path), stream_path]) == EXIT_OK
+            outs.append((trace.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_trace_out_with_several_streams_rejected(self, stream_path,
@@ -255,13 +280,18 @@ class TestVerify:
     def test_clean_model_exit_zero(self, model_path, stream_path, capsys,
                                    monkeypatch):
         # both level schedules run on one build of the dependency levels
-        builds = []
-        real = graph_builder.dependency_levels
+        # and on one run plan
+        builds, plans = [], []
+        real, real_plan = graph_builder.dependency_levels, engine.build_plan
         monkeypatch.setattr(graph_builder, "dependency_levels",
                             lambda adj: builds.append(adj) or real(adj))
+        monkeypatch.setattr(engine, "build_plan",
+                            lambda model: plans.append(model)
+                            or real_plan(model))
         assert main(["verify", model_path, stream_path]) == EXIT_OK
         assert "OK" in capsys.readouterr().out
         assert len(builds) == 1
+        assert len(plans) == 1
 
     def test_corrupted_requant_stays_consistent(self, small_model,
                                                 stream_path, tmp_path):
@@ -463,6 +493,24 @@ class TestQuantizePipeline:
             assert np.allclose(a.weights, b.weights)
             assert np.allclose(a.bias, b.bias)
 
+    @pytest.mark.parametrize("with_bn", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quantized_file_holds_the_model(self, seed, with_bn, tmp_path):
+        """The written file parses to the values quantize computed."""
+        fp_path, calib, qpath = (tmp_path / "fp.json", tmp_path / "c.txt",
+                                 tmp_path / "q.json")
+        assert main(["gen-model", "--seed", str(seed), "-o", str(fp_path)]
+                    + ["--with-bn"] * with_bn) == EXIT_OK
+        assert main(["gen", "--count", "400", "--seed", str(seed),
+                     "-o", str(calib)]) == EXIT_OK
+        assert main(["quantize", str(fp_path), "--calib", str(calib),
+                     "-o", str(qpath)]) == EXIT_OK
+        fp = load_fp_model(str(fp_path))
+        stream = event_io.parse_text_stream(calib.read_bytes(), fp.width,
+                                            fp.height)
+        assert_models_equal(load_model(str(qpath)),
+                            quant.quantize_model(fp, stream)[0])
+
     def test_quantize_bad_fp_model(self, tmp_path, stream_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -510,7 +558,22 @@ def _no_classes(doc):
 def _model_doc(kind: str, small_model) -> dict:
     if kind == "int8":
         return model_to_json(small_model)
+    if kind == "int8_list":
+        return list_form_doc(small_model)
     return fp_model_to_json(random_fp_model(5, with_bn=kind == "fp_bn"))
+
+
+def _edit_blob(d: dict, key: str, dtype: str, edit) -> None:
+    """Decode the base64 array d[key], apply edit to it, store it back."""
+    a = np.frombuffer(base64.b64decode(d[key]), dtype=dtype)
+    d[key] = base64.b64encode(edit(a.copy()).tobytes()).decode()
+
+
+def _set_first(value):
+    def edit(a):
+        a[0] = value
+        return a
+    return edit
 
 
 class TestModelFiles:
@@ -537,11 +600,42 @@ class TestModelFiles:
          "bad FP model"),
         ("int8", _no_classes, "infer", "bad model .*classes is empty"),
         ("fp", _no_classes, "quantize", "bad FP model .*classes is empty"),
+        ("int8", lambda d: _edit_blob(d["layers"][1], "weights", "<i1",
+                                      _set_first(-128)),
+         "infer", "bad model .*weight magnitude > 127"),
+        ("int8", lambda d: d["fc"].update(weights="*" + d["fc"]["weights"]),
+         "infer", "bad model .*base64"),
+        ("int8", lambda d: _edit_blob(d["layers"][0], "weights", "<i1",
+                                      lambda a: np.r_[a, a[:1]]),
+         "infer", "layer 0 weights: 25 bytes, need 24 int8"),
+        ("int8", lambda d: _edit_blob(d["fc"], "bias", "<i1",
+                                      lambda a: a[:-1]),
+         "infer", "fc bias: 7 bytes, need 2 int32"),
+        ("int8", lambda d: d.update(version=99), "infer",
+         "bad model .*version 99"),
+        ("fp", lambda d: d.update(version=3), "quantize",
+         "bad FP model .*version 3"),
+        ("int8", lambda d: d["input_encoding"].pop("1"), "infer",
+         "polarities 0 and 1"),
+        ("int8_list", lambda d: d["layers"][0]["weights"].__setitem__(0, 1.7),
+         "infer", "layer 0 weights: 1.7 is not an integer"),
+        ("int8_list", lambda d: d["fc"]["bias"].__setitem__(1, True),
+         "infer", "fc bias: True is not an integer"),
+        ("int8", lambda d: d["layers"][2]["requant"].update(M=2.0**30),
+         "infer", "layer 2 requant M: 1073741824.0 is not an integer"),
+        ("int8", lambda d: d["layers"][0]["pos_requant"].update(shift=True),
+         "infer", "layer 0 pos_requant shift: True is not an integer"),
+        ("int8", lambda d: d["input_encoding"].update({"1": 126.5}),
+         "infer", "input_encoding 1: 126.5 is not an integer"),
     ], ids=["fp_unchained", "fp_fc_in_dim", "fp_patch_0", "fp_layer0_c_in_2",
             "int8_patch_0", "int8_into_quantize", "fp_into_infer",
             "fp_bn_short_gamma", "fp_bn_negative_var",
             "fp_bn_eps_not_a_number", "fp_c_in_minus_3", "int8_no_classes",
-            "fp_no_classes"])
+            "fp_no_classes", "blob_weight_minus_128", "blob_bad_base64",
+            "blob_weights_one_byte_long", "blob_bias_one_byte_short",
+            "int8_version_99", "fp_version_3", "int8_encoding_lacks_1",
+            "list_weight_1_7", "list_bias_true", "requant_m_float",
+            "pos_shift_true", "encoding_half"])
     def test_rejected(self, kind, edit, command, expect, small_model,
                       stream_path, tmp_path, capsys):
         doc = _model_doc(kind, small_model)
@@ -557,6 +651,21 @@ class TestModelFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert re.search(expect, err), err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "verify", "bench",
+                                     "quantize"])
+def test_model_file_not_utf8(command, stream_path, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = ([command, str(path), "--calib", stream_path,
+             "-o", str(tmp_path / "q.json")] if command == "quantize"
+            else [command, str(path), stream_path])
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {'FP ' * (command == 'quantize')}"
+                          f"model {path}: ")
+    assert err.count("\n") == 1 and "utf-8" in err
 
 
 def test_commands_build_no_event_objects(model_path, tmp_path, monkeypatch):

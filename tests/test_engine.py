@@ -451,8 +451,9 @@ class TestSentinelKernel:
                   if len(g)]
         groups[-1] = np.r_[groups[-1], tail]
         assert np.any(adj.deg[groups[-1]] == model.search.d_max)
-        feats = engine.run_layers(model, engine.encoded_inputs(stream, model),
-                                  adj, groups, layer_outer)
+        plan = engine.build_plan(model)
+        feats = engine.run_layers(plan, plan.encoding[stream.p], adj, groups,
+                                  layer_outer)
         state, _ = _per_event_run(model, stream)
         _assert_feats_equal(feats, state)
 
@@ -470,6 +471,15 @@ class TestInvariantsOnStream:
             assert [f.dtype for f in res.feats] == [np.uint8] * len(
                 small_model.layers)
             assert res.logits.dtype == res.cls.dtype == np.int64
+
+    @pytest.mark.parametrize("p", [-1, 2])
+    def test_polarity_without_encoding_rejected(self, small_model, p):
+        """A hand-built stream may hold any polarity; the batch path's
+        encoding lookup must not wrap -1 to polarity 1 or read past it."""
+        stream = event_io.EventStream(64, 48, [1, 2], [1, 1], [0, 10],
+                                      [0, p])
+        with pytest.raises(event_io.OutOfBounds):
+            engine.run_stream(small_model, stream)
 
     def test_baq_range(self, small_model, small_stream):
         res = engine.run_stream(small_model, small_stream)

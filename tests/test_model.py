@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from evgnn.model import (DenseParams, LayerParams, ModelConfigError,
                          QuantizedModel, calibration_model, load_model,
                          model_from_json, model_to_json, random_model,
                          save_model)
+from helpers import assert_models_equal, list_form_doc
 
 
 class TestValidation:
@@ -58,15 +60,18 @@ def _max_bias(doc: dict, layer: int) -> int:
 
 
 class TestRangeProof:
+    """On version-1 list-form documents, whose arrays can hold any JSON
+    integer; test_cli's TestModelFiles holds the base64-blob cases."""
+
     def test_huge_bias_rejected(self):
         # the batch engine's int64 requant product v * M would wrap
-        doc = model_to_json(random_model(2, width=48, height=32))
+        doc = list_form_doc(random_model(2, width=48, height=32))
         doc["layers"][1]["bias"][0] = 2**40
         with pytest.raises(ModelConfigError):
             model_from_json(doc)
 
     def test_just_under_limit_runs_exactly(self):
-        doc = model_to_json(random_model(2, width=48, height=32))
+        doc = list_form_doc(random_model(2, width=48, height=32))
         doc["layers"][1]["bias"][0] = _max_bias(doc, 1)
         model = model_from_json(doc)
         stream = event_io.gen_synthetic(
@@ -83,7 +88,7 @@ class TestRangeProof:
                                         for i in range(len(stream))]))
 
     def test_just_over_limit_rejected(self):
-        doc = model_to_json(random_model(2, width=48, height=32))
+        doc = list_form_doc(random_model(2, width=48, height=32))
         doc["layers"][1]["bias"][0] = _max_bias(doc, 1) + 1
         with pytest.raises(ModelConfigError):
             model_from_json(doc)
@@ -98,26 +103,52 @@ class TestRangeProof:
     ], ids=["input_encoding", "pos_M", "shift", "pos_shift", "fc_weight",
             "fc_bias"])
     def test_out_of_range_rejected(self, edit):
-        doc = model_to_json(random_model(2, width=48, height=32))
+        doc = list_form_doc(random_model(2, width=48, height=32))
         edit(doc)
         with pytest.raises(ModelConfigError):
             model_from_json(doc)
 
 
 class TestSerialization:
+    def test_blob_form(self, small_model):
+        """Version 2 stores each weights array as base64 int8 bytes and
+        each bias as base64 little-endian int32 bytes."""
+        doc = model_to_json(small_model)
+        assert doc["version"] == 2
+        for d, p in zip(doc["layers"] + [doc["fc"]],
+                        small_model.layers + [small_model.fc]):
+            w = np.frombuffer(base64.b64decode(d["weights"]), dtype="<i1")
+            b = np.frombuffer(base64.b64decode(d["bias"]), dtype="<i4")
+            assert np.array_equal(w, p.weights.reshape(-1))
+            assert np.array_equal(b, p.bias)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_list_form_loads_equal(self, small_model, version):
+        """A list-form file, as every file before the blobs, loads to the
+        values of the model it was written from, under either version."""
+        doc = list_form_doc(small_model)
+        doc["version"] = version
+        assert_models_equal(model_from_json(json.loads(json.dumps(doc))),
+                            small_model)
+
+    @pytest.mark.parametrize("where, value", [
+        ("weights", 128), ("weights", -129), ("bias", 2**31),
+        ("bias", -2**31 - 1)])
+    @pytest.mark.parametrize("layer", [0, None], ids=["layer0", "fc"])
+    def test_writer_rejects_what_its_blob_cannot_hold(self, where, value,
+                                                      layer):
+        """A value changed after construction that the blob type cannot
+        hold makes the writer raise, not wrap."""
+        model = random_model(2, width=48, height=32)
+        params = model.fc if layer is None else model.layers[layer]
+        getattr(params, where).reshape(-1)[0] = value
+        with pytest.raises(ModelConfigError, match="does not fit"):
+            model_to_json(model)
+
     def test_round_trip(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(small_model, str(path))
-        back = load_model(str(path))
-        for a, b in zip(small_model.layers, back.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
-            assert a.requant == b.requant
-            assert a.pos_requant == b.pos_requant
-        assert np.array_equal(small_model.fc.weights, back.fc.weights)
-        assert back.search == small_model.search
-        assert back.classes == small_model.classes
-        assert back.input_encoding == small_model.input_encoding
+        assert_models_equal(load_model(str(path)), small_model)
 
     def test_grid_consistency_checked(self, small_model):
         doc = model_to_json(small_model)
