@@ -150,8 +150,8 @@ def cmd_verify(args) -> int:
     if len(stream) == 0:
         print(f"{args.stream}: no events")
         return EXIT_OK
-    adj = engine.build_adjacency(stream, model)
     plan = engine.build_plan(model)
+    adj = engine.build_adjacency(stream, plan)
     par = engine.run_stream(plan, stream, adjacency=adj, levels=True)
     seq = engine.run_stream(plan, stream, sequential=True, adjacency=adj)
     sta = static_oracle.forward_eq7_int8(stream, adj, model)

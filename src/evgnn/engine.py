@@ -263,14 +263,21 @@ class RunResult:
     macs: np.ndarray
 
 
-def build_adjacency(stream: EventStream,
-                    model_or_params) -> Adjacency:
-    """Replay the queue grid over a whole stream."""
-    params = getattr(model_or_params, "search", model_or_params)
+def build_adjacency(stream: EventStream, source) -> Adjacency:
+    """Replay the queue grid over a whole stream.
+
+    source is a RunPlan, whose window is reused, or a model or
+    SearchParams, whose window is built here.
+    """
+    params = getattr(source, "search", source)
+    if isinstance(source, RunPlan):
+        win = source.win_dx, source.win_dy
+    else:
+        win = window_offsets(params.r_s, params.shape == "cylinder")
     return Adjacency(*replay_build(
         stream.x, stream.y, stream.t, stream.width, stream.height,
-        params.queue_depth, params.r_s, params.r_t, params.d_max,
-        params.shape == "cylinder"), d_max=params.d_max)
+        params.queue_depth, params.r_t, params.d_max, *win),
+        d_max=params.d_max)
 
 
 def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
@@ -541,7 +548,7 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
     if stream.width != plan.model.width or stream.height != plan.model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = (adjacency if adjacency is not None
-           else build_adjacency(stream, plan.search))
+           else build_adjacency(stream, plan))
     groups = (adj.levels if sequential or levels
               else [slice(0, len(adj.deg))])
     return _run_groups(plan, stream, adj, groups,

@@ -22,22 +22,24 @@ prefix (plain dict-of-lists retention replay, no ring buffers).
 
 `replay_build` replays search-then-push over a whole stream into flat
 [N, d_max] neighbor arrays without a per-event loop, and its work per
-event is one pair of counts per window offset plus the neighbours it
-keeps, whatever the queue depth. Events are stable-sorted by
-pixel, so each pixel's arrivals form one run in stream order. For event i
-and a window offset, a binary search counts the arrivals at the neighbour
-pixel before i; its queue at that moment is the last min(depth, count) of
-them, newest first. Timestamps must never decrease (replay_build raises
-NonMonotoneTime otherwise): then the queue entries within r_t of i are its
-newest ones, a prefix of the scan, and a second binary search counts them.
-A cumulative sum of these hit counts over the offsets, in canonical order,
-gives the degree, the d_max early stop and the entries scanned, and only
-the kept neighbours are built. The offsets are walked in tranches of 2, 4,
-8, ...; an event leaves the walk once it holds d_max neighbours. A chunk
-holds at most REPLAY_CELLS (event, offset) cells, which bounds the build's
-working memory. An Adjacency holds the result and stores no edge offsets:
-an edge is its neighbour's stream index (nbr_n) and the window slot it was
-found at (nbr_o), and the window's K (dx, dy) pairs are kept once. Its
+event is a count or two per window offset plus the neighbours it keeps,
+whatever the queue depth. Events are stable-sorted by pixel, so each
+pixel's arrivals form one run in stream order. For event i and a window
+offset, a binary search counts the arrivals at the neighbour pixel before
+i; its queue at that moment is the last min(depth, count) of them, newest
+first. Timestamps must never decrease (replay_build raises NonMonotoneTime
+otherwise): then the queue entries within r_t of i are its newest ones, a
+prefix of the scan. So a queue whose newest entry is older than r_t holds
+no hit, and a second binary search, counting the hits, runs only where the
+newest entry passes r_t. A running sum of these hit counts over the
+offsets, in canonical order, gives the degree, the d_max early stop and
+the entries scanned, and only the cells that keep a neighbour are
+expanded. The offsets are walked in tranches of 2, 4, 8, ...; an event
+leaves the walk once it holds d_max neighbours. A chunk holds at most
+REPLAY_CELLS (event, offset) cells, which bounds the build's working
+memory. An Adjacency holds the result and stores no edge offsets: an edge
+is its neighbour's stream index (nbr_n) and the window slot it was found
+at (nbr_o), and the window's K (dx, dy) pairs are kept once. Its
 dependency levels, the batches of the engine's level schedules, are built
 on first use and kept.
 """
@@ -246,10 +248,13 @@ def window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
     return dx[ok], dy[ok]
 
 
-def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
-    """Replay search-then-push over a whole stream (prism or cylinder).
+def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
+                 win_dy):
+    """Replay search-then-push over a whole stream.
 
-    Returns Adjacency's fields (deg, nbr_n, nbr_o, win_dx, win_dy,
+    win_dx, win_dy is the search window in canonical scan order, as
+    window_offsets returns it for the prism or the cylinder. Returns
+    Adjacency's fields (deg, nbr_n, nbr_o, win_dx, win_dy,
     entries_scanned), where nbr_n and nbr_o are [N, d_max] in canonical
     scan order (neighbour 0 and window slot K past deg) and
     entries_scanned counts queue entries inspected up to the d_max early
@@ -258,9 +263,11 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     OutOfBoundsEvent).
 
     The work per event is O(window offsets) + O(kept neighbours), whatever
-    the queue depth: each (event, offset) cell is reduced to two counts,
-    its queue length and its hits, only kept neighbours are built, and the
-    offsets after an event's d_max-th hit are not visited.
+    the queue depth: each (event, offset) cell is reduced to its queue
+    length and its hits, counted by a second binary search only where the
+    queue's newest entry is within r_t; only the cells that keep a
+    neighbour are expanded, and the offsets after an event's d_max-th hit
+    are not visited.
     """
     xs, ys, ts = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ts))
     n_ev = xs.shape[0]
@@ -268,12 +275,11 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     scanned = np.zeros(n_ev, dtype=np.int64)
     nbr_n = np.zeros((n_ev, d_max), dtype=np.int32
                      if n_ev <= 2**31 else np.int64)
-    odx, ody = window_offsets(r_s, use_l2)
-    # the window slot of each kept neighbour; len(odx) marks empty slots
-    nbr_o = np.full((n_ev, d_max), len(odx),
-                    dtype=np.min_scalar_type(len(odx)))
+    k_win = len(win_dx)
+    # the window slot of each kept neighbour; k_win marks empty slots
+    nbr_o = np.full((n_ev, d_max), k_win, dtype=np.min_scalar_type(k_win))
     if n_ev == 0:
-        return deg, nbr_n, nbr_o, odx, ody, scanned
+        return deg, nbr_n, nbr_o, win_dx, win_dy, scanned
     back = np.flatnonzero(ts[1:] < ts[:-1])
     if len(back):
         k = int(back[0]) + 1
@@ -288,19 +294,24 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     # Each occupied pixel's arrivals form one run of `order`, in stream
     # order. key = run number * n_ev + stream index ascends along `order`;
     # runs are numbered densely, so key < n_ev**2 whatever W * H is.
-    # Pixels are numbered on the sensor padded by r_s on every side, so
-    # that every window offset of every event lands in the run_of table.
-    wide = width + 2 * r_s
-    pix = (ys + r_s) * wide + xs + r_s
+    # Pixels are numbered on the sensor padded by the window's reach on
+    # every side, so that every window offset of every event lands in the
+    # run_of table.
+    pad = int(max(np.abs(win_dx).max(), np.abs(win_dy).max()))
+    wide = width + 2 * pad
+    pix = (ys + pad) * wide + xs + pad
     order = np.argsort(pix, kind="stable")
     spix = pix[order]
     new_run = np.r_[True, spix[1:] != spix[:-1]]
     run_start = np.flatnonzero(new_run)
     n_runs = len(run_start)
     key = (np.cumsum(new_run) - 1) * n_ev + order
+    # last_key[end] is the key of the newest arrival before sorted
+    # position end, and -1 at end = 0
+    last_key = np.r_[-1, key]
     # Empty and padding pixels map to run n_runs, whose queries find
     # end = lo = run_start[n_runs] = n_ev: an empty queue.
-    run_of = np.full(wide * (height + 2 * r_s), n_runs, dtype=np.int64)
+    run_of = np.full(wide * (height + 2 * pad), n_runs, dtype=np.int64)
     run_of[spix[run_start]] = np.arange(n_runs)
     run_start = np.r_[run_start, n_ev]
     # Timestamps never decrease, so the arrivals within r_t of event i are
@@ -308,14 +319,15 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
     # the temporal test are its newest ones: a prefix of the scan.
     first = np.searchsorted(ts, ts - r_t)
 
-    shift = ody * wide + odx
+    shift = win_dy * wide + win_dx
     # The window is walked in tranches of 2, 4, 8, ... offsets. deg and
     # scanned carry each event's running hit and queue-entry counts; an
     # event that holds d_max neighbours leaves the walk with both final.
     live = order
+    flat_n, flat_o = nbr_n.reshape(-1), nbr_o.reshape(-1)  # views
     a = 0
-    while a < len(odx) and len(live):
-        b = min(2 * a + 2, len(odx))
+    while a < k_win and len(live):
+        b = min(2 * a + 2, k_win)
         rows = max(1, REPLAY_CELLS // (b - a))
         for s in range(0, len(live), rows):
             # Rows in pixel order make each offset's key queries ascend.
@@ -326,37 +338,45 @@ def replay_build(xs, ys, ts, width, height, depth, r_s, r_t, d_max, use_l2):
             # holds the last min(depth, count) of them, newest first
             end = np.searchsorted(key, base + i)
             qlen = np.minimum(end - run_start[run], depth)
-            hits = np.minimum(end - np.searchsorted(key, base + first[i]),
-                              qlen)
+            # Hits are the queue entries from stream index first[i] on, so
+            # only a queue whose newest entry, sorted position end - 1, is
+            # one of them can hold any: the others are not counted.
+            lo_key = (base + first[i]).ravel()
+            cand = np.flatnonzero(last_key[end].ravel() >= lo_key)
+            lo = end.copy()
+            lo.ravel()[cand] = np.searchsorted(key, lo_key[cand])
+            # lo >= run_start[run], so min(end - lo, depth) <= qlen
+            hits = np.minimum(end - lo, depth)
             # counts within the tranche; event i needs d_max - deg[i] more
             need = d_max - deg[i]
-            n_hit = np.cumsum(hits, axis=0)
+            # running hit count along the offsets (row by row: np.cumsum
+            # along axis 0 is several times slower)
+            n_hit = hits.copy()
+            for o in range(1, b - a):
+                n_hit[o] += n_hit[o - 1]
             hits_before = n_hit - hits
-            q_before = np.cumsum(qlen, axis=0) - qlen
-            # scanned: every entry of the queues before the d_max-th hit's
-            # queue, then that queue's entries up to the hit
-            stop = np.minimum((n_hit < need).sum(axis=0), b - a - 1)
-            col = np.arange(len(i))
-            scanned[i] += np.where(
-                n_hit[-1] >= need,
-                q_before[stop, col] + need - hits_before[stop, col],
-                q_before[-1] + qlen[-1])
+            # take: the hits each cell keeps, up to the d_max-th
+            take = np.clip(need - hits_before, 0, hits)
+            # scanned: the whole queue of each cell before the d_max-th hit,
+            # then the entries up to it (its cell's take), then nothing
+            scanned[i] += np.where(n_hit < need, qlen, take).sum(axis=0)
             # Kept neighbour k of a cell is its queue's k-th newest entry:
             # sorted position end - 1 - k, slot deg[i] + hits_before + k.
-            # A cell's kept entries are consecutive in `ramp` from first_k
-            # on, so k = ramp - first_k.
-            take = np.clip(need - hits_before, 0, hits).ravel()
+            # Only cells that keep some are expanded; a cell's kept entries
+            # are consecutive in `ramp` from first_k on, so k = ramp - first_k.
+            cell = np.flatnonzero(take > 0)
+            take = take.ravel()[cell]
             first_k = np.cumsum(take) - take
-            ramp = np.arange(first_k[-1] + take[-1])
-            at = np.repeat((i * d_max + deg[i] + hits_before).ravel()
+            ramp = np.arange(take.sum())
+            at = np.repeat((i * d_max + deg[i] + hits_before).ravel()[cell]
                            - first_k, take) + ramp       # flat (row, slot)
-            pos = np.repeat((end - 1).ravel() + first_k, take) - ramp
-            np.put(nbr_n, at, order[pos])
-            np.put(nbr_o, at, np.repeat(np.arange(a, b).repeat(len(i)), take))
+            pos = np.repeat(end.ravel()[cell] - 1 + first_k, take) - ramp
+            flat_n[at] = order[pos]
+            flat_o[at] = np.repeat(a + cell // len(i), take)
             deg[i] += np.minimum(n_hit[-1], need)
         live = live[deg[live] < d_max]
         a = b
-    return deg, nbr_n, nbr_o, odx, ody, scanned
+    return deg, nbr_n, nbr_o, win_dx, win_dy, scanned
 
 
 @dataclass

@@ -267,19 +267,23 @@ def _header_from_json(doc: dict) -> dict:
     if type(version) is not int or version not in FORMAT_VERSIONS:
         raise ModelConfigError(f"format version {version!r}: this reader "
                                f"takes versions {FORMAT_VERSIONS}")
-    sp, grid = doc.get("search", {}), doc.get("grid", {})
+    sensor, sp = doc["sensor"], doc.get("search", {})
+    grid = doc.get("grid", {})
     header = ModelHeader(
-        width=int(doc["sensor"]["W"]), height=int(doc["sensor"]["H"]),
-        search=SearchParams(shape=sp.get("shape", "prism"),
-                            r_s=int(sp.get("r_s", 3)),
-                            r_t=int(sp.get("r_t", 50_000)),
-                            d_max=int(sp.get("D_max", 16)),
-                            queue_depth=int(sp.get("queue_depth", 16))),
-        patch=int(grid.get("patch", 16)),
+        width=_json_int(sensor["W"], "sensor W"),
+        height=_json_int(sensor["H"], "sensor H"),
+        search=SearchParams(
+            shape=sp.get("shape", "prism"),
+            r_s=_json_int(sp.get("r_s", 3), "search r_s"),
+            r_t=_json_int(sp.get("r_t", 50_000), "search r_t"),
+            d_max=_json_int(sp.get("D_max", 16), "search D_max"),
+            queue_depth=_json_int(sp.get("queue_depth", 16),
+                                  "search queue_depth")),
+        patch=_json_int(grid.get("patch", 16), "grid patch"),
         classes=[str(c) for c in doc.get("classes", ["0", "1"])],
         empty_aggregation=doc.get("empty_aggregation", "zero"))
     for key, cells in (("Gx", header.n_cells_x), ("Gy", header.n_cells_y)):
-        if key in grid and int(grid[key]) != cells:
+        if key in grid and _json_int(grid[key], f"grid {key}") != cells:
             raise ModelConfigError(f"grid {key} disagrees with sensor/patch")
     return vars(header)  # header() without its field scan on every load
 
@@ -310,6 +314,12 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ModelConfigError(f"{what}: {value!r} is not an integer")
     return value
+
+
+def _dims(d: dict, k_in: str, k_out: str, what: str) -> tuple[int, int]:
+    """The (input, output) widths of a layer or fc document."""
+    return (_json_int(d[k_in], f"{what}{k_in}"),
+            _json_int(d[k_out], f"{what}{k_out}"))
 
 
 def _ints(value, count: int, dtype: np.dtype, what: str) -> np.ndarray:
@@ -379,7 +389,7 @@ def model_from_json(doc: dict) -> QuantizedModel:
                 f"evgnn quantize turns it into an INT8 model")
         layers = []
         for i, ld in enumerate(doc["layers"]):
-            ci, co = int(ld["C_in"]), int(ld["C_out"])
+            ci, co = _dims(ld, "C_in", "C_out", f"layer {i} ")
             layers.append(LayerParams(
                 ci, co, *_arrays(ld, co, ci + 2, _ints, f"layer {i} "),
                 requant=_pair(ld["requant"], f"layer {i} requant"),
@@ -387,7 +397,7 @@ def model_from_json(doc: dict) -> QuantizedModel:
                                   f"layer {i} pos_requant"),
                 s_in=float(ld.get("s_in", 1.0))))
         fd = doc["fc"]
-        ci, co = int(fd["in_dim"]), int(fd["out_dim"])
+        ci, co = _dims(fd, "in_dim", "out_dim", "fc ")
         return QuantizedModel(
             **header, layers=layers,
             fc=DenseParams(ci, co, *_arrays(fd, co, ci, _ints, "fc ")),
@@ -420,13 +430,13 @@ def fp_model_from_json(doc: dict) -> FPModel:
         if doc.get("precision") != "fp32":
             raise ModelConfigError('not an FP model: no "precision": "fp32"')
         layers = []
-        for ld in doc["layers"]:
-            ci, co = int(ld["C_in"]), int(ld["C_out"])
+        for i, ld in enumerate(doc["layers"]):
+            ci, co = _dims(ld, "C_in", "C_out", f"layer {i} ")
             layers.append(FPLayer(*_arrays(ld, co, ci + 2, _floats, ""),
                                   ld.get("bn")))
         fd = doc["fc"]
-        fc_w, fc_b = _arrays(fd, int(fd["out_dim"]), int(fd["in_dim"]),
-                             _floats, "fc ")
+        ci, co = _dims(fd, "in_dim", "out_dim", "fc ")
+        fc_w, fc_b = _arrays(fd, co, ci, _floats, "fc ")
         return FPModel(**header, layers=layers, fc_weights=fc_w,
                        fc_bias=fc_b)
 

@@ -58,7 +58,9 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
     x = x[:, None]
     feats = []
     for layer in model.layers:
-        w = np.asarray(layer.weights, dtype=np.float64).T
+        # C-ordered: BLAS takes its threaded path for the transposed
+        # (F-ordered) operand, and waking its threads costs milliseconds
+        w = np.ascontiguousarray(np.asarray(layer.weights, np.float64).T)
         outs = []
         # an empty stream still runs one empty batch, which types its output
         for s in range(0, max(n, 1), BATCH_ROWS):

@@ -627,6 +627,23 @@ class TestModelFiles:
          "infer", "layer 0 pos_requant shift: True is not an integer"),
         ("int8", lambda d: d["input_encoding"].update({"1": 126.5}),
          "infer", "input_encoding 1: 126.5 is not an integer"),
+        ("int8", lambda d: d["sensor"].update(W=64.7), "infer",
+         "sensor W: 64.7 is not an integer"),
+        ("int8", lambda d: d["search"].update(r_s=True), "infer",
+         "search r_s: True is not an integer"),
+        ("int8", lambda d: d["search"].update(queue_depth="16"), "infer",
+         "search queue_depth: '16' is not an integer"),
+        ("int8", lambda d: d["grid"].update(Gx=float(d["grid"]["Gx"])),
+         "infer", "grid Gx: 4.0 is not an integer"),
+        ("int8", lambda d: d["layers"][1].update(C_out=str(
+            d["layers"][1]["C_out"])), "infer",
+         "layer 1 C_out: '[0-9]+' is not an integer"),
+        ("int8", lambda d: d["fc"].update(in_dim=True), "infer",
+         "fc in_dim: True is not an integer"),
+        ("fp", lambda d: d["sensor"].update(H=48.5), "quantize",
+         "bad FP model .*sensor H: 48.5 is not an integer"),
+        ("fp", lambda d: d["fc"].update(out_dim=str(d["fc"]["out_dim"])),
+         "quantize", "bad FP model .*fc out_dim: '[0-9]+' is not an integer"),
     ], ids=["fp_unchained", "fp_fc_in_dim", "fp_patch_0", "fp_layer0_c_in_2",
             "int8_patch_0", "int8_into_quantize", "fp_into_infer",
             "fp_bn_short_gamma", "fp_bn_negative_var",
@@ -635,7 +652,9 @@ class TestModelFiles:
             "blob_weights_one_byte_long", "blob_bias_one_byte_short",
             "int8_version_99", "fp_version_3", "int8_encoding_lacks_1",
             "list_weight_1_7", "list_bias_true", "requant_m_float",
-            "pos_shift_true", "encoding_half"])
+            "pos_shift_true", "encoding_half", "sensor_w_64_7", "r_s_true",
+            "queue_depth_string", "grid_gx_float", "c_out_string",
+            "fc_in_dim_true", "fp_sensor_h_48_5", "fp_out_dim_string"])
     def test_rejected(self, kind, edit, command, expect, small_model,
                       stream_path, tmp_path, capsys):
         doc = _model_doc(kind, small_model)

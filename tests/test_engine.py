@@ -351,6 +351,28 @@ def _assert_feats_equal(feats, state):
             [state.store.read(i, l + 1) for i in range(len(f))]))
 
 
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_from_plan_model_or_search(shape, small_stream,
+                                                   monkeypatch):
+    """The run plan's window, which build_adjacency reuses without
+    rebuilding it, gives the same Adjacency, field for field, as the
+    window it makes from the model or its search."""
+    model = random_model(9)
+    model.search = dataclasses.replace(model.search, shape=shape)
+    plan = engine.build_plan(model)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "window_offsets", None)
+        adjs = [engine.build_adjacency(small_stream, plan)]
+    adjs += [engine.build_adjacency(small_stream, source)
+             for source in (model, model.search)]
+    assert adjs[0].deg.sum() > 0
+    for adj in adjs[1:]:
+        for f in dataclasses.fields(adj):
+            a, b = getattr(adj, f.name), getattr(adjs[0], f.name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+            assert np.array_equal(a, b), f.name
+
+
 def test_schedules_equal_static_on_another_window(small_stream):
     """An adjacency built with r_s = 4 for an r_s = 3 model: every
     schedule reads its offsets from the adjacency's window, as the static

@@ -301,6 +301,58 @@ def test_build_adjacency_chunk_boundaries(shape, cells, make_stream,
     _check_against_incremental_reference(shape, make_stream)
 
 
+def _stale_newest_queues(stream, params):
+    """(queues whose newest retained entry is older than r_t, of those
+    the ones where an older retained entry is within r_t), over every
+    event's window; a stream whose timestamps never decrease has none of
+    the second kind, so replay_build counts no hits in the first kind."""
+    r, keep = params.r_s, params.queue_depth
+    arrivals: dict[tuple[int, int], list[int]] = {}
+    stale = stale_with_hit = 0
+    for ev in stream.events:
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                if not graph_builder._spatial_ok(dx, dy, params):
+                    continue
+                queue = arrivals.get((ev.x - dx, ev.y - dy), [])[-keep:]
+                if queue and ev.t - queue[-1] > params.r_t:
+                    stale += 1
+                    stale_with_hit += any(ev.t - t <= params.r_t
+                                          for t in queue)
+        arrivals.setdefault((ev.x, ev.y), []).append(ev.t)
+    return stale, stale_with_hit
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_stale_queues(shape, cells, make_stream,
+                                      monkeypatch):
+    """Deep queues that are mostly stale: every pixel of a 6x5 sensor gets
+    at least 8 events, at most 15 % of the entries scanned are hits, and
+    some events still reach d_max. Timestamps are multiples of 10 with
+    ties, so with r_t = 30 some kept edges are exactly r_t old, and with
+    r_t = 0 the only edges are ties."""
+    monkeypatch.setattr(graph_builder, "REPLAY_CELLS", cells)
+    rng = np.random.default_rng(23)
+    w, h = 6, 5
+    pixels = np.r_[np.repeat(np.arange(w * h), 8),
+                   rng.integers(0, w * h, size=40)]
+    rng.shuffle(pixels)
+    ts = np.sort(rng.integers(0, len(pixels) // 2, size=len(pixels))) * 10
+    stream = make_stream(w, h, [(int(q % w), int(q // w), int(t), k % 2)
+                                for k, (q, t) in enumerate(zip(pixels, ts))])
+    for r_t, oldest in ((30, 30), (0, 0)):
+        params = SearchParams(shape=shape, r_s=3, r_t=r_t, d_max=4,
+                              queue_depth=16)
+        adj = build_adjacency(stream, params)
+        _assert_equals_reference(adj, stream, params)
+        assert adj.deg.sum() <= 0.15 * adj.entries_scanned.sum()
+        assert (adj.deg == params.d_max).any()
+        assert int(_edge_dt(adj, stream).max()) == oldest
+        stale, stale_with_hit = _stale_newest_queues(stream, params)
+        assert stale > 0 and stale_with_hit == 0
+
+
 def test_build_adjacency_rejects_backwards_time(make_stream):
     stream = make_stream(8, 6, [(1, 1, 10, 0), (2, 2, 20, 1),
                                 (3, 3, 19, 0), (4, 4, 5, 0)])
