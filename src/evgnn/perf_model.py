@@ -5,7 +5,11 @@ a closed form evaluated over a whole trace's int64 arrays at once
 (estimate_stream_latency) and a discrete-event simulation that walks an
 event through explicit stage resources (simulate_cycles). The walk runs
 once per distinct (deg, entries_scanned) pair of the trace, since its
-result depends on nothing else.
+result depends on nothing else, and pushes and pops every stage job of
+that event, scan job included, on its heap calendar. What the jobs cost
+apart from deg and entries (scan cycles per entry, the overlap slot,
+fetch bytes per neighbor, conv depths, BAQ, the writeback/FC/readout
+tail) is fixed by (model, cfg, mode) and built once per call.
 
 Per event, only the degree and the queue entries scanned vary; the
 model's layer widths fix the rest. Stage composition (cycles), with
@@ -31,10 +35,11 @@ are resident on chip); a one-time load cost is reported separately.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -43,6 +48,13 @@ from .model import QuantizedModel
 
 class MissingConstants(ValueError):
     pass
+
+
+_INT_FIELDS = ("cycles_per_queue_entry_scan", "baq_cycles",
+               "queue_entry_bytes")
+_RATE_FIELDS = ("clock_hz", "dram_bw_bits_per_s")
+_ENERGY_FIELDS = ("e_mac", "e_sram_byte", "e_dram_byte")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -58,10 +70,25 @@ class HwConfig:
     queue_entry_bytes: int = 9        # t:u32, n:u32, p:u8
 
     def __post_init__(self):
-        if (self.clock_hz <= 0 or self.dram_bw_bits_per_s <= 0
-                or self.cycles_per_queue_entry_scan <= 0
-                or self.baq_cycles <= 0 or self.queue_entry_bytes <= 0):
-            raise ValueError("HwConfig values must be positive")
+        for name in _INT_FIELDS + _RATE_FIELDS + _ENERGY_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _ENERGY_FIELDS:
+                continue
+            integral = name in _INT_FIELDS
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                raise ValueError(f"HwConfig {name} must be "
+                                 f"{'an integer' if integral else 'a number'}"
+                                 f", got {value!r}")
+            energy = name in _ENERGY_FIELDS
+            if not ((value >= 0 if energy else value > 0)
+                    and value < math.inf):  # NaN fails too
+                raise ValueError(f"HwConfig {name} must be "
+                                 f"{'non-negative' if energy else 'positive'}"
+                                 f" and finite, got {value!r}")
+        if not isinstance(self.overlap_fetch_compute, bool):
+            raise ValueError(f"HwConfig overlap_fetch_compute must be true or "
+                             f"false, got {self.overlap_fetch_compute!r}")
         given = [e is not None
                  for e in (self.e_mac, self.e_sram_byte, self.e_dram_byte)]
         if any(given) and not all(given):
@@ -86,14 +113,40 @@ def load_hw_config(path: str) -> HwConfig:
 @dataclass
 class EventTrace:
     """Per-event instrumentation of an inference run: each event's degree
-    and the queue entries its neighbor search scanned."""
+    and the queue entries its neighbor search scanned.
+
+    The columns are 1-D, of one length, non-negative integers, and small
+    enough that the DES's pair key entries_scanned * (max deg + 1) + deg
+    stays within int64.
+    """
 
     deg: np.ndarray
     entries_scanned: np.ndarray
 
     def __post_init__(self):
-        self.deg = np.asarray(self.deg, dtype=np.int64)
-        self.entries_scanned = np.asarray(self.entries_scanned, dtype=np.int64)
+        for name in ("deg", "entries_scanned"):
+            col = np.asarray(getattr(self, name))
+            if col.ndim != 1:
+                raise ValueError(f"EventTrace {name} must be 1-D, "
+                                 f"got shape {col.shape}")
+            if col.size and col.dtype.kind not in "iu":
+                raise ValueError(f"EventTrace {name} must hold integers, "
+                                 f"got {col.dtype}")
+            if col.min(initial=0) < 0:
+                raise ValueError(f"EventTrace {name} must be non-negative")
+            setattr(self, name, col)
+        if len(self.deg) != len(self.entries_scanned):
+            raise ValueError(f"EventTrace deg has {len(self.deg)} events, "
+                             f"entries_scanned {len(self.entries_scanned)}")
+        span = int(self.deg.max(initial=0)) + 1
+        if int(self.entries_scanned.max(initial=0)) * span + span - 1 \
+                > _INT64_MAX:
+            raise ValueError("EventTrace columns too large: the DES pair key "
+                             "entries_scanned * (max deg + 1) + deg "
+                             "leaves int64")
+        self.deg = self.deg.astype(np.int64, copy=False)
+        self.entries_scanned = self.entries_scanned.astype(np.int64,
+                                                           copy=False)
 
     def __len__(self) -> int:
         return len(self.deg)
@@ -128,7 +181,7 @@ def bus_cycles(nbytes, cfg: HwConfig):
     """Cycles to move nbytes over the DRAM bus: int64 per array element."""
     if isinstance(nbytes, np.ndarray):
         return np.ceil(nbytes * 8 / cfg.bits_per_cycle).astype(np.int64)
-    return math.ceil(nbytes * 8 / cfg.bits_per_cycle)  # int: fast in the DES
+    return math.ceil(nbytes * 8 / cfg.bits_per_cycle)  # a Python int
 
 
 def weight_load_cycles(model: QuantizedModel, cfg: HwConfig) -> int:
@@ -207,8 +260,9 @@ class PerfReport:
         return float(self.per_event_energy.mean()) * 1e9
 
     def percentiles(self, ps=(50, 90, 99)) -> dict[int, float]:
-        return {p: float(np.percentile(self.per_event_cycles, p))
-                for p in ps}
+        ps = list(ps)
+        return dict(zip(ps, np.percentile(self.per_event_cycles,
+                                          ps).tolist()))
 
     def to_json(self) -> dict:
         cyc_to_ns = 1e9 / self.clock_hz
@@ -249,8 +303,39 @@ def estimate_stream_latency(model: QuantizedModel, trace: EventTrace,
 
 # ---------------------------------------------------------------- DES
 
-def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
-                        cfg: HwConfig, mode: str) -> int:
+@dataclass(frozen=True)
+class _StageJobs:
+    """What an event's stage jobs cost apart from its deg and entries:
+    fixed by (model, cfg, mode), so built once per simulate_cycles call."""
+
+    scan: int                  # cycles per queue entry scanned
+    slot: int | None           # overlap on: cycles of one per-neighbor slot
+    fetch_bytes: int           # overlap off: bytes fetched per neighbor
+    bits_per_cycle: float
+    depths: tuple[int, ...]    # overlap off: conv cycles per neighbor, per pass
+    baq: int
+    tail: tuple[int, ...]      # writeback, FC matvec, readout compares
+
+
+def _stage_jobs(model: QuantizedModel, cfg: HwConfig, mode: str
+                ) -> _StageJobs:
+    if mode not in ("parallel", "sequential"):
+        raise ValueError(f"unknown mode {mode!r}")
+    depths = tuple(l.c_in + 2 for l in model.layers)
+    fetch = fetch_bytes_per_neighbor(model)
+    overlap = cfg.overlap_fetch_compute and mode == "parallel"
+    return _StageJobs(
+        scan=cfg.cycles_per_queue_entry_scan,
+        slot=max(bus_cycles(fetch, cfg), max(depths)) if overlap else None,
+        fetch_bytes=fetch,
+        bits_per_cycle=cfg.bits_per_cycle,
+        depths=(max(depths),) if mode == "parallel" else depths,
+        baq=cfg.baq_cycles,
+        tail=(bus_cycles(writeback_bytes(model), cfg), model.fc.in_dim,
+              model.c_last))
+
+
+def _simulate_one_event(jobs: _StageJobs, deg: int, entries: int) -> int:
     """Event-calendar walk of one event through the pipeline stages.
 
     Stages are scheduled as jobs on a shared timeline; with overlap on, the
@@ -258,43 +343,31 @@ def _simulate_one_event(model: QuantizedModel, deg: int, entries: int,
     slots (fetch of neighbor k+1 runs while neighbor k is computed; the
     first fetch is prefetched during the tail of the neighbor scan).
     """
-    calendar: list[tuple[int, int]] = []  # (completion_time, job id)
-    now = 0
-    jid = 0
-
-    def run(duration: int) -> None:
-        nonlocal now, jid
-        heapq.heappush(calendar, (now + duration, jid))
-        jid += 1
-        now = heapq.heappop(calendar)[0]
-
-    run(entries * cfg.cycles_per_queue_entry_scan)  # graph build scan
-
-    if cfg.overlap_fetch_compute and mode == "parallel":
-        per_nbr_fetch = bus_cycles(fetch_bytes_per_neighbor(model), cfg)
-        per_nbr_comp = max(l.c_in + 2 for l in model.layers)
-        for _ in range(deg):
-            # both units busy for the slot; the slower one gates progress
-            slot_end = now + max(per_nbr_fetch, per_nbr_comp)
-            heapq.heappush(calendar, (slot_end, jid)); jid += 1
-            heapq.heappush(calendar, (slot_end, jid)); jid += 1
-            heapq.heappop(calendar)
-            now = heapq.heappop(calendar)[0]
-        run(cfg.baq_cycles)
+    if jobs.slot is None:
+        slots = 0
+        # the feature fetch is bus_cycles(deg * fetch_bytes, cfg)
+        after = (math.ceil(deg * jobs.fetch_bytes * 8 / jobs.bits_per_cycle),
+                 *(c for depth in jobs.depths for c in (deg * depth, jobs.baq)),
+                 *jobs.tail)
     else:
-        run(bus_cycles(deg * fetch_bytes_per_neighbor(model), cfg))
-        depths = [l.c_in + 2 for l in model.layers]
-        if mode == "parallel":
-            run(deg * max(depths))
-            run(cfg.baq_cycles)
-        else:
-            for d in depths:
-                run(deg * d)
-                run(cfg.baq_cycles)
-
-    run(bus_cycles(writeback_bytes(model), cfg))
-    run(model.fc.in_dim)  # FC matvec
-    run(model.c_last)  # readout compares
+        slots = deg
+        after = (jobs.baq, *jobs.tail)
+    calendar: list[tuple[int, int]] = []  # (completion_time, job id)
+    heappush(calendar, (entries * jobs.scan, 0))  # graph build scan
+    now = heappop(calendar)[0]
+    jid = 1
+    for _ in range(slots):
+        # both units busy for the slot; the slower one gates progress
+        end = now + jobs.slot
+        heappush(calendar, (end, jid))      # fetch unit
+        heappush(calendar, (end, jid + 1))  # MatVec array
+        jid += 2
+        heappop(calendar)
+        now = heappop(calendar)[0]
+    for duration in after:  # the remaining stage jobs, one at a time
+        heappush(calendar, (now + duration, jid))
+        jid += 1
+        now = heappop(calendar)[0]
     return now
 
 
@@ -304,20 +377,20 @@ def simulate_cycles(trace: EventTrace, model: QuantizedModel, cfg: HwConfig,
 
     An event's walk depends only on its two trace columns, and these
     repeat (deg <= d_max), so the walk runs once per distinct
-    (deg, entries_scanned) pair of this trace and its result goes to every
-    event with that pair. Nothing is kept between calls.
+    (deg, entries_scanned) pair of this trace, found by one np.unique of
+    the key entries_scanned * (max deg + 1) + deg, and its result goes to
+    every event with that pair. The stage jobs' fixed costs are built once
+    per call; nothing is kept between calls.
     """
-    if mode not in ("parallel", "sequential"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rows = np.stack([trace.deg, trace.entries_scanned])
-    order = np.lexsort(rows)
-    rows = rows[:, order]
-    first = np.ones(len(trace), dtype=bool)
-    first[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
-    walked = np.array([_simulate_one_event(model, *row, cfg, mode)
-                       for row in rows[:, first].T.tolist()], dtype=np.int64)
-    per_event = np.empty(len(trace), dtype=np.int64)
-    per_event[order] = walked[np.cumsum(first) - 1]
+    jobs = _stage_jobs(model, cfg, mode)
+    span = int(trace.deg.max(initial=0)) + 1
+    pairs, inverse = np.unique(trace.entries_scanned * span + trace.deg,
+                               return_inverse=True)
+    entries, deg = np.divmod(pairs, span)
+    walked = np.array([_simulate_one_event(jobs, d, e)
+                       for d, e in zip(deg.tolist(), entries.tolist())],
+                      dtype=np.int64)
+    per_event = walked[inverse]
     # stage totals are an analytic notion; the DES only produces totals
     stage_totals = {s: 0 for s in STAGES}
     return PerfReport(per_event, stage_totals, int(per_event.sum()),

@@ -417,8 +417,19 @@ class TestBench:
          "give all three or none"),
         ('[200000000.0]', "must be a JSON object"),
         ('{"hw": {"clock_Hz": 1e8}}', "clock_Hz"),
+        ('{"hw": {"cycles_per_queue_entry_scan": 1.5}}',
+         "cycles_per_queue_entry_scan must be an integer"),
+        ('{"hw": {"overlap_fetch_compute": "false"}}',
+         "overlap_fetch_compute must be true or false"),
+        ('{"hw": {"queue_entry_bytes": 9.5}}',
+         "queue_entry_bytes must be an integer"),
+        ('{"hw": {"e_mac": -1e-12, "e_sram_byte": 1e-12, '
+         '"e_dram_byte": 1e-10}}', "e_mac must be non-negative"),
+        ('{"hw": {"clock_hz": Infinity}}', "clock_hz must be positive"),
     ], ids=["malformed_json", "non_positive", "wrong_type",
-            "e_mac_alone", "not_an_object", "unknown_key"])
+            "e_mac_alone", "not_an_object", "unknown_key",
+            "fractional_scan_cycles", "string_bool", "fractional_bytes",
+            "negative_energy", "infinite_clock"])
     def test_bad_hw_config_is_config_error(self, model_path, stream_path,
                                            tmp_path, capsys, text, message):
         hw = tmp_path / "hw.json"

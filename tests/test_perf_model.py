@@ -53,6 +53,36 @@ class TestHwConfig:
         with pytest.raises(ValueError, match="all three or none"):
             HwConfig(**given)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("cycles_per_queue_entry_scan", 1.5, "an integer"),
+        ("baq_cycles", True, "an integer"),
+        ("queue_entry_bytes", 9.5, "an integer"),
+        ("queue_entry_bytes", 0, "positive and finite"),
+        ("overlap_fetch_compute", "false", "true or false"),
+        ("overlap_fetch_compute", 1, "true or false"),
+        ("clock_hz", "fast", "a number"),
+        ("clock_hz", math.inf, "positive and finite"),
+        ("dram_bw_bits_per_s", math.nan, "positive and finite"),
+        ("dram_bw_bits_per_s", -3.2e9, "positive and finite"),
+        ("e_mac", -1e-12, "non-negative and finite"),
+        ("e_sram_byte", math.nan, "non-negative and finite"),
+        ("e_dram_byte", math.inf, "non-negative and finite"),
+        ("e_dram_byte", "1e-10", "a number"),
+    ])
+    def test_field_type_and_range(self, field, value, message):
+        given = {"e_mac": 0.0, "e_sram_byte": 0.0, "e_dram_byte": 0.0,
+                 field: value}
+        with pytest.raises(ValueError,
+                           match=f"^HwConfig {field} must be {message}"):
+            HwConfig(**given)
+
+    def test_integers_and_zero_energy_accepted(self):
+        """JSON reads 200000000 as an int; numpy integers count too."""
+        cfg = HwConfig(clock_hz=200_000_000, dram_bw_bits_per_s=3_200_000_000,
+                       baq_cycles=np.int64(2), e_mac=0, e_sram_byte=0.0,
+                       e_dram_byte=0.0)
+        assert cfg.bits_per_cycle == 16.0
+
     def test_load_nested_hw_key(self, tmp_path):
         path = tmp_path / "hw.json"
         path.write_text(json.dumps({"hw": {"clock_hz": 1e8}}))
@@ -63,6 +93,38 @@ class TestHwConfig:
         path.write_text(json.dumps({"hw": {"clock_Hz": 1e8}}))
         with pytest.raises(TypeError, match="clock_Hz"):
             pm.load_hw_config(str(path))
+
+
+class TestEventTrace:
+    @pytest.mark.parametrize("deg, entries, message", [
+        ([[1, 2]], [3, 4], "deg must be 1-D"),
+        ([1, 2], 3, "entries_scanned must be 1-D"),
+        ([1, 2], [3], "deg has 2 events, entries_scanned 1"),
+        ([1, -2], [3, 4], "deg must be non-negative"),
+        ([1, 2], [3, -4], "entries_scanned must be non-negative"),
+        ([1.0, 2.0], [3, 4], "deg must hold integers"),
+        ([1, 2], [3.5, 4], "entries_scanned must hold integers"),
+        ([True], [3], "deg must hold integers"),
+        (np.array([2**63], dtype=np.uint64), [0], "leaves int64"),
+        ([1], [2**62], "leaves int64"),
+        ([3], [2**61], "leaves int64"),
+    ], ids=["deg_2d", "entries_0d", "lengths", "deg_negative",
+            "entries_negative", "deg_float", "entries_float", "deg_bool",
+            "deg_past_int64", "key_past_int64", "key_past_int64_deg3"])
+    def test_rejected(self, deg, entries, message):
+        with pytest.raises(ValueError, match=f"^EventTrace .*{message}"):
+            EventTrace(deg, entries)
+
+    def test_largest_key_accepted(self):
+        """deg 1 and entries (2**63 - 2) / 2 make the key 2**63 - 1."""
+        trace = EventTrace(np.array([1, 0], dtype=np.uint8),
+                           np.array([2**62 - 1, 7], dtype=np.uint64))
+        assert trace.deg.dtype == trace.entries_scanned.dtype == np.int64
+        assert trace.entries_scanned.tolist() == [2**62 - 1, 7]
+
+    def test_int64_columns_not_copied(self):
+        deg = np.arange(5, dtype=np.int64)
+        assert EventTrace(deg, deg + 1).deg is deg
 
 
 class TestConvLatency:
@@ -154,13 +216,44 @@ class TestAnalyticVsSimulation:
                       _repeated_rows_trace(rng)):
             analytic = estimate_stream_latency(small_model, trace, cfg, mode)
             des = simulate_cycles(trace, small_model, cfg, mode)
-            walked = [pm._simulate_one_event(small_model, *row, cfg, mode)
+            jobs = pm._stage_jobs(small_model, cfg, mode)
+            walked = [pm._simulate_one_event(jobs, *row)
                       for row in zip(trace.deg.tolist(),
                                      trace.entries_scanned.tolist())]
             assert des.per_event_cycles.tolist() == walked
             assert np.array_equal(analytic.per_event_cycles,
                                   des.per_event_cycles)
             assert analytic.total_cycles == des.total_cycles
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("mode", ["parallel", "sequential"])
+    def test_one_walk_per_distinct_pair(self, small_model, rng, monkeypatch,
+                                        overlap, mode):
+        """The DES stays a walk per pair: never fewer (a per-degree
+        shortcut) nor more (a walk per event)."""
+        walked = []
+        real = pm._simulate_one_event
+
+        def counted(jobs, deg, entries):
+            walked.append((deg, entries))
+            return real(jobs, deg, entries)
+
+        monkeypatch.setattr(pm, "_simulate_one_event", counted)
+        cfg = HwConfig(overlap_fetch_compute=overlap)
+        deg = rng.integers(0, 17, size=10_000)
+        big = EventTrace(deg, deg + rng.integers(0, 200, size=10_000))
+        for trace in (EventTrace([], []), _repeated_rows_trace(rng), big):
+            walked.clear()
+            des = simulate_cycles(trace, small_model, cfg, mode)
+            pairs = set(zip(trace.deg.tolist(),
+                            trace.entries_scanned.tolist()))
+            assert len(walked) == len(pairs)
+            assert set(walked) == pairs
+            assert all(type(d) is int and type(e) is int for d, e in walked)
+            analytic = estimate_stream_latency(small_model, trace, cfg, mode)
+            assert np.array_equal(des.per_event_cycles,
+                                  analytic.per_event_cycles)
+        assert 1000 < len(pairs) < len(big)  # many pairs, some repeated
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -202,6 +295,40 @@ class TestStreamForm:
             assert report.per_event_cycles.shape == (0,)
             assert report.total_cycles == 0
             assert report.stage_cycles == {s: 0 for s in pm.STAGES}
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("mode", ["parallel", "sequential"])
+    def test_zero_degree_trace(self, small_model, overlap, mode):
+        """Every event without a neighbor: the pair key is entries alone."""
+        cfg = HwConfig(overlap_fetch_compute=overlap)
+        entries = [0, 5, 0, 40, 5]
+        trace = EventTrace([0] * len(entries), entries)
+        des = simulate_cycles(trace, small_model, cfg, mode)
+        jobs = pm._stage_jobs(small_model, cfg, mode)
+        assert des.per_event_cycles.tolist() == [
+            pm._simulate_one_event(jobs, 0, e) for e in entries]
+        analytic = estimate_stream_latency(small_model, trace, cfg, mode)
+        assert np.array_equal(analytic.per_event_cycles,
+                              des.per_event_cycles)
+        # scan + BAQ per conv pass + writeback, FC and readout
+        passes = 1 if mode == "parallel" else len(small_model.layers)
+        fixed = (passes * cfg.baq_cycles + math.ceil(
+            sum(l.c_out for l in small_model.layers) * 8
+            / cfg.bits_per_cycle) + small_model.fc.in_dim
+            + small_model.c_last)
+        assert des.per_event_cycles.tolist() == [e + fixed for e in entries]
+
+    @pytest.mark.parametrize("ps", [(50, 90, 99), (99.9, 0, 50, 12.5, 100),
+                                    (75,)])
+    def test_percentiles_match_one_call_per_p(self, small_model, rng, ps):
+        trace = _rand_trace(rng, small_model, n=997)
+        report = estimate_stream_latency(small_model, trace, HwConfig())
+        got = report.percentiles(ps)
+        assert list(got) == list(ps)
+        for p, value in got.items():
+            expect = float(np.percentile(report.per_event_cycles, p))
+            assert type(value) is float
+            assert value.hex() == expect.hex()
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_unknown_mode(self, small_model, rng, n):
