@@ -6,34 +6,45 @@ Two granularities are provided:
       built from the per-op primitives below (message_matvec,
       aggregate_max, baq, ReadoutState.update, fc_forward). This scalar
       path is the independent oracle of the batch path.
-    - run_stream: whole-stream execution through one factored INT8 layer
-      function, eq7_layer, reading the stream's x, y, t, p columns. It
+    - run_stream: whole-stream execution through one factored INT8
+      kernel, eq7_block, reading the stream's x, y, t, p columns. It
       splits each message W . (x_j, q|dx|, q|dy|) into a per-node term
       W_x . x_j and a per-layer table with one row per slot of the
       search window, so an edge, held as its neighbour and its window
-      slot (Adjacency.nbr_n, nbr_o), costs one C_out add and a max. Both
-      are held slot-major, [d_max, N], and a slot past an event's degree
-      points at a sentinel row appended to the node terms (MSG_FLOOR) and
-      to the table (0, row K): a batch of B events is one gather into a
-      [D, B, C_out] tensor and one max over the slot axis, with no mask.
-      run_layers batches it three ways: the whole graph, layer by layer,
-      in contiguous row slices (the default of infer and bench), and the
-      layer-sequential and layer-parallel schedules over the adjacency's
-      dependency levels, kept to verify it. All share one incremental
-      readout / FC, readout_trace, and return one RunResult whose feats
-      hold one uint8 [N, C_out] array per layer (BAQ clamps every output
-      to [0, 127]). The static forwards of static_oracle return it too;
-      they compute each message unfactored, so verify checks this
-      factoring against them.
+      slot (Adjacency.nbr_n, nbr_o), costs one add per channel and a max.
+      Both are held slot-major, [d_max, N], and a slot past an event's
+      degree points at a sentinel row appended to the node terms
+      (MSG_FLOOR) and to the table (0, row K): a batch of B events is one
+      gather into a [D, B, C] tensor, one max over the slot axis with no
+      mask, and one BAQ epilogue (Epilogue, baq_block) on int64. The
+      kernel runs a block of layers whose output channels sit side by
+      side, C in all. run_layers batches it three ways, over one layer
+      at a time or all of them:
+        - the whole graph, layer by layer, in contiguous row slices (the
+          default of infer and bench), one-layer blocks;
+        - the layer-sequential schedule: each layer over the adjacency's
+          dependency levels in turn, one-layer blocks;
+        - the layer-parallel wavefront, the paper's idea (iii): each layer
+          of an event reads only stored features of past neighbours, so
+          all L layers of a dependency level run at once, in one block of
+          every layer, with the per-channel epilogue of the run plan.
+      The level schedules are kept to verify the default. All share one
+      incremental readout / FC, readout_trace, and return one RunResult
+      whose feats hold one uint8 [N, C_out] array per layer (BAQ clamps
+      every output to [0, 127]). The static forwards of static_oracle
+      return it too; they compute each message unfactored, so verify
+      checks this factoring against them.
 
 What a run reads of the model alone (the window, the per-layer tables
-and W_x, the input encoding, the FC weights per readout cell) is one
-immutable RunPlan, built once per (model, search) by build_plan; a
-command builds one and runs all its streams and schedules on it.
+and W_x, the epilogues, the input encoding, the FC weights per readout
+cell) is one immutable RunPlan, built once per (model, search) by
+build_plan; a command builds one and runs all its streams and schedules
+on it.
 
 All INT8 arithmetic is exact. The node terms are float64 products, which
 hold every partial sum exactly because the model loader proves that each
-stays below 2**31; requantization rounds to nearest even.
+stays below 2**31; requantization rounds to nearest even, in int64,
+where v * M + 2**61 stays below 2**63.
 """
 
 from __future__ import annotations
@@ -50,8 +61,8 @@ from .model import ACC_LIMIT, LayerParams, ModelHeader, QuantizedModel
 
 NEG_IDENTITY = np.int64(-(2**62))  # "-inf" empty-aggregation identity
 MSG_FLOOR = np.int32(-(2**31))  # batch path's "-inf": below every message
-# Message cells (rows * D * C_out) per eq7_layer call; bounds the batch
-# path's working memory.
+# Message cells (rows * D * C) per eq7_block call; bounds the batch path's
+# working memory.
 CHUNK_CELLS = 1 << 16
 
 
@@ -280,12 +291,6 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
         d_max=params.d_max)
 
 
-def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
-    """BAQ of biased aggregates: ReLU, requantize (RNE), clamp to [0, 127]."""
-    return np.minimum(rne_mulshift(np.maximum(v, 0).astype(np.int64),
-                                   *requant), 127)
-
-
 def position_terms(layer: LayerParams, win_dx: np.ndarray,
                    win_dy: np.ndarray) -> np.ndarray:
     """int32[K, C_out]: row o is W_pos . (q|dx_o|, q|dy_o|) of window slot o.
@@ -324,14 +329,71 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Epilogue:
+    """BAQ constants of a block of channels: bias, M, shift and rounding.
+
+    Each field is a scalar that every channel shares or an array with one
+    entry per channel. half is 2**(shift-1) - 1 and odd is 1, or both are
+    0 at shift 0, so that (v + half + ((v >> shift) & odd)) >> shift rounds
+    v / 2**shift to nearest even at any shift.
+    """
+
+    bias: np.ndarray  # int64[C]
+    mult: int | np.ndarray
+    shift: int | np.ndarray
+    half: int | np.ndarray
+    odd: int | np.ndarray
+
+    @staticmethod
+    def of(layers: list[LayerParams]) -> "Epilogue":
+        """One layer's epilogue, with its scalar M and shift, or the
+        per-channel epilogue of layers whose channels sit side by side."""
+        bias = _frozen(np.concatenate([lp.bias for lp in layers])
+                       .astype(np.int64))
+        if len(layers) == 1:
+            mult, shift = layers[0].requant
+            return Epilogue(bias, mult, shift,
+                            (1 << shift >> 1) - (shift > 0), int(shift > 0))
+        reps = [lp.c_out for lp in layers]
+        mult, shift = (_frozen(np.repeat(np.array(c, dtype=np.int64), reps))
+                       for c in zip(*(lp.requant for lp in layers)))
+        return Epilogue(bias, mult, shift,
+                        _frozen((1 << shift >> 1) - (shift > 0)),
+                        _frozen((shift > 0).astype(np.int64)))
+
+
+def baq_block(v: np.ndarray, ep: Epilogue) -> np.ndarray:
+    """BAQ of aggregates v (int64[B, C], changed in place and returned):
+    bias, ReLU, requantize (RNE), clamp to [0, 127].
+
+    Exact: the loader's range proof keeps every biased aggregate and M
+    below 2**31, so v * M + 2**61 < 2**63 fits int64 at any shift <= 62.
+    """
+    v += ep.bias
+    np.maximum(v, 0, out=v)
+    v *= ep.mult
+    if np.ndim(ep.shift) or ep.shift:
+        r = v >> ep.shift
+        r &= ep.odd
+        r += ep.half
+        v += r
+        v >>= ep.shift
+    np.minimum(v, 127, out=v)
+    return v
+
+
+@dataclass(frozen=True, eq=False)
 class RunPlan:
     """What every run of one model under one search reads, built once.
 
     win_dx, win_dy are the search window's offsets and tables its
-    position_tables; w_x[l] is float64[C_in, C_out], the weights that
-    multiply layer l's input features; encoding maps a polarity to its
-    encoded input; fc_cells is fc_by_cell of the FC weights. The arrays
-    are read-only, so one plan serves any number of runs.
+    position_tables; table stacks them side by side, as the layer-parallel
+    wavefront's block reads them. w_x[l] is float64[C_in, C_out], the
+    weights that multiply layer l's input features; epilogues[l] is layer
+    l's own Epilogue and block the per-channel one of all layers side by
+    side; encoding maps a polarity to its encoded
+    input; fc_cells is fc_by_cell of the FC weights. The arrays are
+    read-only, so one plan serves any number of runs.
     """
 
     model: QuantizedModel
@@ -339,7 +401,10 @@ class RunPlan:
     win_dx: np.ndarray
     win_dy: np.ndarray
     tables: tuple[np.ndarray, ...]
+    table: np.ndarray
     w_x: tuple[np.ndarray, ...]
+    epilogues: tuple[Epilogue, ...]
+    block: Epilogue
     encoding: np.ndarray  # float64[2], indexed by polarity 0 / 1
     fc_cells: np.ndarray
 
@@ -354,6 +419,18 @@ def position_tables(layers: list[LayerParams], win_dx: np.ndarray,
         for lp in layers)
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """float64 matrix with blocks on its diagonal and 0 elsewhere."""
+    rows = sum(b.shape[0] for b in blocks)
+    out = np.zeros((rows, sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
 def build_plan(model: QuantizedModel) -> RunPlan:
     """The run plan of model under its current search parameters."""
     search = model.search
@@ -364,35 +441,41 @@ def build_plan(model: QuantizedModel) -> RunPlan:
     encoding = np.array([model.input_encoding[0], model.input_encoding[1]],
                         dtype=np.float64)
     return RunPlan(model, search, _frozen(win_dx), _frozen(win_dy), tables,
-                   w_x, _frozen(encoding),
+                   _frozen(np.hstack(tables)), w_x,
+                   tuple(Epilogue.of([lp]) for lp in model.layers),
+                   Epilogue.of(model.layers), _frozen(encoding),
                    _frozen(fc_by_cell(model, model.fc.weights)))
 
 
-def eq7_layer(layer: LayerParams, terms: np.ndarray, table: np.ndarray,
-              nbr: np.ndarray, pos: np.ndarray, empty: np.ndarray,
+def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
+              pos: np.ndarray, empty: np.ndarray, ep: Epilogue,
               empty_aggregation: str) -> np.ndarray:
-    """Eq-7 INT8 conv of one layer for a batch of B events, factored.
+    """Eq-7 INT8 conv of a block of layers for a batch of B events, factored.
 
-    out_b = BAQ(max over slots j of (terms[nbr_jb] + table[pos_jb]) + bias),
-    which equals BAQ(max_j W . (x_j, q|dx_bj|, q|dy_bj|) + bias) exactly.
-    nbr (neighbour rows) and pos (window slots, the table's rows) are
-    slot-major [D, B]. terms holds W_x . x_j of every event plus a last
-    sentinel row of MSG_FLOOR, int32[N+1, C_out]; table is the layer's
-    position_terms plus a last sentinel row of 0, row K. A slot at or past
-    an event's degree points at both sentinels, so its message is exactly
-    MSG_FLOOR. The gathers build one [D, B, C_out] tensor, and one reduce
-    over the slot axis takes the max. empty marks the rows of degree 0,
-    which aggregate to the empty identity: 0 ("zero") or -inf ("neg_inf").
-    The loader's range proof puts every message, bias and their sum
-    strictly inside int32, so MSG_FLOOR lies below every real message and
-    MSG_FLOOR + bias < 0 maps to 0 exactly as -inf does.
+    The block's layers have their output channels side by side, C in all;
+    a block of one layer is that layer. Channel c of event b is
+    BAQ(max over slots j of (terms[nbr_jb, c] + table[pos_jb, c])), which
+    equals BAQ(max_j W . (x_j, q|dx_bj|, q|dy_bj|) + bias) of the layer c
+    belongs to exactly. nbr (neighbour rows) and pos (window slots, the
+    table's rows) are slot-major [D, B]. terms holds each layer's W_x . x_j
+    of every event plus a last sentinel row of MSG_FLOOR, int32[N+1, C];
+    table holds each layer's position_terms plus a last sentinel row of 0,
+    row K. A slot at or past an event's degree points at both sentinels,
+    so its message is exactly MSG_FLOOR. One gather of each builds one
+    [D, B, C] tensor, one reduce over the slot axis takes the max and one
+    baq_block with ep, the block's epilogue, requantizes it. empty marks
+    the rows of degree 0, which aggregate to the empty identity: 0
+    ("zero") or -inf ("neg_inf"). The loader's range proof puts every
+    message, bias and their sum strictly inside int32, so MSG_FLOOR lies
+    below every real message and MSG_FLOOR + bias < 0 maps to 0 exactly
+    as -inf does. Returns int64[B, C], every value in [0, 127].
     """
     msgs = np.take(terms, nbr, axis=0)
     msgs += np.take(table, pos, axis=0)
     agg = np.maximum.reduce(msgs, axis=0, initial=MSG_FLOOR).astype(np.int64)
     if empty_aggregation == "zero":
         agg[empty] = 0
-    return baq_batch(agg + layer.bias, layer.requant)
+    return baq_block(agg, ep)
 
 
 def _row_chunks(group, size: int):
@@ -428,58 +511,77 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
 
     A group is a slice (the whole graph, taken in contiguous views) or an
     index array (a dependency level). A group's events must depend only on
-    earlier groups. layer_outer runs layer by layer over all groups, and
-    drops a layer's node terms once the layer is done, so only two
-    layers' terms are alive at a time; otherwise it runs group by group
-    over all layers. Each eq7_layer call holds at most CHUNK_CELLS message
-    cells. x0 is the encoded input of every event; a layer's node terms
-    are computed as its input rows are written. The offsets come from the
-    adjacency's window: the plan's tables when it is the plan's window.
-    Returns the per-layer outputs (uint8[N, C_out]).
+    earlier groups. layer_outer runs layer by layer over all groups, one
+    layer per eq7_block call, and drops a layer's node terms once the
+    layer is done, so only two layers' terms are alive at a time.
+    Otherwise it runs group by group, and one eq7_block call runs every
+    layer of a chunk of the group (the layer-parallel wavefront): layer l
+    of an event reads only layer l-1 outputs of earlier groups, so all
+    layers read one [N+1, sum C_out] array of node terms, whose column
+    block l+1 is written from layer l's output after each chunk, and one
+    position table, the plan's tables side by side. Each
+    eq7_block call holds at most CHUNK_CELLS message cells. x0 is the
+    encoded input of every event; a layer's node terms are computed as its
+    input rows are written. The offsets come from the adjacency's window:
+    the plan's tables when it is the plan's window. Returns the per-layer
+    outputs (uint8[N, C_out]).
     """
     layers = plan.model.layers
-    tables = plan.tables
+    tables, table = plan.tables, plan.table
     if not (np.array_equal(adj.win_dx, plan.win_dx)
             and np.array_equal(adj.win_dy, plan.win_dy)):
         tables = position_tables(layers, adj.win_dx, adj.win_dy)
+        table = np.hstack(tables)
     n, d_max = adj.nbr_n.shape
     nbr, pos = slot_major(adj)
     empty = adj.deg == 0
+    x0 = np.asarray(x0, dtype=np.float64)[:, None]
 
-    def new_terms(l):
-        t = np.empty((n + 1, layers[l].c_out), dtype=np.int32)
+    def new_terms(width):
+        t = np.empty((n + 1, width), dtype=np.int32)
         t[n] = MSG_FLOOR
         return t
 
-    terms = [new_terms(0)] + [None] * (len(layers) - 1)
-    terms[0][:n] = node_terms(np.asarray(x0, dtype=np.float64)[:, None],
-                              plan.w_x[0])
+    def chunks(width):
+        size = max(1, CHUNK_CELLS // (max(d_max, 1) * width))
+        return (rows for group in groups for rows in _row_chunks(group, size))
+
+    def conv(terms, table, ep, rows):
+        d = int(adj.deg[rows].max())
+        return eq7_block(terms, table, nbr[:d, rows], pos[:d, rows],
+                         empty[rows], ep, plan.model.empty_aggregation)
+
+    if not layer_outer:
+        off = np.cumsum([0] + [lp.c_out for lp in layers]).tolist()
+        terms = new_terms(off[-1])
+        terms[:n, :off[1]] = node_terms(x0, plan.w_x[0])
+        # w_x[1:] on the diagonal: one product of the outputs of every
+        # layer but the last gives every layer's node terms but the first
+        w_next = _block_diag(plan.w_x[1:])
+        feats = np.zeros((n, off[-1]), dtype=np.uint8)
+        for rows in chunks(off[-1]):
+            out = conv(terms, table, plan.block, rows)
+            feats[rows] = out
+            terms[rows, off[1]:] = node_terms(
+                out[:, :off[-2]].astype(np.float64), w_next)
+        return [np.ascontiguousarray(feats[:, a:b])
+                for a, b in zip(off, off[1:])]
+
     outs = [np.zeros((n, lp.c_out), dtype=np.uint8) for lp in layers]
-    chunk = [max(1, CHUNK_CELLS // (max(d_max, 1) * lp.c_out))
-             for lp in layers]
-
-    def run(l, group):
-        if l + 1 < len(layers) and terms[l + 1] is None:
-            terms[l + 1] = new_terms(l + 1)
-        for rows in _row_chunks(group, chunk[l]):
-            d = int(adj.deg[rows].max())
-            out = eq7_layer(layers[l], terms[l], tables[l],
-                            nbr[:d, rows], pos[:d, rows], empty[rows],
-                            plan.model.empty_aggregation)
+    terms = new_terms(layers[0].c_out)
+    terms[:n] = node_terms(x0, plan.w_x[0])
+    for l, lp in enumerate(layers):
+        nxt = new_terms(layers[l + 1].c_out) if l + 1 < len(layers) else None
+        for rows in chunks(lp.c_out):
+            out = conv(terms, tables[l], plan.epilogues[l], rows)
             outs[l][rows] = out
-            if l + 1 < len(layers):
-                terms[l + 1][rows] = node_terms(out.astype(np.float64),
-                                                plan.w_x[l + 1])
-
-    if layer_outer:
-        for l in range(len(layers)):
-            for group in groups:
-                run(l, group)
-            terms[l] = None
-    else:
-        for group in groups:
-            for l in range(len(layers)):
-                run(l, group)
+            if nxt is not None:
+                nxt[rows] = node_terms(out.astype(np.float64),
+                                       plan.w_x[l + 1])
+            # freed before the next gather: held across it, a chunk's
+            # output raised dense_dot's peak RSS by 0.2 MB
+            del out
+        terms = nxt
     return outs
 
 

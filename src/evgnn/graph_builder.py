@@ -410,9 +410,11 @@ def dependency_levels(adj: Adjacency) -> list[np.ndarray]:
     Every neighbor of an event sits in a lower level, so the events of one
     level read only stored features and run as one batch.
     """
-    level = [0] * len(adj.deg)
+    level = [0] * len(adj.deg)  # an event without neighbours stays at 0
+    get = level.__getitem__
     for i, (d, row) in enumerate(zip(adj.deg.tolist(), adj.nbr_n.tolist())):
-        level[i] = 1 + max((level[j] for j in row[:d]), default=-1)
+        if d:
+            level[i] = 1 + max(map(get, row[:d]))
     if not level:
         return []
     level = np.asarray(level, dtype=np.int64)

@@ -247,6 +247,9 @@ class PerfReport:
 
     @property
     def mean_cycles(self) -> float:
+        """Mean cycles per event; 0.0 for a trace without events."""
+        if not len(self.per_event_cycles):
+            return 0.0
         return float(self.per_event_cycles.mean())
 
     @property
@@ -257,10 +260,15 @@ class PerfReport:
     def mean_energy_nj(self) -> float | None:
         if self.per_event_energy is None:
             return None
+        if not len(self.per_event_energy):
+            return 0.0
         return float(self.per_event_energy.mean()) * 1e9
 
     def percentiles(self, ps=(50, 90, 99)) -> dict[int, float]:
+        """Cycle percentiles of the events; 0.0 each without events."""
         ps = list(ps)
+        if not len(self.per_event_cycles):
+            return dict.fromkeys(ps, 0.0)
         return dict(zip(ps, np.percentile(self.per_event_cycles,
                                           ps).tolist()))
 
@@ -412,25 +420,22 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
     """
     if cfg.e_mac is None or cfg.e_sram_byte is None or cfg.e_dram_byte is None:
         raise MissingConstants("e_mac / e_sram_byte / e_dram_byte required")
-    per_nbr_w = conv_weight_bytes(model)
     n = len(trace)
+    # conv MACs per event, and as many conv weight bytes read from SRAM
     conv = conv_macs(model, trace.deg)
+    scanned = trace.entries_scanned * cfg.queue_entry_bytes
     macs = conv + fc_macs(model)
     fetched = trace.deg * fetch_bytes_per_neighbor(model)
     dram = fetched + writeback_bytes(model)
-    sram = (trace.entries_scanned * cfg.queue_entry_bytes
-            + trace.deg * per_nbr_w + fc_macs(model))
+    sram = scanned + conv + fc_macs(model)
     energy = (macs * cfg.e_mac + sram * cfg.e_sram_byte
               + dram * cfg.e_dram_byte)
     report.per_event_energy = energy
     report.total_energy = float(energy.sum())
     report.stage_energy = {
-        "graph_build": float((trace.entries_scanned
-                              * cfg.queue_entry_bytes).sum()
-                             * cfg.e_sram_byte),
+        "graph_build": float(scanned.sum() * cfg.e_sram_byte),
         "feature_fetch": float(fetched.sum() * cfg.e_dram_byte),
-        "conv": float((conv * cfg.e_mac
-                       + trace.deg * per_nbr_w * cfg.e_sram_byte).sum()),
+        "conv": float((conv * cfg.e_mac + conv * cfg.e_sram_byte).sum()),
         "writeback": float(n * writeback_bytes(model) * cfg.e_dram_byte),
         "readout_fc": float(n * fc_macs(model)
                             * (cfg.e_mac + cfg.e_sram_byte)),

@@ -18,9 +18,10 @@ Each takes (stream, adjacency, model) and returns the engine's RunResult:
                 clipped at 32767) and BAQ, with uint8 outputs. The float64
                 sums are exact, because the model loader proves every
                 |sum| < 2**31, so it is bit-exact against the engine's
-                factored eq7_layer while using none of that factoring
-                (node terms, per-slot position table, slot-major rows):
-                verify's static leg checks it.
+                factored eq7_block while using none of that factoring
+                (node terms, per-slot position table, slot-major rows)
+                nor its epilogue (baq_batch requantizes through
+                rne_mulshift): verify's static leg checks it.
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import perf_model
-from .engine import (RunResult, baq_batch, fc_by_cell, readout_trace,
-                     rne_mulshift)
+from .engine import RunResult, fc_by_cell, readout_trace, rne_mulshift
 from .event_io import EventStream
 from .graph_builder import Adjacency
 from .model import FPModel, QuantizedModel
 
 BATCH_ROWS = 4096  # events per step; bounds the [B, D, C_in+2] gather
+
+
+def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
+    """BAQ of biased aggregates: ReLU, requantize (RNE), clamp to [0, 127]."""
+    return np.minimum(rne_mulshift(np.maximum(v, 0).astype(np.int64),
+                                   *requant), 127)
 
 
 def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,

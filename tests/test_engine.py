@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evgnn import engine, event_io, static_oracle
-from evgnn.engine import (DimMismatch, EngineState, FeatureStore,
+from evgnn.engine import (DimMismatch, EngineState, Epilogue, FeatureStore,
                           LengthMismatch, Prediction, ReadoutState,
-                          StoreError, aggregate_max, baq, count_ops,
-                          fc_forward, message_matvec,
+                          StoreError, aggregate_max, baq, baq_block,
+                          count_ops, fc_forward, message_matvec,
                           rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, DenseParams, LayerParams,
@@ -131,6 +131,83 @@ class TestRequant:
                 assert got.dtype == np.int64
                 assert got.tolist() == [rne_mulshift(int(x), mult, shift)
                                         for x in v]
+
+
+TOP = 2**31 - 1
+
+
+def _ties(mult, shift, below=256):
+    """Every v in [0, 2**31) whose v * mult / 2**shift is a rounding tie
+    with a quotient below `below`, each with its two neighbours."""
+    if shift == 0 or mult == 0:
+        return []
+    out = []
+    for q in range(below):
+        num = q * 2**shift + 2**(shift - 1)
+        if num % mult == 0 and num // mult <= TOP:
+            out += [num // mult - 1, num // mult, num // mult + 1]
+    return out
+
+
+def _biased_values(rng, mult, shift, size=None):
+    """Biased aggregates for one channel: 0, the ReLU and clamp edges,
+    +-(2**31 - 1), every rounding tie of (mult, shift), random fill."""
+    v = np.r_[-TOP, -2, -1, 0, 1, 2, 126, 127, 128, 255, 256, TOP - 1, TOP,
+              _ties(mult, shift), rng.integers(-TOP, TOP + 1, size=64)]
+    return v if size is None else rng.choice(v, size=size)
+
+
+class TestBlockEpilogue:
+    """baq_block, the batch kernel's in-place int64 epilogue, against the
+    scalar baq of the per-event oracle."""
+
+    @pytest.mark.parametrize("shift", [0, 1, 2, 31, 33, 62])
+    @pytest.mark.parametrize("mult", [0, 1, 3, 2**30, TOP])
+    def test_one_layer_equals_scalar_baq(self, rng, mult, shift):
+        v = _biased_values(rng, mult, shift)
+        bias = rng.integers(-2**20, 2**20, size=len(v))
+        layer = _layer(np.zeros((len(v), 3), dtype=np.int64), bias=bias,
+                       requant=(mult, shift))
+        ep = Epilogue.of([layer])
+        assert np.ndim(ep.mult) == np.ndim(ep.shift) == 0
+        acc = v - bias
+        got = baq_block(acc[None].astype(np.int64), ep)
+        assert got.dtype == np.int64
+        assert got[0].tolist() == baq(acc, layer).tolist()
+
+    def test_ties_round_both_ways(self):
+        """The tie grid holds ties below the clamp that round down (even
+        quotient) and up (odd quotient), and the one tie at shift 31."""
+        mid = _ties(1, 1)[1::3]
+        assert len(mid) == 256
+        assert {rne_mulshift(v, 1, 1) - v // 2 for v in mid
+                if v < 254} == {0, 1}
+        assert _ties(1, 31)[1::3] == [2**30]
+        assert len(_ties(3, 2)) > 0 and _ties(0, 5) == []
+
+    def test_block_with_mixed_shifts(self, rng):
+        """Layers side by side, one at shift 0: each channel takes its own
+        layer's bias, M and shift, and rounds only when its shift is > 0."""
+        requants = [(TOP, 62), (3, 0), (1, 1), (2**30, 31), (1_500_000_007,
+                                                             36)]
+        widths = [3, 2, 4, 1, 5]
+        layers = [_layer(np.zeros((c, 3), dtype=np.int64),
+                         bias=rng.integers(-2**20, 2**20, size=c),
+                         requant=rq)
+                  for c, rq in zip(widths, requants)]
+        ep = Epilogue.of(layers)
+        assert ep.shift.tolist() == np.repeat(
+            [s for _, s in requants], widths).tolist()
+        rows = 400
+        cols = [_biased_values(rng, *lp.requant, size=rows) - lp.bias[c]
+                for lp in layers for c in range(lp.c_out)]
+        acc = np.stack(cols, axis=1).astype(np.int64)
+        got = baq_block(acc.copy(), ep)
+        off = np.cumsum([0] + widths)
+        for b in range(rows):
+            expect = np.concatenate([baq(acc[b, a:z], lp) for lp, a, z in
+                                     zip(layers, off, off[1:])])
+            assert got[b].tolist() == expect.tolist(), b
 
 
 class TestFeatureStore:
@@ -390,6 +467,59 @@ def test_schedules_equal_static_on_another_window(small_stream):
         for a, b in zip(res.feats, sta.feats):
             assert np.array_equal(a, b), kw
         assert np.array_equal(res.logits, sta.logits), kw
+
+
+def _burst_then_sparse_stream():
+    """A slow dot (rows saturated at d_max = 4) followed by sparse uniform
+    events (rows of degree 0 and low degree), on a 40x32 sensor."""
+    dot = event_io.gen_synthetic(
+        "moving_dot", {"width": 40, "height": 32, "count": 150,
+                       "duration_us": 600, "velocity": (0.02, 0.01),
+                       "dot_radius": 1.5}, seed=3)
+    uni = event_io.gen_synthetic(
+        "uniform_random", {"width": 40, "height": 32, "count": 250,
+                           "duration_us": 5_000}, seed=4)
+    return event_io.EventStream(
+        40, 32, np.r_[dot.x, uni.x], np.r_[dot.y, uni.y],
+        np.r_[dot.t, uni.t + dot.t[-1] + 1], np.r_[dot.p, uni.p])
+
+
+@pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
+    """wavefront == layer-sequential == default == static oracle, with
+    CHUNK_CELLS cut so that a wavefront chunk holds 3 rows and a level
+    spans several chunks, on a stream with rows of degree 0 and d_max."""
+    rng = np.random.default_rng(40 + n_layers)
+    dims = tuple(int(d) for d in rng.integers(3, 17, size=n_layers))
+    params = SearchParams(r_s=2, r_t=400, d_max=4, queue_depth=4)
+    model = random_model(50 + n_layers, width=40, height=32,
+                         layer_dims=dims, search=params,
+                         empty_aggregation=empty)
+    stream = _burst_then_sparse_stream()
+    adj = engine.build_adjacency(stream, model)
+    assert np.any(adj.deg == 0) and np.any(adj.deg == params.d_max)
+    monkeypatch.setattr(engine, "CHUNK_CELLS",
+                        3 * params.d_max * sum(dims))
+    # level 0 holds the rows of degree 0; a later level of several
+    # chunks holds rows at d_max
+    assert np.all(adj.deg[adj.levels[0]] == 0)
+    assert any(len(g) > 3 and np.any(adj.deg[g] == params.d_max)
+               for g in adj.levels[1:])
+    plan = engine.build_plan(model)
+    runs = [engine.run_stream(plan, stream, adjacency=adj, **kw)
+            for kw in ({"levels": True}, {"sequential": True}, {})]
+    runs.append(static_oracle.forward_eq7_int8(stream, adj, model))
+    par = runs[0]
+    assert [f.shape[1] for f in par.feats] == list(dims)
+    assert all(f.flags.c_contiguous and f.dtype == np.uint8
+               for f in par.feats)
+    assert 0 < np.mean(par.feats[-1] > 0) < 1
+    for res in runs[1:]:
+        for a, b in zip(par.feats, res.feats):
+            assert np.array_equal(a, b)
+        assert np.array_equal(par.logits, res.logits)
+        assert np.array_equal(par.readout, res.readout)
 
 
 class TestSentinelKernel:

@@ -296,6 +296,31 @@ class TestStreamForm:
             assert report.total_cycles == 0
             assert report.stage_cycles == {s: 0 for s in pm.STAGES}
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["parallel", "sequential"])
+    def test_empty_trace_reports_serialise(self, small_model, mode):
+        """The analytic, DES and energy reports of a trace without events
+        are strict JSON: 0 events, and 0 for every mean and percentile."""
+        cfg = HwConfig(e_mac=1e-12, e_sram_byte=1e-12, e_dram_byte=1e-10)
+        trace = EventTrace([], [])
+        analytic = estimate_stream_latency(small_model, trace, cfg, mode)
+        des = simulate_cycles(trace, small_model, cfg, mode)
+        energy = estimate_energy(
+            estimate_stream_latency(small_model, trace, cfg, mode), trace,
+            small_model, cfg)
+        for report in (analytic, des, energy):
+            doc = json.loads(json.dumps(report.to_json(), allow_nan=False))
+            totals = doc["totals"]
+            assert totals["events"] == 0 and totals["cycles"] == 0
+            assert totals["mean_cycles_per_event"] == 0.0
+            assert totals["mean_us_per_event"] == 0.0
+            assert doc["percentiles"] == {"50": 0.0, "90": 0.0, "99": 0.0}
+        assert energy.mean_energy_nj == 0.0
+        totals = energy.to_json()["totals"]
+        assert totals["joules"] == totals["mean_nj_per_event"] == 0.0
+        assert all(s["joules"] == 0.0
+                   for s in energy.to_json()["per_stage"].values())
+
     @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("mode", ["parallel", "sequential"])
     def test_zero_degree_trace(self, small_model, overlap, mode):
