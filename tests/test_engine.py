@@ -188,8 +188,8 @@ class TestBlockEpilogue:
     def test_block_with_mixed_shifts(self, rng):
         """Layers side by side, one at shift 0: each channel takes its own
         layer's bias, M and shift, and rounds only when its shift is > 0."""
-        requants = [(TOP, 62), (3, 0), (1, 1), (2**30, 31), (1_500_000_007,
-                                                             36)]
+        requants = [(TOP, 62), (3, 0), (1, 1), (2**30, 31),
+                    (1_500_000_007, 36)]
         widths = [3, 2, 4, 1, 5]
         layers = [_layer(np.zeros((c, 3), dtype=np.int64),
                          bias=rng.integers(-2**20, 2**20, size=c),
