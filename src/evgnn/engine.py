@@ -29,7 +29,11 @@ Two granularities are provided:
           all L layers of a dependency level run at once, in one block of
           every layer, with the per-channel epilogue of the run plan.
       The level schedules are kept to verify the default. All share one
-      incremental readout / FC, readout_trace, and return one RunResult
+      incremental readout / FC, readout_trace: one loop-free pass over
+      every readout cell, whose running max is one accumulate along the
+      event axis of a channel-major [C_last, N] array of the events
+      sorted by cell and lifted apart, and whose FC step is computed only
+      for the events that raise their cell. All return one RunResult
       whose feats hold one uint8 [N, C_out] array per layer (BAQ clamps
       every output to [0, 127]). The static forwards of static_oracle
       return it too; they compute each message unfactored, so verify
@@ -585,35 +589,69 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
     return outs
 
 
+def lift_dtype(span: int, cells: int) -> type:
+    """The integer type of readout_trace's lifted values: int32 while
+    span * cells < 2**31, so every v + span * cell with v < span fits it,
+    and int64 beyond."""
+    return np.int32 if span * cells < 2**31 else np.int64
+
+
 def readout_trace(model: ModelHeader, stream: EventStream, last: np.ndarray,
                   fc_cells: np.ndarray, fc_b: np.ndarray):
     """Per-event logits of the cumulative per-cell max readout.
 
     model supplies the readout grid (patch, n_cells_x, n_cells_y); last is
-    the final-layer output of every event, [N, C_last], all >= 0; fc_cells
-    is fc_by_cell of the FC weights. Every cell starts at 0 and each event
-    raises its cell's running max by delta >= 0, so logits_i = fc_b +
-    sum_{k<=i} W_fc[:, cell_k] . delta_k, which equals fc_b + W_fc .
-    readout_i exactly in integers. Only the cells some event falls in are
-    visited. Returns (logits[N, classes], cls[N] with ties to the lowest
-    class, flattened readout).
+    the final-layer output of every event, [N, C_last], all >= 0 (uint8 on
+    the INT8 paths, float64 from forward_eq7_fp); fc_cells is fc_by_cell
+    of the FC weights. Every cell starts at 0 and each event raises its
+    cell's running max by grow >= 0, so logits_i = fc_b + sum_{k<=i}
+    W_fc[:, cell_k] . grow_k, which equals fc_b + W_fc . readout_i exactly
+    in integers.
+
+    One pass over all cells, channel-major: the events are stably sorted
+    by cell, and each value is lifted by span * cell, span being above
+    every value, so one running max along the event axis of [C_last, N]
+    never carries a value across cells. Float values are lifted as their
+    ranks among the distinct values. Unlifted, a cell's run diffs to
+    grow, its first event growing by its own value; one einsum over only
+    the events that grow some channel gives their logit steps. Returns
+    (logits[N, classes], cls[N] with ties to the lowest class, flattened
+    readout).
     """
+    n = len(last)
     cell = ((stream.y // model.patch) * model.n_cells_x
             + stream.x // model.patch)
-    cells = np.zeros((len(fc_cells), last.shape[1]), dtype=last.dtype)
-    step = np.zeros((len(last), len(fc_b)),
-                    dtype=np.result_type(fc_cells, last))
+    # the narrowest key type: numpy radix-sorts up to 16 bits
+    cell = cell.astype(np.min_scalar_type(len(fc_cells)))
     order = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell, minlength=len(fc_cells))
-    ends = np.cumsum(counts)
-    for k in np.flatnonzero(counts).tolist():
-        rows = order[ends[k] - counts[k]:ends[k]]
-        run = np.maximum.accumulate(last[rows])
-        # run never falls, so its steps fit last's own type
-        grow = np.diff(run, axis=0, prepend=run.dtype.type(0))
-        step[rows] = grow @ fc_cells[k]
-        cells[k] = run[-1]
+    cell = cell[order]
+    if last.dtype.kind == "f":
+        values, ranks = np.unique(last, return_inverse=True)
+        ranks = ranks.reshape(last.shape)
+    else:
+        values, ranks = None, last
+    span = int(ranks.max(initial=0)) + 1
+    dt = lift_dtype(span, len(fc_cells))
+    lift = cell.astype(dt) * dt(span)
+    run = np.take(ranks, order, axis=0).T.astype(dt)  # [C_last, N], by cell
+    run += lift
+    np.maximum.accumulate(run, axis=1, out=run)
+    run -= lift
+    run = values[run] if values is not None else run.astype(last.dtype)
+    new = np.ones(n, dtype=bool)  # the first event of a cell's run
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
+    # within a run, run never falls, so its steps fit last's own type
+    grow = np.empty_like(run)
+    np.subtract(run[:, 1:], run[:, :-1], out=grow[:, 1:])
+    grow[:, new] = run[:, new]
+    g = np.flatnonzero(grow.max(axis=0) > 0)
+    step = np.zeros((n, len(fc_b)), dtype=np.result_type(fc_cells, last))
+    step[order[g]] = np.einsum("cg,gck->gk", grow[:, g], fc_cells[cell[g]])
     logits = fc_b + np.cumsum(step, axis=0)
+    cells = np.zeros((len(fc_cells), last.shape[1]), dtype=last.dtype)
+    end = np.ones(n, dtype=bool)  # the last event of a cell's run
+    end[:-1] = new[1:]
+    cells[cell[end]] = run[:, end].T
     return logits, np.argmax(logits, axis=1), cells.reshape(-1)
 
 
@@ -669,11 +707,10 @@ def count_ops(model: QuantizedModel,
               neighbor_counts: np.ndarray) -> np.ndarray:
     """int64 arithmetic ops of each event (1 MAC = 2 OPs) from its degree.
 
-    conv: 2*(C_in+2)*C_out*deg MACs-as-ops plus 2*C_out BAQ ops per layer;
-    readout: C_last max-compares; FC: 2*(Gx*Gy*C_last)*num_classes.
+    The MACs are perf_model's: 2 * conv_macs plus 2 * fc_macs, plus
+    2*C_out BAQ ops per layer and C_last readout max-compares.
     """
     deg = np.asarray(neighbor_counts, dtype=np.int64)
-    per_nbr = 2 * perf_model.conv_weight_bytes(model)
     baq_ops = sum(2 * l.c_out for l in model.layers)
-    fixed = baq_ops + model.c_last + 2 * model.fc.in_dim * model.fc.out_dim
-    return per_nbr * deg + fixed
+    return (2 * perf_model.conv_macs(model, deg) + baq_ops + model.c_last
+            + 2 * perf_model.fc_macs(model))

@@ -7,11 +7,14 @@ execution schedule and the layer arithmetic, not the topology.
 
 Both forwards run the static schedule (each layer over the whole graph,
 then the next) through one gather-form layer loop that computes eq 7
-unfactored: each message is W . (x_j, q|dx|, q|dy|), where each edge's
-|dx|, |dy| is looked up in the adjacency's window by its window slot and
-quantized edge by edge, one float64 matmul per batch with the layer's
-full weights, then the max over neighbours, the bias and the activation.
-Each takes (stream, adjacency, model) and returns the engine's RunResult:
+unfactored: each message is W . (x_j, q|dx|, q|dy|), one float64 matmul
+row per edge with the layer's full weights, then the max over
+neighbours, the bias and the activation. Each layer quantizes the |dx|,
+|dy| of every window slot once, and an edge takes its slot's. Batches are
+laid out slot-first, [D, B, C], with their own mask of the slots past an
+event's degree, built once per forward, so the max runs over the
+contiguous axis 0. Each takes (stream, adjacency, model) and returns the
+engine's RunResult:
     eq7_fp   -- inputs +-1.0, raw pixel offsets, ReLU; its activations set
                 the quantizer's scales
     eq7_int8 -- the encoded inputs, the layer's position requant (RNE,
@@ -19,8 +22,8 @@ Each takes (stream, adjacency, model) and returns the engine's RunResult:
                 sums are exact, because the model loader proves every
                 |sum| < 2**31, so it is bit-exact against the engine's
                 factored eq7_block while using none of that factoring
-                (node terms, per-slot position table, slot-major rows)
-                nor its epilogue (baq_batch requantizes through
+                (node terms, per-slot position table, sentinel rows) nor
+                its epilogue (baq_batch requantizes through
                 rne_mulshift): verify's static leg checks it.
 """
 
@@ -34,7 +37,7 @@ from .event_io import EventStream
 from .graph_builder import Adjacency
 from .model import FPModel, QuantizedModel
 
-BATCH_ROWS = 4096  # events per step; bounds the [B, D, C_in+2] gather
+BATCH_ROWS = 4096  # events per step; bounds the [D, B, C_in+2] gather
 
 
 def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
@@ -48,11 +51,14 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
                     fc_b: np.ndarray) -> RunResult:
     """Every layer of model over the whole graph, eq 7 in gather form.
 
-    x is the input feature of every event, [N]. Per batch of events, the
-    loop looks up the |dx|, |dy| of every neighbour slot in the window by
-    its window slot (nbr_o), gathers (x_j, position(layer, |dx|),
-    position(layer, |dy|)), runs one float64 matmul with the layer's
-    weights, sets the slots past the degree to -inf, takes the max, applies
+    x is the input feature of every event, [N]. The batches of events,
+    each with its neighbour rows and window slots slot-first, [D, B], the
+    mask of the slots past each event's degree and its rows of degree 0,
+    are built once and serve every layer. Per layer, position(layer,
+    offsets) quantizes the |dx|, |dy| of each window slot once; per batch,
+    the loop gathers (x_j, the position terms of slot o_j) into
+    [D, B, C_in+2], runs one float64 matmul with the layer's weights, sets
+    the masked slots to -inf, takes the max over the slot axis, applies
     the empty identity (0 for "zero"; -inf stays for "neg_inf") and hands
     the sum with the bias to activation(v, layer). Its result is the
     layer's output and the next layer's input.
@@ -61,29 +67,34 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
     # |dx|, |dy| of each window slot, and of slot K past the degree
     window = np.abs(np.stack([np.r_[adj.win_dx, 0], np.r_[adj.win_dy, 0]],
                              axis=1))
+    batches = []
+    # an empty stream still runs one empty batch, which types its output
+    for s in range(0, max(n, 1), BATCH_ROWS):
+        rows = slice(s, s + BATCH_ROWS)
+        deg = adj.deg[rows]
+        d = int(deg.max(initial=0))
+        # intp, C-ordered: np.take casts no index and gathers slot-first
+        nbr, slot = (a[rows, :d].T.astype(np.intp, order="C")
+                     for a in (adj.nbr_n, adj.nbr_o))
+        batches.append((nbr, slot, np.arange(d)[:, None] >= deg, deg == 0))
     x = x[:, None]
     feats = []
     for layer in model.layers:
         # C-ordered: BLAS takes its threaded path for the transposed
         # (F-ordered) operand, and waking its threads costs milliseconds
         w = np.ascontiguousarray(np.asarray(layer.weights, np.float64).T)
+        offs = np.asarray(position(layer, window), dtype=np.float64)
         outs = []
-        # an empty stream still runs one empty batch, which types its output
-        for s in range(0, max(n, 1), BATCH_ROWS):
-            rows = slice(s, s + BATCH_ROWS)
-            d = int(adj.deg[rows].max(initial=0))
-            ok = np.arange(d) < adj.deg[rows, None]
-            offs = window[adj.nbr_o[rows, :d]]
-            inp = np.concatenate([x[adj.nbr_n[rows, :d]],
-                                  position(layer, offs)],
-                                 axis=2, dtype=np.float64)
-            b = len(inp)
-            msgs = (inp.reshape(b * d, inp.shape[2]) @ w
-                    ).reshape(b, d, layer.c_out)
-            msgs[~ok] = -np.inf
-            agg = msgs.max(axis=1, initial=-np.inf)
+        for nbr, slot, pad, empty in batches:
+            inp = np.empty(nbr.shape + (len(w),))
+            inp[..., :-2] = np.take(x, nbr, axis=0)
+            inp[..., -2:] = np.take(offs, slot, axis=0)
+            msgs = inp.reshape(-1, len(w)) @ w
+            msgs = msgs.reshape(nbr.shape + (layer.c_out,))
+            msgs[pad] = -np.inf
+            agg = msgs.max(axis=0, initial=-np.inf)
             if model.empty_aggregation == "zero":
-                agg[~ok.any(axis=1)] = 0.0
+                agg[empty] = 0.0
             outs.append(activation(agg + layer.bias, layer))
         x = np.concatenate(outs)
         feats.append(x)

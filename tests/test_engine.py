@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from evgnn.engine import (DimMismatch, EngineState, Epilogue, FeatureStore,
                           rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, DenseParams, LayerParams,
-                         calibration_model, random_model)
+                         calibration_model, random_fp_model, random_model)
 
 
 def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
@@ -276,6 +277,107 @@ class TestReadout:
             expect = sum(int(fc.weights[c, k]) * flat[k]
                          for k in range(8)) + int(fc.bias[c])
             assert int(pred.logits[c]) == expect
+
+
+def _readout_loop(model, stream, last, fc_cells, fc_b):
+    """readout_trace in its per-cell form: a running max, a diff and a
+    matmul for each occupied cell in turn."""
+    cell = (stream.y // model.patch) * model.n_cells_x + stream.x // model.patch
+    cells = np.zeros((len(fc_cells), last.shape[1]), dtype=last.dtype)
+    step = np.zeros((len(last), len(fc_b)),
+                    dtype=np.result_type(fc_cells, last))
+    for k in np.unique(cell).tolist():
+        rows = np.flatnonzero(cell == k)
+        run = np.maximum.accumulate(last[rows])
+        step[rows] = np.diff(run, axis=0, prepend=0) @ fc_cells[k]
+        cells[k] = run[-1]
+    logits = fc_b + np.cumsum(step, axis=0)
+    return logits, np.argmax(logits, axis=1), cells.reshape(-1)
+
+
+def _readout_case(seed, n=200, c_last=5):
+    """A 40x36 sensor (a 3x3 grid whose last cell is 8x4 pixels) and n
+    events in cells 0 and 4 only, plus one alone in cell 3 with every
+    channel at 127 and, last, one at the last pixel. The outputs are
+    random in [0, 127], a quarter of the events all 0, cell 4's first
+    among them: in cell order, it follows cell 3's saturated channels."""
+    rng = np.random.default_rng(seed)
+    model = random_model(seed, width=40, height=36, layer_dims=(c_last,))
+    in_4 = 16 * rng.integers(0, 2, n - 2)  # cell 0 or cell 4, interleaved
+    x = np.r_[rng.integers(0, 16, n - 2) + in_4, 3, 39]
+    y = np.r_[rng.integers(0, 16, n - 2) + in_4, 20, 35]
+    last = rng.integers(0, 128, size=(n, c_last)).astype(np.uint8)
+    last[rng.choice(n - 2, n // 4, replace=False)] = 0
+    last[np.flatnonzero(in_4)[0]] = 0
+    last[-2] = 127
+    last[-1] = np.maximum(last[-1], 1)
+    stream = event_io.EventStream(40, 36, x, y, np.arange(n), np.zeros(n))
+    return model, stream, last
+
+
+class TestReadoutTrace:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_event_readout(self, seed):
+        """Logits, classes and readout equal ReadoutState.update and
+        fc_forward event by event, with their dtypes."""
+        model, stream, last = _readout_case(seed)
+        plan = engine.build_plan(model)
+        logits, cls, readout = engine.readout_trace(
+            model, stream, last, plan.fc_cells, model.fc.bias)
+        state = ReadoutState(model)
+        for i in range(len(last)):
+            state.update(int(stream.x[i]), int(stream.y[i]), last[i])
+            pred = fc_forward(state, model.fc)
+            assert logits[i].tolist() == pred.logits.tolist(), f"event {i}"
+            assert cls[i] == pred.cls
+        assert readout.tolist() == state.flatten().tolist()
+        assert (logits.dtype, cls.dtype, readout.dtype) == (
+            np.int64, np.int64, np.uint8)
+        cell = (stream.y // 16) * 3 + stream.x // 16
+        assert np.bincount(cell, minlength=9)[[1, 2, 3, 5, 6, 7, 8]].tolist(
+            ) == [0, 0, 1, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_float_equals_per_cell_loop(self, wide, monkeypatch):
+        """Float outputs (with ties and zeros) lift by rank: the readout is
+        bit-identical to the per-cell loop and the logits agree to 1e-12
+        of their scale (only the summation order differs). wide forces
+        the int64 lift."""
+        if wide:
+            monkeypatch.setattr(engine, "lift_dtype",
+                                lambda span, cells: np.int64)
+        model, stream, last = _readout_case(5)
+        rng = np.random.default_rng(5)
+        last = np.maximum(last / 7.0 - 4.0, 0.0)
+        fc_cells = rng.normal(size=(9, model.c_last, 3))
+        fc_b = rng.normal(size=3)
+        got = engine.readout_trace(model, stream, last, fc_cells, fc_b)
+        want = _readout_loop(model, stream, last, fc_cells, fc_b)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(want[0]).max())
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_no_events(self, dtype):
+        model = _readout_case(0)[0]
+        plan = engine.build_plan(model)
+        fc_type = np.int64 if dtype == np.uint8 else np.float64
+        logits, cls, readout = engine.readout_trace(
+            model, event_io.EventStream(40, 36),
+            np.zeros((0, model.c_last), dtype=dtype),
+            plan.fc_cells.astype(fc_type), model.fc.bias.astype(fc_type))
+        assert logits.shape == (0, len(model.classes)) and cls.shape == (0,)
+        assert readout.tolist() == [0] * (9 * model.c_last)
+        assert (logits.dtype, cls.dtype, readout.dtype) == (
+            fc_type, np.int64, dtype)
+
+    def test_lift_dtype_boundary(self):
+        assert engine.lift_dtype(128, 2**24 - 1) is np.int32
+        assert engine.lift_dtype(128, 2**24) is np.int64  # 2**31
+        assert engine.lift_dtype(2**31 - 1, 1) is np.int32
+        assert engine.lift_dtype(2**31, 1) is np.int64
 
 
 def _per_event_run(model, stream):
@@ -611,18 +713,37 @@ class TestSentinelKernel:
 
 
 class TestInvariantsOnStream:
-    def test_result_dtypes(self, small_model, small_stream):
-        """INT8 paths keep uint8 layer outputs, int64 logits and classes."""
-        adj = engine.build_adjacency(small_stream, small_model)
-        runs = [engine.run_stream(small_model, small_stream, adjacency=adj,
-                                  **kw)
-                for kw in ({}, {"levels": True}, {"sequential": True})]
-        runs.append(static_oracle.forward_eq7_int8(small_stream, adj,
-                                                   small_model))
-        for res in runs:
-            assert [f.dtype for f in res.feats] == [np.uint8] * len(
-                small_model.layers)
-            assert res.logits.dtype == res.cls.dtype == np.int64
+    def test_result_dtypes(self, small_stream):
+        """INT8 paths keep uint8 layer outputs, int64 logits and classes;
+        the FP forward float64 outputs, logits and readout. So do an empty
+        stream, on which the static forwards still run one empty batch
+        that types their outputs, and the "neg_inf" identity."""
+        for count, empty in itertools.product([0, 600], ["zero", "neg_inf"]):
+            model = random_model(seed=9, empty_aggregation=empty)
+            stream = event_io.EventStream(64, 48, *(
+                c[:count] for c in (small_stream.x, small_stream.y,
+                                    small_stream.t, small_stream.p)))
+            adj = engine.build_adjacency(stream, model)
+            runs = [engine.run_stream(model, stream, adjacency=adj, **kw)
+                    for kw in ({}, {"levels": True}, {"sequential": True})]
+            runs.append(static_oracle.forward_eq7_int8(stream, adj, model))
+            fp = dataclasses.replace(random_fp_model(9, layer_dims=(8,) * 4),
+                                     empty_aggregation=empty)
+            runs.append(static_oracle.forward_eq7_fp(stream, adj, fp))
+            cells = model.n_cells_x * model.n_cells_y * model.c_last
+            for res in runs:
+                feat_type = np.float64 if res is runs[-1] else np.uint8
+                assert [(f.shape, f.dtype) for f in res.feats] == [
+                    ((count, lp.c_out), feat_type) for lp in model.layers]
+                assert res.logits.shape == (count, len(model.classes))
+                assert res.logits.dtype == (np.float64 if res is runs[-1]
+                                            else np.int64)
+                assert res.cls.shape == (count,)
+                assert res.cls.dtype == np.int64
+                assert res.readout.shape == (cells,)
+                assert res.readout.dtype == feat_type
+                assert res.macs.shape == (count,)
+                assert res.macs.dtype == np.int64
 
     @pytest.mark.parametrize("p", [-1, 2])
     def test_polarity_without_encoding_rejected(self, small_model, p):
