@@ -108,8 +108,7 @@ def _infer_one(plan: engine.RunPlan, stream_path: str, args) -> int:
     result = engine.run_stream(plan, stream)
     wall = time.perf_counter() - t0
     if args.trace_out:
-        _write_lines(args.trace_out,
-                     engine.prediction_trace_lines(model, result))
+        _write_lines(args.trace_out, engine.prediction_trace_lines(result))
     final = int(result.cls[-1])
     print(f"{stream_path}: events={len(stream)} "
           f"class={model.classes[final]} ({final}) "

@@ -17,17 +17,14 @@ Two granularities are provided:
       (MSG_FLOOR) and to the table (0, row K): a batch of B events is one
       gather into a [D, B, C] tensor, one max over the slot axis with no
       mask, and one BAQ epilogue (Epilogue, baq_block) on int64. The
-      kernel runs a block of layers whose output channels sit side by
-      side, C in all. run_layers batches it three ways, over one layer
-      at a time or all of them:
-        - the whole graph, layer by layer, in contiguous row slices (the
-          default of infer and bench), one-layer blocks;
-        - the layer-sequential schedule: each layer over the adjacency's
-          dependency levels in turn, one-layer blocks;
-        - the layer-parallel wavefront, the paper's idea (iii): each layer
-          of an event reads only stored features of past neighbours, so
-          all L layers of a dependency level run at once, in one block of
-          every layer, with the per-channel epilogue of the run plan.
+      kernel runs a Block of layers whose output channels sit side by
+      side, C in all; run_layers is one loop over a plan's blocks, each
+      over groups of event rows: a block per layer over the whole graph
+      in contiguous row slices (the default of infer and bench) or over
+      the dependency levels (layer-sequential), or one block of every
+      layer over the levels, the layer-parallel wavefront of the paper's
+      idea (iii): each layer of an event reads only stored features of
+      past neighbours, so all L layers of a level run at once.
       The level schedules are kept to verify the default. All share one
       incremental readout / FC, readout_trace: one loop-free pass over
       every readout cell, whose running max is one accumulate along the
@@ -39,11 +36,10 @@ Two granularities are provided:
       return it too; they compute each message unfactored, so verify
       checks this factoring against them.
 
-What a run reads of the model alone (the window, the per-layer tables
-and W_x, the epilogues, the input encoding, the FC weights per readout
-cell) is one immutable RunPlan, built once per (model, search) by
-build_plan; a command builds one and runs all its streams and schedules
-on it.
+What a run reads of the model alone (the window, W_x, the blocks, the
+input encoding, the FC weights per readout cell) is one immutable
+RunPlan, built once per (model, search) by build_plan; a command builds
+one and runs all its streams and schedules on it.
 
 All INT8 arithmetic is exact. The node terms are float64 products, which
 hold every partial sum exactly because the model loader proves that each
@@ -54,11 +50,12 @@ where v * M + 2**61 stays below 2**63.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import perf_model
-from .event_io import Event, EventStream, OutOfBounds
+from .event_io import Event, EventStream, checked_polarity
 from .graph_builder import (Adjacency, EventQueueGrid, SearchParams,
                             replay_build, search_neighbors, window_offsets)
 from .model import ACC_LIMIT, LayerParams, ModelHeader, QuantizedModel
@@ -297,12 +294,15 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
 
 def position_terms(layer: LayerParams, win_dx: np.ndarray,
                    win_dy: np.ndarray) -> np.ndarray:
-    """int32[K, C_out]: row o is W_pos . (q|dx_o|, q|dy_o|) of window slot o.
+    """int32[K+1, C_out]: row o is W_pos . (q|dx_o|, q|dy_o|) of window slot o.
 
     q is the layer's position requant of an absolute pixel offset; win_dx
     and win_dy are the search window's K offsets (Adjacency.win_dx/_dy).
+    Row K, of offset (0, 0), is the sentinel row of 0 that the slots past
+    an event's degree point at.
     """
-    offs = np.abs(np.stack([win_dx, win_dy], axis=1)).astype(np.int64)
+    offs = np.zeros((len(win_dx) + 1, 2), dtype=np.int64)
+    offs[:-1, 0], offs[:-1, 1] = np.abs(win_dx), np.abs(win_dy)
     q = np.minimum(rne_mulshift(offs, *layer.pos_requant), 32767)
     return (q @ layer.weights[:, -2:].T).astype(np.int32)
 
@@ -387,40 +387,58 @@ def baq_block(v: np.ndarray, ep: Epilogue) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Block:
+    """Layers of a model side by side, C output channels in all, as one
+    eq7_block call runs them: one layer, or every layer.
+
+    layers indexes the model's layers; off holds their output-column
+    offsets, 0 ... C; table their position_terms over a window side by
+    side, with the sentinel row K of 0; ep the block's Epilogue. w_next is
+    the float64 input weights (RunPlan.w_x) of the layers its outputs
+    feed, on a block diagonal, or None when they feed none; its rows read
+    the block's first outputs.
+    """
+
+    layers: range
+    off: tuple[int, ...]
+    table: np.ndarray
+    ep: Epilogue
+    w_next: np.ndarray | None
+
+    @staticmethod
+    def of(layers: list[LayerParams], ids: range, pos: list[np.ndarray],
+           w_next: np.ndarray | None) -> "Block":
+        """The block of layers[i] for i in ids; pos[i] is layer i's
+        position_terms over the window."""
+        own = [layers[i] for i in ids]
+        off = tuple(accumulate((lp.c_out for lp in own), initial=0))
+        return Block(ids, off, _frozen(np.hstack([pos[i] for i in ids])),
+                     Epilogue.of(own), w_next)
+
+
+@dataclass(frozen=True, eq=False)
 class RunPlan:
     """What every run of one model under one search reads, built once.
 
-    win_dx, win_dy are the search window's offsets and tables its
-    position_tables; table stacks them side by side, as the layer-parallel
-    wavefront's block reads them. w_x[l] is float64[C_in, C_out], the
-    weights that multiply layer l's input features; epilogues[l] is layer
-    l's own Epilogue and block the per-channel one of all layers side by
-    side; encoding maps a polarity to its encoded
-    input; fc_cells is fc_by_cell of the FC weights. The arrays are
-    read-only, so one plan serves any number of runs.
+    win_dx, win_dy are the search window's offsets. w_x[l] is
+    float64[C_in, C_out], the weights that multiply layer l's input
+    features. layered holds one Block per layer, each with that layer's
+    own Epilogue and feeding the next; wavefront one Block of every layer,
+    with the per-channel Epilogue, whose outputs feed its own later layers.
+    encoding maps a polarity to its encoded input; fc_cells is fc_by_cell
+    of the FC weights. The arrays are read-only, so one plan serves any
+    number of runs.
     """
 
     model: QuantizedModel
     search: SearchParams
     win_dx: np.ndarray
     win_dy: np.ndarray
-    tables: tuple[np.ndarray, ...]
-    table: np.ndarray
     w_x: tuple[np.ndarray, ...]
-    epilogues: tuple[Epilogue, ...]
-    block: Epilogue
+    layered: tuple[Block, ...]
+    wavefront: tuple[Block]
     encoding: np.ndarray  # float64[2], indexed by polarity 0 / 1
     fc_cells: np.ndarray
-
-
-def position_tables(layers: list[LayerParams], win_dx: np.ndarray,
-                    win_dy: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each layer's position_terms over a window, plus the sentinel row K
-    of 0 that the slots past an event's degree point at."""
-    return tuple(
-        _frozen(np.vstack([position_terms(lp, win_dx, win_dy),
-                           np.zeros((1, lp.c_out), dtype=np.int32)]))
-        for lp in layers)
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -438,16 +456,22 @@ def _block_diag(blocks) -> np.ndarray:
 def build_plan(model: QuantizedModel) -> RunPlan:
     """The run plan of model under its current search parameters."""
     search = model.search
+    layers = model.layers
     win_dx, win_dy = window_offsets(search.r_s, search.shape == "cylinder")
-    tables = position_tables(model.layers, win_dx, win_dy)
     w_x = tuple(_frozen(lp.weights[:, :-2].T.astype(np.float64))
-                for lp in model.layers)
+                for lp in layers)
+    pos = [position_terms(lp, win_dx, win_dy) for lp in layers]
+    layered = tuple(Block.of(layers, range(l, l + 1), pos, w)
+                    for l, w in enumerate(w_x[1:] + (None,)))
+    # w_x[1:] on the diagonal: one product of the outputs of every layer
+    # but the last gives every layer's node terms but the first
+    wavefront = Block.of(layers, range(len(layers)), pos,
+                         _frozen(_block_diag(w_x[1:]))
+                         if len(layers) > 1 else None)
     encoding = np.array([model.input_encoding[0], model.input_encoding[1]],
                         dtype=np.float64)
-    return RunPlan(model, search, _frozen(win_dx), _frozen(win_dy), tables,
-                   _frozen(np.hstack(tables)), w_x,
-                   tuple(Epilogue.of([lp]) for lp in model.layers),
-                   Epilogue.of(model.layers), _frozen(encoding),
+    return RunPlan(model, search, _frozen(win_dx), _frozen(win_dy), w_x,
+                   layered, (wavefront,), _frozen(encoding),
                    _frozen(fc_by_cell(model, model.fc.weights)))
 
 
@@ -463,7 +487,7 @@ def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
     belongs to exactly. nbr (neighbour rows) and pos (window slots, the
     table's rows) are slot-major [D, B]. terms holds each layer's W_x . x_j
     of every event plus a last sentinel row of MSG_FLOOR, int32[N+1, C];
-    table holds each layer's position_terms plus a last sentinel row of 0,
+    table holds each layer's position_terms, with its sentinel row of 0,
     row K. A slot at or past an event's degree points at both sentinels,
     so its message is exactly MSG_FLOOR. One gather of each builds one
     [D, B, C] tensor, one reduce over the slot axis takes the max and one
@@ -510,82 +534,63 @@ def slot_major(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
 
 def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
                groups: list[slice | np.ndarray],
-               layer_outer: bool) -> list[np.ndarray]:
+               blocks: tuple[Block, ...]) -> list[np.ndarray]:
     """Run every INT8 layer over every group of event rows, in schedule order.
 
     A group is a slice (the whole graph, taken in contiguous views) or an
     index array (a dependency level). A group's events must depend only on
-    earlier groups. layer_outer runs layer by layer over all groups, one
-    layer per eq7_block call, and drops a layer's node terms once the
-    layer is done, so only two layers' terms are alive at a time.
-    Otherwise it runs group by group, and one eq7_block call runs every
-    layer of a chunk of the group (the layer-parallel wavefront): layer l
-    of an event reads only layer l-1 outputs of earlier groups, so all
-    layers read one [N+1, sum C_out] array of node terms, whose column
-    block l+1 is written from layer l's output after each chunk, and one
-    position table, the plan's tables side by side. Each
-    eq7_block call holds at most CHUNK_CELLS message cells. x0 is the
-    encoded input of every event; a layer's node terms are computed as its
-    input rows are written. The offsets come from the adjacency's window:
-    the plan's tables when it is the plan's window. Returns the per-layer
+    earlier groups. Each of blocks (the plan's layered or wavefront) runs
+    over every group in turn, one eq7_block call per chunk of at most
+    CHUNK_CELLS message cells. After each chunk, one node_terms product of
+    its outputs writes the terms they feed: the next block's (a block's
+    own are dropped once it is done), or the block's own later-layer
+    columns (the wavefront: layer l of an event reads only layer l-1
+    outputs of earlier groups). x0 is the encoded input of every event.
+    The offsets come from the adjacency's window. Returns the per-layer
     outputs (uint8[N, C_out]).
     """
-    layers = plan.model.layers
-    tables, table = plan.tables, plan.table
     if not (np.array_equal(adj.win_dx, plan.win_dx)
             and np.array_equal(adj.win_dy, plan.win_dy)):
-        tables = position_tables(layers, adj.win_dx, adj.win_dy)
-        table = np.hstack(tables)
+        layers = plan.model.layers
+        pos = [position_terms(lp, adj.win_dx, adj.win_dy) for lp in layers]
+        blocks = tuple(Block.of(layers, b.layers, pos, b.w_next)
+                       for b in blocks)
     n, d_max = adj.nbr_n.shape
     nbr, pos = slot_major(adj)
     empty = adj.deg == 0
-    x0 = np.asarray(x0, dtype=np.float64)[:, None]
 
     def new_terms(width):
         t = np.empty((n + 1, width), dtype=np.int32)
         t[n] = MSG_FLOOR
         return t
 
-    def chunks(width):
-        size = max(1, CHUNK_CELLS // (max(d_max, 1) * width))
-        return (rows for group in groups for rows in _row_chunks(group, size))
-
-    def conv(terms, table, ep, rows):
-        d = int(adj.deg[rows].max())
-        return eq7_block(terms, table, nbr[:d, rows], pos[:d, rows],
-                         empty[rows], ep, plan.model.empty_aggregation)
-
-    if not layer_outer:
-        off = np.cumsum([0] + [lp.c_out for lp in layers]).tolist()
-        terms = new_terms(off[-1])
-        terms[:n, :off[1]] = node_terms(x0, plan.w_x[0])
-        # w_x[1:] on the diagonal: one product of the outputs of every
-        # layer but the last gives every layer's node terms but the first
-        w_next = _block_diag(plan.w_x[1:])
+    terms = new_terms(blocks[0].off[-1])
+    terms[:n, :blocks[0].off[1]] = node_terms(
+        np.asarray(x0, dtype=np.float64)[:, None], plan.w_x[0])
+    outs = []
+    for blk in blocks:
+        off, w = blk.off, blk.w_next
+        # the terms the outputs feed: its own later layers' or the next's
+        dest = (None if w is None else terms[:, off[1]:] if len(off) > 2
+                else new_terms(w.shape[1]))
         feats = np.zeros((n, off[-1]), dtype=np.uint8)
-        for rows in chunks(off[-1]):
-            out = conv(terms, table, plan.block, rows)
+        size = max(1, CHUNK_CELLS // (max(d_max, 1) * off[-1]))
+        for rows in (rows for group in groups
+                     for rows in _row_chunks(group, size)):
+            d = int(adj.deg[rows].max())
+            out = eq7_block(terms, blk.table, nbr[:d, rows], pos[:d, rows],
+                            empty[rows], blk.ep,
+                            plan.model.empty_aggregation)
             feats[rows] = out
-            terms[rows, off[1]:] = node_terms(
-                out[:, :off[-2]].astype(np.float64), w_next)
-        return [np.ascontiguousarray(feats[:, a:b])
-                for a, b in zip(off, off[1:])]
-
-    outs = [np.zeros((n, lp.c_out), dtype=np.uint8) for lp in layers]
-    terms = new_terms(layers[0].c_out)
-    terms[:n] = node_terms(x0, plan.w_x[0])
-    for l, lp in enumerate(layers):
-        nxt = new_terms(layers[l + 1].c_out) if l + 1 < len(layers) else None
-        for rows in chunks(lp.c_out):
-            out = conv(terms, tables[l], plan.epilogues[l], rows)
-            outs[l][rows] = out
-            if nxt is not None:
-                nxt[rows] = node_terms(out.astype(np.float64),
-                                       plan.w_x[l + 1])
+            if dest is not None:  # w reads the first len(w) outputs
+                dest[rows] = node_terms(out[:, :len(w)].astype(np.float64),
+                                        w)
             # freed before the next gather: held across it, a chunk's
             # output raised dense_dot's peak RSS by 0.2 MB
             del out
-        terms = nxt
+        outs += [np.ascontiguousarray(feats[:, a:b])
+                 for a, b in zip(off, off[1:])]
+        terms = dest
     return outs
 
 
@@ -655,19 +660,6 @@ def readout_trace(model: ModelHeader, stream: EventStream, last: np.ndarray,
     return logits, np.argmax(logits, axis=1), cells.reshape(-1)
 
 
-def _run_groups(plan: RunPlan, stream: EventStream, adj: Adjacency,
-                groups: list[np.ndarray], layer_outer: bool) -> RunResult:
-    """run_layers over groups, then the readout / FC trace of every event."""
-    if np.any((stream.p < 0) | (stream.p > 1)):  # a lookup would wrap -1
-        raise OutOfBounds("a polarity outside {0, 1} has no input encoding")
-    feats = run_layers(plan, plan.encoding[stream.p], adj, groups,
-                       layer_outer)
-    logits, cls, readout = readout_trace(plan.model, stream, feats[-1],
-                                         plan.fc_cells, plan.model.fc.bias)
-    return RunResult(adj, feats, logits, cls, readout,
-                     perf_model.conv_macs(plan.model, adj.deg))
-
-
 def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
                sequential: bool = False,
                adjacency: Adjacency | None = None, *,
@@ -691,11 +683,16 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
            else build_adjacency(stream, plan))
     groups = (adj.levels if sequential or levels
               else [slice(0, len(adj.deg))])
-    return _run_groups(plan, stream, adj, groups,
-                       layer_outer=sequential or not levels)
+    feats = run_layers(plan, plan.encoding[checked_polarity(stream)], adj,
+                       groups, plan.wavefront if levels and not sequential
+                       else plan.layered)
+    logits, cls, readout = readout_trace(plan.model, stream, feats[-1],
+                                         plan.fc_cells, plan.model.fc.bias)
+    return RunResult(adj, feats, logits, cls, readout,
+                     perf_model.conv_macs(plan.model, adj.deg))
 
 
-def prediction_trace_lines(model: QuantizedModel, result: RunResult) -> list[str]:
+def prediction_trace_lines(result: RunResult) -> list[str]:
     """UTF-8 trace: one "n class logit0 logit1 ..." line per event."""
     n, classes = result.logits.shape
     cols = np.column_stack([np.arange(n), result.cls, result.logits])

@@ -109,6 +109,14 @@ class EventStream:
                         self.t.tolist(), self.p.tolist(), range(len(self))))
 
 
+def checked_polarity(stream: EventStream) -> np.ndarray:
+    """stream.p, once every polarity is 0 or 1: as the index of a
+    per-polarity table it can then neither wrap -1 nor read past 1."""
+    if np.any((stream.p < 0) | (stream.p > 1)):
+        raise OutOfBounds("a polarity outside {0, 1} has no input encoding")
+    return stream.p
+
+
 def _validate(x: int, y: int, t: int, p: int, last_t: int, width: int, height: int,
               line_no: int) -> None:
     if not (0 <= x < width and 0 <= y < height):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import perf_model
 from .engine import RunResult, fc_by_cell, readout_trace, rne_mulshift
-from .event_io import EventStream
+from .event_io import EventStream, checked_polarity
 from .graph_builder import Adjacency
 from .model import FPModel, QuantizedModel
 
@@ -104,21 +104,14 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
                      perf_model.conv_macs(model, adj.deg))
 
 
-def encoded_inputs(stream: EventStream, model: QuantizedModel) -> np.ndarray:
-    """The model's input encoding of every event's polarity, int64[N]."""
-    feats0 = np.empty(len(stream), dtype=np.int64)
-    for p, v in model.input_encoding.items():
-        feats0[stream.p == p] = v
-    return feats0
-
-
 def forward_eq7_fp(stream: EventStream, adj: Adjacency,
                    model: FPModel) -> RunResult:
     """Float eq 7: relu(max_j W . (x_j, |dx|, |dy|) + b), x0 = +-1.0."""
     return _gather_forward(
-        stream, adj, model, np.where(stream.p != 0, 1.0, -1.0),
-        lambda layer, offs: offs,
-        lambda v, layer: np.maximum(v, 0.0),
+        stream, adj, model,
+        np.where(checked_polarity(stream) == 1, 1.0, -1.0),
+        lambda _layer, offs: offs,
+        lambda v, _layer: np.maximum(v, 0.0),
         model.fc_weights, model.fc_bias)
 
 
@@ -129,7 +122,9 @@ def forward_eq7_int8(stream: EventStream, adj: Adjacency,
         return np.minimum(rne_mulshift(offs.astype(np.int64),
                                        *layer.pos_requant), 32767)
 
+    enc = np.array([model.input_encoding[0], model.input_encoding[1]],
+                   dtype=np.int64)
     return _gather_forward(
-        stream, adj, model, encoded_inputs(stream, model), position,
+        stream, adj, model, enc[checked_polarity(stream)], position,
         lambda v, layer: baq_batch(v, layer.requant).astype(np.uint8),
         model.fc.weights, model.fc.bias)

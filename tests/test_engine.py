@@ -530,6 +530,53 @@ def _assert_feats_equal(feats, state):
             [state.store.read(i, l + 1) for i in range(len(f))]))
 
 
+def _plan_arrays(obj, path="plan"):
+    """(path, array) of every array reachable from obj through the
+    dataclasses and tuples of a run plan, other than the model and the
+    search it was built from."""
+    if isinstance(obj, np.ndarray):
+        return [(path, obj)]
+    if isinstance(obj, tuple):
+        return [a for i, o in enumerate(obj)
+                for a in _plan_arrays(o, f"{path}[{i}]")]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj)
+                if f.name not in ("model", "search")
+                for a in _plan_arrays(getattr(obj, f.name),
+                                      f"{path}.{f.name}")]
+    return []
+
+
+def test_run_plan_arrays_are_read_only():
+    """One plan serves any number of runs, so no run may write into it:
+    every array it holds is read-only, down to each Block's position
+    table, w_next and epilogue arrays."""
+    plan = engine.build_plan(random_model(9, layer_dims=(5, 7, 6)))
+    arrays = dict(_plan_arrays(plan))
+    for b in ["layered[0]", "layered[1]", "layered[2]", "wavefront[0]"]:
+        assert {f"plan.{b}.table", f"plan.{b}.ep.bias"} <= set(arrays), b
+    assert {"plan.layered[0].w_next", "plan.layered[1].w_next",
+            "plan.wavefront[0].w_next", "plan.wavefront[0].ep.mult",
+            "plan.wavefront[0].ep.shift", "plan.wavefront[0].ep.half",
+            "plan.wavefront[0].ep.odd", "plan.w_x[0]", "plan.encoding",
+            "plan.fc_cells", "plan.win_dx"} <= set(arrays)
+    assert [p for p, a in arrays.items() if a.flags.writeable] == []
+
+
+def test_wavefront_weights_built_with_the_plan(small_stream, monkeypatch):
+    """The wavefront's block-diagonal weights are built once, with the
+    plan; the runs on it build none."""
+    real, calls = engine._block_diag, []
+    monkeypatch.setattr(engine, "_block_diag",
+                        lambda blocks: calls.append(1) or real(blocks))
+    plan = engine.build_plan(random_model(9))
+    assert len(calls) == 1
+    calls.clear()
+    for _ in range(2):
+        engine.run_stream(plan, small_stream, levels=True)
+    assert calls == []
+
+
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
 def test_build_adjacency_from_plan_model_or_search(shape, small_stream,
                                                    monkeypatch):
@@ -679,10 +726,9 @@ class TestSentinelKernel:
             assert np.array_equal(res.logits,
                                   np.stack([p.logits for p in preds]))
 
-    @pytest.mark.parametrize("layer_outer", [True, False])
+    @pytest.mark.parametrize("wave", [True, False])
     @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
-    def test_group_mixing_empty_and_saturated_rows(self, empty,
-                                                   layer_outer):
+    def test_group_mixing_empty_and_saturated_rows(self, empty, wave):
         """One batch holds rows of degree 0 beside rows at d_max."""
         model = dataclasses.replace(calibration_model(),
                                     empty_aggregation=empty)
@@ -707,7 +753,7 @@ class TestSentinelKernel:
         assert np.any(adj.deg[groups[-1]] == model.search.d_max)
         plan = engine.build_plan(model)
         feats = engine.run_layers(plan, plan.encoding[stream.p], adj, groups,
-                                  layer_outer)
+                                  plan.wavefront if wave else plan.layered)
         state, _ = _per_event_run(model, stream)
         _assert_feats_equal(feats, state)
 

@@ -10,7 +10,8 @@ from another, so a module's private helpers can change without a search.
 
 Likewise every top-level function and class of the package must be read
 by the package itself or by the benchmark: code that only the tests call
-belongs in tests/.
+belongs in tests/. And every parameter of a package function is read: a
+parameter that nothing reads still makes every caller build and pass it.
 """
 
 import ast
@@ -24,6 +25,10 @@ FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 # The scalar reference of the neighbour search stays in the package by
 # name: it states the search's semantics next to the code it checks.
 UNREAD_OK = ["graph_builder.brute_force_neighbors"]
+# The benchmark calls trace_from_run by its (model, deg, entries_scanned)
+# signature; the function goes with the benchmark's change that drops the
+# call (ROADMAP item 1).
+UNREAD_PARAMS_OK = ["perf_model.trace_from_run(model)"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -138,3 +143,41 @@ def test_checker_flags_an_unread_definition():
     }
     readers = ["import a\na.f()\n"]
     assert unread_definitions(package, readers) == ["a.h", "a.C"]
+
+
+def unread_parameters(module: str, source: str) -> list[str]:
+    """Parameters of source's functions and lambdas that they never read.
+
+    A name that starts with an underscore marks a parameter that a
+    callback takes only to fit its caller's signature, and is exempt.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *filter(None, [a.vararg, a.kwarg])]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", f"<lambda line {node.lineno}>")
+            out += [f"{module}.{name}({p.arg})" for p in params
+                    if p.arg not in read and not p.arg.startswith("_")]
+    return out
+
+
+def test_package_parameters_are_read():
+    found = [u for p in PACKAGE for u in unread_parameters(p.stem,
+                                                           p.read_text())]
+    assert found == UNREAD_PARAMS_OK
+
+
+def test_checker_flags_an_unread_parameter():
+    src = ("def f(a, b, *c, d, _e, **g):\n    return a + g['k']\n"
+           "class K:\n    def m(self, x):\n        return self\n"
+           "h = lambda y, _z: 0\n"
+           "def outer(w):\n    def inner():\n        return w\n"
+           "    return inner\n")
+    assert unread_parameters("mod", src) == [
+        "mod.f(b)", "mod.f(d)", "mod.f(c)", "mod.m(x)",
+        "mod.<lambda line 6>(y)"]

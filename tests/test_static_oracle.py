@@ -31,6 +31,22 @@ def _fp_model(seed=0, width=32, height=24):
                    fc_bias=rng.normal(0, 0.1, size=2), search=PARAMS)
 
 
+@pytest.mark.parametrize("p", [-1, 2])
+def test_every_forward_rejects_a_polarity_outside_0_1(p):
+    """A hand-built stream may hold any polarity. Both static forwards
+    reject one outside {0, 1}, as run_stream does, instead of leaving its
+    encoded input unset (INT8) or reading it as +1.0 (FP)."""
+    s = event_io.EventStream(32, 24, [1, 2, 3], [1, 1, 2], [0, 10, 20],
+                             [0, p, 1])
+    model = random_model(3, width=32, height=24, search=PARAMS)
+    adj = engine.build_adjacency(s, model)
+    for run in (lambda: forward_eq7_int8(s, adj, model),
+                lambda: forward_eq7_fp(s, adj, _fp_model()),
+                lambda: engine.run_stream(model, s, adjacency=adj)):
+        with pytest.raises(event_io.OutOfBounds):
+            run()
+
+
 class TestBuildStaticGraph:
     """The static graph is the whole stream's engine.build_adjacency."""
 
@@ -107,7 +123,7 @@ class TestEq7Int8:
         s = _stream(3, count=20, width=64, height=48)
         res = engine.run_stream(small_model, s)
         lines = engine.prediction_trace_lines(
-            small_model, forward_eq7_int8(s, res.adjacency, small_model))
+            forward_eq7_int8(s, res.adjacency, small_model))
         assert len(lines) == 20
         n, cls, *logits = lines[7].split()
         assert int(n) == 7
