@@ -96,24 +96,23 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n" if lines else "")
 
 
-def _infer_one(plan: engine.RunPlan, stream_path: str, args) -> int:
+def _infer_one(plan: engine.RunPlan, stream_path: str, args) -> str:
+    """Run one stream; returns its result line."""
     model = plan.model
     stream = _load_stream(stream_path, model.width, model.height, args.format)
     if len(stream) == 0:
         if args.trace_out:
             _write_lines(args.trace_out, [])
-        print(f"{stream_path}: no events")
-        return EXIT_OK
+        return f"{stream_path}: no events"
     t0 = time.perf_counter()
     result = engine.run_stream(plan, stream)
     wall = time.perf_counter() - t0
     if args.trace_out:
         _write_lines(args.trace_out, engine.prediction_trace_lines(result))
     final = int(result.cls[-1])
-    print(f"{stream_path}: events={len(stream)} "
-          f"class={model.classes[final]} ({final}) "
-          f"throughput={len(stream) / wall:,.0f} ev/s")
-    return EXIT_OK
+    return (f"{stream_path}: events={len(stream)} "
+            f"class={model.classes[final]} ({final}) "
+            f"throughput={len(stream) / wall:,.0f} ev/s")
 
 
 def cmd_infer(args) -> int:
@@ -125,22 +124,25 @@ def cmd_infer(args) -> int:
     if len(args.stream) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(args.stream))) as pool:
-            codes = list(pool.map(_infer_worker,
-                                  [(plan, s, args) for s in args.stream]))
-        return max(codes)
-    code = EXIT_OK
+            results = list(pool.map(_infer_worker,
+                                    [(plan, s, args) for s in args.stream]))
+        # the workers share this process's stdout: only this process
+        # prints, in argument order
+        for code, line in results:
+            print(line, file=sys.stderr if code else sys.stdout)
+        return max(code for code, _ in results)
     for s in args.stream:
-        code = max(code, _infer_one(plan, s, args))
-    return code
+        print(_infer_one(plan, s, args))
+    return EXIT_OK
 
 
-def _infer_worker(packed):
+def _infer_worker(packed) -> tuple[int, str]:
+    """(exit code, result or error line) of one stream."""
     plan, stream_path, args = packed
     try:
-        return _infer_one(plan, stream_path, args)
+        return EXIT_OK, _infer_one(plan, stream_path, args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code, f"error: {exc}"
 
 
 def cmd_verify(args) -> int:
@@ -157,6 +159,7 @@ def cmd_verify(args) -> int:
     for name, run in (("layer-sequential", seq), ("static-oracle", sta)):
         diffs = [(n, l, c) for l, (a, b) in enumerate(zip(par.feats,
                                                           run.feats))
+                 if not np.array_equal(a, b)
                  for n, c in np.argwhere(a != b)[:1]]
         if diffs:
             n, l, c = min(diffs)  # lowest event, then layer, then channel

@@ -21,10 +21,11 @@ Two granularities are provided:
       side, C in all; run_layers is one loop over a plan's blocks, each
       over groups of event rows: a block per layer over the whole graph
       in contiguous row slices (the default of infer and bench) or over
-      the dependency levels (layer-sequential), or one block of every
-      layer over the levels, the layer-parallel wavefront of the paper's
-      idea (iii): each layer of an event reads only stored features of
-      past neighbours, so all L layers of a level run at once.
+      every row in dependency-level order (layer-sequential), or one
+      block of every layer over the levels one by one, the layer-parallel
+      wavefront of the paper's idea (iii): each layer of an event reads
+      only stored features of past neighbours, so all L layers of a level
+      run at once.
       The level schedules are kept to verify the default. All share one
       incremental readout / FC, readout_trace: one loop-free pass over
       every readout cell, whose running max is one accumulate along the
@@ -458,7 +459,8 @@ def build_plan(model: QuantizedModel) -> RunPlan:
     search = model.search
     layers = model.layers
     win_dx, win_dy = window_offsets(search.r_s, search.shape == "cylinder")
-    w_x = tuple(_frozen(lp.weights[:, :-2].T.astype(np.float64))
+    w_x = tuple(_frozen(np.ascontiguousarray(lp.weights[:, :-2].T,
+                                             dtype=np.float64))
                 for lp in layers)
     pos = [position_terms(lp, win_dx, win_dy) for lp in layers]
     layered = tuple(Block.of(layers, range(l, l + 1), pos, w)
@@ -538,14 +540,18 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
     """Run every INT8 layer over every group of event rows, in schedule order.
 
     A group is a slice (the whole graph, taken in contiguous views) or an
-    index array (a dependency level). A group's events must depend only on
-    earlier groups. Each of blocks (the plan's layered or wavefront) runs
-    over every group in turn, one eq7_block call per chunk of at most
-    CHUNK_CELLS message cells. After each chunk, one node_terms product of
-    its outputs writes the terms they feed: the next block's (a block's
-    own are dropped once it is done), or the block's own later-layer
-    columns (the wavefront: layer l of an event reads only layer l-1
-    outputs of earlier groups). x0 is the encoded input of every event.
+    index array (a dependency level); several groups are index arrays. A
+    group's events must depend only on earlier groups. Each of blocks (the
+    plan's layered or wavefront) runs in turn, one eq7_block call per
+    chunk of at most CHUNK_CELLS message cells. After each chunk, one
+    node_terms product of its outputs writes the terms they feed: the next
+    block's (a block's own are dropped once it is done), or the block's
+    own later-layer columns. Only a block whose outputs feed its own later
+    layers (the wavefront: layer l of an event reads only layer l-1
+    outputs of earlier groups) keeps the groups apart and chunks each in
+    turn. A one-layer block reads only terms the block before it wrote in
+    full, so it runs the rows of all groups, in order, as one sequence of
+    chunks. x0 is the encoded input of every event.
     The offsets come from the adjacency's window. Returns the per-layer
     outputs (uint8[N, C_out]).
     """
@@ -575,7 +581,10 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
                 else new_terms(w.shape[1]))
         feats = np.zeros((n, off[-1]), dtype=np.uint8)
         size = max(1, CHUNK_CELLS // (max(d_max, 1) * off[-1]))
-        for rows in (rows for group in groups
+        # only a block that feeds its own later layers keeps groups apart
+        own = (groups if len(off) > 2 or len(groups) < 2
+               else [np.concatenate(groups)])
+        for rows in (rows for group in own
                      for rows in _row_chunks(group, size)):
             d = int(adj.deg[rows].max())
             out = eq7_block(terms, blk.table, nbr[:d, rows], pos[:d, rows],
@@ -672,7 +681,8 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
     of an event reads only layer l-1 outputs of earlier events, so this
     computes what the event-driven schedules compute. The dependency-level
     schedules, over adjacency.levels, are kept to verify it. sequential:
-    each layer runs every dependency level in turn (layer-sequential).
+    each layer runs over every event in dependency-level order
+    (layer-sequential).
     levels: each dependency level runs every layer (the layer-parallel
     wavefront).
     """

@@ -153,22 +153,41 @@ def parse_text_stream(source: bytes | str, width: int, height: int) -> EventStre
 
 
 def _decode_text(data: bytes) -> np.ndarray | None:
-    """The rows as int64 [N, 4] if every line is blank or four integers in
-    ASCII digits, signs, spaces and tabs; None otherwise."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    sep = (b == ord(" ")) | (b == ord("\t")) | (b == ord("\n"))
-    if not (sep | ((b >= ord("0")) & (b <= ord("9")))
-            | (b == ord("+")) | (b == ord("-"))).all():
+    """The rows as int64 [N, 4] if every line is blank or four integers,
+    each ASCII digits with at most one leading sign, split by spaces and
+    tabs; None otherwise.
+
+    One np.fromstring call converts the whole buffer. It raises on a sign
+    inside a field, but reads a lone sign as part of the next number, or
+    as 0 at the end of the buffer, so every sign must start a field and be
+    followed by a digit, and the values must number the fields. A value
+    beyond int64 saturates to +-(2**63 - 1), which _bad_rows rejects.
+    """
+    # a line feed before the text and after it closes every line
+    b = np.frombuffer(b"\n" + data + b"\n", dtype=np.uint8)
+    lf = b == ord("\n")
+    sep = lf | (b == ord(" ")) | (b == ord("\t"))
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    sign = (b == ord("+")) | (b == ord("-"))
+    if not (sep | digit | sign).all():
         return None
     start = ~sep
     start[1:] &= sep[:-1]  # first byte of each field
-    fields_per_line = np.bincount(np.cumsum(b == ord("\n"))[start])
-    if ((fields_per_line != 0) & (fields_per_line != 4)).any():
+    lead = sign & start  # a sign that starts a field and precedes a digit
+    lead[:-1] &= digit[1:]
+    if (sign & ~lead).any():
+        return None
+    fields = np.flatnonzero(start)
+    per_line = np.diff(np.searchsorted(fields, np.flatnonzero(lf)))
+    if ((per_line != 0) & (per_line != 4)).any():
         return None
     try:
-        return np.array(data.split(), dtype=np.int64).reshape(-1, 4)
-    except (ValueError, OverflowError):  # "1-2", a lone sign, > int64
+        values = np.fromstring(data, dtype=np.int64, sep=" ")
+    except ValueError:
         return None
+    if len(values) != len(fields):  # blank text reads as [0]
+        return None
+    return values.reshape(-1, 4)
 
 
 def _parse_text_lines(source: bytes | str, width: int,

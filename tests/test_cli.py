@@ -1,7 +1,11 @@
 import argparse
 import base64
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,30 @@ class TestInfer:
             p.write_text(event_io.write_text_stream(small_stream))
             paths.append(str(p))
         assert main(["infer", model_path, *paths, "--jobs", "2"]) == EXIT_OK
+
+    def test_jobs_print_one_line_per_stream_in_order(self, model_path,
+                                                      tmp_path):
+        """The workers return their lines and the parent prints them: with
+        stdout piped, three streams give three lines in argument order,
+        though the first stream, the longest, finishes last."""
+        paths = []
+        for seed, count in enumerate([3000, 600, 60]):
+            path = tmp_path / f"s{seed}.txt"
+            path.write_text(event_io.write_text_stream(event_io.gen_synthetic(
+                "uniform_random", {"width": 64, "height": 48, "count": count,
+                                   "duration_us": 20_000}, seed)))
+            paths.append(str(path))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "evgnn.cli", "infer", model_path, *paths,
+             "--jobs", "3"], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = proc.stdout.split("\n")
+        assert lines[-1] == ""
+        assert [l.split(":")[0] for l in lines[:-1]] == paths
+        assert [l.split()[1] for l in lines[:-1]] == [
+            "events=3000", "events=600", "events=60"]
 
     def test_jobs_capped_at_stream_count(self, model_path, stream_path,
                                          inline_pool):

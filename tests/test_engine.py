@@ -550,7 +550,8 @@ def _plan_arrays(obj, path="plan"):
 def test_run_plan_arrays_are_read_only():
     """One plan serves any number of runs, so no run may write into it:
     every array it holds is read-only, down to each Block's position
-    table, w_next and epilogue arrays."""
+    table, w_next and epilogue arrays. Each layer's w_x is C-ordered, the
+    layout the node-term products read fastest."""
     plan = engine.build_plan(random_model(9, layer_dims=(5, 7, 6)))
     arrays = dict(_plan_arrays(plan))
     for b in ["layered[0]", "layered[1]", "layered[2]", "wavefront[0]"]:
@@ -561,6 +562,7 @@ def test_run_plan_arrays_are_read_only():
             "plan.wavefront[0].ep.odd", "plan.w_x[0]", "plan.encoding",
             "plan.fc_cells", "plan.win_dx"} <= set(arrays)
     assert [p for p, a in arrays.items() if a.flags.writeable] == []
+    assert all(w.flags.c_contiguous for w in plan.w_x)
 
 
 def test_wavefront_weights_built_with_the_plan(small_stream, monkeypatch):
@@ -575,6 +577,29 @@ def test_wavefront_weights_built_with_the_plan(small_stream, monkeypatch):
     for _ in range(2):
         engine.run_stream(plan, small_stream, levels=True)
     assert calls == []
+
+
+def test_layer_sequential_makes_no_more_kernel_calls(small_stream,
+                                                     monkeypatch):
+    """A one-layer block reads only terms the block before it wrote in
+    full, so it runs every row, in dependency-level order, as one sequence
+    of chunks: the layer-sequential schedule makes no more eq7_block calls
+    than the default, on a stream whose chunks each hold several levels."""
+    model = random_model(9)
+    plan = engine.build_plan(model)
+    adj = engine.build_adjacency(small_stream, plan)
+    rows = min(engine.CHUNK_CELLS // (adj.d_max * lp.c_out)
+               for lp in model.layers)
+    assert max(len(g) for g in adj.levels) * 3 < rows < len(small_stream)
+    real, calls = engine.eq7_block, []
+    monkeypatch.setattr(engine, "eq7_block",
+                        lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for sequential in (False, True):
+        calls.clear()
+        engine.run_stream(plan, small_stream, sequential, adjacency=adj)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
 
 
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
@@ -637,8 +662,9 @@ def _burst_then_sparse_stream():
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
 def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
     """wavefront == layer-sequential == default == static oracle, with
-    CHUNK_CELLS cut so that a wavefront chunk holds 3 rows and a level
-    spans several chunks, on a stream with rows of degree 0 and d_max."""
+    CHUNK_CELLS cut so that a wavefront chunk holds 3 rows, a level spans
+    several chunks and a one-layer chunk straddles a level boundary, on a
+    stream with rows of degree 0 and d_max."""
     rng = np.random.default_rng(40 + n_layers)
     dims = tuple(int(d) for d in rng.integers(3, 17, size=n_layers))
     params = SearchParams(r_s=2, r_t=400, d_max=4, queue_depth=4)
@@ -655,6 +681,11 @@ def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
     assert np.all(adj.deg[adj.levels[0]] == 0)
     assert any(len(g) > 3 and np.any(adj.deg[g] == params.d_max)
                for g in adj.levels[1:])
+    # the layer-sequential schedule runs each layer over every row in level
+    # order, in chunks of rows[l] rows: some chunk holds rows of two levels
+    rows = [engine.CHUNK_CELLS // (params.d_max * d) for d in dims]
+    ends = np.cumsum([len(g) for g in adj.levels])[:-1]
+    assert all(np.any(ends % r) for r in rows)
     plan = engine.build_plan(model)
     runs = [engine.run_stream(plan, stream, adjacency=adj, **kw)
             for kw in ({"levels": True}, {"sequential": True}, {})]

@@ -28,6 +28,25 @@ valid_rows = st.lists(
 ).map(lambda rows: sorted(rows, key=lambda r: r[2]))
 
 
+@st.composite
+def valid_text(draw):
+    """Text of valid rows in the forms int() reads: signs, leading zeros,
+    runs of spaces and tabs, blank lines, with or without a final line
+    feed."""
+    ws = st.text(" \t", min_size=1, max_size=3)
+    lines = []
+    for row in draw(valid_rows.filter(len)):
+        lines += draw(st.lists(st.text(" \t", max_size=2), max_size=2))
+        # a sign (- only on 0), leading zeros, the digits
+        fields = [draw(st.sampled_from(["", "+", "-"][:3 if v == 0 else 2]))
+                  + "0" * draw(st.integers(0, 2)) + str(v) for v in row]
+        line = draw(st.text(" \t", max_size=2)) + fields[0]
+        for f in fields[1:]:
+            line += draw(ws) + f
+        lines.append(line + draw(st.text(" \t", max_size=2)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
 class TestTextFormat:
     def test_parse_simple(self):
         s = event_io.parse_text_stream("1 2 10 0\n3 4 11 1\n", W, H)
@@ -86,6 +105,33 @@ class TestTextFormat:
         want = make_stream(W, H, [(1, 2, 10, 0), (3, 4, 11, 1)])
         for source in (text, text.encode()):
             assert _same(event_io.parse_text_stream(source, W, H), want)
+
+    @given(valid_text())
+    @settings(max_examples=100, deadline=None)
+    def test_one_call_parse_equals_per_line(self, text):
+        got = event_io._decode_text(text.encode())
+        want = event_io._parse_text_lines(text, W, H)
+        assert got is not None
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [
+        "1 1-2 12 0",           # a sign inside a field
+        "1 - 2 12",             # a lone sign mid-line
+        "1 2 12 -",             # a lone sign as the text's last field
+        f"1 2 {2**64} 0",       # beyond int64
+        f"{-2**64} 2 12 0",
+    ])
+    def test_one_call_parse_errors_match_per_line(self, bad):
+        """Input the one-call parse cannot take falls back to the per-line
+        parse, which raises as it would alone."""
+        text = f"1 2 10 0\n\n3 4 11 1\n{bad}"
+        for source in (text, text.encode()):
+            with pytest.raises(event_io.StreamError) as want:
+                event_io._parse_text_lines(source, W, H)
+            with pytest.raises(type(want.value)) as got:
+                event_io.parse_text_stream(source, W, H)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("line 4: ")
 
     def test_equal_timestamps_legal(self):
         s = event_io.parse_text_stream("1 1 10 0\n2 2 10 1\n", W, H)
