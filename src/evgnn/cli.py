@@ -2,12 +2,16 @@
 
 Subcommands: gen, gen-model, infer, verify, bench, quantize.
 Exit codes: 0 ok, 1 semantic divergence (verify), 2 I/O or config error.
+`_rejecting` is the one input gate: every file, flag or search override
+that a command rejects leaves through it as one exit-2 error line, and
+`main` adds running out of memory to exit 2.
 Set EVGNN_LOG to a logging level name (e.g. DEBUG) for diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -20,9 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import engine, event_io, perf_model, quant, static_oracle
-from .graph_builder import SHAPES, InvalidSearchParams, SearchParams
-from .model import (ModelConfigError, load_fp_model, load_model,
-                    random_fp_model, save_fp_model, save_model)
+from .graph_builder import SHAPES, SearchParams
+from .model import (load_fp_model, load_model, random_fp_model,
+                    save_fp_model, save_model)
 
 log = logging.getLogger("evgnn")
 
@@ -43,31 +47,33 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+@contextlib.contextmanager
+def _rejecting(what: str):
+    """The CLI's one input gate: a read error in the block becomes
+    `cannot read {what}: ...`, a rejected value `bad {what}: ...`, each a
+    CliError that exits 2."""
+    try:
+        yield
+    except (OSError, ValueError, TypeError) as exc:
+        log.debug("rejected %s", what, exc_info=True)
+        verb = "cannot read" if isinstance(exc, OSError) else "bad"
+        raise CliError(f"{verb} {what}: {exc}") from exc
+
+
 def _load_stream(path: str, width: int, height: int,
                  fmt: str | None) -> event_io.EventStream:
     if fmt is None:
         fmt = "bin" if path.endswith((".bin", ".evb")) else "text"
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if fmt == "bin":
-            return event_io.parse_binary_stream(data, width, height)
-        return event_io.parse_text_stream(data, width, height)
-    except OSError as exc:
-        raise CliError(f"cannot read stream {path}: {exc}") from exc
-    except event_io.StreamError as exc:
-        raise CliError(f"bad stream {path}: {exc}") from exc
+    parse = (event_io.parse_binary_stream if fmt == "bin"
+             else event_io.parse_text_stream)
+    with _rejecting(f"stream {path}"), open(path, "rb") as fh:
+        return parse(fh.read(), width, height)
 
 
 def _load_model(load, path: str, what: str = "model"):
-    """load(path), with a read or format error as a CliError."""
-    try:
+    """load(path) behind the input gate."""
+    with _rejecting(f"{what} {path}"):
         return load(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {what} {path}: {exc}") from exc
-    except (ModelConfigError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
-        raise CliError(f"bad {what} {path}: {exc}") from exc
 
 
 def _apply_overrides(model, args):
@@ -75,20 +81,9 @@ def _apply_overrides(model, args):
     given = {f.name: getattr(args, f.name)
              for f in dataclasses.fields(SearchParams)
              if getattr(args, f.name) is not None}
-    try:
+    with _rejecting("search parameters"):
         model.search = dataclasses.replace(model.search, **given)
-    except InvalidSearchParams as exc:
-        raise CliError(f"bad search parameters: {exc}") from exc
     return model
-
-
-def _load_hw_config(path: str) -> perf_model.HwConfig:
-    try:
-        return perf_model.load_hw_config(path)
-    except OSError as exc:
-        raise CliError(f"cannot read hw config {path}: {exc}") from exc
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise CliError(f"bad hw config {path}: {exc}") from exc
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -178,15 +173,16 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     model = _apply_overrides(_load_model(load_model, args.model), args)
     stream = _load_stream(args.stream, model.width, model.height, args.format)
-    cfg = _load_hw_config(args.hw) if args.hw else perf_model.HwConfig()
+    cfg = (_load_model(perf_model.load_hw_config, args.hw, "hw config")
+           if args.hw else perf_model.HwConfig())
     if len(stream) == 0:
         print(f"{args.stream}: no events")
         return EXIT_OK
     t0 = time.perf_counter()
     result = engine.run_stream(model, stream)
     wall = time.perf_counter() - t0
-    trace = perf_model.trace_from_run(model, result.adjacency.deg,
-                                      result.adjacency.entries_scanned)
+    trace = perf_model.EventTrace(result.adjacency.deg,
+                                  result.adjacency.entries_scanned)
     mode = "sequential" if args.sequential else "parallel"
     report = perf_model.estimate_stream_latency(model, trace, cfg, mode)
     des = perf_model.simulate_cycles(trace, model, cfg, mode)
@@ -221,12 +217,10 @@ def cmd_gen(args) -> int:
     if args.kind == "moving_dot":
         params["velocity"] = (args.vx, args.vy)
         params["dot_radius"] = args.dot_radius
-    try:
+    with _rejecting("gen flags"):
         stream = event_io.gen_synthetic(args.kind, params, args.seed)
         data = (event_io.write_binary_stream(stream) if args.format == "bin"
                 else event_io.write_text_stream(stream).encode())
-    except (event_io.InvalidParams, event_io.StreamError) as exc:
-        raise CliError(str(exc)) from exc
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(f"wrote {len(stream)} events to {args.out}")
@@ -234,8 +228,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gen_model(args) -> int:
-    fp = random_fp_model(args.seed, width=args.width, height=args.height,
-                         with_bn=args.with_bn)
+    with _rejecting("gen-model flags"):
+        fp = random_fp_model(args.seed, width=args.width,
+                             height=args.height, with_bn=args.with_bn)
     save_fp_model(fp, args.out)
     print(f"wrote FP model to {args.out}")
     return EXIT_OK
@@ -244,10 +239,8 @@ def cmd_gen_model(args) -> int:
 def cmd_quantize(args) -> int:
     fp = _load_model(load_fp_model, args.fp_model, "FP model")
     calib = _load_stream(args.calib, fp.width, fp.height, args.format)
-    try:
+    with _rejecting(f"quantization of {args.fp_model}"):
         qm, rep = quant.quantize_model(fp, calib)
-    except (quant.EmptyCalibration, ModelConfigError) as exc:
-        raise CliError(str(exc)) from exc
     save_model(qm, args.out)
     log.info("activation scales: %s", rep.activation_scales)
     print(f"wrote quantized model to {args.out}")
@@ -344,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

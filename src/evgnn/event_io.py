@@ -15,6 +15,7 @@ All functions are pure over immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -295,8 +296,11 @@ def _gen_moving_dot(params: dict, seed: int) -> EventStream:
     width, height, count, duration = _check_common(params)
     vx, vy = params.get("velocity", (1.0, 0.0))
     radius = float(params.get("dot_radius", 3.0))
-    if radius < 0:
-        raise InvalidParams("dot_radius must be >= 0")
+    # a NaN or infinite dot position would round to int64's minimum
+    if not all(math.isfinite(v * (duration / 1000.0)) for v in (vx, vy)):
+        raise InvalidParams("velocity * duration must be finite")
+    if not 0 <= radius < math.inf:
+        raise InvalidParams("dot_radius must be finite and >= 0")
     rng = np.random.default_rng(seed)
     ts = np.sort(rng.integers(0, duration, size=count))
     # Dot center at t, bounced off the sensor borders to stay in frame.

@@ -61,9 +61,17 @@ def _int8_arrays(weights, bias, shape: tuple[int, int], what: str):
         raise ModelConfigError(f"{what}weights {weights.shape} != {shape}")
     if bias.shape != shape[:1]:
         raise ModelConfigError(f"{what}bias length mismatch")
-    if np.abs(weights).max(initial=0) > 127:
+    # not np.abs(weights).max(): np.abs(-2**63) wraps to -2**63
+    if weights.min(initial=0) < -127 or weights.max(initial=0) > 127:
         raise ModelConfigError(f"{what}weight magnitude > 127")
     return weights, bias
+
+
+def _finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise unless every value of every array is finite (Python's json
+    reads NaN and Infinity)."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ModelConfigError(f"{what} is not finite")
 
 
 @dataclass
@@ -128,6 +136,8 @@ class FPLayer:
             if any(np.shape(self.bn.get(k)) != self.bias.shape
                    for k in ("gamma", "beta", "mean", "var")):
                 raise ModelConfigError("bn needs C_out gamma, beta, mean, var")
+        _finite("an FP layer weight, bias or bn value", self.weights,
+                self.bias, *(self.bn or {}).values())
 
     @property
     def c_out(self) -> int:
@@ -208,6 +218,7 @@ class FPModel(ModelHeader):
         super().__post_init__()
         self.fc_weights = np.asarray(self.fc_weights, dtype=np.float64)
         self.fc_bias = np.asarray(self.fc_bias, dtype=np.float64)
+        _finite("an FP fc weight or bias", self.fc_weights, self.fc_bias)
         self._check_structure(self.fc_weights, self.fc_bias)
 
 
@@ -442,9 +453,10 @@ def fp_model_from_json(doc: dict) -> FPModel:
 
 
 def save_model(model: QuantizedModel, path: str) -> None:
+    # built first, so a value that does not fit raises before the file exists
+    text = json.dumps(model_to_json(model)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path: str) -> QuantizedModel:
@@ -453,9 +465,9 @@ def load_model(path: str) -> QuantizedModel:
 
 
 def save_fp_model(model: FPModel, path: str) -> None:
+    text = json.dumps(fp_model_to_json(model)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fp_model_to_json(model), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_fp_model(path: str) -> FPModel:

@@ -445,6 +445,9 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
 
 def trace_from_run(model: QuantizedModel, deg: np.ndarray,
                    entries_scanned: np.ndarray) -> EventTrace:
-    """Build a trace from engine instrumentation; model is unused."""
+    """EventTrace(deg, entries_scanned); model is unused.
+
+    Kept only because the benchmark calls it by name, until ROADMAP item
+    1's benchmark change; the program builds EventTrace directly."""
     return EventTrace(deg, entries_scanned)
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from evgnn.model import QuantizedModel, model_to_json
-from evgnn.perf_model import EventTrace, trace_from_run
+from evgnn.perf_model import EventTrace
 
 
 def calibration_trace(model: QuantizedModel, n_events: int = 2000,
@@ -20,7 +20,7 @@ def calibration_trace(model: QuantizedModel, n_events: int = 2000,
                   0, model.search.d_max).astype(np.int64)
     entries = np.clip(np.round(rng.normal(mean_entries, 25.0, n_events)),
                       deg, None).astype(np.int64)
-    return trace_from_run(model, deg, entries)
+    return EventTrace(deg, entries)
 
 
 def neighbors(adj, stream, i: int) -> list[tuple[int, int, int, int]]:

@@ -14,7 +14,7 @@ from evgnn import cli, engine, event_io, graph_builder, quant, static_oracle
 from evgnn.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from evgnn.model import (fp_model_to_json, load_fp_model, load_model,
                          model_to_json, random_fp_model, random_model,
-                         save_model)
+                         save_fp_model, save_model)
 from helpers import assert_models_equal, list_form_doc
 
 
@@ -110,6 +110,21 @@ class TestGen:
                      "-o", str(tmp_path / "s.bin")]) == EXIT_IO
         assert "does not fit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--vx", "nan"], ["gen", "--vy", "nan"],
+        ["gen", "--dot-radius", "nan"], ["gen", "--vx", "inf"],
+        ["gen", "--vx", "1e307"], ["gen-model", "--width", "0"],
+        ["gen-model", "--seed", "-1"],
+    ], ids=["vx_nan", "vy_nan", "radius_nan", "vx_inf", "vx_overflows",
+            "model_width_0", "model_seed_negative"])
+    def test_bad_flag_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["-o", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {argv[0]} flags: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestInfer:
     def test_trace_deterministic(self, model_path, stream_path, tmp_path):
@@ -180,6 +195,28 @@ class TestInfer:
         assert [l.split(":")[0] for l in lines[:-1]] == paths
         assert [l.split()[1] for l in lines[:-1]] == [
             "events=3000", "events=600", "events=60"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_of_memory_is_io_error(self, model_path, stream_path,
+                                       tmp_path, inline_pool, monkeypatch,
+                                       capsys, jobs):
+        """A failed allocation (a huge --r-s window, say) is one error
+        line and exit 2, also when it comes out of the worker pool."""
+        def no_memory(*_args, **_kwargs):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(engine, "run_stream", no_memory)
+        trace = tmp_path / "t.txt"
+        argv = (["infer", model_path, stream_path, "--trace-out", str(trace)]
+                if jobs == "1" else
+                ["infer", model_path, stream_path, stream_path,
+                 "--jobs", jobs])
+        assert main(argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory: "
+                                "Unable to allocate 298. GiB\n")
+        assert not trace.exists()
 
     def test_jobs_capped_at_stream_count(self, model_path, stream_path,
                                          inline_pool):
@@ -683,6 +720,18 @@ class TestModelFiles:
          "bad FP model .*sensor H: 48.5 is not an integer"),
         ("fp", lambda d: d["fc"].update(out_dim=str(d["fc"]["out_dim"])),
          "quantize", "bad FP model .*fc out_dim: '[0-9]+' is not an integer"),
+        ("int8_list", lambda d: d["layers"][1]["weights"].__setitem__(
+            0, -2**63), "infer", "bad model .*weight magnitude > 127"),
+        ("int8_list", lambda d: d["fc"]["weights"].__setitem__(0, -2**63),
+         "infer", "bad model .*fc weight magnitude > 127"),
+        ("fp", lambda d: d["layers"][0]["weights"].__setitem__(
+            0, float("nan")), "quantize", "bad FP model .*not finite"),
+        ("fp", lambda d: d["layers"][2]["weights"].__setitem__(
+            3, float("inf")), "quantize", "bad FP model .*not finite"),
+        ("fp_bn", lambda d: d["layers"][1]["bn"].update(eps=float("inf")),
+         "quantize", "bad FP model .*not finite"),
+        ("fp", lambda d: d["fc"]["bias"].__setitem__(0, -float("inf")),
+         "quantize", "bad FP model .*not finite"),
     ], ids=["fp_unchained", "fp_fc_in_dim", "fp_patch_0", "fp_layer0_c_in_2",
             "int8_patch_0", "int8_into_quantize", "fp_into_infer",
             "fp_bn_short_gamma", "fp_bn_negative_var",
@@ -693,7 +742,10 @@ class TestModelFiles:
             "list_weight_1_7", "list_bias_true", "requant_m_float",
             "pos_shift_true", "encoding_half", "sensor_w_64_7", "r_s_true",
             "queue_depth_string", "grid_gx_float", "c_out_string",
-            "fc_in_dim_true", "fp_sensor_h_48_5", "fp_out_dim_string"])
+            "fc_in_dim_true", "fp_sensor_h_48_5", "fp_out_dim_string",
+            "list_weight_minus_2_63", "list_fc_weight_minus_2_63",
+            "fp_weight_nan", "fp_weight_infinity", "fp_bn_eps_infinity",
+            "fp_fc_bias_minus_infinity"])
     def test_rejected(self, kind, edit, command, expect, small_model,
                       stream_path, tmp_path, capsys):
         doc = _model_doc(kind, small_model)
@@ -724,6 +776,24 @@ def test_model_file_not_utf8(command, stream_path, tmp_path, capsys):
     assert err.startswith(f"error: bad {'FP ' * (command == 'quantize')}"
                           f"model {path}: ")
     assert err.count("\n") == 1 and "utf-8" in err
+
+
+@pytest.mark.parametrize("command", ["infer", "quantize"])
+def test_stream_file_not_utf8(command, model_path, tmp_path, capsys):
+    stream, out = tmp_path / "s.txt", tmp_path / "out"
+    stream.write_bytes(b"1 2 3 0\n\xff 1 2 0\n")
+    if command == "quantize":
+        fp_path = tmp_path / "fp.json"
+        save_fp_model(random_fp_model(5), str(fp_path))
+        argv = ["quantize", str(fp_path), "--calib", str(stream),
+                "-o", str(out)]
+    else:
+        argv = ["infer", model_path, str(stream), "--trace-out", str(out)]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad stream {stream}: 'utf-8' codec")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_commands_build_no_event_objects(model_path, tmp_path, monkeypatch):
