@@ -149,6 +149,7 @@ def cmd_verify(args) -> int:
     plan = engine.build_plan(model)
     adj = engine.build_adjacency(stream, plan)
     par = engine.run_stream(plan, stream, adjacency=adj, levels=True)
+    # the default schedule, the one infer and bench run
     seq = engine.run_stream(plan, stream, sequential=True, adjacency=adj)
     sta = static_oracle.forward_eq7_int8(stream, adj, model)
     for name, run in (("layer-sequential", seq), ("static-oracle", sta)):

@@ -18,20 +18,19 @@ Two granularities are provided:
       gather into a [D, B, C] tensor, one max over the slot axis with no
       mask, and one BAQ epilogue (Epilogue, baq_block) on int64. The
       kernel runs a Block of layers whose output channels sit side by
-      side, C in all; run_layers is one loop over a plan's blocks, each
-      over groups of event rows: a block per layer over the whole graph
-      in contiguous row slices (the default of infer and bench) or over
-      every row in dependency-level order (layer-sequential), or one
-      block of every layer over the levels one by one, the layer-parallel
-      wavefront of the paper's idea (iii): each layer of an event reads
-      only stored features of past neighbours, so all L layers of a level
-      run at once.
-      The level schedules are kept to verify the default. All share one
+      side, C in all; run_layers is one loop over a plan's blocks. It
+      runs two batch schedules. The layer-sequential one, the default of
+      infer, bench and verify, runs a block per layer over the whole graph
+      in contiguous row slices. The layer-parallel wavefront of the
+      paper's idea (iii) runs one block of every layer over the dependency
+      levels one by one: each layer of an event reads only stored
+      features of past neighbours, so all L layers of a level run at once.
+      The wavefront is kept to verify the default. Both share one
       incremental readout / FC, readout_trace: one loop-free pass over
       every readout cell, whose running max is one accumulate along the
       event axis of a channel-major [C_last, N] array of the events
       sorted by cell and lifted apart, and whose FC step is computed only
-      for the events that raise their cell. All return one RunResult
+      for the events that raise their cell. Both return one RunResult
       whose feats hold one uint8 [N, C_out] array per layer (BAQ clamps
       every output to [0, 127]). The static forwards of static_oracle
       return it too; they compute each message unfactored, so verify
@@ -535,23 +534,22 @@ def slot_major(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
-               groups: list[slice | np.ndarray],
+               groups: list[np.ndarray],
                blocks: tuple[Block, ...]) -> list[np.ndarray]:
-    """Run every INT8 layer over every group of event rows, in schedule order.
+    """Run every INT8 layer over every event row, block by block.
 
-    A group is a slice (the whole graph, taken in contiguous views) or an
-    index array (a dependency level); several groups are index arrays. A
-    group's events must depend only on earlier groups. Each of blocks (the
-    plan's layered or wavefront) runs in turn, one eq7_block call per
-    chunk of at most CHUNK_CELLS message cells. After each chunk, one
-    node_terms product of its outputs writes the terms they feed: the next
-    block's (a block's own are dropped once it is done), or the block's
-    own later-layer columns. Only a block whose outputs feed its own later
-    layers (the wavefront: layer l of an event reads only layer l-1
-    outputs of earlier groups) keeps the groups apart and chunks each in
-    turn. A one-layer block reads only terms the block before it wrote in
-    full, so it runs the rows of all groups, in order, as one sequence of
-    chunks. x0 is the encoded input of every event.
+    Each of blocks (the plan's layered or wavefront) runs in turn, one
+    eq7_block call per chunk of at most CHUNK_CELLS message cells. After
+    each chunk, one node_terms product of its outputs writes the terms
+    they feed: the next block's (a block's own are dropped once it is
+    done), or the block's own later-layer columns. A one-layer block reads
+    only terms the block before it wrote in full, so it runs every row in
+    contiguous slices (views of the per-event arrays). Only a block whose
+    outputs feed its own later layers (the wavefront: layer l of an event
+    reads only layer l-1 outputs of earlier groups) walks groups, index
+    arrays of event rows (the dependency levels) whose events depend only
+    on earlier groups, chunking each in turn; every other block ignores
+    them. x0 is the encoded input of every event.
     The offsets come from the adjacency's window. Returns the per-layer
     outputs (uint8[N, C_out]).
     """
@@ -581,9 +579,8 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
                 else new_terms(w.shape[1]))
         feats = np.zeros((n, off[-1]), dtype=np.uint8)
         size = max(1, CHUNK_CELLS // (max(d_max, 1) * off[-1]))
-        # only a block that feeds its own later layers keeps groups apart
-        own = (groups if len(off) > 2 or len(groups) < 2
-               else [np.concatenate(groups)])
+        # only a block that feeds its own later layers walks the groups
+        own = groups if len(off) > 2 else [slice(0, n)]
         for rows in (rows for group in own
                      for rows in _row_chunks(group, size)):
             d = int(adj.deg[rows].max())
@@ -677,25 +674,23 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
 
     model is a QuantizedModel, or the RunPlan of one: a caller that runs
     several streams or schedules builds the plan once and passes it.
-    Default: each layer runs over the whole graph before the next; layer l
-    of an event reads only layer l-1 outputs of earlier events, so this
-    computes what the event-driven schedules compute. The dependency-level
-    schedules, over adjacency.levels, are kept to verify it. sequential:
-    each layer runs over every event in dependency-level order
-    (layer-sequential).
-    levels: each dependency level runs every layer (the layer-parallel
-    wavefront).
+    Default, the layer-sequential schedule of infer, bench and verify: each
+    layer runs over the whole graph before the next; layer l of an event
+    reads only layer l-1 outputs of earlier events, so this computes what
+    the event-driven schedules compute. levels: each dependency level of
+    adjacency.levels runs every layer (the layer-parallel wavefront), which
+    verify checks the default against; only this schedule builds the
+    levels. sequential: the default, even with levels.
     """
     plan = model if isinstance(model, RunPlan) else build_plan(model)
     if stream.width != plan.model.width or stream.height != plan.model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = (adjacency if adjacency is not None
            else build_adjacency(stream, plan))
-    groups = (adj.levels if sequential or levels
-              else [slice(0, len(adj.deg))])
+    wave = levels and not sequential
     feats = run_layers(plan, plan.encoding[checked_polarity(stream)], adj,
-                       groups, plan.wavefront if levels and not sequential
-                       else plan.layered)
+                       adj.levels if wave else [],
+                       plan.wavefront if wave else plan.layered)
     logits, cls, readout = readout_trace(plan.model, stream, feats[-1],
                                          plan.fc_cells, plan.model.fc.bias)
     return RunResult(adj, feats, logits, cls, readout,

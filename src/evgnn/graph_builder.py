@@ -135,9 +135,6 @@ class EventQueueGrid:
                 f"({x},{y}) outside {self.width}x{self.height}")
         return y * self.width + x
 
-    def queue_len(self, x: int, y: int) -> int:
-        return int(self._count[self._check_bounds(x, y)])
-
     def entries(self, x: int, y: int) -> list[QueueEntry]:
         """Entries at (x, y), newest first."""
         qi = self._check_bounds(x, y)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import build_adjacency
 from .event_io import EventStream
-from .model import (DenseParams, FPLayer, FPModel, LayerParams,
+from .model import (ACC_LIMIT, DenseParams, FPLayer, FPModel, LayerParams,
                     ModelConfigError, QuantizedModel)
 from .static_oracle import forward_eq7_fp
 
@@ -98,6 +98,19 @@ def _weight_scale(w: np.ndarray) -> float:
     return m / 127.0 if m > 0 else 1.0
 
 
+def _quantize_bias(bias: np.ndarray, scale: float, what: str) -> np.ndarray:
+    """bias / scale rounded to integers, each checked to lie below 2**31,
+    as the model loader's range proof needs, before the int64 cast."""
+    with np.errstate(over="ignore"):
+        q = np.round(bias / scale)
+    bad = np.flatnonzero(~(np.abs(q) < ACC_LIMIT))
+    if len(bad):
+        i = bad[0]
+        raise ModelConfigError(f"{what} bias {i}: {bias[i]:g} quantizes to "
+                               f"{q[i]:.4g}, |bias| >= 2**31")
+    return q.astype(np.int64)
+
+
 def quantize_model(model_fp: FPModel, calib: EventStream
                    ) -> tuple[QuantizedModel, QuantizationReport]:
     """Quantize a BN-folded float model using a calibration stream.
@@ -128,7 +141,7 @@ def quantize_model(model_fp: FPModel, calib: EventStream
         w_scales.append(s_w)
         q_w = np.clip(np.round(layer.weights / s_w), -127, 127).astype(np.int64)
         # bias lives in the accumulator scale s_in * s_w
-        q_b = np.round(layer.bias / (s_in * s_w)).astype(np.int64)
+        q_b = _quantize_bias(layer.bias, s_in * s_w, f"layer {len(layers)}")
         layers.append(LayerParams(
             c_in=layer.c_in, c_out=layer.c_out,
             weights=q_w, bias=q_b,
@@ -141,7 +154,7 @@ def quantize_model(model_fp: FPModel, calib: EventStream
     s_wfc = _weight_scale(model_fp.fc_weights)
     q_fcw = np.clip(np.round(model_fp.fc_weights / s_wfc),
                     -127, 127).astype(np.int64)
-    q_fcb = np.round(model_fp.fc_bias / (s_last * s_wfc)).astype(np.int64)
+    q_fcb = _quantize_bias(model_fp.fc_bias, s_last * s_wfc, "fc")
     fc = DenseParams(in_dim=model_fp.fc_weights.shape[1],
                      out_dim=model_fp.fc_weights.shape[0],
                      weights=q_fcw, bias=q_fcb)

@@ -344,8 +344,8 @@ class TestSharedParser:
 class TestVerify:
     def test_clean_model_exit_zero(self, model_path, stream_path, capsys,
                                    monkeypatch):
-        # both level schedules run on one build of the dependency levels
-        # and on one run plan
+        # the wavefront builds the dependency levels once, and every leg
+        # runs on one run plan
         builds, plans = [], []
         real, real_plan = graph_builder.dependency_levels, engine.build_plan
         monkeypatch.setattr(graph_builder, "dependency_levels",
@@ -387,6 +387,23 @@ class TestVerify:
         assert capsys.readouterr().out == (
             f"DIVERGENCE vs layer-sequential: event n=5 layer=2 channel=3: "
             f"{v} != {v + 1}\n")
+
+    def test_default_schedule_checked(self, model_path, stream_path,
+                                      monkeypatch, capsys):
+        # a whole-graph slice chunk one row short: only the default
+        # schedule, the one infer runs, takes slices
+        real = engine._row_chunks
+
+        def short(group, size):
+            chunks = real(group, size)
+            if isinstance(group, slice):
+                chunks[0] = slice(chunks[0].start, chunks[0].stop - 1)
+            return chunks
+
+        monkeypatch.setattr(engine, "_row_chunks", short)
+        assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().out.startswith(
+            "DIVERGENCE vs layer-sequential: ")
 
     def test_logits_only_divergence(self, model_path, stream_path,
                                     monkeypatch, capsys):
@@ -604,6 +621,26 @@ class TestQuantizePipeline:
         assert main(["quantize", str(fp_path), "--calib", stream_path,
                      "-o", str(out)]) == EXIT_IO
         assert "bad FP model" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, named", [
+        (lambda d: d["layers"][1]["bias"], "layer 1 bias 1"),
+        (lambda d: d["fc"]["bias"], "fc bias 1"),
+    ], ids=["layer", "fc"])
+    def test_huge_bias_is_config_error(self, where, named, tmp_path,
+                                       stream_path, capsys):
+        """A bias that quantizes past 2**31 is named before the int64
+        cast, which would warn and wrap it."""
+        doc = fp_model_to_json(random_fp_model(5))
+        where(doc)[1] = 1e300
+        fp_path, out = tmp_path / "fp.json", tmp_path / "q.json"
+        fp_path.write_text(json.dumps(doc))
+        assert main(["quantize", str(fp_path), "--calib", stream_path,
+                     "-o", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.match(f"error: bad quantization of .*: {named}: 1e\\+300 "
+                        f"quantizes to .*, \\|bias\\| >= 2\\*\\*31$", err)
         assert not out.exists()
 
     @pytest.mark.parametrize("shape", ["hemisphere", "semi_octahedron"])

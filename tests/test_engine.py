@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evgnn import engine, event_io, static_oracle
+from evgnn import engine, event_io, graph_builder, static_oracle
+from evgnn.cli import main
 from evgnn.engine import (DimMismatch, EngineState, Epilogue, FeatureStore,
                           LengthMismatch, Prediction, ReadoutState,
                           StoreError, aggregate_max, baq, baq_block,
@@ -15,7 +16,8 @@ from evgnn.engine import (DimMismatch, EngineState, Epilogue, FeatureStore,
                           rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, DenseParams, LayerParams,
-                         calibration_model, random_fp_model, random_model)
+                         calibration_model, random_fp_model, random_model,
+                         save_model)
 
 
 def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
@@ -380,6 +382,11 @@ class TestReadoutTrace:
         assert engine.lift_dtype(2**31, 1) is np.int64
 
 
+# run_stream's two batch schedules: the default (layer-sequential) and the
+# layer-parallel wavefront
+SCHEDULES = ({}, {"levels": True})
+
+
 def _per_event_run(model, stream):
     state = EngineState.new(model, len(stream))
     preds = [engine.process_event(state, model, ev) for ev in stream.events]
@@ -399,8 +406,7 @@ class TestProcessEvent:
             engine.process_event(state, small_model,
                                  small_stream.events[1])
 
-    @pytest.mark.parametrize("schedule",
-                             ["parallel", "sequential", "graph", "static"])
+    @pytest.mark.parametrize("schedule", ["parallel", "graph", "static"])
     @pytest.mark.parametrize("case", ["zero", "neg_inf", "dmax_saturated",
                                       "cylinder"])
     def test_per_event_equals_batch(self, small_stream, case, schedule):
@@ -432,7 +438,6 @@ class TestProcessEvent:
             res = static_oracle.forward_eq7_int8(stream, adj, model)
         else:
             res = engine.run_stream(model, stream, adjacency=adj,
-                                    sequential=schedule == "sequential",
                                     levels=schedule == "parallel")
         per_nbr = sum((lp.c_in + 2) * lp.c_out for lp in model.layers)
         assert np.array_equal(res.macs, adj.deg * per_nbr)
@@ -478,7 +483,7 @@ class TestProcessEvent:
         adj = engine.build_adjacency(stream, model)
         assert adj.deg[rows - 1] == adj.deg[rows] == 0
         assert adj.deg[rows + 1:].max() > 0
-        for kw in ({}, {"levels": True}, {"sequential": True}):
+        for kw in SCHEDULES:
             res = engine.run_stream(model, stream, adjacency=adj, **kw)
             for l in range(len(model.layers)):
                 assert np.array_equal(res.feats[l], np.stack(
@@ -516,12 +521,9 @@ class TestProcessEvent:
         model = random_model(3, layer_dims=(6,))
         _, preds = _per_event_run(model, small_stream)
         logits = np.stack([p.logits for p in preds])
-        for sequential in (False, True):
-            res = engine.run_stream(model, small_stream, sequential=sequential)
+        for kw in SCHEDULES:
+            res = engine.run_stream(model, small_stream, **kw)
             assert np.array_equal(res.logits, logits)
-
-
-SCHEDULES = ({}, {"levels": True}, {"sequential": True})
 
 
 def _assert_feats_equal(feats, state):
@@ -579,27 +581,35 @@ def test_wavefront_weights_built_with_the_plan(small_stream, monkeypatch):
     assert calls == []
 
 
-def test_layer_sequential_makes_no_more_kernel_calls(small_stream,
-                                                     monkeypatch):
-    """A one-layer block reads only terms the block before it wrote in
-    full, so it runs every row, in dependency-level order, as one sequence
-    of chunks: the layer-sequential schedule makes no more eq7_block calls
-    than the default, on a stream whose chunks each hold several levels."""
-    model = random_model(9)
-    plan = engine.build_plan(model)
-    adj = engine.build_adjacency(small_stream, plan)
-    rows = min(engine.CHUNK_CELLS // (adj.d_max * lp.c_out)
-               for lp in model.layers)
-    assert max(len(g) for g in adj.levels) * 3 < rows < len(small_stream)
-    real, calls = engine.eq7_block, []
+def test_default_schedule_builds_no_levels(small_model, small_stream,
+                                           tmp_path, monkeypatch):
+    """infer and bench run the default schedule, and sequential picks it
+    even with levels: none builds the dependency levels. That run equals
+    the default bit for bit, with as many eq7_block calls."""
+    levels, calls = [], []
+    real_levels, real_kernel = (graph_builder.dependency_levels,
+                                engine.eq7_block)
+    monkeypatch.setattr(graph_builder, "dependency_levels",
+                        lambda adj: levels.append(1) or real_levels(adj))
     monkeypatch.setattr(engine, "eq7_block",
-                        lambda *a: calls.append(1) or real(*a))
-    counts = []
-    for sequential in (False, True):
+                        lambda *a: calls.append(1) or real_kernel(*a))
+    model_path, stream_path = tmp_path / "m.json", tmp_path / "s.txt"
+    save_model(small_model, str(model_path))
+    stream_path.write_text(event_io.write_text_stream(small_stream))
+    for command in ("infer", "bench"):
+        assert main([command, str(model_path), str(stream_path)]) == 0
+    plan = engine.build_plan(small_model)
+    runs = []
+    for kw in ({}, {"sequential": True, "levels": True}):
         calls.clear()
-        engine.run_stream(plan, small_stream, sequential, adjacency=adj)
-        counts.append(len(calls))
-    assert counts[1] <= counts[0]
+        runs.append((engine.run_stream(plan, small_stream, **kw),
+                     len(calls)))
+    assert levels == []
+    (default, n_default), (seq, n_seq) = runs
+    assert n_seq == n_default > len(small_model.layers)
+    for a, b in zip(default.feats, seq.feats):
+        assert np.array_equal(a, b)
+    assert np.array_equal(default.logits, seq.logits)
 
 
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
@@ -661,10 +671,9 @@ def _burst_then_sparse_stream():
 @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
 def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
-    """wavefront == layer-sequential == default == static oracle, with
-    CHUNK_CELLS cut so that a wavefront chunk holds 3 rows, a level spans
-    several chunks and a one-layer chunk straddles a level boundary, on a
-    stream with rows of degree 0 and d_max."""
+    """wavefront == default (layer-sequential) == static oracle, with
+    CHUNK_CELLS cut so that a wavefront chunk holds 3 rows and a level
+    spans several chunks, on a stream with rows of degree 0 and d_max."""
     rng = np.random.default_rng(40 + n_layers)
     dims = tuple(int(d) for d in rng.integers(3, 17, size=n_layers))
     params = SearchParams(r_s=2, r_t=400, d_max=4, queue_depth=4)
@@ -681,14 +690,9 @@ def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
     assert np.all(adj.deg[adj.levels[0]] == 0)
     assert any(len(g) > 3 and np.any(adj.deg[g] == params.d_max)
                for g in adj.levels[1:])
-    # the layer-sequential schedule runs each layer over every row in level
-    # order, in chunks of rows[l] rows: some chunk holds rows of two levels
-    rows = [engine.CHUNK_CELLS // (params.d_max * d) for d in dims]
-    ends = np.cumsum([len(g) for g in adj.levels])[:-1]
-    assert all(np.any(ends % r) for r in rows)
     plan = engine.build_plan(model)
     runs = [engine.run_stream(plan, stream, adjacency=adj, **kw)
-            for kw in ({"levels": True}, {"sequential": True}, {})]
+            for kw in ({"levels": True}, {})]
     runs.append(static_oracle.forward_eq7_int8(stream, adj, model))
     par = runs[0]
     assert [f.shape[1] for f in par.feats] == list(dims)
@@ -760,7 +764,8 @@ class TestSentinelKernel:
     @pytest.mark.parametrize("wave", [True, False])
     @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
     def test_group_mixing_empty_and_saturated_rows(self, empty, wave):
-        """One batch holds rows of degree 0 beside rows at d_max."""
+        """One batch holds rows of degree 0 beside rows at d_max: the
+        wavefront's last group, or a one-layer block's last slice chunk."""
         model = dataclasses.replace(calibration_model(),
                                     empty_aggregation=empty)
         dot = event_io.gen_synthetic(
@@ -782,6 +787,10 @@ class TestSentinelKernel:
                   if len(g)]
         groups[-1] = np.r_[groups[-1], tail]
         assert np.any(adj.deg[groups[-1]] == model.search.d_max)
+        for lp in model.layers:
+            size = engine.CHUNK_CELLS // (model.search.d_max * lp.c_out)
+            last = slice((len(stream) - 1) // size * size, len(stream))
+            assert np.any(adj.deg[last] == model.search.d_max)
         plan = engine.build_plan(model)
         feats = engine.run_layers(plan, plan.encoding[stream.p], adj, groups,
                                   plan.wavefront if wave else plan.layered)
@@ -802,7 +811,7 @@ class TestInvariantsOnStream:
                                     small_stream.t, small_stream.p)))
             adj = engine.build_adjacency(stream, model)
             runs = [engine.run_stream(model, stream, adjacency=adj, **kw)
-                    for kw in ({}, {"levels": True}, {"sequential": True})]
+                    for kw in SCHEDULES]
             runs.append(static_oracle.forward_eq7_int8(stream, adj, model))
             fp = dataclasses.replace(random_fp_model(9, layer_dims=(8,) * 4),
                                      empty_aggregation=empty)

@@ -23,8 +23,8 @@ def _rand_stream(seed, width=24, height=20, count=400, duration=2_000):
 class TestQueueGrid:
     def test_new_grid_empty(self):
         g = EventQueueGrid(120, 100, 16)
-        assert g.queue_len(0, 0) == 0
-        assert g.queue_len(119, 99) == 0
+        assert len(g.entries(0, 0)) == 0
+        assert len(g.entries(119, 99)) == 0
 
     def test_single_entry_queue(self):
         g = EventQueueGrid(1, 1, 1)
@@ -37,7 +37,7 @@ class TestQueueGrid:
     def test_push_no_eviction(self):
         g = EventQueueGrid(4, 4, 16)
         assert g.push_event(Event(1, 1, 10, 0, 0)) is None
-        assert g.queue_len(1, 1) == 1
+        assert len(g.entries(1, 1)) == 1
 
     def test_17th_push_evicts_first(self):
         g = EventQueueGrid(4, 4, 16)
@@ -45,7 +45,7 @@ class TestQueueGrid:
             assert g.push_event(Event(2, 2, i, 0, i)) is None
         evicted = g.push_event(Event(2, 2, 16, 1, 16))
         assert evicted is not None and evicted.n == 0
-        assert g.queue_len(2, 2) == 16
+        assert len(g.entries(2, 2)) == 16
 
     def test_push_out_of_bounds(self):
         g = EventQueueGrid(4, 4, 16)
