@@ -111,6 +111,8 @@ def _infer_one(plan: engine.RunPlan, stream_path: str, args) -> str:
 
 
 def cmd_infer(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs {args.jobs}: need at least 1 worker")
     if args.trace_out and len(args.stream) > 1:
         raise CliError(f"--trace-out takes one stream, "
                        f"got {len(args.stream)}")

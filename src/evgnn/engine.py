@@ -60,7 +60,6 @@ from .graph_builder import (Adjacency, EventQueueGrid, SearchParams,
                             replay_build, search_neighbors, window_offsets)
 from .model import ACC_LIMIT, LayerParams, ModelHeader, QuantizedModel
 
-NEG_IDENTITY = np.int64(-(2**62))  # "-inf" empty-aggregation identity
 MSG_FLOOR = np.int32(-(2**31))  # batch path's "-inf": below every message
 # Message cells (rows * D * C) per eq7_block call; bounds the batch path's
 # working memory.
@@ -117,14 +116,11 @@ def message_matvec(layer, x_j: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return acc
 
 
-def aggregate_max(messages, width: int,
-                  empty_aggregation: str = "zero") -> np.ndarray:
-    """Elementwise max over messages; empty input yields the identity."""
+def aggregate_max(messages, width: int) -> np.ndarray:
+    """Elementwise max over messages; empty input yields zeros."""
     messages = list(messages)
     if not messages:
-        if empty_aggregation == "zero":
-            return np.zeros(width, dtype=np.int64)
-        return np.full(width, NEG_IDENTITY, dtype=np.int64)
+        return np.zeros(width, dtype=np.int64)
     out = np.asarray(messages[0], dtype=np.int64).copy()
     for m in messages[1:]:
         m = np.asarray(m, dtype=np.int64)
@@ -247,7 +243,7 @@ def process_event(state: EngineState, model: QuantizedModel,
     for level, layer in enumerate(model.layers):
         msgs = [message_matvec(layer, state.store.read(nb.n, level),
                                nb.dx, nb.dy) for nb in neighbors]
-        agg = aggregate_max(msgs, layer.c_out, model.empty_aggregation)
+        agg = aggregate_max(msgs, layer.c_out)
         outs.append(baq(agg, layer))
     state.store.write(ev.n, 0,
                       np.array([model.encode_input(ev.p)], dtype=np.int64))
@@ -376,12 +372,11 @@ def baq_block(v: np.ndarray, ep: Epilogue) -> np.ndarray:
     v += ep.bias
     np.maximum(v, 0, out=v)
     v *= ep.mult
-    if np.ndim(ep.shift) or ep.shift:
-        r = v >> ep.shift
-        r &= ep.odd
-        r += ep.half
-        v += r
-        v >>= ep.shift
+    r = v >> ep.shift
+    r &= ep.odd
+    r += ep.half
+    v += r
+    v >>= ep.shift
     np.minimum(v, 127, out=v)
     return v
 
@@ -477,8 +472,7 @@ def build_plan(model: QuantizedModel) -> RunPlan:
 
 
 def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
-              pos: np.ndarray, empty: np.ndarray, ep: Epilogue,
-              empty_aggregation: str) -> np.ndarray:
+              pos: np.ndarray, empty: np.ndarray, ep: Epilogue) -> np.ndarray:
     """Eq-7 INT8 conv of a block of layers for a batch of B events, factored.
 
     The block's layers have their output channels side by side, C in all;
@@ -493,17 +487,16 @@ def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
     so its message is exactly MSG_FLOOR. One gather of each builds one
     [D, B, C] tensor, one reduce over the slot axis takes the max and one
     baq_block with ep, the block's epilogue, requantizes it. empty marks
-    the rows of degree 0, which aggregate to the empty identity: 0
-    ("zero") or -inf ("neg_inf"). The loader's range proof puts every
-    message, bias and their sum strictly inside int32, so MSG_FLOOR lies
-    below every real message and MSG_FLOOR + bias < 0 maps to 0 exactly
-    as -inf does. Returns int64[B, C], every value in [0, 127].
+    the rows of degree 0, which aggregate to 0, the empty identity. The
+    loader's range proof puts every message strictly inside int32, so
+    MSG_FLOOR lies below every real message and is the max identity of
+    the slots past a row's degree. Returns int64[B, C], every value in
+    [0, 127].
     """
     msgs = np.take(terms, nbr, axis=0)
     msgs += np.take(table, pos, axis=0)
     agg = np.maximum.reduce(msgs, axis=0, initial=MSG_FLOOR).astype(np.int64)
-    if empty_aggregation == "zero":
-        agg[empty] = 0
+    agg[empty] = 0
     return baq_block(agg, ep)
 
 
@@ -534,7 +527,6 @@ def slot_major(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
-               groups: list[np.ndarray],
                blocks: tuple[Block, ...]) -> list[np.ndarray]:
     """Run every INT8 layer over every event row, block by block.
 
@@ -545,11 +537,11 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
     done), or the block's own later-layer columns. A one-layer block reads
     only terms the block before it wrote in full, so it runs every row in
     contiguous slices (views of the per-event arrays). Only a block whose
-    outputs feed its own later layers (the wavefront: layer l of an event
-    reads only layer l-1 outputs of earlier groups) walks groups, index
-    arrays of event rows (the dependency levels) whose events depend only
-    on earlier groups, chunking each in turn; every other block ignores
-    them. x0 is the encoded input of every event.
+    outputs feed its own later layers (the wavefront of a model of several
+    layers: layer l of an event reads only layer l-1 outputs of earlier
+    levels) walks adj.levels, the dependency levels, chunking each in
+    turn; so only such a block builds them. x0 is the encoded input of
+    every event.
     The offsets come from the adjacency's window. Returns the per-layer
     outputs (uint8[N, C_out]).
     """
@@ -579,14 +571,13 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
                 else new_terms(w.shape[1]))
         feats = np.zeros((n, off[-1]), dtype=np.uint8)
         size = max(1, CHUNK_CELLS // (max(d_max, 1) * off[-1]))
-        # only a block that feeds its own later layers walks the groups
-        own = groups if len(off) > 2 else [slice(0, n)]
+        # only a block that feeds its own later layers walks the levels
+        own = adj.levels if len(off) > 2 else [slice(0, n)]
         for rows in (rows for group in own
                      for rows in _row_chunks(group, size)):
             d = int(adj.deg[rows].max())
             out = eq7_block(terms, blk.table, nbr[:d, rows], pos[:d, rows],
-                            empty[rows], blk.ep,
-                            plan.model.empty_aggregation)
+                            empty[rows], blk.ep)
             feats[rows] = out
             if dest is not None:  # w reads the first len(w) outputs
                 dest[rows] = node_terms(out[:, :len(w)].astype(np.float64),
@@ -679,18 +670,18 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
     reads only layer l-1 outputs of earlier events, so this computes what
     the event-driven schedules compute. levels: each dependency level of
     adjacency.levels runs every layer (the layer-parallel wavefront), which
-    verify checks the default against; only this schedule builds the
-    levels. sequential: the default, even with levels.
+    verify checks the default against; only this schedule, on a model of
+    several layers, builds the levels. sequential: the default, even with
+    levels.
     """
     plan = model if isinstance(model, RunPlan) else build_plan(model)
     if stream.width != plan.model.width or stream.height != plan.model.height:
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = (adjacency if adjacency is not None
            else build_adjacency(stream, plan))
-    wave = levels and not sequential
     feats = run_layers(plan, plan.encoding[checked_polarity(stream)], adj,
-                       adj.levels if wave else [],
-                       plan.wavefront if wave else plan.layered)
+                       plan.wavefront if levels and not sequential
+                       else plan.layered)
     logits, cls, readout = readout_trace(plan.model, stream, feats[-1],
                                          plan.fc_cells, plan.model.fc.bias)
     return RunResult(adj, feats, logits, cls, readout,

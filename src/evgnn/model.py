@@ -4,7 +4,6 @@ Both kinds are UTF-8 JSON documents with one header and one structure:
 
     {version, sensor:{W,H},
      search:{shape,r_s,r_t,D_max,queue_depth},
-     empty_aggregation:"zero"|"neg_inf",
      grid:{patch,Gx,Gy},          # Gx, Gy optional; checked when present
      classes:[labels],
      layers:[{C_in,C_out,weights(row-major array),bias,...}],
@@ -14,8 +13,12 @@ The FP model (gen-model writes it, quantize reads it) is version 1, has
 float arrays and "precision":"fp32"; a layer may carry a batchnorm block
 bn:{gamma,beta,mean,var,eps}. The INT8 model (infer, verify and bench run
 it) has no "precision"; it adds input_encoding:{"0":-127,"1":127},
-requant:{M,shift}, pos_requant:{M,shift} and s_in per layer. Each reader
+requant:{M,shift} and pos_requant:{M,shift} per layer. Each reader
 rejects the other kind's document, and a version other than 1 or 2.
+
+An event without neighbours aggregates to 0, the one empty identity. A
+file that carries the retired "empty_aggregation" key loads only if the
+key is "zero": another value would change what the file computes.
 
 The INT8 writer stores version 2: each weights array is a base64 string
 of its int8 bytes, each bias one of its little-endian int32 bytes, and it
@@ -26,8 +29,8 @@ the requant pairs and the input encoding. Decoded arrays then pass the
 same shape, magnitude and 32-bit range checks as lists.
 
 Value-exactness matters, byte-exactness does not. Other keys are ignored,
-such as the search "r" and "beta" and the top-level "hw" block that older
-files carry.
+such as the search "r" and "beta", the top-level "hw" block and the
+per-layer "s_in" that older files carry.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class LayerParams:
     requantized |dx| and |dy| positional inputs. bias lives in the 32-bit
     accumulator domain; (M, shift) requantize the accumulator to the output
     activation scale; (M_pos, shift_pos) map raw pixel offsets into the
-    input activation scale. s_in is kept for documentation/quantizer use.
+    input activation scale.
     """
 
     c_in: int
@@ -91,7 +94,6 @@ class LayerParams:
     bias: np.ndarray
     requant: tuple[int, int]
     pos_requant: tuple[int, int] = IDENTITY_REQUANT
-    s_in: float = 1.0
 
     def __post_init__(self):
         self.weights, self.bias = _int8_arrays(
@@ -161,15 +163,12 @@ class ModelHeader:
     search: SearchParams = field(default_factory=SearchParams)
     patch: int = 16
     classes: list[str] = field(default_factory=lambda: ["0", "1"])
-    empty_aggregation: str = "zero"  # or "neg_inf"
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ModelConfigError("sensor W and H must be >= 1")
         if self.patch < 1:
             raise ModelConfigError("grid patch must be >= 1")
-        if self.empty_aggregation not in ("zero", "neg_inf"):
-            raise ModelConfigError("empty_aggregation: zero or neg_inf")
 
     @property
     def n_cells_x(self) -> int:
@@ -268,7 +267,6 @@ def _header_to_json(model: ModelHeader, version: int) -> dict:
             "sensor": {"W": model.width, "H": model.height},
             "search": {"shape": sp.shape, "r_s": sp.r_s, "r_t": sp.r_t,
                        "D_max": sp.d_max, "queue_depth": sp.queue_depth},
-            "empty_aggregation": model.empty_aggregation,
             "grid": {"patch": model.patch},
             "classes": list(model.classes)}
 
@@ -278,6 +276,11 @@ def _header_from_json(doc: dict) -> dict:
     if type(version) is not int or version not in FORMAT_VERSIONS:
         raise ModelConfigError(f"format version {version!r}: this reader "
                                f"takes versions {FORMAT_VERSIONS}")
+    empty = doc.get("empty_aggregation", "zero")
+    if empty != "zero":
+        raise ModelConfigError(f"empty_aggregation {empty!r}: an event "
+                               f"without neighbours aggregates to 0, "
+                               f"\"zero\" is the only identity")
     sensor, sp = doc["sensor"], doc.get("search", {})
     grid = doc.get("grid", {})
     header = ModelHeader(
@@ -291,8 +294,7 @@ def _header_from_json(doc: dict) -> dict:
             queue_depth=_json_int(sp.get("queue_depth", 16),
                                   "search queue_depth")),
         patch=_json_int(grid.get("patch", 16), "grid patch"),
-        classes=[str(c) for c in doc.get("classes", ["0", "1"])],
-        empty_aggregation=doc.get("empty_aggregation", "zero"))
+        classes=[str(c) for c in doc.get("classes", ["0", "1"])])
     for key, cells in (("Gx", header.n_cells_x), ("Gy", header.n_cells_y)):
         if key in grid and _json_int(grid[key], f"grid {key}") != cells:
             raise ModelConfigError(f"grid {key} disagrees with sensor/patch")
@@ -383,8 +385,7 @@ def model_to_json(model: QuantizedModel) -> dict:
         {"C_in": l.c_in, "C_out": l.c_out,
          **arrays(f"layer {i} ", l.weights, l.bias),
          "requant": {"M": l.requant[0], "shift": l.requant[1]},
-         "pos_requant": {"M": l.pos_requant[0], "shift": l.pos_requant[1]},
-         "s_in": l.s_in}
+         "pos_requant": {"M": l.pos_requant[0], "shift": l.pos_requant[1]}}
         for i, l in enumerate(model.layers)]
     doc["fc"] = {"in_dim": model.fc.in_dim, "out_dim": model.fc.out_dim,
                  **arrays("fc ", model.fc.weights, model.fc.bias)}
@@ -405,8 +406,7 @@ def model_from_json(doc: dict) -> QuantizedModel:
                 ci, co, *_arrays(ld, co, ci + 2, _ints, f"layer {i} "),
                 requant=_pair(ld["requant"], f"layer {i} requant"),
                 pos_requant=_pair(ld["pos_requant"],
-                                  f"layer {i} pos_requant"),
-                s_in=float(ld.get("s_in", 1.0))))
+                                  f"layer {i} pos_requant")))
         fd = doc["fc"]
         ci, co = _dims(fd, "in_dim", "out_dim", "fc ")
         return QuantizedModel(
@@ -477,12 +477,10 @@ def load_fp_model(path: str) -> FPModel:
 
 def random_model(seed: int, width: int = 64, height: int = 48,
                  layer_dims: tuple[int, ...] = (8, 8, 8, 8),
-                 search: SearchParams | None = None,
-                 empty_aggregation: str = "zero") -> QuantizedModel:
+                 search: SearchParams | None = None) -> QuantizedModel:
     """Random but valid quantized model (test/benchmark stimulus)."""
     header = ModelHeader(width=width, height=height,
-                         search=search or SearchParams(),
-                         empty_aggregation=empty_aggregation)
+                         search=search or SearchParams())
     n_classes = len(header.classes)
     rng = np.random.default_rng(seed)
     layers = []

@@ -146,8 +146,7 @@ def quantize_model(model_fp: FPModel, calib: EventStream
             c_in=layer.c_in, c_out=layer.c_out,
             weights=q_w, bias=q_b,
             requant=choose_requant(s_in * s_w / s_out),
-            pos_requant=choose_requant(1.0 / s_in),
-            s_in=s_in))
+            pos_requant=choose_requant(1.0 / s_in)))
         s_in = s_out
 
     s_last = act_scales[-1]

@@ -58,10 +58,10 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
     offsets) quantizes the |dx|, |dy| of each window slot once; per batch,
     the loop gathers (x_j, the position terms of slot o_j) into
     [D, B, C_in+2], runs one float64 matmul with the layer's weights, sets
-    the masked slots to -inf, takes the max over the slot axis, applies
-    the empty identity (0 for "zero"; -inf stays for "neg_inf") and hands
-    the sum with the bias to activation(v, layer). Its result is the
-    layer's output and the next layer's input.
+    the masked slots to -inf, takes the max over the slot axis, sets the
+    rows of degree 0 to the empty identity 0 and hands the sum with the
+    bias to activation(v, layer). Its result is the layer's output and
+    the next layer's input.
     """
     n = len(stream)
     # |dx|, |dy| of each window slot, and of slot K past the degree
@@ -93,8 +93,7 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
             msgs = msgs.reshape(nbr.shape + (layer.c_out,))
             msgs[pad] = -np.inf
             agg = msgs.max(axis=0, initial=-np.inf)
-            if model.empty_aggregation == "zero":
-                agg[empty] = 0.0
+            agg[empty] = 0.0
             outs.append(activation(agg + layer.bias, layer))
         x = np.concatenate(outs)
         feats.append(x)

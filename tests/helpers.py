@@ -57,5 +57,4 @@ def assert_models_equal(a: QuantizedModel, b: QuantizedModel) -> None:
         assert la.weights.dtype == lb.weights.dtype == np.int64
         assert la.bias.dtype == lb.bias.dtype == np.int64
     for la, lb in zip(a.layers, b.layers):
-        assert (la.requant, la.pos_requant, la.s_in) == (
-            lb.requant, lb.pos_requant, lb.s_in)
+        assert (la.requant, la.pos_requant) == (lb.requant, lb.pos_requant)

@@ -276,6 +276,18 @@ class TestInfer:
         assert "--trace-out" in captured.err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, model_path, stream_path,
+                                     tmp_path, capsys, jobs):
+        trace = tmp_path / "t.txt"
+        assert main(["infer", model_path, stream_path,
+                     "--trace-out", str(trace), "--jobs", jobs]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --jobs {jobs}: need at least 1 "
+                                f"worker\n")
+        assert not trace.exists()
+
     def test_empty_stream_writes_empty_trace(self, model_path, tmp_path):
         empty, trace = tmp_path / "empty.txt", tmp_path / "t.txt"
         empty.write_text("")
@@ -357,6 +369,23 @@ class TestVerify:
         assert "OK" in capsys.readouterr().out
         assert len(builds) == 1
         assert len(plans) == 1
+
+    @pytest.mark.parametrize("dims, builds", [((6,), 0), ((6, 5, 4, 3), 1)],
+                             ids=["one_layer", "four_layers"])
+    def test_levels_built_only_for_a_multilayer_wavefront(
+            self, small_stream, tmp_path, monkeypatch, capsys, dims, builds):
+        """A one-layer model's wavefront is a one-layer block, which runs
+        over slices: verify builds no dependency levels for it."""
+        path, stream = tmp_path / "model.json", tmp_path / "s.txt"
+        save_model(random_model(3, layer_dims=dims), str(path))
+        stream.write_text(event_io.write_text_stream(small_stream))
+        calls = []
+        real = graph_builder.dependency_levels
+        monkeypatch.setattr(graph_builder, "dependency_levels",
+                            lambda adj: calls.append(adj) or real(adj))
+        assert main(["verify", str(path), str(stream)]) == EXIT_OK
+        assert f"{len(dims)} layers" in capsys.readouterr().out
+        assert len(calls) == builds
 
     def test_corrupted_requant_stays_consistent(self, small_model,
                                                 stream_path, tmp_path):
@@ -769,6 +798,10 @@ class TestModelFiles:
          "quantize", "bad FP model .*not finite"),
         ("fp", lambda d: d["fc"]["bias"].__setitem__(0, -float("inf")),
          "quantize", "bad FP model .*not finite"),
+        ("int8", lambda d: d.update(empty_aggregation="neg_inf"), "infer",
+         "bad model .*empty_aggregation 'neg_inf'"),
+        ("fp", lambda d: d.update(empty_aggregation="neg_inf"), "quantize",
+         "bad FP model .*empty_aggregation 'neg_inf'"),
     ], ids=["fp_unchained", "fp_fc_in_dim", "fp_patch_0", "fp_layer0_c_in_2",
             "int8_patch_0", "int8_into_quantize", "fp_into_infer",
             "fp_bn_short_gamma", "fp_bn_negative_var",
@@ -782,7 +815,8 @@ class TestModelFiles:
             "fc_in_dim_true", "fp_sensor_h_48_5", "fp_out_dim_string",
             "list_weight_minus_2_63", "list_fc_weight_minus_2_63",
             "fp_weight_nan", "fp_weight_infinity", "fp_bn_eps_infinity",
-            "fp_fc_bias_minus_infinity"])
+            "fp_fc_bias_minus_infinity", "int8_empty_neg_inf",
+            "fp_empty_neg_inf"])
     def test_rejected(self, kind, edit, command, expect, small_model,
                       stream_path, tmp_path, capsys):
         doc = _model_doc(kind, small_model)
@@ -813,6 +847,26 @@ def test_model_file_not_utf8(command, stream_path, tmp_path, capsys):
     assert err.startswith(f"error: bad {'FP ' * (command == 'quantize')}"
                           f"model {path}: ")
     assert err.count("\n") == 1 and "utf-8" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_empty_neg_inf_rejected(command, small_model, stream_path, tmp_path,
+                                capsys):
+    """verify and bench reject the retired "neg_inf" empty identity as
+    infer does (TestModelFiles::test_rejected[int8_empty_neg_inf])."""
+    path, report = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps({**model_to_json(small_model),
+                                "empty_aggregation": "neg_inf"}))
+    argv = [command, str(path), stream_path]
+    if command == "bench":
+        argv += ["--report-out", str(report)]
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad model {path}: "
+                                   f"empty_aggregation 'neg_inf'")
+    assert captured.err.count("\n") == 1
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "quantize"])

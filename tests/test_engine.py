@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -407,8 +406,7 @@ class TestProcessEvent:
                                  small_stream.events[1])
 
     @pytest.mark.parametrize("schedule", ["parallel", "graph", "static"])
-    @pytest.mark.parametrize("case", ["zero", "neg_inf", "dmax_saturated",
-                                      "cylinder"])
+    @pytest.mark.parametrize("case", ["zero", "dmax_saturated", "cylinder"])
     def test_per_event_equals_batch(self, small_stream, case, schedule):
         if case == "dmax_saturated":
             model = calibration_model()
@@ -421,7 +419,7 @@ class TestProcessEvent:
                                                         r_s=3))
             stream = small_stream
         else:
-            model = random_model(9, empty_aggregation=case)
+            model = random_model(9)
             stream = small_stream
         state, preds = _per_event_run(model, stream)
         adj = engine.build_adjacency(stream, model)
@@ -448,13 +446,12 @@ class TestProcessEvent:
         assert res.cls.tolist() == [p.cls for p in preds]
         assert np.array_equal(res.readout, state.readout.flatten())
 
-    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    @pytest.mark.parametrize("empty", ["zero"])
     def test_per_event_equals_chunked_graph(self, empty):
         """Whole-graph chunks vs the scalar oracle: isolated events on a
         chunk boundary, and a layer at the loader's 32-bit range limit."""
         rng = np.random.default_rng(4)
-        model = random_model(4, layer_dims=(32, 32, 32),
-                             empty_aggregation=empty)
+        model = random_model(4, layer_dims=(32, 32, 32))
         weights = rng.choice([-127, 127], size=(32, 34))
         col = np.r_[np.full(32, 127), 32767, 32767]
         big = 2**31 - 1 - int((np.abs(weights) @ col).max())
@@ -668,7 +665,7 @@ def _burst_then_sparse_stream():
         np.r_[dot.t, uni.t + dot.t[-1] + 1], np.r_[dot.p, uni.p])
 
 
-@pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+@pytest.mark.parametrize("empty", ["zero"])
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
 def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
     """wavefront == default (layer-sequential) == static oracle, with
@@ -678,8 +675,7 @@ def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
     dims = tuple(int(d) for d in rng.integers(3, 17, size=n_layers))
     params = SearchParams(r_s=2, r_t=400, d_max=4, queue_depth=4)
     model = random_model(50 + n_layers, width=40, height=32,
-                         layer_dims=dims, search=params,
-                         empty_aggregation=empty)
+                         layer_dims=dims, search=params)
     stream = _burst_then_sparse_stream()
     adj = engine.build_adjacency(stream, model)
     assert np.any(adj.deg == 0) and np.any(adj.deg == params.d_max)
@@ -710,13 +706,13 @@ class TestSentinelKernel:
     """Slots past an event's degree point at the sentinel rows: the last
     row of the node terms (MSG_FLOOR) and of the position table (0)."""
 
-    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    @pytest.mark.parametrize("empty", ["zero"])
     def test_sentinel_table_row_past_uint8(self, empty):
         """r_s = 11: a window of K = 265 slots, so the sentinel row 265
         needs uint16 (a uint8 index would wrap to row 9)."""
         params = SearchParams(r_s=11, r_t=5_000, d_max=8, queue_depth=2)
         model = random_model(6, width=40, height=36, layer_dims=(6, 5),
-                             search=params, empty_aggregation=empty)
+                             search=params)
         stream = event_io.gen_synthetic(
             "uniform_random", {"width": 40, "height": 36, "count": 120,
                                "duration_us": 1_000}, seed=9)
@@ -737,11 +733,11 @@ class TestSentinelKernel:
             assert np.array_equal(res.logits,
                                   np.stack([p.logits for p in preds]))
 
-    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    @pytest.mark.parametrize("empty", ["zero"])
     def test_whole_graph_chunk_without_edges(self, empty):
         """Every row of the first whole-graph chunk has degree 0, so its
         gather takes D = 0 slots."""
-        model = random_model(7, layer_dims=(32, 32), empty_aggregation=empty)
+        model = random_model(7, layer_dims=(32, 32))
         rows = engine.CHUNK_CELLS // (model.search.d_max * 32)
         base = event_io.gen_synthetic(
             "uniform_random", {"width": 64, "height": 48,
@@ -762,12 +758,11 @@ class TestSentinelKernel:
                                   np.stack([p.logits for p in preds]))
 
     @pytest.mark.parametrize("wave", [True, False])
-    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    @pytest.mark.parametrize("empty", ["zero"])
     def test_group_mixing_empty_and_saturated_rows(self, empty, wave):
         """One batch holds rows of degree 0 beside rows at d_max: the
         wavefront's last group, or a one-layer block's last slice chunk."""
-        model = dataclasses.replace(calibration_model(),
-                                    empty_aggregation=empty)
+        model = calibration_model()
         dot = event_io.gen_synthetic(
             "moving_dot", {"width": 120, "height": 100, "count": 250,
                            "duration_us": 1_250, "velocity": (1.0, 0.0),
@@ -791,8 +786,9 @@ class TestSentinelKernel:
             size = engine.CHUNK_CELLS // (model.search.d_max * lp.c_out)
             last = slice((len(stream) - 1) // size * size, len(stream))
             assert np.any(adj.deg[last] == model.search.d_max)
+        adj.levels = groups
         plan = engine.build_plan(model)
-        feats = engine.run_layers(plan, plan.encoding[stream.p], adj, groups,
+        feats = engine.run_layers(plan, plan.encoding[stream.p], adj,
                                   plan.wavefront if wave else plan.layered)
         state, _ = _per_event_run(model, stream)
         _assert_feats_equal(feats, state)
@@ -803,9 +799,9 @@ class TestInvariantsOnStream:
         """INT8 paths keep uint8 layer outputs, int64 logits and classes;
         the FP forward float64 outputs, logits and readout. So do an empty
         stream, on which the static forwards still run one empty batch
-        that types their outputs, and the "neg_inf" identity."""
-        for count, empty in itertools.product([0, 600], ["zero", "neg_inf"]):
-            model = random_model(seed=9, empty_aggregation=empty)
+        that types their outputs."""
+        for count in [0, 600]:
+            model = random_model(seed=9)
             stream = event_io.EventStream(64, 48, *(
                 c[:count] for c in (small_stream.x, small_stream.y,
                                     small_stream.t, small_stream.p)))
@@ -813,8 +809,7 @@ class TestInvariantsOnStream:
             runs = [engine.run_stream(model, stream, adjacency=adj, **kw)
                     for kw in SCHEDULES]
             runs.append(static_oracle.forward_eq7_int8(stream, adj, model))
-            fp = dataclasses.replace(random_fp_model(9, layer_dims=(8,) * 4),
-                                     empty_aggregation=empty)
+            fp = random_fp_model(9, layer_dims=(8,) * 4)
             runs.append(static_oracle.forward_eq7_fp(stream, adj, fp))
             cells = model.n_cells_x * model.n_cells_y * model.c_last
             for res in runs:

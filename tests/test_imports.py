@@ -12,6 +12,10 @@ Likewise every top-level function and class of the package must be read
 by the package itself or by the benchmark: code that only the tests call
 belongs in tests/. And every parameter of a package function is read: a
 parameter that nothing reads still makes every caller build and pass it.
+
+Every field of a model-file dataclass (model.py) is read as an attribute
+by another package module: a field that nothing computes with still has
+to be written, parsed and kept in step by the model file.
 """
 
 import ast
@@ -181,3 +185,34 @@ def test_checker_flags_an_unread_parameter():
     assert unread_parameters("mod", src) == [
         "mod.f(b)", "mod.f(d)", "mod.f(c)", "mod.m(x)",
         "mod.<lambda line 6>(y)"]
+
+
+def unread_fields(module: str, package: dict[str, str]) -> list[str]:
+    """Fields of module's dataclasses that no other module of package
+    reads as an attribute; package maps module names to sources."""
+    read = {n.attr for m, src in package.items() if m != module
+            for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}.{cls.name}.{s.target.id}"
+            for cls in ast.parse(package[module]).body
+            if isinstance(cls, ast.ClassDef)
+            and any("dataclass" in names_read(d) for d in cls.decorator_list)
+            for s in cls.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            and s.target.id not in read]
+
+
+def test_model_fields_are_read():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_fields("model", package) == []
+
+
+def test_checker_flags_an_unread_field():
+    package = {
+        "a": ("@dataclass\nclass P:\n    x: int\n    y: int = 0\n"
+              "    z: int = 1\n    def f(self):\n        return self.z\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Q:\n    w: int\n"
+              "class R:\n    v: int\n"),
+        "b": "def g(p, q):\n    p.y = q.v\n    return p.x\n",
+    }
+    assert unread_fields("a", package) == ["a.P.y", "a.P.z", "a.Q.w"]

@@ -168,6 +168,18 @@ class TestSerialization:
         assert "r" not in doc["search"] and "beta" not in doc["search"]
         assert model_from_json(old).search == model_from_json(doc).search
 
+    def test_retired_keys_load_equal(self, small_model):
+        """A file that carries the retired "empty_aggregation": "zero" and
+        a per-layer "s_in" loads equal to one without them."""
+        doc = model_to_json(small_model)
+        old = json.loads(json.dumps(doc))
+        old["empty_aggregation"] = "zero"
+        for ld in old["layers"]:
+            ld["s_in"] = 0.5
+        assert "empty_aggregation" not in doc
+        assert all("s_in" not in ld for ld in doc["layers"])
+        assert_models_equal(model_from_json(old), model_from_json(doc))
+
     def test_hw_block_ignored(self, small_model, small_stream, tmp_path):
         """A model file that still carries an "hw" block loads as it would
         without it, and bench --hw reads the block from that file."""

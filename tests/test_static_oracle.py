@@ -103,13 +103,12 @@ class TestEq7Int8:
             assert np.array_equal(a, b)
         assert np.array_equal(base.logits, res.logits)
 
-    @pytest.mark.parametrize("empty", ["zero", "neg_inf"])
+    @pytest.mark.parametrize("empty", ["zero"])
     def test_matches_engine_across_batches(self, empty):
         # more events than one gather batch; a short r_t leaves events
         # without neighbours next to d_max-saturated ones
         params = dataclasses.replace(PARAMS, r_t=200)
-        model = random_model(3, width=32, height=24, search=params,
-                             empty_aggregation=empty)
+        model = random_model(3, width=32, height=24, search=params)
         s = _stream(7, count=BATCH_ROWS + 904)
         res = engine.run_stream(model, s)
         sta = forward_eq7_int8(s, res.adjacency, model)
