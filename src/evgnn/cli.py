@@ -118,19 +118,16 @@ def cmd_infer(args) -> int:
                        f"got {len(args.stream)}")
     plan = engine.build_plan(
         _apply_overrides(_load_model(load_model, args.model), args))
-    if len(args.stream) > 1 and args.jobs > 1:
-        with ProcessPoolExecutor(
-                max_workers=min(args.jobs, len(args.stream))) as pool:
-            results = list(pool.map(_infer_worker,
-                                    [(plan, s, args) for s in args.stream]))
-        # the workers share this process's stdout: only this process
-        # prints, in argument order
-        for code, line in results:
-            print(line, file=sys.stderr if code else sys.stdout)
-        return max(code for code, _ in results)
-    for s in args.stream:
-        print(_infer_one(plan, s, args))
-    return EXIT_OK
+    jobs = min(args.jobs, len(args.stream))
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        results = list((pool.map if pool else map)(
+            _infer_worker, [(plan, s, args) for s in args.stream]))
+    # the workers share this process's stdout: only this process prints,
+    # in argument order
+    for code, line in results:
+        print(line, file=sys.stderr if code else sys.stdout)
+    return max(code for code, _ in results)
 
 
 def _infer_worker(packed) -> tuple[int, str]:
@@ -178,9 +175,6 @@ def cmd_bench(args) -> int:
     stream = _load_stream(args.stream, model.width, model.height, args.format)
     cfg = (_load_model(perf_model.load_hw_config, args.hw, "hw config")
            if args.hw else perf_model.HwConfig())
-    if len(stream) == 0:
-        print(f"{args.stream}: no events")
-        return EXIT_OK
     t0 = time.perf_counter()
     result = engine.run_stream(model, stream)
     wall = time.perf_counter() - t0
@@ -195,9 +189,12 @@ def cmd_bench(args) -> int:
         raise CliError(f"analytic and discrete-event cycles disagree at "
                        f"event n={n}: {report.per_event_cycles[n]} != "
                        f"{des.per_event_cycles[n]}", EXIT_DIVERGENCE)
-    mflops = float(engine.count_ops(model, trace.deg).mean()) / 1e6
+    mflops = mean_degree = 0.0  # without events, as the report's own means
+    if len(stream):
+        mflops = float(engine.count_ops(model, trace.deg).mean()) / 1e6
+        mean_degree = float(trace.deg.mean())
     report.extra["mflops_per_event"] = mflops
-    report.extra["mean_degree"] = float(trace.deg.mean())
+    report.extra["mean_degree"] = mean_degree
     report.extra["software_throughput_ev_s"] = len(stream) / wall
     if cfg.e_mac is not None:
         perf_model.estimate_energy(report, trace, model, cfg)
@@ -205,6 +202,9 @@ def cmd_bench(args) -> int:
         with open(args.report_out, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2)
             fh.write("\n")
+    if len(stream) == 0:
+        print(f"{args.stream}: no events")
+        return EXIT_OK
     energy = (f" energy={report.mean_energy_nj:.1f} nJ/ev"
               if report.per_event_energy is not None else "")
     print(f"{args.stream}: events={len(stream)} "

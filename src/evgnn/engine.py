@@ -55,7 +55,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import perf_model
-from .event_io import Event, EventStream, checked_polarity
+from .event_io import Event, EventStream
 from .graph_builder import (Adjacency, EventQueueGrid, SearchParams,
                             replay_build, search_neighbors, window_offsets)
 from .model import ACC_LIMIT, LayerParams, ModelHeader, QuantizedModel
@@ -679,7 +679,7 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = (adjacency if adjacency is not None
            else build_adjacency(stream, plan))
-    feats = run_layers(plan, plan.encoding[checked_polarity(stream)], adj,
+    feats = run_layers(plan, plan.encoding[stream.p], adj,
                        plan.wavefront if levels and not sequential
                        else plan.layered)
     logits, cls, readout = readout_trace(plan.model, stream, feats[-1],

@@ -10,11 +10,15 @@ work on the columns. Event objects exist only for the scalar per-event API
 (the per-event engine and the brute-force neighbor references), which
 reads them from the stream's cached `events` list.
 
+An EventStream checks its rows when built, so every consumer takes it as
+valid. Only the file formats cap a timestamp at T_MAX, not the stream.
+
 All functions are pure over immutable inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,7 +79,10 @@ class EventStream:
 
     The constructor casts each column with astype(int64), so non-integer
     values truncate as int(), and makes it read-only: together with the
-    frozen attributes, the cached `events` can never go stale.
+    frozen attributes, the cached `events` can never go stale. It raises
+    OutOfBounds on a pixel off the sensor or a polarity outside {0, 1},
+    and NonMonotoneTime on a timestamp below the one before it, naming
+    the first bad row n as line n + 1.
     """
 
     width: int
@@ -90,6 +97,18 @@ class EventStream:
                 for c in (self.x, self.y, self.t, self.p)]
         if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
             raise ValueError("x, y, t, p must be 1-D columns of one length")
+        x, y, t, p = cols
+        # as uint64, a negative value is past every bound
+        bad = ((x.view(np.uint64) >= self.width)
+               | (y.view(np.uint64) >= self.height)
+               | (p.view(np.uint64) > 1))
+        bad[1:] |= t[1:] < t[:-1]
+        if bad.any():
+            k = int(np.argmax(bad))
+            # row 0 has no earlier time: its fault is its pixel or polarity
+            _check_row(int(x[k]), int(y[k]), int(p[k]), self.width,
+                       self.height, k + 1)
+            _check_order(int(t[k]), int(t[k - 1]), k + 1)
         for name, col in zip("xytp", cols):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -110,47 +129,35 @@ class EventStream:
                         self.t.tolist(), self.p.tolist(), range(len(self))))
 
 
-def checked_polarity(stream: EventStream) -> np.ndarray:
-    """stream.p, once every polarity is 0 or 1: as the index of a
-    per-polarity table it can then neither wrap -1 nor read past 1."""
-    if np.any((stream.p < 0) | (stream.p > 1)):
-        raise OutOfBounds("a polarity outside {0, 1} has no input encoding")
-    return stream.p
-
-
-def _validate(x: int, y: int, t: int, p: int, last_t: int, width: int, height: int,
-              line_no: int) -> None:
+def _check_row(x: int, y: int, p: int, width: int, height: int,
+               line_no: int) -> None:
     if not (0 <= x < width and 0 <= y < height):
         raise OutOfBounds(f"pixel ({x},{y}) outside {width}x{height}", line_no)
     if p not in (0, 1):
         raise OutOfBounds(f"polarity {p} not in {{0,1}}", line_no)
-    if not (0 <= t <= T_MAX):
-        raise OutOfBounds(f"timestamp {t} outside 32-bit range", line_no)
+
+
+def _check_order(t: int, last_t: int, line_no: int) -> None:
     if t < last_t:
         raise NonMonotoneTime(f"timestamp {t} < previous {last_t}", line_no)
-
-
-def _bad_rows(xs, ys, ts, ps, width: int, height: int) -> np.ndarray:
-    """Rows that _validate rejects, checked on whole columns."""
-    bad = ((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height)
-           | ((ps != 0) & (ps != 1)) | (ts < 0) | (ts > T_MAX))
-    bad[1:] |= ts[1:] < ts[:-1]
-    return bad
 
 
 def parse_text_stream(source: bytes | str, width: int, height: int) -> EventStream:
     """Parse the "x y t p" line format; n assigned 0..len-1 in file order.
 
-    The whole buffer is decoded into columns and checked at once; only
-    input that fails there goes through the per-line parse, which raises
-    the first error with its line number.
+    The whole buffer is decoded into columns, which build the stream at
+    once when every timestamp fits 32 bits; only input that fails there
+    goes through the per-line parse, which raises the first error with
+    its line number (a blank line shifts it from the stream's row).
     """
     data = (source.encode("utf-8", "replace") if isinstance(source, str)
             else source)
     rows = _decode_text(data)
-    if rows is None or _bad_rows(*rows.T, width, height).any():
-        rows = _parse_text_lines(source, width, height)
-    return EventStream(width, height, *rows.T)
+    if rows is not None and (rows[:, 2].view(np.uint64) <= T_MAX).all():
+        with contextlib.suppress(StreamError):
+            return EventStream(width, height, *rows.T)
+    return EventStream(width, height,
+                       *_parse_text_lines(source, width, height).T)
 
 
 def _decode_text(data: bytes) -> np.ndarray | None:
@@ -162,7 +169,8 @@ def _decode_text(data: bytes) -> np.ndarray | None:
     inside a field, but reads a lone sign as part of the next number, or
     as 0 at the end of the buffer, so every sign must start a field and be
     followed by a digit, and the values must number the fields. A value
-    beyond int64 saturates to +-(2**63 - 1), which _bad_rows rejects.
+    beyond int64 saturates to +-(2**63 - 1), which the caller's range
+    check or the EventStream constructor rejects.
     """
     # a line feed before the text and after it closes every line
     b = np.frombuffer(b"\n" + data + b"\n", dtype=np.uint8)
@@ -193,7 +201,7 @@ def _decode_text(data: bytes) -> np.ndarray | None:
 
 def _parse_text_lines(source: bytes | str, width: int,
                       height: int) -> np.ndarray:
-    """Per-line parse and _validate: raises the first error in the text."""
+    """Per-line parse and check: raises the first error in the text."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     rows: list[tuple[int, int, int, int]] = []
@@ -208,7 +216,10 @@ def _parse_text_lines(source: bytes | str, width: int,
             x, y, t, p = (int(v) for v in parts)
         except ValueError:
             raise MalformedLine(f"non-integer field in {line!r}", line_no) from None
-        _validate(x, y, t, p, last_t, width, height, line_no)
+        _check_row(x, y, p, width, height, line_no)
+        if not 0 <= t <= T_MAX:
+            raise OutOfBounds(f"timestamp {t} outside 32-bit range", line_no)
+        _check_order(t, last_t, line_no)
         rows.append((x, y, t, p))
         last_t = t
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
@@ -217,21 +228,15 @@ def _parse_text_lines(source: bytes | str, width: int,
 def parse_binary_stream(source: bytes, width: int, height: int) -> EventStream:
     """Parse the 9-byte little-endian record format.
 
-    The checks run on whole columns; the first failing record is then
-    passed to _validate, so errors match the text parser's.
+    Its fields cannot pass the 32-bit limits, so the EventStream
+    constructor makes every check, and its errors name record n as
+    line n + 1, as the text parser would.
     """
     if len(source) % RECORD_SIZE != 0:
         raise TruncatedRecord(
             f"{len(source)} bytes is not a multiple of {RECORD_SIZE}")
     rec = np.frombuffer(source, dtype=_RECORD_DTYPE)
-    stream = EventStream(width, height, *(rec[k] for k in "xytp"))
-    xs, ys, ts, ps = stream.x, stream.y, stream.t, stream.p
-    bad = _bad_rows(xs, ys, ts, ps, width, height)
-    if bad.any():
-        k = int(np.argmax(bad))
-        _validate(int(xs[k]), int(ys[k]), int(ts[k]), int(ps[k]),
-                  int(ts[k - 1]) if k else 0, width, height, k + 1)
-    return stream
+    return EventStream(width, height, *(rec[k] for k in "xytp"))
 
 
 def write_binary_stream(stream: EventStream) -> bytes:

@@ -27,14 +27,14 @@ whatever the queue depth. Events are stable-sorted by pixel, so each
 pixel's arrivals form one run in stream order. For event i and a window
 offset, a binary search counts the arrivals at the neighbour pixel before
 i; its queue at that moment is the last min(depth, count) of them, newest
-first. Timestamps must never decrease (replay_build raises NonMonotoneTime
-otherwise): then the queue entries within r_t of i are its newest ones, a
-prefix of the scan. So a queue whose newest entry is older than r_t holds
-no hit, and a second binary search, counting the hits, runs only where the
-newest entry passes r_t. A running sum of these hit counts over the
-offsets, in canonical order, gives the degree, the d_max early stop and
-the entries scanned, and only the cells that keep a neighbour are
-expanded. The offsets are walked in tranches of 2, 4, 8, ...; an event
+first. Timestamps never decrease, as an EventStream's never do, so
+nothing here checks or raises on them: the queue entries within r_t of i
+are its newest ones, a prefix of the scan. So a queue whose newest entry
+is older than r_t holds no hit, and a second binary search, counting the
+hits, runs only where the newest entry passes r_t. A running sum of
+these hit counts over the offsets, in canonical order, gives the degree,
+the d_max early stop and the entries scanned, and only the cells that
+keep a neighbour are expanded. The offsets are walked in tranches of 2, 4, 8, ...; an event
 leaves the walk once it holds d_max neighbours. A chunk holds at most
 REPLAY_CELLS (event, offset) cells, which bounds the build's working
 memory. An Adjacency holds the result and stores no edge offsets: an edge
@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .event_io import Event, NonMonotoneTime
+from .event_io import Event
 
 SHAPES = ("cylinder", "prism")
 # (event, window offset) cells per replay_build chunk; bounds its memory.
@@ -255,9 +255,9 @@ def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
     entries_scanned), where nbr_n and nbr_o are [N, d_max] in canonical
     scan order (neighbour 0 and window slot K past deg) and
     entries_scanned counts queue entries inspected up to the d_max early
-    stop. Timestamps must never decrease (raises NonMonotoneTime at the
-    first that does) and every event must lie on the sensor (raises
-    OutOfBoundsEvent).
+    stop. The columns are an EventStream's, so every event lies on the
+    sensor and timestamps never decrease; nothing here checks or raises
+    on either.
 
     The work per event is O(window offsets) + O(kept neighbours), whatever
     the queue depth: each (event, offset) cell is reduced to its queue
@@ -277,16 +277,6 @@ def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
     nbr_o = np.full((n_ev, d_max), k_win, dtype=np.min_scalar_type(k_win))
     if n_ev == 0:
         return deg, nbr_n, nbr_o, win_dx, win_dy, scanned
-    back = np.flatnonzero(ts[1:] < ts[:-1])
-    if len(back):
-        k = int(back[0]) + 1
-        raise NonMonotoneTime(
-            f"event n={k}: timestamp {ts[k]} < previous {ts[k - 1]}")
-    off = np.flatnonzero((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height))
-    if len(off):
-        k = int(off[0])
-        raise OutOfBoundsEvent(f"event n={k}: ({xs[k]},{ys[k]}) outside "
-                               f"{width}x{height}")
 
     # Each occupied pixel's arrivals form one run of `order`, in stream
     # order. key = run number * n_ev + stream index ascends along `order`;

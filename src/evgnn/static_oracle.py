@@ -33,7 +33,7 @@ import numpy as np
 
 from . import perf_model
 from .engine import RunResult, fc_by_cell, readout_trace, rne_mulshift
-from .event_io import EventStream, checked_polarity
+from .event_io import EventStream
 from .graph_builder import Adjacency
 from .model import FPModel, QuantizedModel
 
@@ -108,7 +108,7 @@ def forward_eq7_fp(stream: EventStream, adj: Adjacency,
     """Float eq 7: relu(max_j W . (x_j, |dx|, |dy|) + b), x0 = +-1.0."""
     return _gather_forward(
         stream, adj, model,
-        np.where(checked_polarity(stream) == 1, 1.0, -1.0),
+        np.where(stream.p == 1, 1.0, -1.0),
         lambda _layer, offs: offs,
         lambda v, _layer: np.maximum(v, 0.0),
         model.fc_weights, model.fc_bias)
@@ -124,6 +124,6 @@ def forward_eq7_int8(stream: EventStream, adj: Adjacency,
     enc = np.array([model.input_encoding[0], model.input_encoding[1]],
                    dtype=np.int64)
     return _gather_forward(
-        stream, adj, model, enc[checked_polarity(stream)], position,
+        stream, adj, model, enc[stream.p], position,
         lambda v, layer: baq_batch(v, layer.requant).astype(np.uint8),
         model.fc.weights, model.fc.bias)

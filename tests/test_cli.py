@@ -218,6 +218,25 @@ class TestInfer:
                                 "Unable to allocate 298. GiB\n")
         assert not trace.exists()
 
+    def test_failing_stream_reported_alike_for_any_jobs(
+            self, model_path, stream_path, tmp_path, inline_pool, capsys):
+        """A stream that cannot be read is one error line among the other
+        streams' results, in argument order, with one worker or two."""
+        argv = ["infer", model_path, stream_path,
+                str(tmp_path / "missing.txt"), stream_path]
+        runs = []
+        for jobs in ("1", "2"):
+            code = main([*argv, "--jobs", jobs])
+            out, err = capsys.readouterr()
+            runs.append((code, re.sub(r"throughput=\S+", "", out), err))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == EXIT_IO
+        assert [l.split()[1] for l in out.splitlines()] == ["events=600"] * 2
+        assert err.startswith("error: cannot read stream ")
+        assert err.count("\n") == 1
+        assert inline_pool == [2]
+
     def test_jobs_capped_at_stream_count(self, model_path, stream_path,
                                          inline_pool):
         assert main(["infer", model_path, stream_path, stream_path,
@@ -567,6 +586,20 @@ class TestBench:
         empty.write_text("")
         assert main(["bench", model_path, str(empty)]) == EXIT_OK
         assert "no events" in capsys.readouterr().out
+
+    def test_empty_stream_writes_empty_report(self, model_path, tmp_path,
+                                              capsys):
+        """A previous run's report does not survive an empty stream."""
+        empty, report = tmp_path / "empty.txt", tmp_path / "report.json"
+        empty.write_text("")
+        report.write_text('{"stale": true}\n')
+        assert main(["bench", model_path, str(empty),
+                     "--report-out", str(report)]) == EXIT_OK
+        assert capsys.readouterr().out == f"{empty}: no events\n"
+        doc = json.loads(report.read_text())
+        assert "stale" not in doc
+        assert doc["totals"]["events"] == 0
+        assert doc["mflops_per_event"] == doc["mean_degree"] == 0.0
 
     def test_per_event_des_divergence(self, model_path, stream_path,
                                       monkeypatch, capsys):

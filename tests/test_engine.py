@@ -446,8 +446,7 @@ class TestProcessEvent:
         assert res.cls.tolist() == [p.cls for p in preds]
         assert np.array_equal(res.readout, state.readout.flatten())
 
-    @pytest.mark.parametrize("empty", ["zero"])
-    def test_per_event_equals_chunked_graph(self, empty):
+    def test_per_event_equals_chunked_graph(self):
         """Whole-graph chunks vs the scalar oracle: isolated events on a
         chunk boundary, and a layer at the loader's 32-bit range limit."""
         rng = np.random.default_rng(4)
@@ -665,9 +664,8 @@ def _burst_then_sparse_stream():
         np.r_[dot.t, uni.t + dot.t[-1] + 1], np.r_[dot.p, uni.p])
 
 
-@pytest.mark.parametrize("empty", ["zero"])
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
-def test_schedules_agree_on_random_models(n_layers, empty, monkeypatch):
+def test_schedules_agree_on_random_models(n_layers, monkeypatch):
     """wavefront == default (layer-sequential) == static oracle, with
     CHUNK_CELLS cut so that a wavefront chunk holds 3 rows and a level
     spans several chunks, on a stream with rows of degree 0 and d_max."""
@@ -706,8 +704,7 @@ class TestSentinelKernel:
     """Slots past an event's degree point at the sentinel rows: the last
     row of the node terms (MSG_FLOOR) and of the position table (0)."""
 
-    @pytest.mark.parametrize("empty", ["zero"])
-    def test_sentinel_table_row_past_uint8(self, empty):
+    def test_sentinel_table_row_past_uint8(self):
         """r_s = 11: a window of K = 265 slots, so the sentinel row 265
         needs uint16 (a uint8 index would wrap to row 9)."""
         params = SearchParams(r_s=11, r_t=5_000, d_max=8, queue_depth=2)
@@ -733,8 +730,7 @@ class TestSentinelKernel:
             assert np.array_equal(res.logits,
                                   np.stack([p.logits for p in preds]))
 
-    @pytest.mark.parametrize("empty", ["zero"])
-    def test_whole_graph_chunk_without_edges(self, empty):
+    def test_whole_graph_chunk_without_edges(self):
         """Every row of the first whole-graph chunk has degree 0, so its
         gather takes D = 0 slots."""
         model = random_model(7, layer_dims=(32, 32))
@@ -758,8 +754,7 @@ class TestSentinelKernel:
                                   np.stack([p.logits for p in preds]))
 
     @pytest.mark.parametrize("wave", [True, False])
-    @pytest.mark.parametrize("empty", ["zero"])
-    def test_group_mixing_empty_and_saturated_rows(self, empty, wave):
+    def test_group_mixing_empty_and_saturated_rows(self, wave):
         """One batch holds rows of degree 0 beside rows at d_max: the
         wavefront's last group, or a one-layer block's last slice chunk."""
         model = calibration_model()
@@ -827,13 +822,13 @@ class TestInvariantsOnStream:
                 assert res.macs.dtype == np.int64
 
     @pytest.mark.parametrize("p", [-1, 2])
-    def test_polarity_without_encoding_rejected(self, small_model, p):
-        """A hand-built stream may hold any polarity; the batch path's
-        encoding lookup must not wrap -1 to polarity 1 or read past it."""
-        stream = event_io.EventStream(64, 48, [1, 2], [1, 1], [0, 10],
-                                      [0, p])
-        with pytest.raises(event_io.OutOfBounds):
-            engine.run_stream(small_model, stream)
+    def test_polarity_without_encoding_rejected(self, p):
+        """No stream holds a polarity outside {0, 1}, so the batch path's
+        encoding lookup can neither wrap -1 to polarity 1 nor read past
+        it: a hand-built stream's constructor rejects one."""
+        with pytest.raises(event_io.OutOfBounds,
+                           match=rf"^line 2: polarity {p} not in"):
+            event_io.EventStream(64, 48, [1, 2], [1, 1], [0, 10], [0, p])
 
     def test_baq_range(self, small_model, small_stream):
         res = engine.run_stream(small_model, small_stream)

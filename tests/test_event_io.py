@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evgnn import event_io
-from evgnn.event_io import (Event, EventStream, InvalidParams, MalformedLine,
-                            NonMonotoneTime, OutOfBounds, TruncatedRecord)
+from evgnn.event_io import (T_MAX, Event, EventStream, InvalidParams,
+                            MalformedLine, NonMonotoneTime, OutOfBounds,
+                            TruncatedRecord)
 
 W, H = 32, 24
 
@@ -18,6 +19,44 @@ def _same(a, b) -> bool:
     return ((a.width, a.height) == (b.width, b.height)
             and all(np.array_equal(getattr(a, c), getattr(b, c))
                     for c in "xytp"))
+
+
+def _records(rows) -> bytes:
+    """The 9-byte records of (x, y, t, p) rows, packed without a stream."""
+    return np.array([tuple(r) for r in rows],
+                    dtype=event_io._RECORD_DTYPE).tobytes()
+
+
+def _text(rows) -> str:
+    return "".join(f"{x} {y} {t} {p}\n" for x, y, t, p in rows)
+
+
+def _outcome(build):
+    """build()'s stream, or its StreamError's type and message."""
+    try:
+        return build()
+    except event_io.StreamError as exc:
+        return type(exc), str(exc)
+
+
+def _first_fault(rows, width, height):
+    """The constructor's error for the first bad row, or None."""
+    for k, (x, y, t, p) in enumerate(rows):
+        if not (0 <= x < width and 0 <= y < height):
+            return OutOfBounds, (f"line {k + 1}: pixel ({x},{y}) outside "
+                                 f"{width}x{height}")
+        if p not in (0, 1):
+            return OutOfBounds, f"line {k + 1}: polarity {p} not in {{0,1}}"
+        if k and t < rows[k - 1][2]:
+            return NonMonotoneTime, (f"line {k + 1}: timestamp {t} < "
+                                     f"previous {rows[k - 1][2]}")
+    return None
+
+
+def _rare(common, rare):
+    """One of rare one time in eight, else one of common."""
+    return st.integers(0, 7).flatmap(
+        lambda i: st.sampled_from(rare if i == 0 else common))
 
 
 # random but valid (x, y, t, p) rows with sorted timestamps
@@ -95,6 +134,18 @@ class TestTextFormat:
             assert exc.value.line_no == 6
             assert str(exc.value) == f"line 6: {message}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2 10 0\n1 2 -5 0\n", "line 2: timestamp -5 outside 32-bit range"),
+        ("1 2 -5 0\n", "line 1: timestamp -5 outside 32-bit range"),
+        (f"{W} 2 -5 0\n", f"line 1: pixel ({W},2) outside {W}x{H}"),
+    ], ids=["after_a_row", "first_row", "after_a_bad_pixel"])
+    def test_negative_timestamp_message(self, text, message):
+        """A negative t is outside the format's range, not a step back
+        from 0, and a bad pixel on its line is reported first."""
+        with pytest.raises(OutOfBounds) as exc:
+            event_io.parse_text_stream(text, W, H)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("text, per_line", [
         ("+1\t2 010 -0\n\n3 4  11 1", False),
         ("1 2 10 0\r\n3 4 1_1 1\r\n", True),
@@ -155,18 +206,16 @@ class TestBinaryFormat:
 
     def test_little_endian_layout(self, make_stream):
         data = event_io.write_binary_stream(
-            make_stream(W, H, [(0x0102, 0, 0x01020304, 1)]))
+            make_stream(300, H, [(0x0102, 0, 0x01020304, 1)]))
         assert data == bytes([0x02, 0x01, 0, 0, 0x04, 0x03, 0x02, 0x01, 1])
 
     def test_truncated_record(self):
         with pytest.raises(TruncatedRecord):
             event_io.parse_binary_stream(b"\x00" * 10, W, H)
 
-    def test_validation_applies(self, make_stream):
-        data = event_io.write_binary_stream(
-            make_stream(W, H, [(W + 1, 0, 1, 0)]))
+    def test_validation_applies(self):
         with pytest.raises(OutOfBounds):
-            event_io.parse_binary_stream(data, W, H)
+            event_io.parse_binary_stream(_records([(W + 1, 0, 1, 0)]), W, H)
 
     @given(valid_rows)
     @settings(max_examples=50, deadline=None)
@@ -177,7 +226,7 @@ class TestBinaryFormat:
 
     @pytest.mark.parametrize("k", [1, 7, 19, 28])
     @pytest.mark.parametrize("fault", ["x", "y", "polarity", "time"])
-    def test_first_bad_record_matches_text(self, make_stream, fault, k):
+    def test_first_bad_record_matches_text(self, fault, k):
         rows = [[i % W, i % H, 100 + 10 * i, i % 2] for i in range(40)]
         if fault == "time":
             rows[k][2] = rows[k - 1][2] - 1
@@ -186,13 +235,10 @@ class TestBinaryFormat:
                           "polarity": (3, 2)}[fault]
             rows[k][col] = value
         rows[35] = [W + 5, 0, 500, 3]  # a later fault must not be reported
-        stream = make_stream(W, H, rows)
         with pytest.raises(event_io.StreamError) as text_exc:
-            event_io.parse_text_stream(event_io.write_text_stream(stream),
-                                       W, H)
+            event_io.parse_text_stream(_text(rows), W, H)
         with pytest.raises(type(text_exc.value)) as exc:
-            event_io.parse_binary_stream(
-                event_io.write_binary_stream(stream), W, H)
+            event_io.parse_binary_stream(_records(rows), W, H)
         assert exc.value.line_no == k + 1
         assert str(exc.value) == str(text_exc.value)
 
@@ -203,12 +249,11 @@ class TestBinaryFormat:
         s = event_io.parse_binary_stream(data, 300, 4)
         assert s.events[0].x == 258
 
-    @pytest.mark.parametrize("row", [(65536, 0, 0, 0), (0, -1, 0, 0),
-                                     (0, 0, 2**32, 0), (0, 0, 0, 256)],
-                             ids=["x", "y", "t", "p"])
+    @pytest.mark.parametrize("row", [(65536, 0, 0, 0), (0, 65536, 0, 0),
+                                     (0, 0, 2**32, 0)], ids=["x", "y", "t"])
     def test_unrepresentable_value_raises(self, make_stream, row):
         # a numpy cast into the record would wrap these silently
-        s = make_stream(70_000, 10, [(1, 1, 0, 0), row])
+        s = make_stream(70_000, 70_000, [(1, 1, 0, 0), row])
         with pytest.raises(OutOfBounds) as exc:
             event_io.write_binary_stream(s)
         assert exc.value.line_no == 2
@@ -246,6 +291,37 @@ class TestColumnarStream:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             EventStream(8, 8, [1, 2], [1], [0, 0], [0, 1])
+
+    @given(st.lists(st.tuples(_rare(range(8), [-1, 8]),
+                              _rare(range(6), [-1, 6]),
+                              st.integers(-2, 4),
+                              _rare([0, 1], [-1, 2])), max_size=10),
+           st.sampled_from([-3, 0, T_MAX - 10]))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_agrees_with_parsers(self, make_stream, draws, t0):
+        """Rows with pixels off an 8x6 sensor, polarities -1..2 and
+        timestamps that step back, start below 0 or pass 2^32: the
+        constructor raises on exactly the first bad row. On the rows the
+        files can hold, both parsers give what it gives."""
+        steps = np.cumsum([d[2] for d in draws]).tolist()
+        rows = [(x, y, t0 + t, p) for (x, y, _, p), t in zip(draws, steps)]
+        want = _first_fault(rows, 8, 6)
+        got = _outcome(lambda: make_stream(8, 6, rows))
+        if want is None:
+            assert isinstance(got, EventStream)
+        else:
+            assert got == want
+        held = [r for r in rows
+                if 0 <= r[0] < 2**16 and 0 <= r[1] < 2**16
+                and 0 <= r[2] <= T_MAX and 0 <= r[3] < 2**8]
+        want = _outcome(lambda: make_stream(8, 6, held))
+        for parse, data in ((event_io.parse_binary_stream, _records(held)),
+                            (event_io.parse_text_stream, _text(held))):
+            got = _outcome(lambda: parse(data, 8, 6))
+            if isinstance(want, EventStream):
+                assert _same(got, want)
+            else:
+                assert got == want
 
 
 class TestSynthetic:

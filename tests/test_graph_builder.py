@@ -354,17 +354,18 @@ def test_build_adjacency_stale_queues(shape, cells, make_stream,
 
 
 def test_build_adjacency_rejects_backwards_time(make_stream):
-    stream = make_stream(8, 6, [(1, 1, 10, 0), (2, 2, 20, 1),
-                                (3, 3, 19, 0), (4, 4, 5, 0)])
+    """replay_build's prefix count needs timestamps that never decrease;
+    no stream reaches it with one that does."""
     with pytest.raises(event_io.NonMonotoneTime,
-                       match=r"n=2: timestamp 19 < previous 20"):
-        build_adjacency(stream, SearchParams())
+                       match=r"^line 3: timestamp 19 < previous 20$"):
+        make_stream(8, 6, [(1, 1, 10, 0), (2, 2, 20, 1),
+                           (3, 3, 19, 0), (4, 4, 5, 0)])
 
 
 def test_build_adjacency_rejects_off_sensor_event(make_stream):
-    stream = make_stream(8, 6, [(1, 1, 10, 0), (1, 6, 20, 1)])
-    with pytest.raises(OutOfBoundsEvent, match=r"n=1: \(1,6\)"):
-        build_adjacency(stream, SearchParams())
+    with pytest.raises(event_io.OutOfBounds,
+                       match=r"^line 2: pixel \(1,6\) outside 8x6$"):
+        make_stream(8, 6, [(1, 1, 10, 0), (1, 6, 20, 1)])
 
 
 def test_build_adjacency_empty_stream(make_stream):

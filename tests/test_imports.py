@@ -16,6 +16,9 @@ parameter that nothing reads still makes every caller build and pass it.
 Every field of a model-file dataclass (model.py) is read as an attribute
 by another package module: a field that nothing computes with still has
 to be written, parsed and kept in step by the model file.
+
+Only event_io raises a StreamError: an EventStream checks its rows when
+built, so a second stream check elsewhere could only drift from it.
 """
 
 import ast
@@ -216,3 +219,52 @@ def test_checker_flags_an_unread_field():
         "b": "def g(p, q):\n    p.y = q.v\n    return p.x\n",
     }
     assert unread_fields("a", package) == ["a.P.y", "a.P.z", "a.Q.w"]
+
+
+def referent(node: ast.AST) -> str | None:
+    """The name that node, x or mod.x, refers to."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def stream_errors(source: str) -> set[str]:
+    """StreamError and the classes of source derived from it."""
+    out = {"StreamError"}
+    for node in ast.parse(source).body:  # a base precedes its subclasses
+        if (isinstance(node, ast.ClassDef)
+                and any(referent(b) in out for b in node.bases)):
+            out.add(node.name)
+    return out
+
+
+def stream_raises(source: str, errors: set[str]) -> list[str]:
+    """The raise statements of source that raise one of errors."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = referent(exc)
+            if name in errors:
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_only_event_io_raises_stream_errors():
+    errors = stream_errors((ROOT / "src" / "evgnn" / "event_io.py")
+                           .read_text())
+    assert {"OutOfBounds", "NonMonotoneTime"} < errors
+    assert [f"{p.stem}: {r}" for p in PACKAGE if p.stem != "event_io"
+            for r in stream_raises(p.read_text(), errors)] == []
+
+
+def test_checker_flags_a_stream_raise():
+    errors = stream_errors(
+        "class StreamError(ValueError):\n    pass\n"
+        "class A(StreamError):\n    pass\n"
+        "class B(mod.A):\n    pass\n"
+        "class C(ValueError):\n    pass\n")
+    assert errors == {"StreamError", "A", "B"}
+    src = ("try:\n    f()\nexcept StreamError:\n    raise B('x')\n"
+           "raise event_io.A\nraise C(1)\nraise\n"
+           "raise mod.StreamError('y', 3)\n")
+    assert stream_raises(src, errors) == ["B (line 4)", "A (line 5)",
+                                          "StreamError (line 8)"]
