@@ -36,10 +36,11 @@ Two granularities are provided:
       return it too; they compute each message unfactored, so verify
       checks this factoring against them.
 
-What a run reads of the model alone (the window, W_x, the blocks, the
-input encoding, the FC weights per readout cell) is one immutable
-RunPlan, built once per (model, search) by build_plan; a command builds
-one and runs all its streams and schedules on it.
+What a run reads of the model's weights alone (layer 1's node terms of
+either polarity, the blocks, the FC weights per readout cell) is one
+immutable RunPlan, built once per (model, search) by build_plan; a
+command builds one and runs all its streams and schedules on it. Its
+window is its search's, SearchParams.window, as the graph build's is.
 
 All INT8 arithmetic is exact. The node terms are float64 products, which
 hold every partial sum exactly because the model loader proves that each
@@ -57,8 +58,9 @@ import numpy as np
 from . import perf_model
 from .event_io import Event, EventStream
 from .graph_builder import (Adjacency, EventQueueGrid, SearchParams,
-                            replay_build, search_neighbors, window_offsets)
-from .model import ACC_LIMIT, LayerParams, ModelHeader, QuantizedModel
+                            build_adjacency, search_neighbors)
+from .model import (ACC_LIMIT, POLARITY_INPUT, LayerParams, ModelHeader,
+                    QuantizedModel)
 
 MSG_FLOOR = np.int32(-(2**31))  # batch path's "-inf": below every message
 # Message cells (rows * D * C) per eq7_block call; bounds the batch path's
@@ -246,7 +248,7 @@ def process_event(state: EngineState, model: QuantizedModel,
         agg = aggregate_max(msgs, layer.c_out)
         outs.append(baq(agg, layer))
     state.store.write(ev.n, 0,
-                      np.array([model.encode_input(ev.p)], dtype=np.int64))
+                      np.array([POLARITY_INPUT[ev.p]], dtype=np.int64))
     for l, out in enumerate(outs, start=1):
         state.store.write(ev.n, l, out)
     state.readout.update(ev.x, ev.y, outs[-1])
@@ -269,23 +271,6 @@ class RunResult:
     # conv MACs per event of the modelled hardware, deg * sum (C_in+2)*C_out;
     # the factored batch path executes fewer
     macs: np.ndarray
-
-
-def build_adjacency(stream: EventStream, source) -> Adjacency:
-    """Replay the queue grid over a whole stream.
-
-    source is a RunPlan, whose window is reused, or a model or
-    SearchParams, whose window is built here.
-    """
-    params = getattr(source, "search", source)
-    if isinstance(source, RunPlan):
-        win = source.win_dx, source.win_dy
-    else:
-        win = window_offsets(params.r_s, params.shape == "cylinder")
-    return Adjacency(*replay_build(
-        stream.x, stream.y, stream.t, stream.width, stream.height,
-        params.queue_depth, params.r_t, params.d_max, *win),
-        d_max=params.d_max)
 
 
 def position_terms(layer: LayerParams, win_dx: np.ndarray,
@@ -389,9 +374,9 @@ class Block:
     layers indexes the model's layers; off holds their output-column
     offsets, 0 ... C; table their position_terms over a window side by
     side, with the sentinel row K of 0; ep the block's Epilogue. w_next is
-    the float64 input weights (RunPlan.w_x) of the layers its outputs
-    feed, on a block diagonal, or None when they feed none; its rows read
-    the block's first outputs.
+    the float64 input weights W_x, [C_in, C_out], of the layers its
+    outputs feed, on a block diagonal, or None when they feed none; its
+    rows read the block's first outputs.
     """
 
     layers: range
@@ -415,24 +400,21 @@ class Block:
 class RunPlan:
     """What every run of one model under one search reads, built once.
 
-    win_dx, win_dy are the search window's offsets. w_x[l] is
-    float64[C_in, C_out], the weights that multiply layer l's input
-    features. layered holds one Block per layer, each with that layer's
-    own Epilogue and feeding the next; wavefront one Block of every layer,
-    with the per-channel Epilogue, whose outputs feed its own later layers.
-    encoding maps a polarity to its encoded input; fc_cells is fc_by_cell
-    of the FC weights. The arrays are read-only, so one plan serves any
-    number of runs.
+    search holds the window (search.window) the blocks' tables are built
+    over. input_terms is int32[2, C_1], layer 1's node terms of polarity 0
+    and 1: an event's only input is POLARITY_INPUT[p]. layered holds one
+    Block per layer, each with that layer's own Epilogue and feeding the
+    next; wavefront one Block of every layer, with the per-channel
+    Epilogue, whose outputs feed its own later layers. fc_cells is
+    fc_by_cell of the FC weights. The arrays are read-only, so one plan
+    serves any number of runs.
     """
 
     model: QuantizedModel
     search: SearchParams
-    win_dx: np.ndarray
-    win_dy: np.ndarray
-    w_x: tuple[np.ndarray, ...]
+    input_terms: np.ndarray
     layered: tuple[Block, ...]
     wavefront: tuple[Block]
-    encoding: np.ndarray  # float64[2], indexed by polarity 0 / 1
     fc_cells: np.ndarray
 
 
@@ -452,23 +434,21 @@ def build_plan(model: QuantizedModel) -> RunPlan:
     """The run plan of model under its current search parameters."""
     search = model.search
     layers = model.layers
-    win_dx, win_dy = window_offsets(search.r_s, search.shape == "cylinder")
-    w_x = tuple(_frozen(np.ascontiguousarray(lp.weights[:, :-2].T,
-                                             dtype=np.float64))
-                for lp in layers)
-    pos = [position_terms(lp, win_dx, win_dy) for lp in layers]
+    # W_x of each layer, float64[C_in, C_out], C-ordered for node_terms
+    w_x = [_frozen(np.ascontiguousarray(lp.weights[:, :-2].T,
+                                        dtype=np.float64)) for lp in layers]
+    pos = [position_terms(lp, *search.window) for lp in layers]
     layered = tuple(Block.of(layers, range(l, l + 1), pos, w)
-                    for l, w in enumerate(w_x[1:] + (None,)))
+                    for l, w in enumerate(w_x[1:] + [None]))
     # w_x[1:] on the diagonal: one product of the outputs of every layer
     # but the last gives every layer's node terms but the first
     wavefront = Block.of(layers, range(len(layers)), pos,
                          _frozen(_block_diag(w_x[1:]))
                          if len(layers) > 1 else None)
-    encoding = np.array([model.input_encoding[0], model.input_encoding[1]],
-                        dtype=np.float64)
-    return RunPlan(model, search, _frozen(win_dx), _frozen(win_dy), w_x,
-                   layered, (wavefront,), _frozen(encoding),
-                   _frozen(fc_by_cell(model, model.fc.weights)))
+    input_terms = node_terms(np.array(POLARITY_INPUT, np.float64)[:, None],
+                             w_x[0])
+    return RunPlan(model, search, _frozen(input_terms), layered,
+                   (wavefront,), _frozen(fc_by_cell(model, model.fc.weights)))
 
 
 def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
@@ -526,7 +506,7 @@ def slot_major(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
     return nbr, np.ascontiguousarray(adj.nbr_o.T)
 
 
-def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
+def run_layers(plan: RunPlan, p: np.ndarray, adj: Adjacency,
                blocks: tuple[Block, ...]) -> list[np.ndarray]:
     """Run every INT8 layer over every event row, block by block.
 
@@ -540,13 +520,15 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
     outputs feed its own later layers (the wavefront of a model of several
     layers: layer l of an event reads only layer l-1 outputs of earlier
     levels) walks adj.levels, the dependency levels, chunking each in
-    turn; so only such a block builds them. x0 is the encoded input of
-    every event.
-    The offsets come from the adjacency's window. Returns the per-layer
-    outputs (uint8[N, C_out]).
+    turn; so only such a block builds them. p is the polarity of every
+    event, which picks its row of plan.input_terms, layer 1's node terms.
+    The offsets come from the adjacency's window: the blocks' tables are
+    rebuilt for one other than the plan's. Returns the per-layer outputs
+    (uint8[N, C_out]).
     """
-    if not (np.array_equal(adj.win_dx, plan.win_dx)
-            and np.array_equal(adj.win_dy, plan.win_dy)):
+    win_dx, win_dy = plan.search.window
+    if not (np.array_equal(adj.win_dx, win_dx)
+            and np.array_equal(adj.win_dy, win_dy)):
         layers = plan.model.layers
         pos = [position_terms(lp, adj.win_dx, adj.win_dy) for lp in layers]
         blocks = tuple(Block.of(layers, b.layers, pos, b.w_next)
@@ -561,8 +543,7 @@ def run_layers(plan: RunPlan, x0: np.ndarray, adj: Adjacency,
         return t
 
     terms = new_terms(blocks[0].off[-1])
-    terms[:n, :blocks[0].off[1]] = node_terms(
-        np.asarray(x0, dtype=np.float64)[:, None], plan.w_x[0])
+    terms[:n, :blocks[0].off[1]] = plan.input_terms[p]
     outs = []
     for blk in blocks:
         off, w = blk.off, blk.w_next
@@ -679,7 +660,7 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
         raise DimMismatch("stream geometry != model sensor geometry")
     adj = (adjacency if adjacency is not None
            else build_adjacency(stream, plan))
-    feats = run_layers(plan, plan.encoding[stream.p], adj,
+    feats = run_layers(plan, stream.p, adj,
                        plan.wavefront if levels and not sequential
                        else plan.layered)
     logits, cls, readout = readout_trace(plan.model, stream, feats[-1],

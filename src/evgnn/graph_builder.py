@@ -20,28 +20,29 @@ equal timestamps are valid neighbors when their stream index is smaller.
 `brute_force_neighbors` is an independent reference over the full stream
 prefix (plain dict-of-lists retention replay, no ring buffers).
 
-`replay_build` replays search-then-push over a whole stream into flat
+`build_adjacency` replays search-then-push over a whole stream into flat
 [N, d_max] neighbor arrays without a per-event loop, and its work per
 event is a count or two per window offset plus the neighbours it keeps,
 whatever the queue depth. Events are stable-sorted by pixel, so each
 pixel's arrivals form one run in stream order. For event i and a window
-offset, a binary search counts the arrivals at the neighbour pixel before
-i; its queue at that moment is the last min(depth, count) of them, newest
-first. Timestamps never decrease, as an EventStream's never do, so
-nothing here checks or raises on them: the queue entries within r_t of i
-are its newest ones, a prefix of the scan. So a queue whose newest entry
-is older than r_t holds no hit, and a second binary search, counting the
-hits, runs only where the newest entry passes r_t. A running sum of
-these hit counts over the offsets, in canonical order, gives the degree,
-the d_max early stop and the entries scanned, and only the cells that
-keep a neighbour are expanded. The offsets are walked in tranches of 2, 4, 8, ...; an event
-leaves the walk once it holds d_max neighbours. A chunk holds at most
-REPLAY_CELLS (event, offset) cells, which bounds the build's working
-memory. An Adjacency holds the result and stores no edge offsets: an edge
-is its neighbour's stream index (nbr_n) and the window slot it was found
-at (nbr_o), and the window's K (dx, dy) pairs are kept once. Its
-dependency levels, the batches of the engine's level schedules, are built
-on first use and kept.
+offset, a binary search counts the arrivals at the neighbour pixel
+before i; its queue at that moment is the last min(depth, count) of
+them, newest first. Timestamps never decrease, as an EventStream's never
+do, so nothing here checks or raises on them: the queue entries within
+r_t of i are its newest ones, a prefix of the scan. So a queue whose
+newest entry is older than r_t holds no hit, and a second binary search,
+counting the hits, runs only where the newest entry passes r_t. A
+running sum of these hit counts over the offsets, in canonical order,
+gives the degree, the d_max early stop and the entries scanned, and only
+the cells that keep a neighbour are expanded. The offsets are walked in
+tranches of 2, 4, 8, ...; an event leaves the walk once it holds d_max
+neighbours. A chunk holds at most REPLAY_CELLS (event, offset) cells,
+which bounds the build's working memory. An Adjacency holds the result
+and stores no edge offsets: an edge is its neighbour's stream index
+(nbr_n) and the window slot it was found at (nbr_o), and the window's K
+(dx, dy) pairs, which SearchParams.window builds once per search, are
+kept once. Its dependency levels, the batches of the engine's level
+schedules, are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -51,10 +52,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .event_io import Event
+from .event_io import Event, EventStream
 
 SHAPES = ("cylinder", "prism")
-# (event, window offset) cells per replay_build chunk; bounds its memory.
+# Each search field's range [low, 2**bits): past it no array indexes it. A
+# spatial offset fits a 16-bit coordinate, a time offset int64.
+SEARCH_RANGE = {"r_s": (0, 16), "r_t": (0, 63), "d_max": (1, 31),
+                "queue_depth": (1, 31)}
+# (event, window offset) cells per graph-build chunk; bounds its memory.
 REPLAY_CELLS = 1 << 16
 
 
@@ -88,10 +93,20 @@ class SearchParams:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise InvalidSearchParams(f"unknown shape {self.shape!r}")
-        if self.r_s < 0 or self.r_t < 0:
-            raise InvalidSearchParams("radii must be non-negative")
-        if self.d_max < 1 or self.queue_depth < 1:
-            raise InvalidSearchParams("d_max and queue_depth must be >= 1")
+        for name, (low, bits) in SEARCH_RANGE.items():
+            value = getattr(self, name)
+            # type(), not isinstance: it rejects bool
+            if type(value) is not int or not low <= value < 2**bits:
+                raise InvalidSearchParams(f"{name} {value!r}: need an "
+                                          f"integer in [{low}, 2**{bits})")
+
+    @cached_property
+    def window(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (dx, dy) of the window in canonical scan order."""
+        win = window_offsets(self.r_s, self.shape == "cylinder")
+        for a in win:
+            a.flags.writeable = False
+        return win
 
 
 @dataclass(frozen=True)
@@ -245,19 +260,15 @@ def window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
     return dx[ok], dy[ok]
 
 
-def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
-                 win_dy):
+def build_adjacency(stream: EventStream, source) -> Adjacency:
     """Replay search-then-push over a whole stream.
 
-    win_dx, win_dy is the search window in canonical scan order, as
-    window_offsets returns it for the prism or the cylinder. Returns
-    Adjacency's fields (deg, nbr_n, nbr_o, win_dx, win_dy,
-    entries_scanned), where nbr_n and nbr_o are [N, d_max] in canonical
-    scan order (neighbour 0 and window slot K past deg) and
-    entries_scanned counts queue entries inspected up to the d_max early
-    stop. The columns are an EventStream's, so every event lies on the
-    sensor and timestamps never decrease; nothing here checks or raises
-    on either.
+    source is a SearchParams, or a model or run plan holding one in
+    .search; its window is the one the Adjacency keeps. nbr_n and nbr_o
+    are [N, d_max] in canonical scan order (neighbour 0 and window slot K
+    past deg) and entries_scanned counts queue entries inspected up to the
+    d_max early stop. An EventStream's events lie on its sensor and its
+    timestamps never decrease; nothing here checks or raises on either.
 
     The work per event is O(window offsets) + O(kept neighbours), whatever
     the queue depth: each (event, offset) cell is reduced to its queue
@@ -266,7 +277,11 @@ def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
     neighbour are expanded, and the offsets after an event's d_max-th hit
     are not visited.
     """
-    xs, ys, ts = (np.asarray(a, dtype=np.int64) for a in (xs, ys, ts))
+    params = getattr(source, "search", source)
+    win_dx, win_dy = params.window
+    depth, r_t, d_max = params.queue_depth, params.r_t, params.d_max
+    xs, ys, ts = (np.asarray(a, dtype=np.int64)
+                  for a in (stream.x, stream.y, stream.t))
     n_ev = xs.shape[0]
     deg = np.zeros(n_ev, dtype=np.int64)
     scanned = np.zeros(n_ev, dtype=np.int64)
@@ -275,8 +290,9 @@ def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
     k_win = len(win_dx)
     # the window slot of each kept neighbour; k_win marks empty slots
     nbr_o = np.full((n_ev, d_max), k_win, dtype=np.min_scalar_type(k_win))
+    adj = Adjacency(deg, nbr_n, nbr_o, win_dx, win_dy, scanned, d_max)
     if n_ev == 0:
-        return deg, nbr_n, nbr_o, win_dx, win_dy, scanned
+        return adj
 
     # Each occupied pixel's arrivals form one run of `order`, in stream
     # order. key = run number * n_ev + stream index ascends along `order`;
@@ -285,7 +301,7 @@ def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
     # every side, so that every window offset of every event lands in the
     # run_of table.
     pad = int(max(np.abs(win_dx).max(), np.abs(win_dy).max()))
-    wide = width + 2 * pad
+    wide = stream.width + 2 * pad
     pix = (ys + pad) * wide + xs + pad
     order = np.argsort(pix, kind="stable")
     spix = pix[order]
@@ -298,7 +314,8 @@ def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
     last_key = np.r_[-1, key]
     # Empty and padding pixels map to run n_runs, whose queries find
     # end = lo = run_start[n_runs] = n_ev: an empty queue.
-    run_of = np.full(wide * (height + 2 * pad), n_runs, dtype=np.int64)
+    run_of = np.full(wide * (stream.height + 2 * pad), n_runs,
+                     dtype=np.int64)
     run_of[spix[run_start]] = np.arange(n_runs)
     run_start = np.r_[run_start, n_ev]
     # Timestamps never decrease, so the arrivals within r_t of event i are
@@ -363,7 +380,7 @@ def replay_build(xs, ys, ts, width, height, depth, r_t, d_max, win_dx,
             deg[i] += np.minimum(n_hit[-1], need)
         live = live[deg[live] < d_max]
         a = b
-    return deg, nbr_n, nbr_o, win_dx, win_dy, scanned
+    return adj
 
 
 @dataclass

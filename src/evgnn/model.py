@@ -12,21 +12,25 @@ Both kinds are UTF-8 JSON documents with one header and one structure:
 The FP model (gen-model writes it, quantize reads it) is version 1, has
 float arrays and "precision":"fp32"; a layer may carry a batchnorm block
 bn:{gamma,beta,mean,var,eps}. The INT8 model (infer, verify and bench run
-it) has no "precision"; it adds input_encoding:{"0":-127,"1":127},
-requant:{M,shift} and pos_requant:{M,shift} per layer. Each reader
-rejects the other kind's document, and a version other than 1 or 2.
+it) has no "precision"; it adds requant:{M,shift} and pos_requant:{M,shift}
+per layer. Each reader rejects the other kind's document, and a version
+other than 1 or 2.
 
-An event without neighbours aggregates to 0, the one empty identity. A
-file that carries the retired "empty_aggregation" key loads only if the
-key is "zero": another value would change what the file computes.
+Two facts are fixed by the format, not held by a model. An event enters
+layer 1 through one input feature, its polarity p, as POLARITY_INPUT[p]
+(-127 or 127, standing for -1.0 and 1.0); and an event without
+neighbours aggregates to 0, the one empty identity. A file that carries
+a retired key for either loads only if the key holds that fact: an INT8
+"input_encoding" exactly {"0": -127, "1": 127}, an "empty_aggregation"
+"zero". Another value would change what the file computes.
 
 The INT8 writer stores version 2: each weights array is a base64 string
 of its int8 bytes, each bias one of its little-endian int32 bytes, and it
 raises on a value that does not fit its type. The reader also takes
 version-1 arrays, flat lists of JSON integers (either form, in either
 version), and rejects a non-integer such as 1.7 or true in them and in
-the requant pairs and the input encoding. Decoded arrays then pass the
-same shape, magnitude and 32-bit range checks as lists.
+the requant pairs. Decoded arrays then pass the same shape, magnitude
+and 32-bit range checks as lists.
 
 Value-exactness matters, byte-exactness does not. Other keys are ignored,
 such as the search "r" and "beta", the top-level "hw" block and the
@@ -47,6 +51,9 @@ import numpy as np
 from .graph_builder import SearchParams
 
 IDENTITY_REQUANT = (1 << 30, 30)  # exact multiply-shift identity
+POLARITY_INPUT = (-127, 127)  # layer 1's input of polarity 0 and 1
+# the retired key's one value, that of POLARITY_INPUT
+_INPUT_ENCODING = {"0": POLARITY_INPUT[0], "1": POLARITY_INPUT[1]}
 ACC_LIMIT = 2**31  # accumulators and logits stay in 32-bit signed range
 FORMAT_VERSIONS = (1, 2)  # the versions the readers take
 WEIGHT_BLOB, BIAS_BLOB = np.dtype("<i1"), np.dtype("<i4")  # INT8 version 2
@@ -225,8 +232,6 @@ class FPModel(ModelHeader):
 class QuantizedModel(ModelHeader):
     layers: list[LayerParams]
     fc: DenseParams
-    input_encoding: dict[int, int] = field(
-        default_factory=lambda: {0: -127, 1: 127})
 
     def __post_init__(self):
         super().__post_init__()
@@ -234,12 +239,6 @@ class QuantizedModel(ModelHeader):
         # Prove every accumulator and logit stays inside 32-bit range: the
         # batch engine relies on it, since float64 partial sums are exact
         # only below 2**53 and requant products v * M must stay below 2**63.
-        if sorted(self.input_encoding) != [0, 1]:
-            raise ModelConfigError(
-                f"input encoding keys {sorted(self.input_encoding)}: need "
-                f"exactly the polarities 0 and 1")
-        if any(abs(v) > 127 for v in self.input_encoding.values()):
-            raise ModelConfigError("input encoding magnitude > 127")
         for i, lp in enumerate(self.layers):
             # |features| <= 127 and q_pos <= 32767 bound every input column
             col = np.full(lp.c_in + 2, 127.0)
@@ -254,9 +253,6 @@ class QuantizedModel(ModelHeader):
         if fc_bound >= ACC_LIMIT:
             raise ModelConfigError(
                 f"fc: |logit| may reach {fc_bound:.0f} >= 2**31")
-
-    def encode_input(self, p: int) -> int:
-        return self.input_encoding[p]
 
 
 # ------------------------------------------------------------------ JSON
@@ -281,6 +277,9 @@ def _header_from_json(doc: dict) -> dict:
         raise ModelConfigError(f"empty_aggregation {empty!r}: an event "
                                f"without neighbours aggregates to 0, "
                                f"\"zero\" is the only identity")
+    classes = doc.get("classes", ["0", "1"])
+    if type(classes) is not list:  # a string or dict would read as labels
+        raise ModelConfigError(f"classes {classes!r}: need a JSON list")
     sensor, sp = doc["sensor"], doc.get("search", {})
     grid = doc.get("grid", {})
     header = ModelHeader(
@@ -294,7 +293,7 @@ def _header_from_json(doc: dict) -> dict:
             queue_depth=_json_int(sp.get("queue_depth", 16),
                                   "search queue_depth")),
         patch=_json_int(grid.get("patch", 16), "grid patch"),
-        classes=[str(c) for c in doc.get("classes", ["0", "1"])])
+        classes=[str(c) for c in classes])
     for key, cells in (("Gx", header.n_cells_x), ("Gy", header.n_cells_y)):
         if key in grid and _json_int(grid[key], f"grid {key}") != cells:
             raise ModelConfigError(f"grid {key} disagrees with sensor/patch")
@@ -373,8 +372,6 @@ def _pair(d: dict, what: str) -> tuple[int, int]:
 def model_to_json(model: QuantizedModel) -> dict:
     doc = _header_to_json(model, 2)
     doc["grid"].update(Gx=model.n_cells_x, Gy=model.n_cells_y)
-    doc["input_encoding"] = {str(k): v
-                             for k, v in model.input_encoding.items()}
 
     def arrays(what: str, weights: np.ndarray, bias: np.ndarray) -> dict:
         return {"weights": _blob(weights.reshape(-1), WEIGHT_BLOB,
@@ -399,6 +396,13 @@ def model_from_json(doc: dict) -> QuantizedModel:
             raise ModelConfigError(
                 f"an FP model (precision {doc['precision']!r}); "
                 f"evgnn quantize turns it into an INT8 model")
+        enc = doc.get("input_encoding", _INPUT_ENCODING)
+        # == alone would take -127.0 or true for an integer
+        if enc != _INPUT_ENCODING or any(type(v) is not int
+                                         for v in enc.values()):
+            raise ModelConfigError(
+                f"input_encoding {enc!r}: polarity 0 and 1 enter layer 1 "
+                f"as {POLARITY_INPUT}, the only input encoding")
         layers = []
         for i, ld in enumerate(doc["layers"]):
             ci, co = _dims(ld, "C_in", "C_out", f"layer {i} ")
@@ -411,11 +415,7 @@ def model_from_json(doc: dict) -> QuantizedModel:
         ci, co = _dims(fd, "in_dim", "out_dim", "fc ")
         return QuantizedModel(
             **header, layers=layers,
-            fc=DenseParams(ci, co, *_arrays(fd, co, ci, _ints, "fc ")),
-            input_encoding={int(k): _json_int(v, f"input_encoding {k}")
-                            for k, v in doc.get(
-                                "input_encoding",
-                                {"0": -127, "1": 127}).items()})
+            fc=DenseParams(ci, co, *_arrays(fd, co, ci, _ints, "fc ")))
 
 
 def fp_model_to_json(model: FPModel) -> dict:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import build_adjacency
 from .event_io import EventStream
-from .model import (ACC_LIMIT, DenseParams, FPLayer, FPModel, LayerParams,
-                    ModelConfigError, QuantizedModel)
+from .graph_builder import build_adjacency
+from .model import (ACC_LIMIT, POLARITY_INPUT, DenseParams, FPLayer, FPModel,
+                    LayerParams, ModelConfigError, QuantizedModel)
 from .static_oracle import forward_eq7_fp
 
 
@@ -115,7 +115,7 @@ def quantize_model(model_fp: FPModel, calib: EventStream
                    ) -> tuple[QuantizedModel, QuantizationReport]:
     """Quantize a BN-folded float model using a calibration stream.
 
-    Input features are the encoded polarity (+-127 representing +-1.0, so
+    Input features are the polarity input (+-127 representing +-1.0, so
     the layer-1 input scale is 1/127); every subsequent input scale is the
     previous layer's output scale. The calibration graph is the queue
     replay of the calibration stream.
@@ -135,7 +135,7 @@ def quantize_model(model_fp: FPModel, calib: EventStream
 
     layers = []
     w_scales = []
-    s_in = 1.0 / 127.0
+    s_in = 1 / POLARITY_INPUT[1]
     for layer, s_out in zip(model_fp.layers, act_scales):
         s_w = _weight_scale(layer.weights)
         w_scales.append(s_w)

@@ -1,9 +1,10 @@
 """Reference GNN execution over a whole, fully built directed event graph.
 
-The graph is the stream plus its Adjacency, as engine.build_adjacency
-builds it for the event-driven engine (retention, canonical scan order,
-d_max truncation), so comparisons against the engine isolate the
-execution schedule and the layer arithmetic, not the topology.
+The graph is the stream plus its Adjacency, as
+graph_builder.build_adjacency builds it for the event-driven engine
+(retention, canonical scan order, d_max truncation), so comparisons
+against the engine isolate the execution schedule and the layer
+arithmetic, not the topology.
 
 Both forwards run the static schedule (each layer over the whole graph,
 then the next) through one gather-form layer loop that computes eq 7
@@ -17,7 +18,7 @@ contiguous axis 0. Each takes (stream, adjacency, model) and returns the
 engine's RunResult:
     eq7_fp   -- inputs +-1.0, raw pixel offsets, ReLU; its activations set
                 the quantizer's scales
-    eq7_int8 -- the encoded inputs, the layer's position requant (RNE,
+    eq7_int8 -- inputs +-127, the layer's position requant (RNE,
                 clipped at 32767) and BAQ, with uint8 outputs. The float64
                 sums are exact, because the model loader proves every
                 |sum| < 2**31, so it is bit-exact against the engine's
@@ -35,7 +36,7 @@ from . import perf_model
 from .engine import RunResult, fc_by_cell, readout_trace, rne_mulshift
 from .event_io import EventStream
 from .graph_builder import Adjacency
-from .model import FPModel, QuantizedModel
+from .model import POLARITY_INPUT, FPModel, QuantizedModel
 
 BATCH_ROWS = 4096  # events per step; bounds the [D, B, C_in+2] gather
 
@@ -121,9 +122,7 @@ def forward_eq7_int8(stream: EventStream, adj: Adjacency,
         return np.minimum(rne_mulshift(offs.astype(np.int64),
                                        *layer.pos_requant), 32767)
 
-    enc = np.array([model.input_encoding[0], model.input_encoding[1]],
-                   dtype=np.int64)
     return _gather_forward(
-        stream, adj, model, enc[stream.p], position,
+        stream, adj, model, np.array(POLARITY_INPUT)[stream.p], position,
         lambda v, layer: baq_batch(v, layer.requant).astype(np.uint8),
         model.fc.weights, model.fc.bias)

@@ -49,7 +49,6 @@ def list_form_doc(model: QuantizedModel) -> dict:
 def assert_models_equal(a: QuantizedModel, b: QuantizedModel) -> None:
     """Every value the INT8 model file holds is equal in a and b."""
     assert a.header() == b.header()
-    assert a.input_encoding == b.input_encoding
     assert len(a.layers) == len(b.layers)
     for la, lb in zip(a.layers + [a.fc], b.layers + [b.fc]):
         assert np.array_equal(la.weights, lb.weights)

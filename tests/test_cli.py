@@ -790,8 +790,8 @@ class TestModelFiles:
          "bad model .*version 99"),
         ("fp", lambda d: d.update(version=3), "quantize",
          "bad FP model .*version 3"),
-        ("int8", lambda d: d["input_encoding"].pop("1"), "infer",
-         "polarities 0 and 1"),
+        ("int8", lambda d: d.update(input_encoding={"0": -127}), "infer",
+         "bad model .*input_encoding \\{'0': -127\\}: polarity 0 and 1 "),
         ("int8_list", lambda d: d["layers"][0]["weights"].__setitem__(0, 1.7),
          "infer", "layer 0 weights: 1.7 is not an integer"),
         ("int8_list", lambda d: d["fc"]["bias"].__setitem__(1, True),
@@ -800,8 +800,8 @@ class TestModelFiles:
          "infer", "layer 2 requant M: 1073741824.0 is not an integer"),
         ("int8", lambda d: d["layers"][0]["pos_requant"].update(shift=True),
          "infer", "layer 0 pos_requant shift: True is not an integer"),
-        ("int8", lambda d: d["input_encoding"].update({"1": 126.5}),
-         "infer", "input_encoding 1: 126.5 is not an integer"),
+        ("int8", lambda d: d.update(input_encoding={"0": -127, "1": 126.5}),
+         "infer", "bad model .*input_encoding .*126.5"),
         ("int8", lambda d: d["sensor"].update(W=64.7), "infer",
          "sensor W: 64.7 is not an integer"),
         ("int8", lambda d: d["search"].update(r_s=True), "infer",
@@ -835,6 +835,15 @@ class TestModelFiles:
          "bad model .*empty_aggregation 'neg_inf'"),
         ("fp", lambda d: d.update(empty_aggregation="neg_inf"), "quantize",
          "bad FP model .*empty_aggregation 'neg_inf'"),
+        ("int8", lambda d: d.update(input_encoding={"0": -127, "00": 5,
+                                                    "1": 127}),
+         "infer", "bad model .*input_encoding .*'00': 5"),
+        ("int8", lambda d: d.update(input_encoding={"0": -127.0, "1": 127}),
+         "infer", "bad model .*input_encoding .*-127.0"),
+        ("int8", lambda d: d.update(classes="ab"), "infer",
+         "bad model .*classes 'ab': need a JSON list$"),
+        ("fp", lambda d: d.update(classes={"a": 1, "b": 2}), "quantize",
+         "bad FP model .*classes \\{'a': 1, 'b': 2\\}: need a JSON list$"),
     ], ids=["fp_unchained", "fp_fc_in_dim", "fp_patch_0", "fp_layer0_c_in_2",
             "int8_patch_0", "int8_into_quantize", "fp_into_infer",
             "fp_bn_short_gamma", "fp_bn_negative_var",
@@ -849,7 +858,8 @@ class TestModelFiles:
             "list_weight_minus_2_63", "list_fc_weight_minus_2_63",
             "fp_weight_nan", "fp_weight_infinity", "fp_bn_eps_infinity",
             "fp_fc_bias_minus_infinity", "int8_empty_neg_inf",
-            "fp_empty_neg_inf"])
+            "fp_empty_neg_inf", "int8_encoding_aliased_00",
+            "int8_encoding_float", "int8_classes_string", "fp_classes_dict"])
     def test_rejected(self, kind, edit, command, expect, small_model,
                       stream_path, tmp_path, capsys):
         doc = _model_doc(kind, small_model)
@@ -900,6 +910,85 @@ def test_empty_neg_inf_rejected(command, small_model, stream_path, tmp_path,
                                    f"empty_aggregation 'neg_inf'")
     assert captured.err.count("\n") == 1
     assert not report.exists()
+
+
+def _output_args(command: str, out) -> list[str]:
+    """The flag that makes command write its output file out."""
+    return {"infer": ["--trace-out", str(out)], "verify": [],
+            "bench": ["--report-out", str(out)]}[command]
+
+
+@pytest.mark.parametrize("command", ["infer", "verify", "bench"])
+@pytest.mark.parametrize("flag", ["--r-s", "--r-t", "--d-max",
+                                  "--queue-depth"])
+def test_search_flag_past_int64_rejected(command, flag, model_path,
+                                         stream_path, tmp_path, capsys):
+    """A search value that no array can index is a rejected flag: exit 2,
+    one error line, no output file."""
+    out = tmp_path / "out"
+    argv = [command, model_path, stream_path, flag, str(10**22),
+            *_output_args(command, out)]
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad search parameters: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "verify", "bench"])
+def test_model_search_past_int64_rejected(command, small_model, stream_path,
+                                          tmp_path, capsys):
+    doc = model_to_json(small_model)
+    doc["search"]["r_t"] = 10**25
+    path, out = tmp_path / "model.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), stream_path,
+                 *_output_args(command, out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad model {path}: ")
+    assert f"r_t {10**25}: need an integer in [0, 2**63)" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "verify", "bench", "quantize"])
+@pytest.mark.parametrize("name, fmt, kind", [
+    ("s.evb", None, "bin"), ("s.bin", "text", "text"),
+    ("s.txt", "bin", "bin")],
+    ids=["evb_is_binary", "format_text_on_bin", "format_bin_on_txt"])
+def test_stream_format_from_extension_or_flag(command, name, fmt, kind,
+                                              small_stream, model_path,
+                                              tmp_path, capsys):
+    """A .bin or .evb stream reads as binary and any other name as text,
+    and --format overrides the extension: each command's output equals
+    its output on the same bytes under their own extension."""
+    data = (event_io.write_binary_stream(small_stream) if kind == "bin"
+            else event_io.write_text_stream(small_stream).encode())
+    fp_path = tmp_path / "fp.json"
+    save_fp_model(random_fp_model(5), str(fp_path))
+
+    def output(path, extra):
+        path.write_bytes(data)
+        out = tmp_path / f"out_{path.name}"
+        argv = (["quantize", str(fp_path), "--calib", str(path),
+                 "-o", str(out)] if command == "quantize"
+                else [command, model_path, str(path),
+                      *_output_args(command, out)])
+        assert main(argv + extra) == EXIT_OK
+        printed = capsys.readouterr().out
+        if command == "verify":
+            return printed
+        if command == "bench":
+            report = json.loads(out.read_text())
+            del report["software_throughput_ev_s"]
+            return report
+        return out.read_bytes()
+
+    named = output(tmp_path / f"ref.{'bin' if kind == 'bin' else 'txt'}", [])
+    assert output(tmp_path / name,
+                  ["--format", fmt] if fmt else []) == named
 
 
 @pytest.mark.parametrize("command", ["infer", "quantize"])

@@ -14,9 +14,9 @@ from evgnn.engine import (DimMismatch, EngineState, Epilogue, FeatureStore,
                           count_ops, fc_forward, message_matvec,
                           rne_mulshift)
 from evgnn.graph_builder import SearchParams
-from evgnn.model import (IDENTITY_REQUANT, DenseParams, LayerParams,
-                         calibration_model, random_fp_model, random_model,
-                         save_model)
+from evgnn.model import (IDENTITY_REQUANT, POLARITY_INPUT, DenseParams,
+                         LayerParams, calibration_model, random_fp_model,
+                         random_model, save_model)
 
 
 def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
@@ -32,15 +32,20 @@ def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
 
 class TestPrimitives:
     def test_encode_default_map(self):
+        """Polarity 0 and 1 enter layer 1 as -127 and 127: the scalar
+        oracle stores them as the layer-0 features, and the run plan's
+        input_terms are layer 1's W_x times them."""
+        assert POLARITY_INPUT == (-127, 127)
         model = random_model(0)
-        assert model.encode_input(1) == 127
-        assert model.encode_input(0) == -127
-
-    def test_encode_override(self):
-        model = dataclasses.replace(random_model(0),
-                                    input_encoding={0: 0, 1: 1})
-        assert model.encode_input(0) == 0
-        assert model.encode_input(1) == 1
+        stream = event_io.EventStream(64, 48, [1, 2], [1, 1], [0, 1],
+                                      [0, 1])
+        state = EngineState.new(model, len(stream))
+        for ev in stream.events:
+            engine.process_event(state, model, ev)
+        assert [int(state.store.read(n, 0)[0]) for n in (0, 1)] == [-127, 127]
+        w_x = model.layers[0].weights[:, 0]
+        assert np.array_equal(engine.build_plan(model).input_terms,
+                              np.outer([-127, 127], w_x))
 
     def test_matvec_zero_weights(self):
         layer = _layer(np.zeros((3, 4), dtype=np.int64))
@@ -548,8 +553,9 @@ def _plan_arrays(obj, path="plan"):
 def test_run_plan_arrays_are_read_only():
     """One plan serves any number of runs, so no run may write into it:
     every array it holds is read-only, down to each Block's position
-    table, w_next and epilogue arrays. Each layer's w_x is C-ordered, the
-    layout the node-term products read fastest."""
+    table, w_next and epilogue arrays, and so is the window its search
+    holds. Each one-layer block's w_next is C-ordered, the layout the
+    node-term products read fastest."""
     plan = engine.build_plan(random_model(9, layer_dims=(5, 7, 6)))
     arrays = dict(_plan_arrays(plan))
     for b in ["layered[0]", "layered[1]", "layered[2]", "wavefront[0]"]:
@@ -557,10 +563,13 @@ def test_run_plan_arrays_are_read_only():
     assert {"plan.layered[0].w_next", "plan.layered[1].w_next",
             "plan.wavefront[0].w_next", "plan.wavefront[0].ep.mult",
             "plan.wavefront[0].ep.shift", "plan.wavefront[0].ep.half",
-            "plan.wavefront[0].ep.odd", "plan.w_x[0]", "plan.encoding",
-            "plan.fc_cells", "plan.win_dx"} <= set(arrays)
+            "plan.wavefront[0].ep.odd", "plan.input_terms",
+            "plan.fc_cells"} <= set(arrays)
+    arrays.update({"plan.search.window[0]": plan.search.window[0],
+                   "plan.search.window[1]": plan.search.window[1]})
     assert [p for p, a in arrays.items() if a.flags.writeable] == []
-    assert all(w.flags.c_contiguous for w in plan.w_x)
+    assert plan.input_terms.dtype == np.int32
+    assert all(b.w_next.flags.c_contiguous for b in plan.layered[:-1])
 
 
 def test_wavefront_weights_built_with_the_plan(small_stream, monkeypatch):
@@ -611,17 +620,18 @@ def test_default_schedule_builds_no_levels(small_model, small_stream,
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
 def test_build_adjacency_from_plan_model_or_search(shape, small_stream,
                                                    monkeypatch):
-    """The run plan's window, which build_adjacency reuses without
-    rebuilding it, gives the same Adjacency, field for field, as the
-    window it makes from the model or its search."""
+    """A plan, its model and their search give the same Adjacency, field
+    for field, and one window: the search builds its offsets once, for
+    the plan and every build."""
+    real, calls = graph_builder.window_offsets, []
+    monkeypatch.setattr(graph_builder, "window_offsets",
+                        lambda *a: calls.append(1) or real(*a))
     model = random_model(9)
     model.search = dataclasses.replace(model.search, shape=shape)
     plan = engine.build_plan(model)
-    with monkeypatch.context() as m:
-        m.setattr(engine, "window_offsets", None)
-        adjs = [engine.build_adjacency(small_stream, plan)]
-    adjs += [engine.build_adjacency(small_stream, source)
-             for source in (model, model.search)]
+    adjs = [engine.build_adjacency(small_stream, source)
+            for source in (plan, model, model.search)]
+    assert len(calls) == 1
     assert adjs[0].deg.sum() > 0
     for adj in adjs[1:]:
         for f in dataclasses.fields(adj):
@@ -783,7 +793,7 @@ class TestSentinelKernel:
             assert np.any(adj.deg[last] == model.search.d_max)
         adj.levels = groups
         plan = engine.build_plan(model)
-        feats = engine.run_layers(plan, plan.encoding[stream.p], adj,
+        feats = engine.run_layers(plan, stream.p, adj,
                                   plan.wavefront if wave else plan.layered)
         state, _ = _per_event_run(model, stream)
         _assert_feats_equal(feats, state)

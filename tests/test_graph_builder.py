@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evgnn import event_io, graph_builder
-from evgnn.engine import build_adjacency
 from evgnn.event_io import Event
 from evgnn.graph_builder import (EventQueueGrid, InvalidDims,
                                  InvalidSearchParams, OutOfBoundsEvent,
-                                 Neighbor, SearchParams,
-                                 brute_force_neighbors, search_neighbors)
+                                 Neighbor, SearchParams, build_adjacency,
+                                 brute_force_neighbors, search_neighbors,
+                                 window_offsets)
 from helpers import neighbors
 
 
@@ -71,6 +71,37 @@ class TestSearchParams:
     def test_d_max_floor(self):
         with pytest.raises(InvalidSearchParams):
             SearchParams(d_max=0)
+
+    @pytest.mark.parametrize("name, low, bits", [
+        ("r_s", 0, 16), ("r_t", 0, 63), ("d_max", 1, 31),
+        ("queue_depth", 1, 31)])
+    def test_bound(self, name, low, bits):
+        """Each field takes its bounds and rejects the values just past
+        them: past the upper one, no array could index the value. Only
+        constructed: a run at a bound would ask for tens of GiB."""
+        for value in (low, 2**bits - 1):
+            assert getattr(SearchParams(**{name: value}), name) == value
+        for value in (low - 1, 2**bits):
+            with pytest.raises(InvalidSearchParams, match=(
+                    rf"^{name} {value}: need an integer in "
+                    rf"\[{low}, 2\*\*{bits}\)$")):
+                SearchParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, 3.0, np.int64(3), "3"])
+    @pytest.mark.parametrize("name", ["r_s", "r_t", "d_max", "queue_depth"])
+    def test_plain_int_only(self, name, value):
+        with pytest.raises(InvalidSearchParams,
+                           match=rf"^{name} .*: need an integer in "):
+            SearchParams(**{name: value})
+
+    @pytest.mark.parametrize("shape", ["prism", "cylinder"])
+    def test_window_built_once_read_only(self, shape):
+        params = SearchParams(shape=shape, r_s=2)
+        dx, dy = params.window
+        assert params.window[0] is dx and params.window[1] is dy
+        assert not dx.flags.writeable and not dy.flags.writeable
+        for a, b in zip((dx, dy), window_offsets(2, shape == "cylinder")):
+            assert np.array_equal(a, b)
 
 
 class TestSearchNeighbors:
@@ -294,7 +325,7 @@ def test_build_adjacency_equals_incremental_reference(shape, make_stream):
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
 def test_build_adjacency_chunk_boundaries(shape, cells, make_stream,
                                           monkeypatch):
-    """The same check with replay_build's chunks cut small: 1 row each, or
+    """The same check with build_adjacency's chunks cut small: 1 row each, or
     2 to 40 rows, which splits pixel runs of these up to 59-event streams
     between chunks."""
     monkeypatch.setattr(graph_builder, "REPLAY_CELLS", cells)
@@ -305,7 +336,8 @@ def _stale_newest_queues(stream, params):
     """(queues whose newest retained entry is older than r_t, of those
     the ones where an older retained entry is within r_t), over every
     event's window; a stream whose timestamps never decrease has none of
-    the second kind, so replay_build counts no hits in the first kind."""
+    the second kind, so build_adjacency counts no hits in the first
+    kind."""
     r, keep = params.r_s, params.queue_depth
     arrivals: dict[tuple[int, int], list[int]] = {}
     stale = stale_with_hit = 0
@@ -354,7 +386,7 @@ def test_build_adjacency_stale_queues(shape, cells, make_stream,
 
 
 def test_build_adjacency_rejects_backwards_time(make_stream):
-    """replay_build's prefix count needs timestamps that never decrease;
+    """build_adjacency's prefix count needs timestamps that never decrease;
     no stream reaches it with one that does."""
     with pytest.raises(event_io.NonMonotoneTime,
                        match=r"^line 3: timestamp 19 < previous 20$"):

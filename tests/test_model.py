@@ -7,9 +7,10 @@ import pytest
 from evgnn import engine, event_io
 from evgnn.cli import EXIT_OK, main
 from evgnn.model import (DenseParams, LayerParams, ModelConfigError,
-                         QuantizedModel, calibration_model, load_model,
-                         model_from_json, model_to_json, random_model,
-                         save_model)
+                         QuantizedModel, calibration_model,
+                         fp_model_from_json, fp_model_to_json, load_model,
+                         model_from_json, model_to_json, random_fp_model,
+                         random_model, save_model)
 from helpers import assert_models_equal, list_form_doc
 
 
@@ -94,7 +95,7 @@ class TestRangeProof:
             model_from_json(doc)
 
     @pytest.mark.parametrize("edit", [
-        lambda d: d["input_encoding"].update({"1": 128}),
+        lambda d: d.update(input_encoding={"0": -127, "1": 128}),
         lambda d: d["layers"][0]["pos_requant"].update({"M": 2**31}),
         lambda d: d["layers"][0]["requant"].update({"shift": 63}),
         lambda d: d["layers"][0]["pos_requant"].update({"shift": -1}),
@@ -169,14 +170,16 @@ class TestSerialization:
         assert model_from_json(old).search == model_from_json(doc).search
 
     def test_retired_keys_load_equal(self, small_model):
-        """A file that carries the retired "empty_aggregation": "zero" and
-        a per-layer "s_in" loads equal to one without them."""
+        """A file that carries the retired "empty_aggregation": "zero",
+        "input_encoding": {"0": -127, "1": 127} and a per-layer "s_in"
+        loads equal to one without them."""
         doc = model_to_json(small_model)
         old = json.loads(json.dumps(doc))
         old["empty_aggregation"] = "zero"
+        old["input_encoding"] = {"0": -127, "1": 127}
         for ld in old["layers"]:
             ld["s_in"] = 0.5
-        assert "empty_aggregation" not in doc
+        assert "empty_aggregation" not in doc and "input_encoding" not in doc
         assert all("s_in" not in ld for ld in doc["layers"])
         assert_models_equal(model_from_json(old), model_from_json(doc))
 
@@ -194,6 +197,75 @@ class TestSerialization:
                      "--report-out", str(report)]) == EXIT_OK
         totals = json.loads(report.read_text())["totals"]
         assert totals["ns"] == totals["cycles"] * 10  # 100 MHz
+
+
+class _Recording(dict):
+    """A JSON object that records each of its keys a reader reads."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def items(self):
+        self.read.update(self)
+        return super().items()
+
+    def values(self):
+        self.read.update(self)
+        return super().values()
+
+
+def _unread(value, path="") -> list[str]:
+    """The path of every key under value that its reader did not read."""
+    if isinstance(value, list):
+        return [u for i, v in enumerate(value)
+                for u in _unread(v, f"{path}[{i}]")]
+    if not isinstance(value, _Recording):
+        return []
+    out = []
+    for k, v in dict.items(value):  # dict.items: walking reads nothing
+        if k not in value.read:
+            out.append(f"{path}.{k}")
+        out += _unread(v, f"{path}.{k}")
+    return out
+
+
+def _unread_keys(doc: dict, read) -> list[str]:
+    """The keys of the written document doc that read(doc) leaves."""
+    recorded = json.loads(json.dumps(doc), object_hook=_Recording)
+    read(recorded)
+    return _unread(recorded)
+
+
+class TestWrittenKeysAreRead:
+    """Nothing a writer emits is ignored by its reader: a key written and
+    never read (as "s_in" and "input_encoding" were) would claim a
+    meaning the loaded model does not have."""
+
+    def test_int8_model(self):
+        doc = model_to_json(random_model(3, layer_dims=(4, 5)))
+        assert _unread_keys(doc, model_from_json) == []
+
+    def test_fp_model(self):
+        doc = fp_model_to_json(random_fp_model(3, with_bn=True))
+        assert all("bn" in ld for ld in doc["layers"])
+        assert _unread_keys(doc, fp_model_from_json) == []
+
+    def test_flags_a_stray_key(self):
+        doc = model_to_json(random_model(3, layer_dims=(4, 5)))
+        doc["stray"] = 1
+        doc["layers"][1]["s_in"] = 0.5
+        doc["search"]["r"] = 2.5
+        assert sorted(_unread_keys(doc, model_from_json)) == [
+            ".layers[1].s_in", ".search.r", ".stray"]
 
 
 class TestCalibrationModel:
