@@ -255,8 +255,9 @@ def write_binary_stream(stream: EventStream) -> bytes:
 
 
 def write_text_stream(stream: EventStream) -> str:
-    cols = (c.tolist() for c in (stream.x, stream.y, stream.t, stream.p))
-    return "".join(f"{x} {y} {t} {p}\n" for x, y, t, p in zip(*cols))
+    """One "x y t p" line per event, formatted by one % over all values."""
+    cols = np.column_stack([stream.x, stream.y, stream.t, stream.p])
+    return ("%d %d %d %d\n" * len(stream)) % tuple(cols.ravel().tolist())
 
 
 def gen_synthetic(kind: str, params: dict, seed: int) -> EventStream:

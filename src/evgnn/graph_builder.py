@@ -36,17 +36,25 @@ running sum of these hit counts over the offsets, in canonical order,
 gives the degree, the d_max early stop and the entries scanned, and only
 the cells that keep a neighbour are expanded. The offsets are walked in
 tranches of 2, 4, 8, ...; an event leaves the walk once it holds d_max
-neighbours. A chunk holds at most REPLAY_CELLS (event, offset) cells,
-which bounds the build's working memory. An Adjacency holds the result
-and stores no edge offsets: an edge is its neighbour's stream index
-(nbr_n) and the window slot it was found at (nbr_o), and the window's K
-(dx, dy) pairs, which SearchParams.window builds once per search, are
-kept once. Its dependency levels, the batches of the engine's level
-schedules, are built on first use and kept.
+neighbours. A tranche's chunks run on W threads, W being the CPUs the
+process may use: the calling thread and a pool of W - 1 that each call
+opens and shuts down before it returns. A chunk holds at most
+REPLAY_CELLS // W (event, offset) cells, so REPLAY_CELLS bounds the
+cells in flight across all threads, and with them the build's working
+memory. A chunk writes only its own events' rows, so the result does not
+depend on the schedule. An Adjacency holds the result and stores no edge
+offsets: an edge is its neighbour's stream index (nbr_n) and the window
+slot it was found at (nbr_o), and the window's K (dx, dy) pairs, which
+SearchParams.window builds once per search, are kept once. Its
+dependency levels, the batches of the engine's level schedules, are
+built on first use and kept.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +67,8 @@ SHAPES = ("cylinder", "prism")
 # spatial offset fits a 16-bit coordinate, a time offset int64.
 SEARCH_RANGE = {"r_s": (0, 16), "r_t": (0, 63), "d_max": (1, 31),
                 "queue_depth": (1, 31)}
-# (event, window offset) cells per graph-build chunk; bounds its memory.
+# (event, window offset) cells in flight across a graph build's threads;
+# bounds its memory.
 REPLAY_CELLS = 1 << 16
 
 
@@ -249,6 +258,13 @@ def brute_force_neighbors(history: list[Event], ev: Event,
     return out
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: build_adjacency's thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def window_offsets(r_s: int, use_l2: bool) -> tuple[np.ndarray, np.ndarray]:
     """(dx, dy) of the prism / cylinder window in canonical scan order."""
     span = np.arange(-r_s, r_s + 1)
@@ -275,7 +291,11 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
     length and its hits, counted by a second binary search only where the
     queue's newest entry is within r_t; only the cells that keep a
     neighbour are expanded, and the offsets after an event's d_max-th hit
-    are not visited.
+    are not visited. Each tranche of offsets is cut into chunks of events
+    that run on one thread per CPU the process may use, the calling
+    thread and a pool opened per call; REPLAY_CELLS bounds the cells in
+    flight across all of them, and the result does not depend on the
+    schedule.
     """
     params = getattr(source, "search", source)
     win_dx, win_dy = params.window
@@ -324,62 +344,103 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
     first = np.searchsorted(ts, ts - r_t)
 
     shift = win_dy * wide + win_dx
+    flat_n, flat_o = nbr_n.reshape(-1), nbr_o.reshape(-1)  # views
+
+    def scan(a: int, b: int, i: np.ndarray) -> None:
+        """Walk offsets a..b-1 for the chunk i of rows, in pixel order,
+        which makes each offset's key queries ascend. It reads the shared
+        tables and i's rows of deg, and writes only i's rows of deg,
+        scanned, nbr_n and nbr_o: a tranche's chunks are independent."""
+        run = run_of[pix[i] - shift[a:b, None]]   # [offsets, rows]
+        base = run * n_ev
+        # arrivals at the neighbour pixel before event i; its queue
+        # holds the last min(depth, count) of them, newest first
+        end = np.searchsorted(key, base + i)
+        qlen = np.minimum(end - run_start[run], depth)
+        # Hits are the queue entries from stream index first[i] on, so
+        # only a queue whose newest entry, sorted position end - 1, is
+        # one of them can hold any: the others are not counted. base
+        # becomes each cell's lowest key within r_t.
+        base += first[i]
+        lo_key = base.ravel()
+        cand = np.flatnonzero(last_key[end].ravel() >= lo_key)
+        # a hit's sorted position lo >= run_start[run], so
+        # min(end - lo, depth) <= qlen
+        hits = np.zeros_like(end)
+        hits.ravel()[cand] = np.minimum(
+            end.ravel()[cand] - np.searchsorted(key, lo_key[cand]), depth)
+        # Dead [offsets, rows] arrays go at once: a chunk's peak is what a
+        # pool thread's malloc arena keeps after the build.
+        del run, base, lo_key, cand
+        # counts within the tranche; event i needs d_max - deg[i] more
+        need = d_max - deg[i]
+        # running hit count along the offsets (row by row: np.cumsum
+        # along axis 0 is several times slower)
+        n_hit = hits.copy()
+        for o in range(1, b - a):
+            n_hit[o] += n_hit[o - 1]
+        hits_before = n_hit - hits
+        # take: the hits each cell keeps, up to the d_max-th
+        take = np.clip(need - hits_before, 0, hits)
+        # scanned: the whole queue of each cell before the d_max-th hit,
+        # then the entries up to it (its cell's take), then nothing
+        scanned[i] += np.where(n_hit < need, qlen, take).sum(axis=0)
+        # Kept neighbour k of a cell is its queue's k-th newest entry:
+        # sorted position end - 1 - k, slot deg[i] + hits_before + k.
+        # Only cells that keep some are expanded; a cell's kept entries
+        # are consecutive in `ramp` from first_k on, so k = ramp - first_k.
+        cell = np.flatnonzero(take > 0)
+        take = take.ravel()[cell]
+        first_k = np.cumsum(take) - take
+        ramp = np.arange(take.sum())
+        at = np.repeat((i * d_max + deg[i] + hits_before).ravel()[cell]
+                       - first_k, take) + ramp       # flat (row, slot)
+        pos = np.repeat(end.ravel()[cell] - 1 + first_k, take) - ramp
+        flat_n[at] = order[pos]
+        flat_o[at] = np.repeat(a + cell // len(i), take)
+        deg[i] += np.minimum(n_hit[-1], need)
+
+    def drain(a: int, b: int, todo) -> None:
+        """Scan the chunks todo yields until none is left. The threads of a
+        tranche share todo, a list iterator, whose next() is atomic under
+        the GIL: each chunk runs once. A chunk's temporaries go when its
+        scan returns."""
+        for i in todo:
+            scan(a, b, i)
+
     # The window is walked in tranches of 2, 4, 8, ... offsets. deg and
     # scanned carry each event's running hit and queue-entry counts; an
     # event that holds d_max neighbours leaves the walk with both final.
+    # The calling thread and workers - 1 pool threads take a tranche's
+    # chunks in turn, and numpy's calls release the GIL to them. A chunk
+    # holds at most REPLAY_CELLS // workers cells, so the cells in flight
+    # stay within REPLAY_CELLS.
+    workers = _cpus()
     live = order
-    flat_n, flat_o = nbr_n.reshape(-1), nbr_o.reshape(-1)  # views
     a = 0
-    while a < k_win and len(live):
-        b = min(2 * a + 2, k_win)
-        rows = max(1, REPLAY_CELLS // (b - a))
-        for s in range(0, len(live), rows):
-            # Rows in pixel order make each offset's key queries ascend.
-            i = live[s:s + rows]
-            run = run_of[pix[i] - shift[a:b, None]]   # [offsets, rows]
-            base = run * n_ev
-            # arrivals at the neighbour pixel before event i; its queue
-            # holds the last min(depth, count) of them, newest first
-            end = np.searchsorted(key, base + i)
-            qlen = np.minimum(end - run_start[run], depth)
-            # Hits are the queue entries from stream index first[i] on, so
-            # only a queue whose newest entry, sorted position end - 1, is
-            # one of them can hold any: the others are not counted.
-            lo_key = (base + first[i]).ravel()
-            cand = np.flatnonzero(last_key[end].ravel() >= lo_key)
-            lo = end.copy()
-            lo.ravel()[cand] = np.searchsorted(key, lo_key[cand])
-            # lo >= run_start[run], so min(end - lo, depth) <= qlen
-            hits = np.minimum(end - lo, depth)
-            # counts within the tranche; event i needs d_max - deg[i] more
-            need = d_max - deg[i]
-            # running hit count along the offsets (row by row: np.cumsum
-            # along axis 0 is several times slower)
-            n_hit = hits.copy()
-            for o in range(1, b - a):
-                n_hit[o] += n_hit[o - 1]
-            hits_before = n_hit - hits
-            # take: the hits each cell keeps, up to the d_max-th
-            take = np.clip(need - hits_before, 0, hits)
-            # scanned: the whole queue of each cell before the d_max-th hit,
-            # then the entries up to it (its cell's take), then nothing
-            scanned[i] += np.where(n_hit < need, qlen, take).sum(axis=0)
-            # Kept neighbour k of a cell is its queue's k-th newest entry:
-            # sorted position end - 1 - k, slot deg[i] + hits_before + k.
-            # Only cells that keep some are expanded; a cell's kept entries
-            # are consecutive in `ramp` from first_k on, so k = ramp - first_k.
-            cell = np.flatnonzero(take > 0)
-            take = take.ravel()[cell]
-            first_k = np.cumsum(take) - take
-            ramp = np.arange(take.sum())
-            at = np.repeat((i * d_max + deg[i] + hits_before).ravel()[cell]
-                           - first_k, take) + ramp       # flat (row, slot)
-            pos = np.repeat(end.ravel()[cell] - 1 + first_k, take) - ramp
-            flat_n[at] = order[pos]
-            flat_o[at] = np.repeat(a + cell // len(i), take)
-            deg[i] += np.minimum(n_hit[-1], need)
-        live = live[deg[live] < d_max]
-        a = b
+    with ExitStack() as stack:
+        pool = None
+        while a < k_win and len(live):
+            b = min(2 * a + 2, k_win)
+            # the fewest chunks of at most REPLAY_CELLS // workers cells,
+            # cut near-equal so that the threads' shares are even
+            n = -(-len(live) // max(1, REPLAY_CELLS // workers // (b - a)))
+            rows = -(-len(live) // n)
+            todo = iter([live[s:s + rows] for s in range(0, len(live), rows)])
+            if workers > 1 and n > 1:
+                # one pool per call, shut down before it returns: a pool
+                # kept past it would reach a forked child without threads
+                pool = pool or stack.enter_context(
+                    ThreadPoolExecutor(workers - 1))
+                helpers = [pool.submit(drain, a, b, todo)
+                           for _ in range(workers - 1)]
+                drain(a, b, todo)
+                for f in helpers:
+                    f.result()
+            else:
+                drain(a, b, todo)
+            live = live[deg[live] < d_max]
+            a = b
     return adj
 
 

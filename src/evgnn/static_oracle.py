@@ -24,8 +24,8 @@ engine's RunResult:
                 |sum| < 2**31, so it is bit-exact against the engine's
                 factored eq7_block while using none of that factoring
                 (node terms, per-slot position table, sentinel rows) nor
-                its epilogue (baq_batch requantizes through
-                rne_mulshift): verify's static leg checks it.
+                its epilogue (baq_batch requantizes in place with its
+                own operations): verify's static leg checks it.
 """
 
 from __future__ import annotations
@@ -42,9 +42,24 @@ BATCH_ROWS = 4096  # events per step; bounds the [D, B, C_in+2] gather
 
 
 def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
-    """BAQ of biased aggregates: ReLU, requantize (RNE), clamp to [0, 127]."""
-    return np.minimum(rne_mulshift(np.maximum(v, 0).astype(np.int64),
-                                   *requant), 127)
+    """BAQ of biased aggregates: ReLU, requantize (RNE), clamp to [0, 127].
+
+    v holds exact integers; one int64 copy of it is worked in place: ReLU,
+    * M, the round-half-even carry ((q >> s) & 1) + 2**(s-1) - 1, >> s and
+    the clamp. Exact, as the loader keeps v and M below 2**31.
+    """
+    mult, shift = requant
+    q = v.astype(np.int64)
+    np.maximum(q, 0, out=q)
+    q *= mult
+    if shift:
+        carry = q >> shift
+        carry &= 1
+        carry += (1 << (shift - 1)) - 1
+        q += carry
+        q >>= shift
+    np.minimum(q, 127, out=q)
+    return q
 
 
 def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,

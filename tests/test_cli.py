@@ -3,6 +3,7 @@ import base64
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,54 @@ def _inject(monkeypatch, module, name, feats=(), logits=(), only=None):
         return out
 
     monkeypatch.setattr(module, name, corrupted)
+
+
+# Run by test_jobs_after_a_pooled_build: argv is (out dir, model, *streams).
+# It prints JSON: the pool sizes of a first build, then per --jobs the exit
+# code and stdout of infer; each run's build of each stream writes the
+# stream's trace and the number of pools its build opened to
+# <out dir>/jobs<N>/<events>[.pools], whichever process runs it.
+_POOLED_THEN_FORKED = """
+import contextlib, io, json, sys
+from pathlib import Path
+from evgnn import cli, engine, event_io, graph_builder
+
+out, model, *streams = sys.argv[1:]
+graph_builder._cpus = lambda: 2
+graph_builder.REPLAY_CELLS = 64
+pools = []
+
+class Recording(graph_builder.ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        pools.append(max_workers)
+        super().__init__(max_workers)
+
+graph_builder.ThreadPoolExecutor = Recording
+graph_builder.build_adjacency(event_io.gen_synthetic(
+    "uniform_random", {"width": 64, "height": 48, "count": 100}, 7),
+    graph_builder.SearchParams())
+runs = {"first_build_pools": list(pools)}
+run_stream = engine.run_stream
+
+def tracing(plan, stream, **kw):
+    opened = len(pools)
+    result = run_stream(plan, stream, **kw)
+    path = Path(out, trace_dir, str(len(stream)))
+    path.write_text("".join(
+        l + "\\n" for l in engine.prediction_trace_lines(result)))
+    Path(f"{path}.pools").write_text(str(len(pools) - opened))
+    return result
+
+engine.run_stream = tracing
+for jobs in ("2", "1"):
+    trace_dir = f"jobs{jobs}"
+    Path(out, trace_dir).mkdir()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["infer", model, *streams, "--jobs", jobs])
+    runs[jobs] = (code, buf.getvalue())
+print(json.dumps(runs))
+"""
 
 
 @pytest.fixture()
@@ -195,6 +244,51 @@ class TestInfer:
         assert [l.split(":")[0] for l in lines[:-1]] == paths
         assert [l.split()[1] for l in lines[:-1]] == [
             "events=3000", "events=600", "events=60"]
+
+    def test_jobs_after_a_pooled_build(self, model_path, tmp_path):
+        """infer --jobs 2 forks its workers from a process that has run a
+        graph build on a thread pool, and each worker's build splits its
+        tranches too (2 CPUs, REPLAY_CELLS = 64, inherited by the fork). A
+        pool kept past a build would reach the workers without its
+        threads and hang them; here both runs finish, and their result
+        lines and traces equal --jobs 1's."""
+        paths = []
+        for seed, count in enumerate([300, 200]):
+            path = tmp_path / f"s{seed}.txt"
+            path.write_text(event_io.write_text_stream(event_io.gen_synthetic(
+                "uniform_random", {"width": 64, "height": 48, "count": count,
+                                   "duration_us": 20_000}, seed)))
+            paths.append(str(path))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        # its own process group: a hung run's workers are killed with it
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _POOLED_THEN_FORKED, str(tmp_path),
+             model_path, *paths], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("infer --jobs 2 hung after a pooled build")
+        assert proc.returncode == 0, err
+        runs = json.loads(out)
+        assert runs["first_build_pools"] == [1]
+        for jobs in ("2", "1"):
+            code, out = runs[jobs]
+            assert code == EXIT_OK
+            assert [l.split(":")[0] for l in out.splitlines()] == paths
+        assert (re.sub(r"throughput=\S+", "", runs["2"][1])
+                == re.sub(r"throughput=\S+", "", runs["1"][1]))
+        for count in (300, 200):
+            traces = [(tmp_path / f"jobs{jobs}" / str(count)).read_text()
+                      for jobs in ("2", "1")]
+            assert traces[0] == traces[1]
+            assert traces[0].count("\n") == count
+            for jobs in ("2", "1"):
+                pools = tmp_path / f"jobs{jobs}" / f"{count}.pools"
+                assert int(pools.read_text()) > 0
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_out_of_memory_is_io_error(self, model_path, stream_path,

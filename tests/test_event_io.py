@@ -196,6 +196,23 @@ class TestTextFormat:
             event_io.write_text_stream(s), W, H), s)
 
 
+@pytest.mark.parametrize("rows", [
+    [], [(3, 4, 5, 1)],
+    [(0, 0, T_MAX - 1, 0), (W - 1, H - 1, T_MAX, 1), (1, 2, T_MAX, 0)],
+    "random"])
+def test_write_text_equals_per_event_format(make_stream, rows):
+    """The one-% writer gives the bytes of one f-string per event."""
+    if rows == "random":
+        rng = np.random.default_rng(41)
+        rows = list(zip(rng.integers(0, W, 500), rng.integers(0, H, 500),
+                        np.sort(rng.integers(0, T_MAX, 500)),
+                        rng.integers(0, 2, 500)))
+    s = make_stream(W, H, rows)
+    assert event_io.write_text_stream(s) == "".join(
+        f"{x} {y} {t} {p}\n" for x, y, t, p in zip(
+            *(c.tolist() for c in (s.x, s.y, s.t, s.p))))
+
+
 class TestBinaryFormat:
     def test_empty_stream_is_zero_bytes(self, make_stream):
         assert event_io.write_binary_stream(make_stream(W, H)) == b""

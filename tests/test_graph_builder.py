@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,6 +387,109 @@ def test_build_adjacency_stale_queues(shape, cells, make_stream,
         assert int(_edge_dt(adj, stream).max()) == oldest
         stale, stale_with_hit = _stale_newest_queues(stream, params)
         assert stale > 0 and stale_with_hit == 0
+
+
+def _recorded_pools(monkeypatch) -> list[int]:
+    """Record the size of each thread pool build_adjacency opens."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(graph_builder, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def _hot_pixel_stream(make_stream, shape="prism"):
+    """Half of 240 events at one pixel of a 5x4 sensor, so its queue of
+    depth 3 overflows again and again and most events reach d_max = 5."""
+    rng = np.random.default_rng(29)
+    pixels = np.where(rng.random(240) < 0.5, 7, rng.integers(0, 20, 240))
+    ts = np.sort(rng.integers(0, 400, size=240))
+    params = SearchParams(shape=shape, r_s=2, r_t=60, d_max=5,
+                          queue_depth=3)
+    return make_stream(5, 4, [(int(q % 5), int(q // 5), int(t), k % 2)
+                              for k, (q, t) in enumerate(zip(pixels, ts))]
+                       ), params
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("shape", ["prism", "cylinder"])
+def test_build_adjacency_threaded_chunks(shape, cells, make_stream,
+                                         monkeypatch):
+    """With two CPUs, the calling thread and one pool thread share each
+    tranche's chunks of at most cells // 2 cells (1 row at the floor): the
+    result equals the incremental reference, with early stops mid-queue,
+    d_max-saturated events and overflowing queues, and no thread outlives
+    a build."""
+    monkeypatch.setattr(graph_builder, "_cpus", lambda: 2)
+    monkeypatch.setattr(graph_builder, "REPLAY_CELLS", cells)
+    pools = _recorded_pools(monkeypatch)
+    threads = threading.active_count()
+    _check_against_incremental_reference(shape, make_stream)
+    stream, params = _hot_pixel_stream(make_stream, shape)
+    adj = build_adjacency(stream, params)
+    _assert_equals_reference(adj, stream, params)
+    assert (adj.deg == params.d_max).mean() > 0.5
+    assert threading.active_count() == threads
+    assert pools and set(pools) == {1}
+
+
+def test_build_adjacency_threads_stress(monkeypatch):
+    """Four threads switching every microsecond share chunks of at most
+    16 cells: a chunk run twice or skipped would change deg and the scan
+    counts, but the arrays equal a one-thread build's."""
+    stream = _rand_stream(5, width=40, height=30, count=3000,
+                          duration=20_000)
+    params = SearchParams(r_s=3, r_t=2_000, d_max=8, queue_depth=8)
+    monkeypatch.setattr(graph_builder, "_cpus", lambda: 1)
+    want = build_adjacency(stream, params)
+    monkeypatch.setattr(graph_builder, "_cpus", lambda: 4)
+    monkeypatch.setattr(graph_builder, "REPLAY_CELLS", 64)
+    pools = _recorded_pools(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = build_adjacency(stream, params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [3]
+    for name in ("deg", "nbr_n", "nbr_o", "entries_scanned"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_build_adjacency_one_cpu_opens_no_pool(make_stream, monkeypatch):
+    """With one CPU the chunks, at most 40 cells each, run in the calling
+    thread."""
+    monkeypatch.setattr(graph_builder, "_cpus", lambda: 1)
+    monkeypatch.setattr(graph_builder, "REPLAY_CELLS", 40)
+    pools = _recorded_pools(monkeypatch)
+    stream, params = _hot_pixel_stream(make_stream)
+    _assert_equals_reference(build_adjacency(stream, params), stream, params)
+    assert pools == []
+
+
+def test_build_adjacency_pool_thread_error_reaches_caller(make_stream,
+                                                          monkeypatch):
+    """A MemoryError in a pool thread's chunk is raised by build_adjacency,
+    after its pool is shut down."""
+    monkeypatch.setattr(graph_builder, "_cpus", lambda: 2)
+    monkeypatch.setattr(graph_builder, "REPLAY_CELLS", 40)
+
+    class Failing(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            def no_memory(*_args):
+                raise MemoryError("Unable to allocate 298. GiB")
+            return super().submit(no_memory, *args)
+
+    monkeypatch.setattr(graph_builder, "ThreadPoolExecutor", Failing)
+    stream, params = _hot_pixel_stream(make_stream)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="298. GiB"):
+        build_adjacency(stream, params)
+    assert threading.active_count() == threads
 
 
 def test_build_adjacency_rejects_backwards_time(make_stream):

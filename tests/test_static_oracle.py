@@ -6,7 +6,8 @@ import pytest
 from evgnn import engine, event_io
 from evgnn.graph_builder import SearchParams
 from evgnn.model import FPLayer, FPModel, random_model
-from evgnn.static_oracle import BATCH_ROWS, forward_eq7_fp, forward_eq7_int8
+from evgnn.static_oracle import (BATCH_ROWS, baq_batch, forward_eq7_fp,
+                                 forward_eq7_int8)
 from helpers import neighbors
 
 PARAMS = SearchParams(r_s=3, r_t=500, d_max=8, queue_depth=6)
@@ -40,6 +41,26 @@ def test_every_forward_rejects_a_polarity_outside_0_1(p):
                        match=rf"^line 2: polarity {p} not in"):
         event_io.EventStream(32, 24, [1, 2, 3], [1, 1, 2], [0, 10, 20],
                              [0, p, 1])
+
+
+@pytest.mark.parametrize("shift", [0, 1, 5, 30, 31])
+def test_baq_batch_equals_generic_requant(shift, rng):
+    """The in-place requant equals ReLU, rne_mulshift and the clamp, on
+    random aggregates in +-2**31, on exact halves and their neighbours,
+    and at M from 0 to 2**31 - 1."""
+    half = 1 << shift >> 1
+    edges = [0, 1, -1, 2**31 - 1, -(2**31 - 1), 126, 127, 128]
+    edges += [m * (1 << shift) + half + d for m in (0, 1, 2, 3, 126, 127)
+              for d in (-1, 0, 1)]
+    v = np.r_[edges, rng.integers(-2**31 + 1, 2**31, size=3998)]
+    v = v.reshape(-1, 4).astype(np.float64)
+    for mult in (0, 1, 3, 1 << 20, 2**31 - 1,
+                 *rng.integers(0, 2**31, size=4).tolist()):
+        want = np.minimum(engine.rne_mulshift(
+            np.maximum(v, 0).astype(np.int64), mult, shift), 127)
+        got = baq_batch(v, (mult, shift))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), mult
 
 
 class TestBuildStaticGraph:
