@@ -4,7 +4,8 @@ Subcommands: gen, gen-model, infer, verify, bench, quantize.
 Exit codes: 0 ok, 1 semantic divergence (verify), 2 I/O or config error.
 `_rejecting` is the one input gate: every file, flag or search override
 that a command rejects leaves through it as one exit-2 error line, and
-`main` adds running out of memory to exit 2.
+`main` adds running out of memory to exit 2 (`infer` reports it per
+stream).
 Set EVGNN_LOG to a logging level name (e.g. DEBUG) for diagnostics.
 """
 
@@ -19,7 +20,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -119,10 +119,14 @@ def cmd_infer(args) -> int:
     plan = engine.build_plan(
         _apply_overrides(_load_model(load_model, args.model), args))
     jobs = min(args.jobs, len(args.stream))
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-          else contextlib.nullcontext()) as pool:
-        results = list((pool.map if pool else map)(
-            _infer_worker, [(plan, s, args) for s in args.stream]))
+    items = [(plan, s, args) for s in args.stream]
+    if jobs > 1:
+        # imported here: multiprocessing is a tenth of the CLI's start-up
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_infer_worker, items))
+    else:
+        results = list(map(_infer_worker, items))
     # the workers share this process's stdout: only this process prints,
     # in argument order
     for code, line in results:
@@ -131,12 +135,15 @@ def cmd_infer(args) -> int:
 
 
 def _infer_worker(packed) -> tuple[int, str]:
-    """(exit code, result or error line) of one stream."""
+    """(exit code, result or error line) of one stream: a stream that
+    runs out of memory fails alone."""
     plan, stream_path, args = packed
     try:
         return EXIT_OK, _infer_one(plan, stream_path, args)
     except CliError as exc:
         return exc.code, f"error: {exc}"
+    except MemoryError as exc:
+        return EXIT_IO, f"error: {stream_path}: out of memory: {exc}"
 
 
 def cmd_verify(args) -> int:

@@ -134,11 +134,8 @@ def aggregate_max(messages, width: int) -> np.ndarray:
 
 def baq(acc: np.ndarray, layer) -> np.ndarray:
     """Bias add, ReLU, requantize (RNE), clamp to [0, 127]."""
-    mult, shift = layer.requant
     v = np.maximum(np.asarray(acc, dtype=np.int64) + layer.bias, 0)
-    out = np.array([rne_mulshift(int(x), mult, shift) for x in v],
-                   dtype=np.int64)
-    return np.minimum(out, 127)
+    return np.minimum(rne_mulshift(v, *layer.requant), 127)
 
 
 @dataclass
@@ -185,22 +182,18 @@ class ReadoutState:
     """Grid of per-patch elementwise-max cells over final-layer features."""
 
     def __init__(self, model: QuantizedModel):
-        self.patch = model.patch
-        self.n_cells_x = model.n_cells_x
-        self.n_cells_y = model.n_cells_y
-        self.c_last = model.c_last
-        self.cells = np.zeros((self.n_cells_y, self.n_cells_x, self.c_last),
-                              dtype=np.int64)
-        self._width = model.width
-        self._height = model.height
+        self.model = model
+        self.cells = np.zeros((model.n_cells_y, model.n_cells_x,
+                               model.c_last), dtype=np.int64)
 
     def update(self, x: int, y: int, feat: np.ndarray) -> None:
-        if not (0 <= x < self._width and 0 <= y < self._height):
+        m = self.model
+        if not (0 <= x < m.width and 0 <= y < m.height):
             raise DimMismatch(f"({x},{y}) outside sensor")
         feat = np.asarray(feat, dtype=np.int64)
-        if feat.shape != (self.c_last,):
+        if feat.shape != (m.c_last,):
             raise DimMismatch("readout feature length mismatch")
-        cell = self.cells[y // self.patch, x // self.patch]
+        cell = self.cells[y // m.patch, x // m.patch]
         np.maximum(cell, feat, out=cell)
 
     def flatten(self) -> np.ndarray:
@@ -371,15 +364,14 @@ class Block:
     """Layers of a model side by side, C output channels in all, as one
     eq7_block call runs them: one layer, or every layer.
 
-    layers indexes the model's layers; off holds their output-column
-    offsets, 0 ... C; table their position_terms over a window side by
-    side, with the sentinel row K of 0; ep the block's Epilogue. w_next is
-    the float64 input weights W_x, [C_in, C_out], of the layers its
-    outputs feed, on a block diagonal, or None when they feed none; its
-    rows read the block's first outputs.
+    off holds the layers' output-column offsets, 0 ... C; table their
+    position_terms over the window side by side, with the sentinel row K
+    of 0; ep the block's Epilogue. w_next is the float64 input weights
+    W_x, [C_in, C_out], of the layers its outputs feed, on a block
+    diagonal, or None when they feed none; its rows read the block's
+    first outputs.
     """
 
-    layers: range
     off: tuple[int, ...]
     table: np.ndarray
     ep: Epilogue
@@ -392,7 +384,7 @@ class Block:
         position_terms over the window."""
         own = [layers[i] for i in ids]
         off = tuple(accumulate((lp.c_out for lp in own), initial=0))
-        return Block(ids, off, _frozen(np.hstack([pos[i] for i in ids])),
+        return Block(off, _frozen(np.hstack([pos[i] for i in ids])),
                      Epilogue.of(own), w_next)
 
 
@@ -452,7 +444,8 @@ def build_plan(model: QuantizedModel) -> RunPlan:
 
 
 def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
-              pos: np.ndarray, empty: np.ndarray, ep: Epilogue) -> np.ndarray:
+              pos: np.ndarray, empty: np.ndarray, ep: Epilogue,
+              buf: np.ndarray) -> np.ndarray:
     """Eq-7 INT8 conv of a block of layers for a batch of B events, factored.
 
     The block's layers have their output channels side by side, C in all;
@@ -465,16 +458,22 @@ def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
     table holds each layer's position_terms, with its sentinel row of 0,
     row K. A slot at or past an event's degree points at both sentinels,
     so its message is exactly MSG_FLOOR. One gather of each builds one
-    [D, B, C] tensor, one reduce over the slot axis takes the max and one
-    baq_block with ep, the block's epilogue, requantizes it. empty marks
+    [D, B, C] tensor in buf[0], int32[2, >= D * B * C], with the position
+    terms gathered into buf[1]; one reduce over the slot axis takes the
+    max and one baq_block with ep, the block's epilogue, requantizes it.
+    The indices are in range, so mode="clip" gathers exactly what "raise"
+    does, without a temporary copy of the output. empty marks
     the rows of degree 0, which aggregate to 0, the empty identity. The
     loader's range proof puts every message strictly inside int32, so
     MSG_FLOOR lies below every real message and is the max identity of
     the slots past a row's degree. Returns int64[B, C], every value in
     [0, 127].
     """
-    msgs = np.take(terms, nbr, axis=0)
-    msgs += np.take(table, pos, axis=0)
+    shape, cells = (*nbr.shape, terms.shape[1]), nbr.size * terms.shape[1]
+    msgs = np.take(terms, nbr, axis=0, mode="clip",
+                   out=buf[0, :cells].reshape(shape))
+    msgs += np.take(table, pos, axis=0, mode="clip",
+                    out=buf[1, :cells].reshape(shape))
     agg = np.maximum.reduce(msgs, axis=0, initial=MSG_FLOOR).astype(np.int64)
     agg[empty] = 0
     return baq_block(agg, ep)
@@ -522,17 +521,14 @@ def run_layers(plan: RunPlan, p: np.ndarray, adj: Adjacency,
     levels) walks adj.levels, the dependency levels, chunking each in
     turn; so only such a block builds them. p is the polarity of every
     event, which picks its row of plan.input_terms, layer 1's node terms.
-    The offsets come from the adjacency's window: the blocks' tables are
-    rebuilt for one other than the plan's. Returns the per-layer outputs
-    (uint8[N, C_out]).
+    The blocks' tables are indexed by the slots of the plan's window, so
+    an adjacency built over another window raises DimMismatch. Returns the
+    per-layer outputs (uint8[N, C_out]).
     """
     win_dx, win_dy = plan.search.window
     if not (np.array_equal(adj.win_dx, win_dx)
             and np.array_equal(adj.win_dy, win_dy)):
-        layers = plan.model.layers
-        pos = [position_terms(lp, adj.win_dx, adj.win_dy) for lp in layers]
-        blocks = tuple(Block.of(layers, b.layers, pos, b.w_next)
-                       for b in blocks)
+        raise DimMismatch("adjacency window != the run plan's search window")
     n, d_max = adj.nbr_n.shape
     nbr, pos = slot_major(adj)
     empty = adj.deg == 0
@@ -544,21 +540,29 @@ def run_layers(plan: RunPlan, p: np.ndarray, adj: Adjacency,
 
     terms = new_terms(blocks[0].off[-1])
     terms[:n, :blocks[0].off[1]] = plan.input_terms[p]
+    # rows per chunk of each block
+    sizes = [max(1, CHUNK_CELLS // (max(d_max, 1) * blk.off[-1]))
+             for blk in blocks]
+    # Every chunk gathers into this one buffer. Allocated per chunk, the
+    # gathers faulted their pages in anew each time glibc had trimmed the
+    # heap: about 1500 minor faults per 500-event run.
+    buf = np.empty((2, max(min(size, n) * d_max * blk.off[-1]
+                           for size, blk in zip(sizes, blocks))),
+                   dtype=np.int32)
     outs = []
-    for blk in blocks:
+    for blk, size in zip(blocks, sizes):
         off, w = blk.off, blk.w_next
         # the terms the outputs feed: its own later layers' or the next's
         dest = (None if w is None else terms[:, off[1]:] if len(off) > 2
                 else new_terms(w.shape[1]))
         feats = np.zeros((n, off[-1]), dtype=np.uint8)
-        size = max(1, CHUNK_CELLS // (max(d_max, 1) * off[-1]))
         # only a block that feeds its own later layers walks the levels
         own = adj.levels if len(off) > 2 else [slice(0, n)]
         for rows in (rows for group in own
                      for rows in _row_chunks(group, size)):
             d = int(adj.deg[rows].max())
             out = eq7_block(terms, blk.table, nbr[:d, rows], pos[:d, rows],
-                            empty[rows], blk.ep)
+                            empty[rows], blk.ep, buf)
             feats[rows] = out
             if dest is not None:  # w reads the first len(w) outputs
                 dest[rows] = node_terms(out[:, :len(w)].astype(np.float64),

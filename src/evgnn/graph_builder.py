@@ -3,7 +3,7 @@
 The search range is spatiotemporally decoupled: a spatial window of
 radius r_s (L1 for the prism, L2 for the cylinder) and a separate time
 window 0 <= dt <= r_t. The entire stored graph state is a W x H grid of
-fixed-depth ring buffers (one per pixel); edges are never materialized.
+fixed-depth FIFO queues, one per pixel; edges are never materialized.
 Neighbor search for a new event scans the spatial candidate window in a
 canonical order:
 
@@ -18,7 +18,7 @@ The new event is pushed into its queue only *after* its search completes
 equal timestamps are valid neighbors when their stream index is smaller.
 
 `brute_force_neighbors` is an independent reference over the full stream
-prefix (plain dict-of-lists retention replay, no ring buffers).
+prefix (a plain dict-of-lists retention replay, no queue grid).
 
 `build_adjacency` replays search-then-push over a whole stream into flat
 [N, d_max] neighbor arrays without a per-event loop, and its work per
@@ -53,10 +53,11 @@ built on first use and kept.
 from __future__ import annotations
 
 import os
+from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -70,6 +71,9 @@ SEARCH_RANGE = {"r_s": (0, 16), "r_t": (0, 63), "d_max": (1, 31),
 # (event, window offset) cells in flight across a graph build's threads;
 # bounds its memory.
 REPLAY_CELLS = 1 << 16
+# nbr_n rows dependency_levels turns into Python lists at a time; bounds
+# its memory.
+LEVEL_ROWS = 4096
 
 
 class InvalidDims(ValueError):
@@ -130,15 +134,12 @@ class Neighbor:
     dt: int
 
 
-@dataclass
-class QueueEntry:
-    t: int
-    p: int
-    n: int
-
-
 class EventQueueGrid:
-    """W x H ring buffers of the most recent events per pixel."""
+    """W x H FIFOs of the most recent events per pixel.
+
+    Each pixel that has received an event holds a deque of at most depth
+    Events, oldest first, keyed by y * width + x.
+    """
 
     def __init__(self, width: int, height: int, depth: int = 16):
         if width < 1 or height < 1 or depth < 1:
@@ -146,12 +147,8 @@ class EventQueueGrid:
         self.width = width
         self.height = height
         self.depth = depth
-        q = width * height
-        self._t = np.zeros((q, depth), dtype=np.int64)
-        self._p = np.zeros((q, depth), dtype=np.int64)
-        self._n = np.zeros((q, depth), dtype=np.int64)
-        self._count = np.zeros(q, dtype=np.int64)
-        self._head = np.full(q, depth - 1, dtype=np.int64)  # newest slot
+        self._queues: defaultdict[int, deque[Event]] = defaultdict(
+            partial(deque, maxlen=depth))
 
     def _check_bounds(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -159,33 +156,15 @@ class EventQueueGrid:
                 f"({x},{y}) outside {self.width}x{self.height}")
         return y * self.width + x
 
-    def entries(self, x: int, y: int) -> list[QueueEntry]:
-        """Entries at (x, y), newest first."""
-        qi = self._check_bounds(x, y)
-        out = []
-        head = int(self._head[qi])
-        for k in range(int(self._count[qi])):
-            slot = (head - k) % self.depth
-            out.append(QueueEntry(int(self._t[qi, slot]),
-                                  int(self._p[qi, slot]),
-                                  int(self._n[qi, slot])))
-        return out
+    def entries(self, x: int, y: int) -> list[Event]:
+        """Events at (x, y), newest first."""
+        return list(reversed(self._queues.get(self._check_bounds(x, y), ())))
 
-    def push_event(self, ev: Event) -> QueueEntry | None:
-        """Store ev newest-first; return the evicted oldest entry if full."""
-        qi = self._check_bounds(ev.x, ev.y)
-        evicted = None
-        slot = (int(self._head[qi]) + 1) % self.depth
-        if self._count[qi] == self.depth:
-            evicted = QueueEntry(int(self._t[qi, slot]),
-                                 int(self._p[qi, slot]),
-                                 int(self._n[qi, slot]))
-        else:
-            self._count[qi] += 1
-        self._t[qi, slot] = ev.t
-        self._p[qi, slot] = ev.p
-        self._n[qi, slot] = ev.n
-        self._head[qi] = slot
+    def push_event(self, ev: Event) -> Event | None:
+        """Store ev as the newest; return the evicted oldest event if full."""
+        queue = self._queues[self._check_bounds(ev.x, ev.y)]
+        evicted = queue[0] if len(queue) == self.depth else None
+        queue.append(ev)
         return evicted
 
 
@@ -194,10 +173,6 @@ def _spatial_ok(dx: int, dy: int, params: SearchParams) -> bool:
     if params.shape == "prism":
         return abs(dx) + abs(dy) <= params.r_s
     return dx * dx + dy * dy <= params.r_s * params.r_s
-
-
-def _full_ok(dx: int, dy: int, dt: int, params: SearchParams) -> bool:
-    return 0 <= dt <= params.r_t and _spatial_ok(dx, dy, params)
 
 
 def search_neighbors(grid: EventQueueGrid, ev: Event,
@@ -251,7 +226,7 @@ def brute_force_neighbors(history: list[Event], ev: Event,
             # Newest-first over the last queue_depth arrivals at this pixel.
             for old in reversed(retained[-params.queue_depth:]):
                 dt = ev.t - old.t
-                if _full_ok(dx, dy, dt, params):
+                if 0 <= dt <= params.r_t:
                     out.append(Neighbor(old.n, old.t, old.p, dx, dy, dt))
                     if len(out) == params.d_max:
                         return out
@@ -477,9 +452,12 @@ def dependency_levels(adj: Adjacency) -> list[np.ndarray]:
     """
     level = [0] * len(adj.deg)  # an event without neighbours stays at 0
     get = level.__getitem__
-    for i, (d, row) in enumerate(zip(adj.deg.tolist(), adj.nbr_n.tolist())):
-        if d:
-            level[i] = 1 + max(map(get, row[:d]))
+    for s in range(0, len(level), LEVEL_ROWS):
+        rows = slice(s, s + LEVEL_ROWS)
+        for i, (d, row) in enumerate(zip(adj.deg[rows].tolist(),
+                                         adj.nbr_n[rows].tolist()), start=s):
+            if d:
+                level[i] = 1 + max(map(get, row[:d]))
     if not level:
         return []
     level = np.asarray(level, dtype=np.int64)

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import concurrent.futures
 import json
 import os
 import re
@@ -131,8 +132,21 @@ def inline_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
+
+
+def test_import_loads_no_multiprocessing():
+    """import evgnn.cli leaves multiprocessing unloaded: only infer
+    --jobs N > 1 imports the process pool."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, evgnn.cli; "
+         "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestGen:
@@ -295,7 +309,8 @@ class TestInfer:
                                        tmp_path, inline_pool, monkeypatch,
                                        capsys, jobs):
         """A failed allocation (a huge --r-s window, say) is one error
-        line and exit 2, also when it comes out of the worker pool."""
+        line per stream, naming it, and exit 2, also when it comes out of
+        the worker pool."""
         def no_memory(*_args, **_kwargs):
             raise MemoryError("Unable to allocate 298. GiB")
 
@@ -308,9 +323,39 @@ class TestInfer:
         assert main(argv) == EXIT_IO
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: out of memory: "
-                                "Unable to allocate 298. GiB\n")
+        assert captured.err == (f"error: {stream_path}: out of memory: "
+                                "Unable to allocate 298. GiB\n"
+                                * (1 if jobs == "1" else 2))
         assert not trace.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_of_memory_fails_only_its_stream(self, model_path,
+                                                 small_stream, tmp_path,
+                                                 monkeypatch, capsys, jobs):
+        """The second of three streams runs out of memory: its error line
+        names it, and the first and third still print their results, in
+        one process or from forked workers, which inherit the patch."""
+        real = engine.run_stream
+
+        def no_memory_at_300(plan, stream, *args, **kwargs):
+            if len(stream) == 300:
+                raise MemoryError("Unable to allocate 298. GiB")
+            return real(plan, stream, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_stream", no_memory_at_300)
+        paths = []
+        for name, count in (("s0", 600), ("s1", 300), ("s2", 600)):
+            cols = (c[:count] for c in (small_stream.x, small_stream.y,
+                                        small_stream.t, small_stream.p))
+            paths.append(str(tmp_path / f"{name}.txt"))
+            Path(paths[-1]).write_text(event_io.write_text_stream(
+                event_io.EventStream(64, 48, *cols)))
+        assert main(["infer", model_path, *paths, "--jobs", jobs]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert [l.split()[:2] for l in out.splitlines()] == [
+            [f"{paths[0]}:", "events=600"], [f"{paths[2]}:", "events=600"]]
+        assert err == (f"error: {paths[1]}: out of memory: "
+                       "Unable to allocate 298. GiB\n")
 
     def test_failing_stream_reported_alike_for_any_jobs(
             self, model_path, stream_path, tmp_path, inline_pool, capsys):

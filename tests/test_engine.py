@@ -640,20 +640,23 @@ def test_build_adjacency_from_plan_model_or_search(shape, small_stream,
             assert np.array_equal(a, b), f.name
 
 
-def test_schedules_equal_static_on_another_window(small_stream):
-    """An adjacency built with r_s = 4 for an r_s = 3 model: every
-    schedule reads its offsets from the adjacency's window, as the static
-    forward does, not from the model's search parameters."""
+def test_schedules_reject_an_adjacency_of_another_window(small_stream):
+    """An adjacency built with r_s = 4 for an r_s = 3 model: its window
+    slots index no table of the run plan, so every schedule refuses it.
+    The static forward reads its offsets from the adjacency's window, so
+    it computes what the schedules compute for the same weights at r_s = 4.
+    """
     model = random_model(9)
     assert model.search.r_s == 3
-    adj = engine.build_adjacency(
-        small_stream, dataclasses.replace(model.search, r_s=4))
+    wide = random_model(9, search=dataclasses.replace(model.search, r_s=4))
+    adj = engine.build_adjacency(small_stream, wide)
     edge = adj.nbr_o[np.arange(adj.d_max) < adj.deg[:, None]]
     assert (np.abs(adj.win_dx[edge]) == 4).any()
-    assert (np.abs(adj.win_dy[edge]) == 4).any()
     sta = static_oracle.forward_eq7_int8(small_stream, adj, model)
     for kw in SCHEDULES:
-        res = engine.run_stream(model, small_stream, adjacency=adj, **kw)
+        with pytest.raises(DimMismatch, match="window"):
+            engine.run_stream(model, small_stream, adjacency=adj, **kw)
+        res = engine.run_stream(wide, small_stream, adjacency=adj, **kw)
         for a, b in zip(res.feats, sta.feats):
             assert np.array_equal(a, b), kw
         assert np.array_equal(res.logits, sta.logits), kw

@@ -1,5 +1,7 @@
+import functools
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -61,6 +63,20 @@ class TestQueueGrid:
         for i in range(6):
             g.push_event(Event(0, 0, i * 10, i % 2, i))
         assert [e.n for e in g.entries(0, 0)] == [5, 4, 3, 2]
+
+    def test_memory_grows_with_occupied_pixels_only(self):
+        """A megapixel grid of depth 16 holds nothing until events arrive,
+        and a few pixels' queues stay small: below 1 MiB either way."""
+        tracemalloc.start()
+        try:
+            g = EventQueueGrid(1024, 1024, 16)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+            for i in range(100):
+                g.push_event(Event(i % 5 * 200, i % 3 * 300, i, i % 2, i))
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert [e.n for e in g.entries(0, 0)] == [90, 75, 60, 45, 30, 15, 0]
 
 
 class TestSearchParams:
@@ -536,6 +552,30 @@ def test_build_adjacency_dtypes(make_stream):
                               np.arange(4) >= adj.deg[:, None])
         empty = build_adjacency(make_stream(30, 30), params)
         assert empty.nbr_o.dtype == slot_type
+
+
+def test_dependency_levels_over_row_blocks(monkeypatch):
+    """With LEVEL_ROWS cut to 64, the levels of a 400-event dot, whose
+    events depend on events of earlier row blocks, equal the recursion
+    level(i) = 1 + max level(neighbours of i), 0 without neighbours."""
+    monkeypatch.setattr(graph_builder, "LEVEL_ROWS", 64)
+    stream = event_io.gen_synthetic(
+        "moving_dot", {"width": 20, "height": 20, "count": 400,
+                       "duration_us": 4_000}, 5)
+    adj = build_adjacency(stream, SearchParams(d_max=4, queue_depth=4))
+    deg, nbr = adj.deg.tolist(), adj.nbr_n.tolist()
+    assert any(n < i // 64 * 64 for i in range(64, 400)
+               for n in nbr[i][:deg[i]])
+
+    @functools.cache
+    def level(i):
+        return 1 + max(map(level, nbr[i][:deg[i]])) if deg[i] else 0
+
+    expect = [level(i) for i in range(len(deg))]  # in order: shallow
+    got = graph_builder.dependency_levels(adj)
+    assert len(got) == max(expect) + 1 > 7
+    for lv, rows in enumerate(got):
+        assert rows.tolist() == [i for i, e in enumerate(expect) if e == lv]
 
 
 @pytest.mark.parametrize("shape", ["prism", "cylinder"])
