@@ -170,7 +170,8 @@ def cmd_verify(args) -> int:
             return EXIT_DIVERGENCE
         if not np.array_equal(par.logits, run.logits):
             n, c = np.argwhere(par.logits != run.logits)[0]
-            print(f"DIVERGENCE vs {name}: logits at event n={n} class={c}")
+            print(f"DIVERGENCE vs {name}: logits at event n={n} class={c}: "
+                  f"{par.logits[n, c]} != {run.logits[n, c]}")
             return EXIT_DIVERGENCE
     print(f"OK: layer-parallel == layer-sequential == static oracle "
           f"({len(stream)} events, {len(model.layers)} layers)")

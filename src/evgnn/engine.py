@@ -26,14 +26,12 @@ Two granularities are provided:
       levels one by one: each layer of an event reads only stored
       features of past neighbours, so all L layers of a level run at once.
       The wavefront is kept to verify the default. Both share one
-      incremental readout / FC, readout_trace: one loop-free pass over
-      every readout cell, whose running max is one accumulate along the
-      event axis of a channel-major [C_last, N] array of the events
-      sorted by cell and lifted apart, and whose FC step is computed only
-      for the events that raise their cell. Both return one RunResult
-      whose feats hold one uint8 [N, C_out] array per layer (BAQ clamps
-      every output to [0, 127]). The static forwards of static_oracle
-      return it too; they compute each message unfactored, so verify
+      incremental readout / FC, readout_trace: one running max over the
+      events sorted by cell and lifted apart, and an FC step only for the
+      events that raise their cell. Both return one RunResult whose feats
+      hold one uint8 [N, C_out] array per layer (BAQ clamps every output
+      to [0, 127]). The static forwards of static_oracle return it too;
+      they compute each message and the readout unfactored, so verify
       checks this factoring against them.
 
 What a run reads of the model's weights alone (layer 1's node terms of
@@ -59,8 +57,7 @@ from . import perf_model
 from .event_io import Event, EventStream
 from .graph_builder import (Adjacency, EventQueueGrid, SearchParams,
                             build_adjacency, search_neighbors)
-from .model import (ACC_LIMIT, POLARITY_INPUT, LayerParams, ModelHeader,
-                    QuantizedModel)
+from .model import ACC_LIMIT, POLARITY_INPUT, LayerParams, QuantizedModel
 
 MSG_FLOOR = np.int32(-(2**31))  # batch path's "-inf": below every message
 # Message cells (rows * D * C) per eq7_block call; bounds the batch path's
@@ -290,17 +287,6 @@ def node_terms(x: np.ndarray, w_x: np.ndarray) -> np.ndarray:
     return (x @ w_x).astype(np.int32)
 
 
-def fc_by_cell(model: ModelHeader, fc_w: np.ndarray) -> np.ndarray:
-    """[cells, C_last, classes]: the FC columns that read each readout cell.
-
-    The readout flattens the grid row-major by (gy, gx) with the channels
-    contiguous per cell, so cell k is columns k*C_last ... (k+1)*C_last-1.
-    """
-    return np.ascontiguousarray(fc_w.reshape(
-        len(fc_w), model.n_cells_x * model.n_cells_y, model.c_last
-    ).transpose(1, 2, 0))
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -397,9 +383,10 @@ class RunPlan:
     and 1: an event's only input is POLARITY_INPUT[p]. layered holds one
     Block per layer, each with that layer's own Epilogue and feeding the
     next; wavefront one Block of every layer, with the per-channel
-    Epilogue, whose outputs feed its own later layers. fc_cells is
-    fc_by_cell of the FC weights. The arrays are read-only, so one plan
-    serves any number of runs.
+    Epilogue, whose outputs feed its own later layers. fc_cells[k] is
+    [C_last, classes], cell k's FC columns k*C_last ... (k+1)*C_last-1 (the
+    readout is row-major by (gy, gx), channels contiguous per cell). The
+    arrays are read-only, so one plan serves any number of runs.
     """
 
     model: QuantizedModel
@@ -439,8 +426,9 @@ def build_plan(model: QuantizedModel) -> RunPlan:
                          if len(layers) > 1 else None)
     input_terms = node_terms(np.array(POLARITY_INPUT, np.float64)[:, None],
                              w_x[0])
-    return RunPlan(model, search, _frozen(input_terms), layered,
-                   (wavefront,), _frozen(fc_by_cell(model, model.fc.weights)))
+    fc_w = model.fc.weights.reshape(len(model.classes), -1, model.c_last)
+    return RunPlan(model, search, _frozen(input_terms), layered, (wavefront,),
+                   _frozen(np.ascontiguousarray(fc_w.transpose(1, 2, 0))))
 
 
 def eq7_block(terms: np.ndarray, table: np.ndarray, nbr: np.ndarray,
@@ -583,28 +571,25 @@ def lift_dtype(span: int, cells: int) -> type:
     return np.int32 if span * cells < 2**31 else np.int64
 
 
-def readout_trace(model: ModelHeader, stream: EventStream, last: np.ndarray,
-                  fc_cells: np.ndarray, fc_b: np.ndarray):
+def readout_trace(plan: RunPlan, stream: EventStream, last: np.ndarray):
     """Per-event logits of the cumulative per-cell max readout.
 
-    model supplies the readout grid (patch, n_cells_x, n_cells_y); last is
-    the final-layer output of every event, [N, C_last], all >= 0 (uint8 on
-    the INT8 paths, float64 from forward_eq7_fp); fc_cells is fc_by_cell
-    of the FC weights. Every cell starts at 0 and each event raises its
-    cell's running max by grow >= 0, so logits_i = fc_b + sum_{k<=i}
-    W_fc[:, cell_k] . grow_k, which equals fc_b + W_fc . readout_i exactly
-    in integers.
+    plan supplies the readout grid, fc_cells and the FC bias; last is the
+    final-layer output of every event, uint8[N, C_last]. Every cell starts
+    at 0 and each event raises its cell's running max by grow >= 0, so
+    logits_i = fc_b + sum_{k<=i} W_fc[:, cell_k] . grow_k, which equals
+    fc_b + W_fc . readout_i exactly in integers.
 
     One pass over all cells, channel-major: the events are stably sorted
     by cell, and each value is lifted by span * cell, span being above
     every value, so one running max along the event axis of [C_last, N]
-    never carries a value across cells. Float values are lifted as their
-    ranks among the distinct values. Unlifted, a cell's run diffs to
+    never carries a value across cells. Unlifted, a cell's run diffs to
     grow, its first event growing by its own value; one einsum over only
     the events that grow some channel gives their logit steps. Returns
     (logits[N, classes], cls[N] with ties to the lowest class, flattened
     readout).
     """
+    model, fc_cells, fc_b = plan.model, plan.fc_cells, plan.model.fc.bias
     n = len(last)
     cell = ((stream.y // model.patch) * model.n_cells_x
             + stream.x // model.patch)
@@ -612,19 +597,14 @@ def readout_trace(model: ModelHeader, stream: EventStream, last: np.ndarray,
     cell = cell.astype(np.min_scalar_type(len(fc_cells)))
     order = np.argsort(cell, kind="stable")
     cell = cell[order]
-    if last.dtype.kind == "f":
-        values, ranks = np.unique(last, return_inverse=True)
-        ranks = ranks.reshape(last.shape)
-    else:
-        values, ranks = None, last
-    span = int(ranks.max(initial=0)) + 1
+    span = int(last.max(initial=0)) + 1
     dt = lift_dtype(span, len(fc_cells))
     lift = cell.astype(dt) * dt(span)
-    run = np.take(ranks, order, axis=0).T.astype(dt)  # [C_last, N], by cell
+    run = np.take(last, order, axis=0).T.astype(dt)  # [C_last, N], by cell
     run += lift
     np.maximum.accumulate(run, axis=1, out=run)
     run -= lift
-    run = values[run] if values is not None else run.astype(last.dtype)
+    run = run.astype(last.dtype)
     new = np.ones(n, dtype=bool)  # the first event of a cell's run
     np.not_equal(cell[1:], cell[:-1], out=new[1:])
     # within a run, run never falls, so its steps fit last's own type
@@ -667,8 +647,7 @@ def run_stream(model: QuantizedModel | RunPlan, stream: EventStream,
     feats = run_layers(plan, stream.p, adj,
                        plan.wavefront if levels and not sequential
                        else plan.layered)
-    logits, cls, readout = readout_trace(plan.model, stream, feats[-1],
-                                         plan.fc_cells, plan.model.fc.bias)
+    logits, cls, readout = readout_trace(plan, stream, feats[-1])
     return RunResult(adj, feats, logits, cls, readout,
                      perf_model.conv_macs(plan.model, adj.deg))
 

@@ -57,6 +57,9 @@ _INPUT_ENCODING = {"0": POLARITY_INPUT[0], "1": POLARITY_INPUT[1]}
 ACC_LIMIT = 2**31  # accumulators and logits stay in 32-bit signed range
 FORMAT_VERSIONS = (1, 2)  # the versions the readers take
 WEIGHT_BLOB, BIAS_BLOB = np.dtype("<i1"), np.dtype("<i4")  # INT8 version 2
+# the SearchParams field of each key of the document's search block
+_SEARCH_KEYS = {"shape": "shape", "r_s": "r_s", "r_t": "r_t", "D_max": "d_max",
+                "queue_depth": "queue_depth"}
 
 
 class ModelConfigError(ValueError):
@@ -258,11 +261,10 @@ class QuantizedModel(ModelHeader):
 # ------------------------------------------------------------------ JSON
 
 def _header_to_json(model: ModelHeader, version: int) -> dict:
-    sp = model.search
     return {"version": version,
             "sensor": {"W": model.width, "H": model.height},
-            "search": {"shape": sp.shape, "r_s": sp.r_s, "r_t": sp.r_t,
-                       "D_max": sp.d_max, "queue_depth": sp.queue_depth},
+            "search": {k: getattr(model.search, f)
+                       for k, f in _SEARCH_KEYS.items()},
             "grid": {"patch": model.patch},
             "classes": list(model.classes)}
 
@@ -277,23 +279,21 @@ def _header_from_json(doc: dict) -> dict:
         raise ModelConfigError(f"empty_aggregation {empty!r}: an event "
                                f"without neighbours aggregates to 0, "
                                f"\"zero\" is the only identity")
-    classes = doc.get("classes", ["0", "1"])
+    classes = doc.get("classes", [])
     if type(classes) is not list:  # a string or dict would read as labels
         raise ModelConfigError(f"classes {classes!r}: need a JSON list")
+    # only the keys the file holds: the others keep the dataclass defaults
+    given = {"classes": [str(c) for c in classes]} if "classes" in doc else {}
     sensor, sp = doc["sensor"], doc.get("search", {})
     grid = doc.get("grid", {})
+    if "patch" in grid:
+        given["patch"] = _json_int(grid["patch"], "grid patch")
     header = ModelHeader(
         width=_json_int(sensor["W"], "sensor W"),
         height=_json_int(sensor["H"], "sensor H"),
-        search=SearchParams(
-            shape=sp.get("shape", "prism"),
-            r_s=_json_int(sp.get("r_s", 3), "search r_s"),
-            r_t=_json_int(sp.get("r_t", 50_000), "search r_t"),
-            d_max=_json_int(sp.get("D_max", 16), "search D_max"),
-            queue_depth=_json_int(sp.get("queue_depth", 16),
-                                  "search queue_depth")),
-        patch=_json_int(grid.get("patch", 16), "grid patch"),
-        classes=[str(c) for c in classes])
+        search=SearchParams(**{
+            f: sp[k] if f == "shape" else _json_int(sp[k], f"search {k}")
+            for k, f in _SEARCH_KEYS.items() if k in sp}), **given)
     for key, cells in (("Gx", header.n_cells_x), ("Gy", header.n_cells_y)):
         if key in grid and _json_int(grid[key], f"grid {key}") != cells:
             raise ModelConfigError(f"grid {key} disagrees with sensor/patch")

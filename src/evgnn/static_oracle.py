@@ -1,10 +1,9 @@
 """Reference GNN execution over a whole, fully built directed event graph.
 
 The graph is the stream plus its Adjacency, as
-graph_builder.build_adjacency builds it for the event-driven engine
-(retention, canonical scan order, d_max truncation), so comparisons
-against the engine isolate the execution schedule and the layer
-arithmetic, not the topology.
+graph_builder.build_adjacency builds it for the engine (retention,
+canonical scan order, d_max truncation), so comparisons against the
+engine isolate the schedule and the arithmetic, not the topology.
 
 Both forwards run the static schedule (each layer over the whole graph,
 then the next) through one gather-form layer loop that computes eq 7
@@ -13,19 +12,20 @@ row per edge with the layer's full weights, then the max over
 neighbours, the bias and the activation. Each layer quantizes the |dx|,
 |dy| of every window slot once, and an edge takes its slot's. Batches are
 laid out slot-first, [D, B, C], with their own mask of the slots past an
-event's degree, built once per forward, so the max runs over the
-contiguous axis 0. Each takes (stream, adjacency, model) and returns the
-engine's RunResult:
+event's degree, so the max runs over the contiguous axis 0. The readout
+takes every event's FC product in full, cell by cell. Each forward takes
+(stream, adjacency, model) and returns the engine's RunResult, which
+with rne_mulshift is all it takes from the engine:
     eq7_fp   -- inputs +-1.0, raw pixel offsets, ReLU; its activations set
                 the quantizer's scales
-    eq7_int8 -- inputs +-127, the layer's position requant (RNE,
-                clipped at 32767) and BAQ, with uint8 outputs. The float64
-                sums are exact, because the model loader proves every
-                |sum| < 2**31, so it is bit-exact against the engine's
-                factored eq7_block while using none of that factoring
-                (node terms, per-slot position table, sentinel rows) nor
-                its epilogue (baq_batch requantizes in place with its
-                own operations): verify's static leg checks it.
+    eq7_int8 -- inputs +-127, the layer's position requant (RNE, clipped
+                at 32767) and BAQ, with uint8 outputs. Its float64 sums
+                are exact, as the loader proves every |sum| < 2**31, so it
+                is bit-exact against the engine's eq7_block and
+                readout_trace while using none of their factoring (node
+                terms, position table, sentinel rows; lifted running max,
+                FC increments) nor their epilogue (baq_batch requantizes
+                with its own operations): verify's static leg checks both.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import perf_model
-from .engine import RunResult, fc_by_cell, readout_trace, rne_mulshift
+from .engine import RunResult, rne_mulshift
 from .event_io import EventStream
 from .graph_builder import Adjacency
 from .model import POLARITY_INPUT, FPModel, QuantizedModel
@@ -60,6 +60,32 @@ def baq_batch(v: np.ndarray, requant: tuple[int, int]) -> np.ndarray:
         q >>= shift
     np.minimum(q, 127, out=q)
     return q
+
+
+def _readout(model, stream: EventStream, last: np.ndarray, fc_w: np.ndarray,
+             fc_b: np.ndarray):
+    """(logits, cls, flattened readout) of the per-cell max readout.
+
+    Per cell, grouped by one stable argsort: the state after each event is
+    the running max of the cell's outputs, whose FC product W_fc[:, cell]
+    . state is taken in full. The logits are fc_b plus the running sum of
+    each product less its cell's previous one: exact in int64, each being
+    a partial sum of a logit, which the loader proves below 2**31.
+    """
+    cells = model.n_cells_x * model.n_cells_y
+    cell = stream.y // model.patch * model.n_cells_x + stream.x // model.patch
+    order = np.argsort(cell, kind="stable")
+    w = fc_w.reshape(len(fc_b), cells, -1)
+    step = np.zeros((len(last), len(fc_b)), np.result_type(fc_w, last))
+    readout = np.zeros((cells, last.shape[1]), last.dtype)
+    for rows in np.split(order, np.flatnonzero(np.diff(cell[order])) + 1):
+        if len(rows):  # an empty stream splits into one empty group
+            k = cell[rows[0]]
+            state = np.maximum.accumulate(last[rows], axis=0)
+            step[rows] = np.diff(state @ w[:, k].T, axis=0, prepend=0)
+            readout[k] = state[-1]
+    logits = fc_b + np.cumsum(step, axis=0)
+    return logits, np.argmax(logits, axis=1), readout.reshape(-1)
 
 
 def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
@@ -113,9 +139,7 @@ def _gather_forward(stream: EventStream, adj: Adjacency, model, x: np.ndarray,
             outs.append(activation(agg + layer.bias, layer))
         x = np.concatenate(outs)
         feats.append(x)
-    logits, cls, readout = readout_trace(model, stream, x,
-                                         fc_by_cell(model, fc_w), fc_b)
-    return RunResult(adj, feats, logits, cls, readout,
+    return RunResult(adj, feats, *_readout(model, stream, x, fc_w, fc_b),
                      perf_model.conv_macs(model, adj.deg))
 
 

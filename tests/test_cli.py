@@ -592,13 +592,37 @@ class TestVerify:
         assert capsys.readouterr().out.startswith(
             "DIVERGENCE vs layer-sequential: ")
 
-    def test_logits_only_divergence(self, model_path, stream_path,
-                                    monkeypatch, capsys):
+    def test_logits_only_divergence(self, small_model, small_stream,
+                                    model_path, stream_path, monkeypatch,
+                                    capsys):
+        v = engine.run_stream(small_model, small_stream).logits[77, 1]
         _inject(monkeypatch, static_oracle, "forward_eq7_int8",
                 logits=[(77, 1)])
         assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
         assert capsys.readouterr().out == (
-            "DIVERGENCE vs static-oracle: logits at event n=77 class=1\n")
+            f"DIVERGENCE vs static-oracle: logits at event n=77 class=1: "
+            f"{v} != {v + 1}\n")
+
+    def test_readout_fault_detected(self, small_model, small_stream,
+                                    model_path, stream_path, monkeypatch,
+                                    capsys):
+        """A defect in the engine's readout, bound under every name the
+        package holds it by, still diverges from the static oracle, which
+        computes its own readout."""
+        real = engine.readout_trace
+        v = engine.run_stream(small_model, small_stream).logits[0, 0]
+
+        def bad(*args):
+            logits, cls, readout = real(*args)
+            logits[0] += 1
+            return logits, cls, readout
+
+        for mod in (engine, static_oracle):
+            monkeypatch.setattr(mod, "readout_trace", bad, raising=False)
+        assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().out == (
+            f"DIVERGENCE vs static-oracle: logits at event n=0 class=0: "
+            f"{v + 1} != {v}\n")
 
     @pytest.mark.parametrize("faults, first", [
         ([(3, 50, 0), (1, 60, 0)], "n=50 layer=3 channel=0"),

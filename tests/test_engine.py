@@ -328,8 +328,7 @@ class TestReadoutTrace:
         fc_forward event by event, with their dtypes."""
         model, stream, last = _readout_case(seed)
         plan = engine.build_plan(model)
-        logits, cls, readout = engine.readout_trace(
-            model, stream, last, plan.fc_cells, model.fc.bias)
+        logits, cls, readout = engine.readout_trace(plan, stream, last)
         state = ReadoutState(model)
         for i in range(len(last)):
             state.update(int(stream.x[i]), int(stream.y[i]), last[i])
@@ -343,41 +342,30 @@ class TestReadoutTrace:
         assert np.bincount(cell, minlength=9)[[1, 2, 3, 5, 6, 7, 8]].tolist(
             ) == [0, 0, 1, 0, 0, 0, 1]
 
-    @pytest.mark.parametrize("wide", [False, True])
-    def test_float_equals_per_cell_loop(self, wide, monkeypatch):
-        """Float outputs (with ties and zeros) lift by rank: the readout is
-        bit-identical to the per-cell loop and the logits agree to 1e-12
-        of their scale (only the summation order differs). wide forces
-        the int64 lift."""
-        if wide:
-            monkeypatch.setattr(engine, "lift_dtype",
-                                lambda span, cells: np.int64)
+    def test_int64_lift_equals_per_cell_loop(self, monkeypatch):
+        """Under the int64 lift, which the int32 one leaves unused at
+        these spans, logits, classes and readout equal the per-cell loop
+        with their dtypes."""
+        monkeypatch.setattr(engine, "lift_dtype",
+                            lambda span, cells: np.int64)
         model, stream, last = _readout_case(5)
-        rng = np.random.default_rng(5)
-        last = np.maximum(last / 7.0 - 4.0, 0.0)
-        fc_cells = rng.normal(size=(9, model.c_last, 3))
-        fc_b = rng.normal(size=3)
-        got = engine.readout_trace(model, stream, last, fc_cells, fc_b)
-        want = _readout_loop(model, stream, last, fc_cells, fc_b)
-        np.testing.assert_allclose(got[0], want[0], rtol=1e-12,
-                                   atol=1e-12 * np.abs(want[0]).max())
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
-        assert [a.dtype for a in got] == [a.dtype for a in want]
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-    def test_no_events(self, dtype):
-        model = _readout_case(0)[0]
         plan = engine.build_plan(model)
-        fc_type = np.int64 if dtype == np.uint8 else np.float64
+        got = engine.readout_trace(plan, stream, last)
+        want = _readout_loop(model, stream, last, plan.fc_cells,
+                             model.fc.bias)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+            assert a.dtype == b.dtype
+
+    def test_no_events(self):
+        model = _readout_case(0)[0]
         logits, cls, readout = engine.readout_trace(
-            model, event_io.EventStream(40, 36),
-            np.zeros((0, model.c_last), dtype=dtype),
-            plan.fc_cells.astype(fc_type), model.fc.bias.astype(fc_type))
+            engine.build_plan(model), event_io.EventStream(40, 36),
+            np.zeros((0, model.c_last), dtype=np.uint8))
         assert logits.shape == (0, len(model.classes)) and cls.shape == (0,)
         assert readout.tolist() == [0] * (9 * model.c_last)
         assert (logits.dtype, cls.dtype, readout.dtype) == (
-            fc_type, np.int64, dtype)
+            np.int64, np.int64, np.uint8)
 
     def test_lift_dtype_boundary(self):
         assert engine.lift_dtype(128, 2**24 - 1) is np.int32

@@ -19,6 +19,10 @@ to be written, parsed and kept in step by the model file.
 
 Only event_io raises a StreamError: an EventStream checks its rows when
 built, so a second stream check elsewhere could only drift from it.
+
+An oracle takes only data types from the code it checks, and
+rne_mulshift, the rounding the model format defines: code it shared
+with that code would fail alike on both sides of the comparison.
 """
 
 import ast
@@ -36,6 +40,12 @@ UNREAD_OK = ["graph_builder.brute_force_neighbors"]
 # signature; the function goes with the benchmark's change that drops the
 # call (ROADMAP item 1).
 UNREAD_PARAMS_OK = ["perf_model.trace_from_run(model)"]
+# What each oracle may import from the modules it checks (CHECKED). The
+# scalar oracle, process_event with its primitives, shares engine.py with
+# the batch path, so its rule waits until it has a module of its own.
+CHECKED = ("engine", "graph_builder")
+ORACLE_IMPORTS = {"static_oracle": ["engine.RunResult", "engine.rne_mulshift",
+                                    "graph_builder.Adjacency"]}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -268,3 +278,35 @@ def test_checker_flags_a_stream_raise():
            "raise mod.StreamError('y', 3)\n")
     assert stream_raises(src, errors) == ["B (line 4)", "A (line 5)",
                                           "StreamError (line 8)"]
+
+
+def package_imports(source: str) -> list[str]:
+    """Every package name that source imports, as module.name; a whole
+    module, imported by name, is module.*."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [a.name.split(".", 1)[1] + ".*" for a in node.names
+                    if a.name.startswith("evgnn.")]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "evgnn"):
+            mod = (node.module or "").removeprefix("evgnn").lstrip(".")
+            out += [f"{mod}.{a.name}" if mod else f"{a.name}.*"
+                    for a in node.names]
+    return out
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_IMPORTS))
+def test_oracles_import_only_data_types(oracle):
+    taken = package_imports((ROOT / "src" / "evgnn" / f"{oracle}.py")
+                            .read_text())
+    assert [t for t in taken if t.split(".")[0] in CHECKED
+            and t not in ORACLE_IMPORTS[oracle]] == []
+
+
+def test_checker_lists_package_imports():
+    src = ("from .engine import a, b as c\nfrom . import graph_builder\n"
+           "import evgnn.quant\nfrom evgnn.event_io import d\n"
+           "from evgnn import model\nimport os.path\nfrom os import sep\n")
+    assert package_imports(src) == ["engine.a", "engine.b", "graph_builder.*",
+                                    "quant.*", "event_io.d", "model.*"]

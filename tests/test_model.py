@@ -6,8 +6,9 @@ import pytest
 
 from evgnn import engine, event_io
 from evgnn.cli import EXIT_OK, main
+from evgnn.graph_builder import SearchParams
 from evgnn.model import (DenseParams, LayerParams, ModelConfigError,
-                         QuantizedModel, calibration_model,
+                         ModelHeader, QuantizedModel, calibration_model,
                          fp_model_from_json, fp_model_to_json, load_model,
                          model_from_json, model_to_json, random_fp_model,
                          random_model, save_model)
@@ -160,6 +161,28 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ModelConfigError):
             model_from_json({"sensor": {"W": 8, "H": 8}})
+
+    def test_absent_header_blocks_take_the_defaults(self):
+        """A document without search, grid and classes loads SearchParams()
+        and the ModelHeader defaults."""
+        doc = model_to_json(random_model(2, width=48, height=32))
+        for key in ("search", "grid", "classes"):
+            del doc[key]
+        model = model_from_json(doc)
+        assert model.search == SearchParams()
+        assert model.header() == ModelHeader(width=48, height=32).header()
+
+    @pytest.mark.parametrize("block, key", [
+        ("search", "r_s"), ("search", "r_t"), ("search", "D_max"),
+        ("search", "queue_depth"), ("grid", "patch")])
+    def test_a_lone_header_key_must_be_an_integer(self, block, key):
+        """A key read alone from its block still goes through the integer
+        check, with its own message."""
+        doc = model_to_json(random_model(2, width=48, height=32))
+        doc[block] = {key: 3.0}
+        with pytest.raises(ModelConfigError,
+                           match=rf"^{block} {key}: 3.0 is not an integer$"):
+            model_from_json(doc)
 
     def test_old_cone_keys_ignored(self, small_model):
         """Files that still carry the "r" and "beta" search keys load."""
