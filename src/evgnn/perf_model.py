@@ -1,15 +1,20 @@
 """Cycle-accurate latency and energy model of the accelerator datapath.
 
 Two evaluations of the same pipeline are provided and must agree exactly:
-a closed form evaluated over a whole trace's int64 arrays at once
-(estimate_stream_latency) and a discrete-event simulation that walks an
-event through explicit stage resources (simulate_cycles). The walk runs
-once per distinct (deg, entries_scanned) pair of the trace, since its
-result depends on nothing else, and pushes and pops every stage job of
-that event, scan job included, on its heap calendar. What the jobs cost
-apart from deg and entries (scan cycles per entry, the overlap slot,
-fetch bytes per neighbor, conv depths, BAQ, the writeback/FC/readout
-tail) is fixed by (model, cfg, mode) and built once per call.
+a closed form evaluated per event over a whole trace's int64 arrays at
+once (estimate_stream_latency) and a discrete-event simulation that walks
+an event through explicit stage resources (simulate_cycles). Every
+per-event figure depends only on the event's (deg, entries_scanned) row,
+so a trace groups its distinct rows once, on first use, and keeps them
+(EventTrace.rows). The DES walks each distinct row once and pushes and
+pops every stage job of that event, scan job included, on its heap
+calendar; the energy model prices each distinct row once. Both copy a
+row's figures back to its events. The closed form stays per event and
+never reads the rows, so that comparing it with the DES also checks the
+grouping. What the jobs cost apart from deg and entries (scan cycles per
+entry, the overlap slot, fetch bytes per neighbor, conv depths, BAQ, the
+writeback/FC/readout tail) is fixed by (model, cfg, mode) and built once
+per call.
 
 Per event, only the degree and the queue entries scanned vary; the
 model's layer widths fix the rest. Stage composition (cycles), with
@@ -39,6 +44,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 
 import numpy as np
@@ -110,14 +116,54 @@ def load_hw_config(path: str) -> HwConfig:
     return HwConfig(**doc)  # an unknown key raises TypeError
 
 
+@dataclass(frozen=True, eq=False)
+class TraceRows:
+    """The distinct (deg, entries_scanned) rows of a trace, in ascending
+    order of the row key entries_scanned * (max deg + 1) + deg.
+
+    deg, entries and count are int64[R]: each row's columns and its event
+    count. index is intp[N], each event's row, so deg[index] is the
+    trace's deg. The arrays are read-only.
+    """
+
+    deg: np.ndarray
+    entries: np.ndarray
+    count: np.ndarray
+    index: np.ndarray
+
+
+def _trace_rows(deg: np.ndarray, entries_scanned: np.ndarray) -> TraceRows:
+    """Group a trace's events by row with one stable argsort of the row
+    key, cast to its narrowest unsigned type (numpy radix-sorts keys of
+    16 bits or fewer)."""
+    span = int(deg.max(initial=0)) + 1
+    key = entries_scanned * span + deg
+    key = key.astype(np.min_scalar_type(int(key.max(initial=0))),
+                     copy=False)
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    index = np.empty(len(key), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    entries, row_deg = np.divmod(ordered[starts].astype(np.int64), span)
+    count = np.diff(starts, append=len(key))
+    for a in (row_deg, entries, count, index):
+        a.flags.writeable = False
+    return TraceRows(row_deg, entries, count, index)
+
+
 @dataclass
 class EventTrace:
     """Per-event instrumentation of an inference run: each event's degree
     and the queue entries its neighbor search scanned.
 
     The columns are 1-D, of one length, non-negative integers, and small
-    enough that the DES's pair key entries_scanned * (max deg + 1) + deg
-    stays within int64.
+    enough that the row key entries_scanned * (max deg + 1) + deg stays
+    within int64. A built trace is not changed: rows is grouped from it
+    once, on first use, and kept.
     """
 
     deg: np.ndarray
@@ -141,7 +187,7 @@ class EventTrace:
         span = int(self.deg.max(initial=0)) + 1
         if int(self.entries_scanned.max(initial=0)) * span + span - 1 \
                 > _INT64_MAX:
-            raise ValueError("EventTrace columns too large: the DES pair key "
+            raise ValueError("EventTrace columns too large: the row key "
                              "entries_scanned * (max deg + 1) + deg "
                              "leaves int64")
         self.deg = self.deg.astype(np.int64, copy=False)
@@ -150,6 +196,11 @@ class EventTrace:
 
     def __len__(self) -> int:
         return len(self.deg)
+
+    @cached_property
+    def rows(self) -> TraceRows:
+        """The trace's distinct (deg, entries_scanned) rows."""
+        return _trace_rows(self.deg, self.entries_scanned)
 
 
 STAGES = ("graph_build", "feature_fetch", "conv", "writeback", "readout_fc")
@@ -384,25 +435,21 @@ def simulate_cycles(trace: EventTrace, model: QuantizedModel, cfg: HwConfig,
     """Discrete-event re-derivation of the analytic model.
 
     An event's walk depends only on its two trace columns, and these
-    repeat (deg <= d_max), so the walk runs once per distinct
-    (deg, entries_scanned) pair of this trace, found by one np.unique of
-    the key entries_scanned * (max deg + 1) + deg, and its result goes to
-    every event with that pair. The stage jobs' fixed costs are built once
-    per call; nothing is kept between calls.
+    repeat (deg <= d_max), so the walk runs once per distinct row of the
+    trace (trace.rows, grouped once per trace), and its result goes to
+    every event of that row. The stage jobs' fixed costs are built once
+    per call.
     """
     jobs = _stage_jobs(model, cfg, mode)
-    span = int(trace.deg.max(initial=0)) + 1
-    pairs, inverse = np.unique(trace.entries_scanned * span + trace.deg,
-                               return_inverse=True)
-    entries, deg = np.divmod(pairs, span)
+    rows = trace.rows
     walked = np.array([_simulate_one_event(jobs, d, e)
-                       for d, e in zip(deg.tolist(), entries.tolist())],
+                       for d, e in zip(rows.deg.tolist(),
+                                       rows.entries.tolist())],
                       dtype=np.int64)
-    per_event = walked[inverse]
     # stage totals are an analytic notion; the DES only produces totals
     stage_totals = {s: 0 for s in STAGES}
-    return PerfReport(per_event, stage_totals, int(per_event.sum()),
-                      cfg.clock_hz,
+    return PerfReport(walked[rows.index], stage_totals,
+                      int(walked @ rows.count), cfg.clock_hz,
                       weight_load_cycles=weight_load_cycles(model, cfg))
 
 
@@ -417,25 +464,32 @@ def estimate_energy(report: PerfReport, trace: EventTrace,
         dram_bytes = feature fetch (deg * sum C_in) + writeback (sum C_out)
         sram_bytes = queue entries scanned * entry size
                      + conv weight reads per neighbor + FC weight reads
+
+    Each distinct row of the trace (trace.rows) is priced once and its
+    energy copied to its events. Integer stage totals are row-by-count
+    dot products; the total and the conv stage sum the per-event floats,
+    as a per-event pricing would.
     """
     if cfg.e_mac is None or cfg.e_sram_byte is None or cfg.e_dram_byte is None:
         raise MissingConstants("e_mac / e_sram_byte / e_dram_byte required")
     n = len(trace)
-    # conv MACs per event, and as many conv weight bytes read from SRAM
-    conv = conv_macs(model, trace.deg)
-    scanned = trace.entries_scanned * cfg.queue_entry_bytes
+    rows = trace.rows
+    # conv MACs per row, and as many conv weight bytes read from SRAM
+    conv = conv_macs(model, rows.deg)
+    scanned = rows.entries * cfg.queue_entry_bytes
     macs = conv + fc_macs(model)
-    fetched = trace.deg * fetch_bytes_per_neighbor(model)
+    fetched = rows.deg * fetch_bytes_per_neighbor(model)
     dram = fetched + writeback_bytes(model)
     sram = scanned + conv + fc_macs(model)
     energy = (macs * cfg.e_mac + sram * cfg.e_sram_byte
               + dram * cfg.e_dram_byte)
-    report.per_event_energy = energy
-    report.total_energy = float(energy.sum())
+    report.per_event_energy = energy[rows.index]
+    report.total_energy = float(report.per_event_energy.sum())
     report.stage_energy = {
-        "graph_build": float(scanned.sum() * cfg.e_sram_byte),
-        "feature_fetch": float(fetched.sum() * cfg.e_dram_byte),
-        "conv": float((conv * cfg.e_mac + conv * cfg.e_sram_byte).sum()),
+        "graph_build": float((scanned @ rows.count) * cfg.e_sram_byte),
+        "feature_fetch": float((fetched @ rows.count) * cfg.e_dram_byte),
+        "conv": float((conv * cfg.e_mac
+                       + conv * cfg.e_sram_byte)[rows.index].sum()),
         "writeback": float(n * writeback_bytes(model) * cfg.e_dram_byte),
         "readout_fc": float(n * fc_macs(model)
                             * (cfg.e_mac + cfg.e_sram_byte)),

@@ -127,6 +127,82 @@ class TestEventTrace:
         assert EventTrace(deg, deg + 1).deg is deg
 
 
+def _assert_rows_are_unique(trace):
+    """trace.rows against np.unique of the row key, kept and read-only."""
+    span = int(trace.deg.max(initial=0)) + 1
+    keys, index, count = np.unique(trace.entries_scanned * span + trace.deg,
+                                   return_inverse=True, return_counts=True)
+    rows = trace.rows
+    assert rows is trace.rows
+    assert rows.deg.tolist() == (keys % span).tolist()
+    assert rows.entries.tolist() == (keys // span).tolist()
+    assert rows.count.tolist() == count.tolist()
+    assert rows.index.tolist() == index.tolist()
+    assert rows.deg.dtype == rows.entries.dtype == rows.count.dtype \
+        == np.int64
+    assert rows.index.dtype == np.intp
+    assert not any(a.flags.writeable for a in
+                   (rows.deg, rows.entries, rows.count, rows.index))
+
+
+@st.composite
+def _traces(draw):
+    """Events drawn from a few distinct rows, so that rows repeat; the
+    entries reach past 2**32 at most, which keeps the key in int64."""
+    top = draw(st.sampled_from([2**4, 2**8, 2**16, 2**32]))
+    pool = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, top)),
+                         min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=60))
+    return EventTrace([d for d, _ in rows], [e for _, e in rows])
+
+
+class TestTraceRows:
+    @given(_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_unique(self, trace):
+        _assert_rows_are_unique(trace)
+
+    @pytest.mark.parametrize("key, dtype", [
+        (1, np.uint8), (2**8 - 1, np.uint8), (2**8, np.uint16),
+        (2**16 - 1, np.uint16), (2**16, np.uint32), (2**32 - 1, np.uint32),
+        (2**32, np.uint64), (2**63 - 1, np.uint64)])
+    def test_key_sorted_in_narrowest_type(self, monkeypatch, key, dtype):
+        """deg 0 or 1 makes the row key 2 * entries + deg; the largest is
+        key, and the trace repeats it. 2**63 - 1 is the largest key
+        test_largest_key_accepted takes."""
+        sorted_as = []
+        real = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_as.append(a.dtype)
+            return real(a, *args, **kwargs)
+
+        trace = EventTrace([key % 2, 1, key % 2, 0, 1],
+                           [key // 2, 0, key // 2, 0, 0])
+        monkeypatch.setattr(pm.np, "argsort", spy)
+        rows = trace.rows
+        monkeypatch.undo()
+        assert sorted_as == [dtype]
+        assert rows.entries[-1] * 2 + rows.deg[-1] == key
+        _assert_rows_are_unique(trace)
+
+    @pytest.mark.parametrize("deg, entries", [([], []), ([5], [9])],
+                             ids=["empty", "one_event"])
+    def test_small_traces(self, deg, entries):
+        trace = EventTrace(deg, entries)
+        _assert_rows_are_unique(trace)
+        assert trace.rows.count.tolist() == [1] * len(deg)
+
+    def test_rows_read_only(self, rng):
+        deg = rng.integers(0, 17, size=100)
+        rows = EventTrace(deg, deg + rng.integers(0, 9, size=100)).rows
+        for a in (rows.deg, rows.entries, rows.count, rows.index):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows.index = np.zeros(100, dtype=np.intp)
+
+
 class TestConvLatency:
     def test_deg_zero_is_baq_only(self, small_model):
         cfg = HwConfig(baq_cycles=2)
@@ -436,6 +512,70 @@ class TestEnergy:
             (trace.deg * fetch + written).tolist()
         assert report.stage_energy["feature_fetch"] == trace.deg.sum() * fetch
         assert report.stage_energy["writeback"] == len(trace) * written
+
+    def test_equals_per_event_pricing(self, small_model, rng):
+        """Pricing each distinct row once gives every figure of pricing
+        each event, to the last bit."""
+        cfg = HwConfig(e_mac=3.7e-13, e_sram_byte=1.3e-12,
+                       e_dram_byte=9.1e-11, queue_entry_bytes=7)
+        fetch = sum(l.c_in for l in small_model.layers)
+        written = sum(l.c_out for l in small_model.layers)
+        conv_bytes = sum((l.c_in + 2) * l.c_out for l in small_model.layers)
+        fc = small_model.fc.in_dim * small_model.fc.out_dim
+        for trace in (_repeated_rows_trace(rng),
+                      _rand_trace(rng, small_model, n=20_000)):
+            conv = trace.deg * conv_bytes
+            scanned = trace.entries_scanned * 7
+            fetched = trace.deg * fetch
+            energy = ((conv + fc) * cfg.e_mac
+                      + (scanned + conv + fc) * cfg.e_sram_byte
+                      + (fetched + written) * cfg.e_dram_byte)
+            n = len(trace)
+            stages = {
+                "graph_build": float(scanned.sum() * cfg.e_sram_byte),
+                "feature_fetch": float(fetched.sum() * cfg.e_dram_byte),
+                "conv": float((conv * cfg.e_mac
+                               + conv * cfg.e_sram_byte).sum()),
+                "writeback": float(n * written * cfg.e_dram_byte),
+                "readout_fc": float(n * fc * (cfg.e_mac + cfg.e_sram_byte)),
+            }
+            report = estimate_stream_latency(small_model, trace, cfg)
+            estimate_energy(report, trace, small_model, cfg)
+            assert np.array_equal(report.per_event_energy, energy)
+            assert report.total_energy.hex() == float(energy.sum()).hex()
+            assert {s: e.hex() for s, e in report.stage_energy.items()} \
+                == {s: e.hex() for s, e in stages.items()}
+
+    def test_rows_grouped_once_per_trace(self, small_model, rng,
+                                         monkeypatch):
+        """A sweep of four hardware points, as perfbench's hw_sweep runs
+        it, groups the trace's rows once; the closed form never does."""
+        grouped = []
+        real = pm._trace_rows
+
+        def counted(deg, entries_scanned):
+            grouped.append(len(deg))
+            return real(deg, entries_scanned)
+
+        monkeypatch.setattr(pm, "_trace_rows", counted)
+        trace = _rand_trace(rng, small_model, n=500)
+        base = HwConfig(e_mac=1e-12, e_sram_byte=1e-12, e_dram_byte=1e-10)
+        points = [(base, "parallel"),
+                  (dataclasses.replace(base, overlap_fetch_compute=False),
+                   "parallel"),
+                  (base, "sequential"),
+                  (dataclasses.replace(base, dram_bw_bits_per_s=1.6e9),
+                   "parallel")]
+        for cfg, mode in points:
+            estimate_stream_latency(small_model, trace, cfg, mode)
+        assert grouped == []
+        for cfg, mode in points:
+            report = estimate_stream_latency(small_model, trace, cfg, mode)
+            des = simulate_cycles(trace, small_model, cfg, mode)
+            estimate_energy(report, trace, small_model, cfg)
+            assert np.array_equal(des.per_event_cycles,
+                                  report.per_event_cycles)
+        assert grouped == [500]
 
     def test_report_json_shape(self, small_model, rng):
         cfg = HwConfig(e_mac=1e-12, e_sram_byte=1e-12, e_dram_byte=1e-10)
