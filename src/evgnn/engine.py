@@ -5,7 +5,10 @@ Two granularities are provided:
     - process_event: one Event at a time against explicit EngineState,
       built from the per-op primitives below (message_matvec,
       aggregate_max, baq, ReadoutState.update, fc_forward). This scalar
-      path is the independent oracle of the batch path.
+      path is the independent oracle of the batch path. Its state is what
+      the accelerator keeps (the paper's idea (i)): the per-pixel queues,
+      one int8 row of layer inputs per event still in a queue, and the
+      readout; an event's row goes when its queue evicts it.
     - run_stream: whole-stream execution through one factored INT8
       kernel, eq7_block, reading the stream's x, y, t, p columns. It
       splits each message W . (x_j, q|dx|, q|dy|) into a per-node term
@@ -48,7 +51,7 @@ where v * M + 2**61 stays below 2**63.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -57,16 +60,12 @@ from . import perf_model
 from .event_io import Event, EventStream
 from .graph_builder import (Adjacency, EventQueueGrid, SearchParams,
                             build_adjacency, search_neighbors)
-from .model import ACC_LIMIT, POLARITY_INPUT, LayerParams, QuantizedModel
+from .model import POLARITY_INPUT, LayerParams, QuantizedModel
 
 MSG_FLOOR = np.int32(-(2**31))  # batch path's "-inf": below every message
 # Message cells (rows * D * C) per eq7_block call; bounds the batch path's
 # working memory.
 CHUNK_CELLS = 1 << 16
-
-
-class AccOverflow(ArithmeticError):
-    pass
 
 
 class LengthMismatch(ValueError):
@@ -78,7 +77,7 @@ class DimMismatch(ValueError):
 
 
 class StoreError(RuntimeError):
-    """Write-once violation or read of an unwritten feature slot."""
+    """An event out of stream order, or past the events the state is for."""
 
 
 def rne_mulshift(v, mult: int, shift: int):
@@ -109,10 +108,7 @@ def message_matvec(layer, x_j: np.ndarray, dx: int, dy: int) -> np.ndarray:
     qdx = quantize_position(dx, layer.pos_requant)
     qdy = quantize_position(dy, layer.pos_requant)
     inp = np.concatenate([x_j, np.array([qdx, qdy], dtype=np.int64)])
-    acc = layer.weights @ inp
-    if np.any(np.abs(acc) >= ACC_LIMIT):
-        raise AccOverflow("accumulator escaped 32-bit range")
-    return acc
+    return layer.weights @ inp
 
 
 def aggregate_max(messages, width: int) -> np.ndarray:
@@ -139,40 +135,13 @@ def baq(acc: np.ndarray, layer) -> np.ndarray:
 class Prediction:
     logits: np.ndarray  # int32-range, len num_classes
     cls: int
+    # process_event's outputs of layers 1 ... L, int64[C_out] each
+    feats: list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
     def from_logits(logits: np.ndarray) -> "Prediction":
         return Prediction(np.asarray(logits, dtype=np.int64),
                           int(np.argmax(logits)))  # argmax ties -> lowest
-
-
-class FeatureStore:
-    """Per-event, per-layer INT8 feature vectors (DRAM stand-in).
-
-    Slot (n, l) is write-once; reading an unwritten slot is an error.
-    Layer 0 is the encoded input polarity (length 1).
-    """
-
-    def __init__(self, num_events: int, layer_dims: list[int]):
-        self.layer_dims = [1] + list(layer_dims)
-        self._data = [np.zeros((num_events, d), dtype=np.int64)
-                      for d in self.layer_dims]
-        self._written = np.zeros((num_events, len(self.layer_dims)),
-                                 dtype=bool)
-
-    def write(self, n: int, l: int, feat: np.ndarray) -> None:
-        if self._written[n, l]:
-            raise StoreError(f"slot ({n},{l}) already written")
-        feat = np.asarray(feat, dtype=np.int64)
-        if feat.shape != (self.layer_dims[l],):
-            raise StoreError(f"feature length mismatch at ({n},{l})")
-        self._data[l][n] = feat
-        self._written[n, l] = True
-
-    def read(self, n: int, l: int) -> np.ndarray:
-        if not self._written[n, l]:
-            raise StoreError(f"slot ({n},{l}) not yet written")
-        return self._data[l][n]
 
 
 class ReadoutState:
@@ -207,43 +176,62 @@ def fc_forward(readout: ReadoutState, fc) -> Prediction:
 
 @dataclass
 class EngineState:
+    """The scalar oracle's state: what the accelerator keeps.
+
+    rows[n] is queued event n's layer inputs, int8[sum C_in]: its
+    polarity input, then its outputs of layers 1 ... L-1, the inputs of
+    layers 1 ... L. Only events still in a queue of grid have a row, so
+    the rows hold occupied slots * fetch_bytes_per_neighbor bytes.
+    num_events bounds the stream indices the state takes.
+    """
+
     grid: EventQueueGrid
-    store: FeatureStore
+    rows: dict[int, np.ndarray]
     readout: ReadoutState
+    num_events: int
     next_n: int = 0
 
     @staticmethod
     def new(model: QuantizedModel, num_events: int) -> "EngineState":
         grid = EventQueueGrid(model.width, model.height,
                               model.search.queue_depth)
-        store = FeatureStore(num_events, [l.c_out for l in model.layers])
-        return EngineState(grid, store, ReadoutState(model))
+        return EngineState(grid, {}, ReadoutState(model), num_events)
 
 
 def process_event(state: EngineState, model: QuantizedModel,
                   ev: Event) -> Prediction:
     """The scalar per-event oracle: one neighbor list feeds every layer.
 
-    All layers read only stored (past) features, so the per-layer outputs
-    are computed independently from the same neighbor list, and the order
-    in which the layers run cannot change them.
+    Each neighbor's row is fetched once; layer l reads its slice of layer
+    l inputs. All layers read only past events' rows, so the per-layer
+    outputs are computed independently from the same neighbor list, and
+    the order in which the layers run cannot change them. Events arrive
+    in stream order; the row of the event that ev evicts from its queue
+    is dropped. Returns the prediction after ev, with ev's outputs of
+    every layer in feats.
     """
     if ev.n != state.next_n:
         raise StoreError(f"events must arrive in stream order (got {ev.n})")
-    neighbors = search_neighbors(state.grid, ev, model.search)
+    if ev.n >= state.num_events:
+        raise StoreError(f"event {ev.n} past the state's "
+                         f"{state.num_events} events")
+    fetched = [(state.rows[nb.n], nb.dx, nb.dy)
+               for nb in search_neighbors(state.grid, ev, model.search)]
     outs = []
-    for level, layer in enumerate(model.layers):
-        msgs = [message_matvec(layer, state.store.read(nb.n, level),
-                               nb.dx, nb.dy) for nb in neighbors]
-        agg = aggregate_max(msgs, layer.c_out)
-        outs.append(baq(agg, layer))
-    state.store.write(ev.n, 0,
-                      np.array([POLARITY_INPUT[ev.p]], dtype=np.int64))
-    for l, out in enumerate(outs, start=1):
-        state.store.write(ev.n, l, out)
+    off = 0
+    for layer in model.layers:
+        msgs = [message_matvec(layer, row[off:off + layer.c_in], dx, dy)
+                for row, dx, dy in fetched]
+        outs.append(baq(aggregate_max(msgs, layer.c_out), layer))
+        off += layer.c_in
+    evicted = state.grid.push_event(ev)
+    if evicted is not None:
+        del state.rows[evicted.n]
+    state.rows[ev.n] = np.concatenate(
+        [[POLARITY_INPUT[ev.p]], *outs[:-1]]).astype(np.int8)
     state.readout.update(ev.x, ev.y, outs[-1])
     pred = fc_forward(state.readout, model.fc)
-    state.grid.push_event(ev)
+    pred.feats = outs
     state.next_n = ev.n + 1
     return pred
 

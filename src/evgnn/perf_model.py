@@ -257,12 +257,15 @@ def conv_latency(model: QuantizedModel, deg: int, mode: str,
 
 
 def _stage_cycles(model: QuantizedModel, deg, entries_scanned, cfg: HwConfig,
-                  mode: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
+                  mode: str) -> tuple[dict[str, np.ndarray | int],
+                                      np.ndarray]:
     """Closed-form stage cycles and total cycles of every event.
 
-    The inputs are int64 arrays of one shape; so are the outputs. The
-    per-stage figures are the un-overlapped costs; with overlap on in
-    parallel mode the total counts the fetch/conv pair as
+    The inputs are int64 arrays of one shape; so is the total. A stage
+    is an array of that shape, or a Python int for the stages that cost
+    every event the same (writeback, readout_fc). The per-stage figures
+    are the un-overlapped costs; with overlap on in parallel mode the
+    total counts the fetch/conv pair as
     deg * max(fetch_per_nbr, compute_per_nbr) + baq instead.
     """
     fetch_bytes = deg * fetch_bytes_per_neighbor(model)
@@ -270,9 +273,8 @@ def _stage_cycles(model: QuantizedModel, deg, entries_scanned, cfg: HwConfig,
         "graph_build": entries_scanned * cfg.cycles_per_queue_entry_scan,
         "feature_fetch": bus_cycles(fetch_bytes, cfg),
         "conv": conv_latency(model, deg, mode, cfg),
-        "writeback": np.full_like(
-            deg, bus_cycles(writeback_bytes(model), cfg)),
-        "readout_fc": np.full_like(deg, model.fc.in_dim + model.c_last),
+        "writeback": bus_cycles(writeback_bytes(model), cfg),
+        "readout_fc": model.fc.in_dim + model.c_last,
     }
     if cfg.overlap_fetch_compute and mode == "parallel":
         per_nbr = max(bus_cycles(fetch_bytes_per_neighbor(model), cfg),
@@ -354,8 +356,10 @@ def estimate_stream_latency(model: QuantizedModel, trace: EventTrace,
     """Closed-form cycles of every event of a trace, with stage totals."""
     stages, per_event = _stage_cycles(
         model, trace.deg, trace.entries_scanned, cfg, mode)
-    return PerfReport(per_event.astype(np.int64),
-                      {s: int(c.sum()) for s, c in stages.items()},
+    n = len(trace)
+    return PerfReport(per_event,
+                      {s: int(c.sum()) if isinstance(c, np.ndarray)
+                       else n * c for s, c in stages.items()},
                       int(per_event.sum()), cfg.clock_hz,
                       weight_load_cycles=weight_load_cycles(model, cfg))
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from evgnn.model import QuantizedModel, model_to_json
-from evgnn.perf_model import EventTrace
+from evgnn.perf_model import EventTrace, fetch_bytes_per_neighbor
 
 
 def calibration_trace(model: QuantizedModel, n_events: int = 2000,
@@ -21,6 +21,16 @@ def calibration_trace(model: QuantizedModel, n_events: int = 2000,
     entries = np.clip(np.round(rng.normal(mean_entries, 25.0, n_events)),
                       deg, None).astype(np.int64)
     return EventTrace(deg, entries)
+
+
+def assert_keeps_queued_rows(state, model: QuantizedModel, pixels) -> None:
+    """The scalar oracle's state keeps a row for exactly the events in its
+    grid's queues at pixels, which hold every pixel that has received an
+    event, and the rows take fetch_bytes_per_neighbor(model) bytes each."""
+    queued = sorted(e.n for x, y in pixels for e in state.grid.entries(x, y))
+    assert sorted(state.rows) == queued
+    assert (sum(r.nbytes for r in state.rows.values())
+            == len(queued) * fetch_bytes_per_neighbor(model))
 
 
 def neighbors(adj, stream, i: int) -> list[tuple[int, int, int, int]]:

@@ -22,7 +22,7 @@ from evgnn.perf_model import (HwConfig, conv_latency, estimate_energy,
                               estimate_stream_latency, simulate_cycles,
                               trace_from_run)
 
-from helpers import calibration_trace, neighbors
+from helpers import assert_keeps_queued_rows, calibration_trace, neighbors
 
 N_STREAMS = 20
 EVENTS_PER_STREAM = 10_000
@@ -299,14 +299,16 @@ def test_criterion_7_structural_invariants(small_stream):
         model = random_model(model_seed)
         state = engine.EngineState.new(model, len(small_stream))
         prev_cells = state.readout.cells.copy()
+        pixels = set()
         for ev in small_stream.events:
-            engine.process_event(state, model, ev)
-            feats = state.store.read(ev.n, len(model.layers))
-            assert feats.min() >= 0 and feats.max() <= 127  # BAQ range
+            pred = engine.process_event(state, model, ev)
+            for feats in pred.feats:  # BAQ range
+                assert feats.min() >= 0 and feats.max() <= 127
             assert np.all(state.readout.cells >= prev_cells)  # monotone
             prev_cells = state.readout.cells.copy()
-            with pytest.raises(engine.StoreError):  # write-once causality
-                state.store.write(ev.n, 1, feats[:model.layers[0].c_out])
+            # edge-free storage: only queued events keep their inputs
+            pixels.add((ev.x, ev.y))
+            assert_keeps_queued_rows(state, model, pixels)
 
     @seed(7)
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -358,7 +360,7 @@ def test_criterion_7_structural_invariants(small_stream):
     radius_monotone()
     elapsed = time.perf_counter() - t0
     _report(7, "structural invariants", elapsed < 120.0,
-            f"causality/readout/BAQ/commutation/permutation/radius "
+            f"kept rows/readout/BAQ/commutation/permutation/radius "
             f"properties in {elapsed:.1f} s")
 
 

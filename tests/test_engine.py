@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 
 from evgnn import engine, event_io, graph_builder, static_oracle
 from evgnn.cli import main
-from evgnn.engine import (DimMismatch, EngineState, Epilogue, FeatureStore,
-                          LengthMismatch, Prediction, ReadoutState,
-                          StoreError, aggregate_max, baq, baq_block,
-                          count_ops, fc_forward, message_matvec,
-                          rne_mulshift)
+from evgnn.engine import (DimMismatch, EngineState, Epilogue, LengthMismatch,
+                          Prediction, ReadoutState, StoreError, aggregate_max,
+                          baq, baq_block, count_ops, fc_forward,
+                          message_matvec, rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, POLARITY_INPUT, DenseParams,
                          LayerParams, calibration_model, random_fp_model,
                          random_model, save_model)
+
+from helpers import assert_keeps_queued_rows
 
 
 def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
@@ -33,8 +35,8 @@ def _layer(weights, bias=None, requant=IDENTITY_REQUANT,
 class TestPrimitives:
     def test_encode_default_map(self):
         """Polarity 0 and 1 enter layer 1 as -127 and 127: the scalar
-        oracle stores them as the layer-0 features, and the run plan's
-        input_terms are layer 1's W_x times them."""
+        oracle keeps them as each queued event's layer-1 input, and the
+        run plan's input_terms are layer 1's W_x times them."""
         assert POLARITY_INPUT == (-127, 127)
         model = random_model(0)
         stream = event_io.EventStream(64, 48, [1, 2], [1, 1], [0, 1],
@@ -42,7 +44,7 @@ class TestPrimitives:
         state = EngineState.new(model, len(stream))
         for ev in stream.events:
             engine.process_event(state, model, ev)
-        assert [int(state.store.read(n, 0)[0]) for n in (0, 1)] == [-127, 127]
+        assert [int(state.rows[n][0]) for n in (0, 1)] == [-127, 127]
         w_x = model.layers[0].weights[:, 0]
         assert np.array_equal(engine.build_plan(model).input_terms,
                               np.outer([-127, 127], w_x))
@@ -217,24 +219,6 @@ class TestBlockEpilogue:
             assert got[b].tolist() == expect.tolist(), b
 
 
-class TestFeatureStore:
-    def test_write_once(self):
-        store = FeatureStore(4, [2])
-        store.write(0, 1, np.array([1, 2]))
-        with pytest.raises(StoreError):
-            store.write(0, 1, np.array([1, 2]))
-
-    def test_read_unwritten(self):
-        store = FeatureStore(4, [2])
-        with pytest.raises(StoreError):
-            store.read(0, 1)
-
-    def test_length_checked(self):
-        store = FeatureStore(4, [2])
-        with pytest.raises(StoreError):
-            store.write(0, 1, np.array([1, 2, 3]))
-
-
 class TestReadout:
     def test_grid_8x7_for_120x100(self):
         m = random_model(0, width=120, height=100)
@@ -390,13 +374,64 @@ class TestProcessEvent:
         stream = make_stream(64, 48, [(3, 3, 10, 1)])
         state, preds = _per_event_run(small_model, stream)
         assert preds[0].cls in (0, 1)
-        assert state.store.read(0, 0).tolist() == [127]
+        assert state.rows[0][:1].tolist() == [127]  # polarity input
 
     def test_out_of_order_rejected(self, small_model, small_stream):
         state = EngineState.new(small_model, len(small_stream))
         with pytest.raises(StoreError):
             engine.process_event(state, small_model,
                                  small_stream.events[1])
+
+    def test_event_past_num_events_rejected(self, small_model,
+                                            small_stream):
+        state = EngineState.new(small_model, 2)
+        for ev in small_stream.events[:2]:
+            engine.process_event(state, small_model, ev)
+        with pytest.raises(StoreError):
+            engine.process_event(state, small_model, small_stream.events[2])
+
+    def test_state_does_not_grow_with_num_events(self):
+        """No allocation grows with the stream: the state for 100k events
+        starts as an empty grid and the readout."""
+        model = calibration_model()
+        tracemalloc.start()
+        try:
+            state = EngineState.new(model, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.num_events == 100_000 and peak < 2**20
+
+    @pytest.mark.parametrize("case", ["moving_dot", "hot_pixel_depth2",
+                                      "hot_pixel_depth3"])
+    def test_keeps_only_queued_rows(self, case):
+        """After every event the state keeps exactly the queued events'
+        layer inputs, fetch_bytes_per_neighbor bytes each, on streams
+        whose queues overflow and evict."""
+        if case == "moving_dot":
+            model = calibration_model()
+            stream = event_io.gen_synthetic(
+                "moving_dot", {"width": 120, "height": 100, "count": 300,
+                               "duration_us": 1_500, "velocity": (1.0, 0.0),
+                               "dot_radius": 1.5}, seed=1)
+        else:
+            model = random_model(2, width=32, height=24, search=SearchParams(
+                queue_depth=int(case[-1])))
+            stream = event_io.gen_synthetic(
+                "moving_dot", {"width": 32, "height": 24, "count": 300,
+                               "duration_us": 6_000, "velocity": (0.0, 0.0),
+                               "dot_radius": 1.0}, seed=3)
+        depth = model.search.queue_depth
+        state = EngineState.new(model, len(stream))
+        pixels = set()
+        for ev in stream.events:
+            engine.process_event(state, model, ev)
+            pixels.add((ev.x, ev.y))
+            assert_keeps_queued_rows(state, model, pixels)
+        _, count = np.unique(stream.y * stream.width + stream.x,
+                             return_counts=True)
+        assert count.max() > depth  # the hottest pixel's queue evicted
+        assert len(state.rows) == np.minimum(count, depth).sum()
 
     @pytest.mark.parametrize("schedule", ["parallel", "graph", "static"])
     @pytest.mark.parametrize("case", ["zero", "dmax_saturated", "cylinder"])
@@ -434,7 +469,7 @@ class TestProcessEvent:
         assert np.array_equal(res.macs, adj.deg * per_nbr)
         for l in range(len(model.layers)):
             assert np.array_equal(res.feats[l], np.stack(
-                [state.store.read(i, l + 1) for i in range(len(stream))]))
+                [preds[i].feats[l] for i in range(len(stream))]))
         assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
         assert res.cls.tolist() == [p.cls for p in preds]
         assert np.array_equal(res.readout, state.readout.flatten())
@@ -476,7 +511,7 @@ class TestProcessEvent:
             res = engine.run_stream(model, stream, adjacency=adj, **kw)
             for l in range(len(model.layers)):
                 assert np.array_equal(res.feats[l], np.stack(
-                    [state.store.read(i, l + 1) for i in range(len(stream))]))
+                    [preds[i].feats[l] for i in range(len(stream))]))
             assert np.array_equal(res.logits,
                                   np.stack([p.logits for p in preds]))
             assert np.array_equal(res.readout, state.readout.flatten())
@@ -494,7 +529,7 @@ class TestProcessEvent:
         stream = event_io.gen_synthetic(
             "uniform_random", {"width": 40, "height": 36, "count": 120,
                                "duration_us": 1_000}, seed=8)
-        state, preds = _per_event_run(model, stream)
+        _, preds = _per_event_run(model, stream)
         adj = engine.build_adjacency(stream, model)
         assert adj.nbr_o.dtype == np.uint16
         edge = adj.nbr_o[np.arange(params.d_max) < adj.deg[:, None]]
@@ -503,7 +538,7 @@ class TestProcessEvent:
         res = engine.run_stream(model, stream, adjacency=adj)
         for l in range(len(model.layers)):
             assert np.array_equal(res.feats[l], np.stack(
-                [state.store.read(i, l + 1) for i in range(len(stream))]))
+                [preds[i].feats[l] for i in range(len(stream))]))
         assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
 
     def test_single_layer_model(self, small_stream):
@@ -515,10 +550,10 @@ class TestProcessEvent:
             assert np.array_equal(res.logits, logits)
 
 
-def _assert_feats_equal(feats, state):
+def _assert_feats_equal(feats, preds):
     for l, f in enumerate(feats):
         assert np.array_equal(f, np.stack(
-            [state.store.read(i, l + 1) for i in range(len(f))]))
+            [preds[i].feats[l] for i in range(len(f))]))
 
 
 def _plan_arrays(obj, path="plan"):
@@ -724,10 +759,10 @@ class TestSentinelKernel:
         assert pos.dtype == np.uint16
         assert np.all(pos[pad] == k) and pos[~pad].max() < k
         assert np.all(nbr[pad] == len(stream))
-        state, preds = _per_event_run(model, stream)
+        _, preds = _per_event_run(model, stream)
         for kw in SCHEDULES:
             res = engine.run_stream(model, stream, adjacency=adj, **kw)
-            _assert_feats_equal(res.feats, state)
+            _assert_feats_equal(res.feats, preds)
             assert np.array_equal(res.logits,
                                   np.stack([p.logits for p in preds]))
 
@@ -747,10 +782,10 @@ class TestSentinelKernel:
         stream = event_io.EventStream(64, 48, base.x, base.y, t, base.p)
         adj = engine.build_adjacency(stream, model)
         assert adj.deg[:rows].max() == 0 and adj.deg[rows:].max() > 0
-        state, preds = _per_event_run(model, stream)
+        _, preds = _per_event_run(model, stream)
         for kw in SCHEDULES:
             res = engine.run_stream(model, stream, adjacency=adj, **kw)
-            _assert_feats_equal(res.feats, state)
+            _assert_feats_equal(res.feats, preds)
             assert np.array_equal(res.logits,
                                   np.stack([p.logits for p in preds]))
 
@@ -786,8 +821,8 @@ class TestSentinelKernel:
         plan = engine.build_plan(model)
         feats = engine.run_layers(plan, stream.p, adj,
                                   plan.wavefront if wave else plan.layered)
-        state, _ = _per_event_run(model, stream)
-        _assert_feats_equal(feats, state)
+        _, preds = _per_event_run(model, stream)
+        _assert_feats_equal(feats, preds)
 
 
 class TestInvariantsOnStream:

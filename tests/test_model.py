@@ -85,9 +85,9 @@ class TestRangeProof:
                  for ev in stream.events]
         res = engine.run_stream(model, stream)
         assert np.array_equal(res.logits, np.stack([p.logits for p in preds]))
-        assert np.array_equal(res.feats[1],
-                              np.stack([state.store.read(i, 2)
-                                        for i in range(len(stream))]))
+        for l in range(len(model.layers)):
+            assert np.array_equal(res.feats[l],
+                                  np.stack([p.feats[l] for p in preds]))
 
     def test_just_over_limit_rejected(self):
         doc = list_form_doc(random_model(2, width=48, height=32))
