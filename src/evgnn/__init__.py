@@ -1,8 +1,9 @@
 """Event-driven quantized GNN inference over event-camera streams.
 
-Subpackages:
+Modules:
     event_io      -- stream parsing, generation, serialization
     graph_builder -- per-pixel event queues and neighbor search
+    model         -- FP and INT8 model formats, range proof, JSON I/O
     engine        -- integer GNN forward (per-event oracle and batch executor)
     quant         -- batchnorm folding and FP -> INT8 quantization
     static_oracle -- reference forward over fully materialized graphs

@@ -16,6 +16,8 @@ canonical order:
 The new event is pushed into its queue only *after* its search completes
 (search-then-push), so an event can never be its own neighbor. Events with
 equal timestamps are valid neighbors when their stream index is smaller.
+A search returns each neighbour as a `Neighbor` (n, dx, dy), all that an
+edge holds; the neighbour's t and p are the stream's row n.
 
 `brute_force_neighbors` is an independent reference over the full stream
 prefix (a plain dict-of-lists retention replay, no queue grid).
@@ -124,14 +126,12 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class Neighbor:
-    """A valid past neighbor of a query event; offsets are new minus old."""
+    """A valid past neighbor of a query event: its stream index n and
+    offset, new minus old; the stream gives its t and p from n."""
 
     n: int
-    t: int
-    p: int
     dx: int
     dy: int
-    dt: int
 
 
 class EventQueueGrid:
@@ -192,10 +192,8 @@ def search_neighbors(grid: EventQueueGrid, ev: Event,
             if xj < 0 or xj >= grid.width:
                 continue
             for entry in grid.entries(xj, yj):
-                dt = ev.t - entry.t
-                if 0 <= dt <= params.r_t:
-                    out.append(Neighbor(entry.n, entry.t, entry.p,
-                                        dx, dy, dt))
+                if 0 <= ev.t - entry.t <= params.r_t:
+                    out.append(Neighbor(entry.n, dx, dy))
                     if len(out) == params.d_max:
                         return out
     return out
@@ -225,9 +223,8 @@ def brute_force_neighbors(history: list[Event], ev: Event,
                 continue
             # Newest-first over the last queue_depth arrivals at this pixel.
             for old in reversed(retained[-params.queue_depth:]):
-                dt = ev.t - old.t
-                if 0 <= dt <= params.r_t:
-                    out.append(Neighbor(old.n, old.t, old.p, dx, dy, dt))
+                if 0 <= ev.t - old.t <= params.r_t:
+                    out.append(Neighbor(old.n, dx, dy))
                     if len(out) == params.d_max:
                         return out
     return out

@@ -88,9 +88,9 @@ def choose_requant(scale: float) -> tuple[int, int]:
 
 @dataclass
 class QuantizationReport:
-    weight_scales: list[float]
+    """Each layer's calibrated activation scale; evgnn quantize logs it."""
+
     activation_scales: list[float]
-    fc_weight_scale: float
 
 
 def _weight_scale(w: np.ndarray) -> float:
@@ -134,11 +134,9 @@ def quantize_model(model_fp: FPModel, calib: EventStream
         act_scales.append(m / 127.0 if m > 0 else 1.0)
 
     layers = []
-    w_scales = []
     s_in = 1 / POLARITY_INPUT[1]
     for layer, s_out in zip(model_fp.layers, act_scales):
         s_w = _weight_scale(layer.weights)
-        w_scales.append(s_w)
         q_w = np.clip(np.round(layer.weights / s_w), -127, 127).astype(np.int64)
         # bias lives in the accumulator scale s_in * s_w
         q_b = _quantize_bias(layer.bias, s_in * s_w, f"layer {len(layers)}")
@@ -159,5 +157,5 @@ def quantize_model(model_fp: FPModel, calib: EventStream
                      weights=q_fcw, bias=q_fcb)
 
     qm = QuantizedModel(**model_fp.header(), layers=layers, fc=fc)
-    return qm, QuantizationReport(w_scales, act_scales, s_wfc)
+    return qm, QuantizationReport(act_scales)
 

@@ -15,8 +15,8 @@ from evgnn.engine import (DimMismatch, EngineState, Epilogue, LengthMismatch,
                           message_matvec, rne_mulshift)
 from evgnn.graph_builder import SearchParams
 from evgnn.model import (IDENTITY_REQUANT, POLARITY_INPUT, DenseParams,
-                         LayerParams, calibration_model, random_fp_model,
-                         random_model, save_model)
+                         LayerParams, QuantizedModel, calibration_model,
+                         random_fp_model, random_model, save_model)
 
 from helpers import assert_keeps_queued_rows
 
@@ -554,6 +554,33 @@ def _assert_feats_equal(feats, preds):
     for l, f in enumerate(feats):
         assert np.array_equal(f, np.stack(
             [preds[i].feats[l] for i in range(len(f))]))
+
+
+def test_position_clamp_at_32767(make_stream):
+    """A position requant of q|d| = 16384 |d| reaches the 32767 clamp at
+    |d| = 2, inside an r_s = 3 window. The message is q|dx| alone, so
+    events 1 and 2, each with a neighbour at |dx| >= 2, output
+    32767 - 32700 = 67 on the scalar, both batch and the static paths;
+    with no clamp, or another bound, they would not."""
+    model = QuantizedModel(
+        width=16, height=16, search=SearchParams(shape="prism", r_s=3),
+        layers=[_layer([[0, 1, 0]], bias=[-32700],
+                       requant=(1 << 30, 30), pos_requant=(1 << 30, 16))],
+        fc=DenseParams(in_dim=1, out_dim=2, weights=np.zeros((2, 1)),
+                       bias=np.zeros(2)))
+    stream = make_stream(16, 16, [(5, 5, 0, 1), (7, 5, 10, 1),
+                                  (4, 5, 20, 1)])
+    _, preds = _per_event_run(model, stream)
+    adj = engine.build_adjacency(stream, model.search)
+    outs = {"process_event": [int(p.feats[0][0]) for p in preds]}
+    for name, res in [
+            ("run_stream", engine.run_stream(model, stream)),
+            ("levels", engine.run_stream(model, stream, levels=True)),
+            ("forward_eq7_int8",
+             static_oracle.forward_eq7_int8(stream, adj, model))]:
+        outs[name] = res.feats[0][:, 0].tolist()
+    assert {k: v[1:] for k, v in outs.items()} == dict.fromkeys(outs,
+                                                                [67, 67])
 
 
 def _plan_arrays(obj, path="plan"):

@@ -132,19 +132,23 @@ class TestSearchNeighbors:
 
     def test_prism_predicate(self):
         g = EventQueueGrid(16, 16, 16)
-        g.push_event(Event(6, 5, 90, 0, 0))
-        g.push_event(Event(5, 8, 95, 1, 1))
-        out = search_neighbors(g, Event(5, 5, 100, 0, 2),
-                               SearchParams(r_s=2, r_t=50))
+        old = [Event(6, 5, 90, 0, 0), Event(5, 8, 95, 1, 1)]
+        for e in old:
+            g.push_event(e)
+        ev = Event(5, 5, 100, 0, 2)
+        out = search_neighbors(g, ev, SearchParams(r_s=2, r_t=50))
         # (6,5): |dx|+|dy| = 1, dt = 10; (5,8): |dx|+|dy| = 3 fails
-        assert [(nb.n, nb.dx, nb.dy, nb.dt) for nb in out] == [(0, -1, 0, 10)]
+        assert [(nb.n, nb.dx, nb.dy, ev.t - old[nb.n].t)
+                for nb in out] == [(0, -1, 0, 10)]
 
     def test_dt_zero_tie_is_neighbor(self):
         g = EventQueueGrid(8, 8, 16)
-        g.push_event(Event(3, 3, 100, 0, 0))
-        out = search_neighbors(g, Event(3, 3, 100, 1, 1), SearchParams())
-        assert [nb.n for nb in out] == [0]
-        assert out[0].dt == 0
+        old = [Event(3, 3, 100, 0, 0)]
+        g.push_event(old[0])
+        ev = Event(3, 3, 100, 1, 1)
+        out = search_neighbors(g, ev, SearchParams())
+        assert [(nb.n, nb.dx, nb.dy, ev.t - old[nb.n].t)
+                for nb in out] == [(0, 0, 0, 0)]
 
     def test_not_queue_backed_rejected(self):
         with pytest.raises(InvalidSearchParams, match="hemisphere"):
@@ -229,7 +233,7 @@ def naive_neighbors(history: list[Event], ev: Event,
         dx, dy = ev.x - old.x, ev.y - old.y
         dt = ev.t - old.t
         if in_window(dx, dy, dt):
-            out.append(Neighbor(old.n, old.t, old.p, dx, dy, dt))
+            out.append(Neighbor(old.n, dx, dy))
             if len(out) == params.d_max:
                 break
     return out
@@ -250,7 +254,7 @@ def test_kernel_replay_equals_brute_force():
     params = SearchParams(r_s=2, r_t=300, d_max=6, queue_depth=4)
     adj = build_adjacency(stream, params)
     for i, ev in enumerate(stream.events):
-        expect = [(nb.n, nb.dx, nb.dy, nb.dt) for nb in
+        expect = [(nb.n, nb.dx, nb.dy, int(ev.t - stream.t[nb.n])) for nb in
                   brute_force_neighbors(stream.events[:i], ev, params)]
         assert neighbors(adj, stream, i) == expect, f"event {i}"
 
@@ -618,7 +622,7 @@ class TestProperties:
         params = SearchParams(r_s=3, r_t=500)
         for i, ev in enumerate(stream.events):
             for nb in brute_force_neighbors(stream.events[:i], ev, params):
-                assert nb.dt >= 0
+                assert ev.t - stream.t[nb.n] >= 0
                 assert nb.n < ev.n
 
     @given(st.integers(0, 2**32 - 1))

@@ -13,9 +13,12 @@ by the package itself or by the benchmark: code that only the tests call
 belongs in tests/. And every parameter of a package function is read: a
 parameter that nothing reads still makes every caller build and pass it.
 
-Every field of a model-file dataclass (model.py) is read as an attribute
-by another package module: a field that nothing computes with still has
-to be written, parsed and kept in step by the model file.
+Every field of a package dataclass is read as an attribute by some
+package statement outside its own declaration: a field that nothing
+reads is still computed, passed and kept by every code path that builds
+one. A field of a model-file dataclass (model.py) must be read by another
+module: a field that nothing computes with still has to be written,
+parsed and kept in step by the model file.
 
 Only event_io raises a StreamError: an EventStream checks its rows when
 built, so a second stream check elsewhere could only drift from it.
@@ -26,6 +29,7 @@ with that code would fail alike on both sides of the comparison.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,6 +44,10 @@ UNREAD_OK = ["graph_builder.brute_force_neighbors"]
 # signature; the function goes with the benchmark's change that drops the
 # call (ROADMAP item 1).
 UNREAD_PARAMS_OK = ["perf_model.trace_from_run(model)"]
+# The benchmark's tracer sums RunResult.macs for its MAC metrics; the field
+# stays until the benchmark's change reads the MACs elsewhere (ROADMAP
+# item 1).
+UNREAD_FIELDS_OK = ["engine.RunResult.macs"]
 # What each oracle may import from the modules it checks (CHECKED). The
 # scalar oracle, process_event with its primitives, shares engine.py with
 # the batch path, so its rule waits until it has a module of its own.
@@ -200,19 +208,73 @@ def test_checker_flags_an_unread_parameter():
         "mod.<lambda line 6>(y)"]
 
 
-def unread_fields(module: str, package: dict[str, str]) -> list[str]:
-    """Fields of module's dataclasses that no other module of package
-    reads as an attribute; package maps module names to sources."""
-    read = {n.attr for m, src in package.items() if m != module
-            for n in ast.walk(ast.parse(src))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    return [f"{module}.{cls.name}.{s.target.id}"
-            for cls in ast.parse(package[module]).body
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, ast.AnnAssign]]:
+    """(class name, field declaration) of each field of tree's top-level
+    dataclasses."""
+    return [(cls.name, s) for cls in tree.body
             if isinstance(cls, ast.ClassDef)
             and any("dataclass" in names_read(d) for d in cls.decorator_list)
             for s in cls.body
-            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-            and s.target.id not in read]
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def attribute_reads(node: ast.AST) -> Counter[str]:
+    """How often node reads each attribute name (x.name, load context)."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def unread_fields(module: str, package: dict[str, str]) -> list[str]:
+    """Fields of module's dataclasses that no other module of package
+    reads as an attribute; package maps module names to sources."""
+    read = sum((attribute_reads(ast.parse(src)) for m, src in package.items()
+                if m != module), Counter())
+    return [f"{module}.{cls}.{s.target.id}"
+            for cls, s in dataclass_fields(ast.parse(package[module]))
+            if not read[s.target.id]]
+
+
+def unread_package_fields(package: dict[str, str],
+                          allowed: list[str]) -> list[str]:
+    """Fields of package's dataclasses that no package statement but
+    their own declaration reads as an attribute, less those in allowed;
+    then each allowed field that is read or does not exist, marked stale.
+
+    package maps module names to sources. A read in the defining module
+    counts; a field is matched by name, not by the type of its reader.
+    """
+    trees = {m: ast.parse(src) for m, src in package.items()}
+    read = sum(map(attribute_reads, trees.values()), Counter())
+    unread = [f"{m}.{cls}.{s.target.id}" for m, tree in trees.items()
+              for cls, s in dataclass_fields(tree)
+              if read[s.target.id] == attribute_reads(s)[s.target.id]]
+    return ([f for f in unread if f not in allowed]
+            + [f"{f} (stale)" for f in allowed if f not in unread])
+
+
+def test_package_fields_are_read():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_package_fields(package, UNREAD_FIELDS_OK) == []
+
+
+def test_checker_flags_an_unread_package_field():
+    package = {
+        "a": ("@dataclass\nclass P:\n    x: int\n    y: int\n"
+              "    z: int = 0\n    w: int = dflt.w\n"
+              "    def f(self):\n        return self.x\n"
+              "@dataclass(frozen=True)\nclass Q:\n    v: int\n    u: int\n"
+              "def h(q):\n    return q.u\n"
+              "class R:\n    s: int\n"),
+        "b": "def g(p, q):\n    q.v = p.z\n",
+    }
+    assert unread_package_fields(package, []) == ["a.P.y", "a.P.w", "a.Q.v"]
+    # P.y is read only by a test, which is not package code
+    test = "def test_p(p):\n    assert p.y\n"
+    assert unread_package_fields({**package, "t": test}, []) == ["a.P.w",
+                                                                "a.Q.v"]
+    assert unread_package_fields(package, ["a.Q.v", "a.P.x", "a.S.t"]) == [
+        "a.P.y", "a.P.w", "a.P.x (stale)", "a.S.t (stale)"]
 
 
 def test_model_fields_are_read():

@@ -105,8 +105,7 @@ class TestQuantizeModel:
         fp.layers[0].weights[:] = 0.0
         fp.layers[0].weights[0, 0] = 12.7
         fp.layers[0].weights[0, 1] = 1.27
-        qm, rep = quantize_model(fp, _calib_stream(count=300))
-        assert rep.weight_scales[0] == pytest.approx(0.1)
+        qm, _ = quantize_model(fp, _calib_stream(count=300))
         assert qm.layers[0].weights[0, 0] == 127
         assert qm.layers[0].weights[0, 1] == 13
 
@@ -114,8 +113,10 @@ class TestQuantizeModel:
         fp = random_fp_model(3)
         fp.layers[1].weights[:] = 0.0
         qm, rep = quantize_model(fp, _calib_stream(count=300))
-        assert rep.weight_scales[1] == 1.0
         assert np.all(qm.layers[1].weights == 0)
+        # weight scale 1.0: the bias is quantized at the input scale alone
+        assert np.array_equal(qm.layers[1].bias, np.round(
+            fp.layers[1].bias / rep.activation_scales[0]))
 
     def test_quantized_model_runs(self, small_stream):
         fp = random_fp_model(4)

@@ -79,7 +79,7 @@ class TestBuildStaticGraph:
         s = _stream(2, count=200)
         adj = engine.build_adjacency(s, params)
         for i, ev in enumerate(s.events):
-            expect = [(nb.n, nb.dx, nb.dy, nb.dt) for nb in
+            expect = [(nb.n, nb.dx, nb.dy, int(ev.t - s.t[nb.n])) for nb in
                       brute_force_neighbors(s.events[:i], ev, params)]
             assert neighbors(adj, s, i) == expect
 
