@@ -173,6 +173,12 @@ def cmd_verify(args) -> int:
             print(f"DIVERGENCE vs {name}: logits at event n={n} class={c}: "
                   f"{par.logits[n, c]} != {run.logits[n, c]}")
             return EXIT_DIVERGENCE
+        if not np.array_equal(par.readout, run.readout):
+            k = np.flatnonzero(par.readout != run.readout)[0]
+            cell, c = divmod(int(k), par.feats[-1].shape[1])
+            print(f"DIVERGENCE vs {name}: readout cell={cell} channel={c}: "
+                  f"{par.readout[k]} != {run.readout[k]}")
+            return EXIT_DIVERGENCE
     print(f"OK: layer-parallel == layer-sequential == static oracle "
           f"({len(stream)} events, {len(model.layers)} layers)")
     return EXIT_OK

@@ -24,32 +24,35 @@ prefix (a plain dict-of-lists retention replay, no queue grid).
 
 `build_adjacency` replays search-then-push over a whole stream into flat
 [N, d_max] neighbor arrays without a per-event loop, and its work per
-event is a count or two per window offset plus the neighbours it keeps,
-whatever the queue depth. Events are stable-sorted by pixel, so each
-pixel's arrivals form one run in stream order. For event i and a window
-offset, a binary search counts the arrivals at the neighbour pixel
-before i; its queue at that moment is the last min(depth, count) of
-them, newest first. Timestamps never decrease, as an EventStream's never
-do, so nothing here checks or raises on them: the queue entries within
-r_t of i are its newest ones, a prefix of the scan. So a queue whose
-newest entry is older than r_t holds no hit, and a second binary search,
-counting the hits, runs only where the newest entry passes r_t. A
-running sum of these hit counts over the offsets, in canonical order,
-gives the degree, the d_max early stop and the entries scanned, and only
-the cells that keep a neighbour are expanded. The offsets are walked in
-tranches of 2, 4, 8, ...; an event leaves the walk once it holds d_max
-neighbours. A tranche's chunks run on W threads, W being the CPUs the
-process may use: the calling thread and a pool of W - 1 that each call
-opens and shuts down before it returns. A chunk holds at most
-REPLAY_CELLS // W (event, offset) cells, so REPLAY_CELLS bounds the
-cells in flight across all threads, and with them the build's working
-memory. A chunk writes only its own events' rows, so the result does not
-depend on the schedule. An Adjacency holds the result and stores no edge
-offsets: an edge is its neighbour's stream index (nbr_n) and the window
-slot it was found at (nbr_o), and the window's K (dx, dy) pairs, which
-SearchParams.window builds once per search, are kept once. Its
-dependency levels, the batches of the engine's level schedules, are
-built on first use and kept.
+event is a binary search or two per window offset plus the neighbours it
+keeps, whatever the queue depth. Events are stable-sorted by pixel (the
+pixel keys as their narrowest unsigned type, which numpy radix-sorts
+up to 16 bits), so each pixel's arrivals form one run in stream order.
+For event i and a window offset, a binary search counts the arrivals at
+the neighbour pixel before i; its queue at that moment is the last
+min(depth, count) of them, newest first. Timestamps never decrease, as
+an EventStream's never do, so nothing here checks or raises on them:
+the queue entries within r_t of i are its newest ones, a prefix of the
+scan. So a queue whose newest entry is older than r_t holds no hit.
+Where the newest passes, the queue's own entries settle most hit
+counts: every entry is a hit if the oldest is, and only the newest is
+if the second newest is not. A second binary search counts the hits of
+the cells left. A running sum of these hit counts over the offsets, in
+canonical order, gives the degree, the d_max early stop and the entries
+scanned, and only the cells that keep a neighbour are expanded. The
+offsets are walked in tranches of 2, 4, 8, ...; an event leaves the
+walk once it holds d_max neighbours. A tranche's chunks run on W
+threads, W being the CPUs the process may use: the calling thread and a
+pool of W - 1 that each call opens and shuts down before it returns. A
+chunk holds at most REPLAY_CELLS // W (event, offset) cells, so
+REPLAY_CELLS bounds the cells in flight across all threads, and with
+them the build's working memory. A chunk writes only its own events'
+rows, so the result does not depend on the schedule. An Adjacency holds
+the result and stores no edge offsets: an edge is its neighbour's
+stream index (nbr_n) and the window slot it was found at (nbr_o), and
+the window's K (dx, dy) pairs, which SearchParams.window builds once per
+search, are kept once. Its dependency levels, the batches of the
+engine's level schedules, are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -260,14 +263,15 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
 
     The work per event is O(window offsets) + O(kept neighbours), whatever
     the queue depth: each (event, offset) cell is reduced to its queue
-    length and its hits, counted by a second binary search only where the
-    queue's newest entry is within r_t; only the cells that keep a
-    neighbour are expanded, and the offsets after an event's d_max-th hit
-    are not visited. Each tranche of offsets is cut into chunks of events
-    that run on one thread per CPU the process may use, the calling
-    thread and a pool opened per call; REPLAY_CELLS bounds the cells in
-    flight across all of them, and the result does not depend on the
-    schedule.
+    length and its hits. Where the queue's newest entry is within r_t,
+    its oldest entry settles the hits (all of them) or its second newest
+    does (the newest alone), and a second binary search counts them only
+    where neither does. Only the cells that keep a neighbour are
+    expanded, and the offsets after an event's d_max-th hit are not
+    visited. Each tranche of offsets is cut into chunks of events that
+    run on one thread per CPU the process may use, the calling thread and
+    a pool opened per call; REPLAY_CELLS bounds the cells in flight
+    across all of them, and the result does not depend on the schedule.
     """
     params = getattr(source, "search", source)
     win_dx, win_dy = params.window
@@ -295,7 +299,11 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
     pad = int(max(np.abs(win_dx).max(), np.abs(win_dy).max()))
     wide = stream.width + 2 * pad
     pix = (ys + pad) * wide + xs + pad
-    order = np.argsort(pix, kind="stable")
+    # sorted as their narrowest unsigned type, which numpy radix-sorts
+    # when the padded sensor has at most 2**16 pixels
+    n_pix = wide * (stream.height + 2 * pad)
+    order = np.argsort(pix.astype(np.min_scalar_type(n_pix - 1)),
+                       kind="stable")
     spix = pix[order]
     new_run = np.r_[True, spix[1:] != spix[:-1]]
     run_start = np.flatnonzero(new_run)
@@ -306,8 +314,7 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
     last_key = np.r_[-1, key]
     # Empty and padding pixels map to run n_runs, whose queries find
     # end = lo = run_start[n_runs] = n_ev: an empty queue.
-    run_of = np.full(wide * (stream.height + 2 * pad), n_runs,
-                     dtype=np.int64)
+    run_of = np.full(n_pix, n_runs, dtype=np.int64)
     run_of[spix[run_start]] = np.arange(n_runs)
     run_start = np.r_[run_start, n_ev]
     # Timestamps never decrease, so the arrivals within r_t of event i are
@@ -329,21 +336,32 @@ def build_adjacency(stream: EventStream, source) -> Adjacency:
         # holds the last min(depth, count) of them, newest first
         end = np.searchsorted(key, base + i)
         qlen = np.minimum(end - run_start[run], depth)
-        # Hits are the queue entries from stream index first[i] on, so
-        # only a queue whose newest entry, sorted position end - 1, is
-        # one of them can hold any: the others are not counted. base
-        # becomes each cell's lowest key within r_t.
+        # Hits are the queue entries from stream index first[i] on, a
+        # newest-first prefix of the queue. base becomes each cell's
+        # lowest key within r_t; a queue entry is a hit iff its key is
+        # at least that. Only a candidate, a cell whose newest entry
+        # (sorted position end - 1) is a hit, holds any.
         base += first[i]
         lo_key = base.ravel()
         cand = np.flatnonzero(last_key[end].ravel() >= lo_key)
-        # a hit's sorted position lo >= run_start[run], so
-        # min(end - lo, depth) <= qlen
+        lo_c, end_c = lo_key[cand], end.ravel()[cand]
+        q_c = qlen.ravel()[cand]       # >= 1: the newest entry is queued
+        # If the oldest queued entry, at end - qlen, is a hit, all qlen
+        # are. Else, if the second newest, at end - 2 (last_key[end - 1];
+        # queued, since then qlen >= 2), is not, the newest is the one
+        # hit. Only the cells left need a search: their hits start past
+        # end - qlen, so end - lo < qlen <= depth.
+        whole = key[end_c - q_c] >= lo_c
+        one = last_key[end_c - 1] < lo_c
+        hits_c = np.where(whole, q_c, 1)
+        rest = np.flatnonzero(~(whole | one))
+        hits_c[rest] = end_c[rest] - np.searchsorted(key, lo_c[rest])
         hits = np.zeros_like(end)
-        hits.ravel()[cand] = np.minimum(
-            end.ravel()[cand] - np.searchsorted(key, lo_key[cand]), depth)
+        hits.ravel()[cand] = hits_c
         # Dead [offsets, rows] arrays go at once: a chunk's peak is what a
         # pool thread's malloc arena keeps after the build.
         del run, base, lo_key, cand
+        del lo_c, end_c, q_c, whole, one, hits_c, rest
         # counts within the tranche; event i needs d_max - deg[i] more
         need = d_max - deg[i]
         # running hit count along the offsets (row by row: np.cumsum

@@ -1,12 +1,14 @@
 import argparse
 import base64
 import concurrent.futures
+import inspect
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -623,6 +625,32 @@ class TestVerify:
         assert capsys.readouterr().out == (
             f"DIVERGENCE vs static-oracle: logits at event n=0 class=0: "
             f"{v + 1} != {v}\n")
+
+    def test_readout_state_divergence(self, small_model, small_stream,
+                                      model_path, stream_path, monkeypatch,
+                                      capsys):
+        """readout_trace keeping each cell's first event's running max in
+        place of its last leaves every logit right, since the logits come
+        from the growth steps; verify compares the final readout state
+        too, and reports the lowest differing cell and channel against the
+        static oracle's own readout."""
+        src = textwrap.dedent(inspect.getsource(engine.readout_trace))
+        old = "cells[cell[end]] = run[:, end].T"
+        assert src.count(old) == 1
+        space = dict(vars(engine))
+        exec(src.replace(old, "cells[cell[new]] = run[:, new].T"), space)
+        plan = engine.build_plan(small_model)
+        last = engine.run_stream(plan, small_stream).feats[-1]
+        good = engine.readout_trace(plan, small_stream, last)
+        bad = space["readout_trace"](plan, small_stream, last)
+        assert np.array_equal(good[0], bad[0])
+        k = np.flatnonzero(good[2] != bad[2])[0]
+        cell, c = divmod(int(k), last.shape[1])
+        monkeypatch.setattr(engine, "readout_trace", space["readout_trace"])
+        assert main(["verify", model_path, stream_path]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().out == (
+            f"DIVERGENCE vs static-oracle: readout cell={cell} channel={c}: "
+            f"{bad[2][k]} != {good[2][k]}\n")
 
     @pytest.mark.parametrize("faults, first", [
         ([(3, 50, 0), (1, 60, 0)], "n=50 layer=3 channel=0"),

@@ -1,3 +1,4 @@
+import collections
 import functools
 import sys
 import threading
@@ -407,6 +408,111 @@ def test_build_adjacency_stale_queues(shape, cells, make_stream,
         assert int(_edge_dt(adj, stream).max()) == oldest
         stale, stale_with_hit = _stale_newest_queues(stream, params)
         assert stale > 0 and stale_with_hit == 0
+
+
+def _hit_classes(stream, params) -> collections.Counter:
+    """Count the cells whose newest retained entry is within r_t, over
+    every event's window up to its d_max-th hit, by how their hits lie:
+    - whole_short / whole_full: every retained entry is a hit, with the
+      queue below or at its depth
+    - cut_in_whole: of those, the ones where the d_max-th hit falls before
+      the queue's last entry
+    - one_behind_stale: the newest entry is the one hit
+    - some: 2 <= hits < retained entries
+    - some_to_first: of those, two hits, the older one the earliest event
+      of the stream within r_t of the query
+    """
+    r, keep, d_max = params.r_s, params.queue_depth, params.d_max
+    arrivals: dict[tuple[int, int], list[Event]] = {}
+    out = collections.Counter()
+    for ev in stream.events:
+        first = int(np.searchsorted(stream.t, ev.t - params.r_t))
+        deg = 0
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                if deg == d_max or not graph_builder._spatial_ok(dx, dy,
+                                                                 params):
+                    continue
+                queue = arrivals.get((ev.x - dx, ev.y - dy), [])[-keep:]
+                hits = sum(ev.t - old.t <= params.r_t for old in queue)
+                if hits == len(queue) > 0:
+                    out["whole_short" if hits < keep else "whole_full"] += 1
+                    out["cut_in_whole"] += deg < d_max < deg + hits
+                elif hits == 1:
+                    out["one_behind_stale"] += 1
+                elif hits:
+                    out["some"] += 1
+                    out["some_to_first"] += (hits == 2
+                                             and queue[-2].n == first)
+                deg = min(d_max, deg + hits)
+        arrivals.setdefault((ev.x, ev.y), []).append(ev)
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cells", [1, 40])
+def test_build_adjacency_hit_counts(cells, cpus, make_stream, monkeypatch):
+    """r_s = 2 on a 5x4 sensor whose pixel 7 gets 40 % of the events.
+    Gaps of 0, 10, 20 and 100 us against r_t = 30 leave stale entries
+    behind fresh ones, and a burst of 20 events 1 us apart at pixel 7
+    fills even a 16-deep queue within r_t, past d_max = 6. At queue depths
+    1, 2 and 16 the cells' hit counts cover every class of _hit_classes,
+    and the build equals the incremental reference with chunks of 1 or up
+    to 40 cells, on one thread or two."""
+    monkeypatch.setattr(graph_builder, "_cpus", lambda: cpus)
+    monkeypatch.setattr(graph_builder, "REPLAY_CELLS", cells)
+    rng = np.random.default_rng(31)
+    w, h, n = 5, 4, 160
+    pixels = np.where(rng.random(n) < 0.4, 7, rng.integers(0, w * h, n))
+    gaps = rng.choice([0, 10, 10, 20, 100], n)
+    gaps[40:60], pixels[40:60] = 1, 7
+    stream = make_stream(w, h, [
+        (int(q % w), int(q // w), int(t), k % 2)
+        for k, (q, t) in enumerate(zip(pixels, np.cumsum(gaps)))])
+    seen = collections.Counter()
+    for depth in (1, 2, 16):
+        params = SearchParams(r_s=2, r_t=30, d_max=6, queue_depth=depth)
+        _assert_equals_reference(build_adjacency(stream, params), stream,
+                                 params)
+        classes = _hit_classes(stream, params)
+        seen += classes
+        if depth == 16:
+            assert set(classes) == {"whole_short", "whole_full",
+                                    "cut_in_whole", "one_behind_stale",
+                                    "some", "some_to_first"}
+    assert seen["whole_full"] > seen["whole_short"] > 0
+
+
+@pytest.mark.parametrize("width, key_type", [(250, np.uint16),
+                                             (251, np.uint32)])
+def test_build_adjacency_pixel_key_types(width, key_type, make_stream,
+                                         monkeypatch):
+    """build_adjacency sorts the pixel keys as their narrowest unsigned
+    type: with r_s = 3, a 250x250 sensor pads to 256x256 = 65536 pixels,
+    whose keys fit uint16, and a 251x250 one to 65792 pixels, past it.
+    Events at all four corners and their neighbours build edges that equal
+    the incremental reference."""
+    real, sorted_types = np.argsort, []
+
+    def recording(a, *args, **kwargs):
+        sorted_types.append(np.asarray(a).dtype)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
+    h = 250
+    rows = [(x, y, 10 * k + j, j % 2)
+            for j in range(3)
+            for k, (x, y) in enumerate([(0, 0), (width - 1, 0), (0, h - 1),
+                                        (width - 1, h - 1), (1, 0),
+                                        (width - 2, h - 1), (0, h - 3),
+                                        (width - 1, 2)])]
+    rows.sort(key=lambda row: row[2])
+    stream = make_stream(width, h, rows)
+    params = SearchParams(r_s=3, r_t=100, d_max=8, queue_depth=2)
+    adj = build_adjacency(stream, params)
+    assert sorted_types == [key_type]
+    _assert_equals_reference(adj, stream, params)
+    assert adj.deg.sum() > 0
 
 
 def _recorded_pools(monkeypatch) -> list[int]:
